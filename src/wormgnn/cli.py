@@ -253,7 +253,7 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     lines = [json.dumps(r, sort_keys=True) for r in records]
     (out_dir / "records.jsonl").write_text("\n".join(lines) + "\n")
 
-    summary = _summarize_dicts(records)
+    summary = tr.summarize_runs(records)
     _write_json(out_dir / "summary.json", summary)
     rows = []
     for fieldname in ("accuracy_test", "accuracy_generalization"):
@@ -265,21 +265,6 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     print(f"cross-validate: {len(records)} runs "
           f"({len(perms)} permutations x {train_cfg.fold_count} folds)")
     return 0
-
-
-def _summarize_dicts(records: list[dict]) -> dict:
-    summary: dict = {"runs": len(records)}
-    for fieldname in ("accuracy_train", "accuracy_val", "accuracy_test", "accuracy_generalization"):
-        values = [r[fieldname] for r in records if r.get(fieldname) is not None]
-        if values:
-            arr = np.asarray(values, dtype=np.float64)
-            summary[fieldname] = {"mean": float(arr.mean()), "std": float(arr.std())}
-    mse_rows = [r["per_step_mse"] for r in records if r.get("per_step_mse") is not None]
-    if mse_rows:
-        stacked = np.asarray(mse_rows, dtype=np.float64)
-        summary["per_step_mse"] = {"mean": stacked.mean(axis=0).tolist(),
-                                   "std": stacked.std(axis=0).tolist()}
-    return summary
 
 
 def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralModel:

@@ -119,7 +119,16 @@ def _accumulate_rollout_error(model, full: np.ndarray, starts, steps: int, burn_
     return len(usable), skipped
 
 
-def _finish_per_step(totals, counts, used, skipped, steps) -> PerStepMse:
+def _rollout_error_per_step(model, sources, steps: int, burn_in: int) -> PerStepMse:
+    """Accumulate rollout errors over (full, starts, edge_feats) sources."""
+    totals = np.zeros(steps)
+    counts = np.zeros(steps)
+    used = skipped = 0
+    for full, starts, edge_feats in sources:
+        u, s = _accumulate_rollout_error(model, full, starts, steps, burn_in, totals, counts,
+                                         edge_feats=edge_feats)
+        used += u
+        skipped += s
     per_step = np.divide(totals, counts, out=np.zeros(steps), where=counts > 0)
     summary = {s: float(per_step[s - 1]) for s in (1, 8, 16) if s <= steps}
     return PerStepMse(per_step=per_step, summary=summary,
@@ -133,30 +142,16 @@ def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
     Recordings are expected normalized.  Windows without ``steps`` ground-
     truth frames of lookahead are skipped and counted.
     """
-    totals = np.zeros(steps)
-    counts = np.zeros(steps)
-    used = skipped = 0
-    for rec in recordings:
-        full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)  # (T, N, 2)
-        starts = range(0, (rec.n_timesteps // window_len) * window_len, window_len)
-        u, s = _accumulate_rollout_error(model, full, starts, steps, burn_in, totals, counts)
-        used += u
-        skipped += s
-    return _finish_per_step(totals, counts, used, skipped, steps)
+    sources = ((np.stack([rec.traces.T, rec.derivatives.T], axis=-1),  # (T, N, 2)
+                range(0, (rec.n_timesteps // window_len) * window_len, window_len), None)
+               for rec in recordings)
+    return _rollout_error_per_step(model, sources, steps, burn_in)
 
 
 def per_step_mse_prepared(model, prepared_worms, steps: int = 16, burn_in: int = 0) -> np.ndarray:
     """As per_step_mse but over PreparedWorm slabs from the training harness."""
-    totals = np.zeros(steps)
-    counts = np.zeros(steps)
-    used = skipped = 0
-    for worm in prepared_worms:
-        u, s = _accumulate_rollout_error(model, worm.full_features, worm.window_starts,
-                                         steps, burn_in, totals, counts,
-                                         edge_feats=worm.features)
-        used += u
-        skipped += s
-    return np.divide(totals, counts, out=np.zeros(steps), where=counts > 0)
+    sources = ((worm.full_features, worm.window_starts, worm.features) for worm in prepared_worms)
+    return _rollout_error_per_step(model, sources, steps, burn_in).per_step
 
 
 # ---------------------------------------------------------------------------

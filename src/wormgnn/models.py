@@ -2,14 +2,19 @@
 a linear hinge-loss baseline, with the two task heads (state classification
 and Markovian trajectory prediction).
 
-The graph network encodes node features, scores every ordered neuron pair
-with a two-dimensional softmax whose second component is the edge weight,
-and performs exactly one message-passing step H = A X before decoding.
-Edges are inferred per timestep (dynamic), once for all frames supplied
-(static; node embeddings averaged over the whole stack before pairing, so
-a worm's recording yields one fixed matrix), saturated toward {0,1} with a
-small softmax temperature (one-hot), or supplied from a structural
-connectivity file.
+A NeuralModel runs three stages in a fixed order: an edge source (none,
+inferred, or a loaded connectome), an optional gated recurrent stage, and a
+decoder, either pooled (the aggregated neurons through a trunk MLP and head,
+or the linear map) or per-node (one MLP per neuron for node_mlp, one decoder
+shared by every node for the predicting GNN).  The graph network encodes
+node features, scores every ordered neuron pair with a two-dimensional
+softmax whose second component is the edge weight, and performs exactly one
+message-passing step H = A X.  Edges are inferred per timestep (dynamic),
+once for all frames supplied (static; node embeddings averaged over the
+whole stack before pairing, so a worm's recording yields one fixed matrix),
+or saturated toward {0,1} with a small softmax temperature (one-hot).
+ModelConfig rejects the linear baseline for prediction and recurrent linear
+or node_mlp classifiers.
 
 Forward passes accept batched feature stacks (batch, W, N, 2); the public
 single-timestep operations wrap the batched paths.
@@ -85,14 +90,9 @@ class ModelConfig:
     include_self_edges: bool = True
 
     def __post_init__(self):
-        if isinstance(self.module_kind, str):
-            self.module_kind = ModuleKind(self.module_kind)
-        if isinstance(self.task, str):
-            self.task = Task(self.task)
-        if isinstance(self.edge_mode, str):
-            self.edge_mode = EdgeMode(self.edge_mode)
-        if isinstance(self.aggregation, str):
-            self.aggregation = Aggregation(self.aggregation)
+        for name, enum in (("module_kind", ModuleKind), ("task", Task), ("edge_mode", EdgeMode),
+                           ("aggregation", Aggregation)):
+            setattr(self, name, enum(getattr(self, name)))
         if self.hidden_dim is None:
             self.hidden_dim = 16 if self.task is Task.CLASSIFY else 256
         if self.hidden_dim <= 0:
@@ -103,8 +103,11 @@ class ModelConfig:
             )
         if self.n_neurons < 1:
             raise ValueError(f"ModelConfig: n_neurons must be >= 1, got {self.n_neurons}")
-        if self.module_kind is ModuleKind.LINEAR and self.task is Task.PREDICT:
-            raise ValueError("ModelConfig: the linear baseline only supports the Classify task")
+        if (self.module_kind is ModuleKind.LINEAR and self.task is Task.PREDICT) or (
+                self.recurrent and self.task is Task.CLASSIFY
+                and self.module_kind in (ModuleKind.LINEAR, ModuleKind.NODE_MLP)):
+            raise ValueError(f"ModelConfig: module_kind={self.module_kind.value} with task="
+                             f"{self.task.value}, recurrent={self.recurrent} is not supported")
 
     def to_dict(self) -> dict:
         return {
@@ -160,9 +163,6 @@ class TwoLayerMlp:
             params += self.bn.parameters()
         return params
 
-    def batchnorms(self):
-        return [] if self.bn is None else [self.bn]
-
     def forward(self, x: Tensor, training: bool) -> Tensor:
         h = ad.relu(self.fc1.forward(x))
         h = ad.relu(self.fc2.forward(h))
@@ -170,7 +170,7 @@ class TwoLayerMlp:
 
 
 class LstmUnit:
-    """Gated recurrent unit inserted before the trunk MLP."""
+    """Gated recurrent unit: the optional stage between edge source and decoder."""
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng):
         self.hidden_dim = hidden_dim
@@ -205,10 +205,12 @@ def _offdiag_mask(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class NeuralModel:
-    """Parameters and forward passes for one ModelConfig.
+    """Parameters and the staged forward passes for one ModelConfig.
 
-    Parameter shapes are a pure function of the config; initialization is a
-    pure function of (config, master_seed).
+    Pooled layouts aggregate the neurons before the recurrent stage; per-node
+    layouts (node_mlp, predicting GNN) keep the neuron axis.  Parameter shapes
+    are a pure function of the config; initialization is a pure function of
+    (config, master_seed), so blocks are built in a fixed order.
     """
 
     def __init__(self, config: ModelConfig, master_seed: int = 0):
@@ -216,80 +218,50 @@ class NeuralModel:
         rng = derive_rng(master_seed, "model-init", config.module_kind.value, config.task.value)
         n = config.n_neurons
         hidden = config.hidden_dim
-        agg_dim = 2 * n if config.aggregation is Aggregation.CONCATENATE else 2
+        kind = config.module_kind
+        classify = config.task is Task.CLASSIFY
+        self._per_node = kind is ModuleKind.NODE_MLP or (kind is ModuleKind.GNN and not classify)
         self._blocks: list = []
         self.connectome: np.ndarray | None = None
 
-        kind = config.module_kind
-        if kind is ModuleKind.LINEAR:
-            if config.recurrent:
-                raise ValueError("NeuralModel: the linear baseline has no recurrent variant")
-            self.linear = Linear("linear", 2 * n, config.n_states, rng)
-            self._blocks.append(self.linear)
-            return
+        def block(b):
+            self._blocks.append(b)
+            return b
 
+        # edge source; connectome mode uses a fixed structural matrix instead
         if kind is ModuleKind.GNN and config.edge_mode is not EdgeMode.CONNECTOME:
-            # connectome mode uses a fixed structural matrix; no edge encoder
-            self.encoder = TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False)
-            self.edge_mlp = TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False)
-            self.edge_head = Linear("edge_head", hidden, 2, rng)
-            self._blocks += [self.encoder, self.edge_mlp, self.edge_head]
+            self.encoder = block(TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False))
+            self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False))
+            self.edge_head = block(Linear("edge_head", hidden, 2, rng))
 
-        if config.task is Task.CLASSIFY:
-            trunk_in = agg_dim
-            if config.recurrent:
-                self.lstm = LstmUnit("lstm", trunk_in, hidden, rng)
-                self._blocks.append(self.lstm)
-                trunk_in = hidden
-            if kind is ModuleKind.NODE_MLP:
-                self.node_blocks = [TwoLayerMlp(f"node{i}", 2, hidden, rng) for i in range(n)]
-                self._blocks += self.node_blocks
-                self.head = Linear("head", n * hidden, config.n_states, rng)
+        width = 2 if self._per_node or config.aggregation is Aggregation.SUM else 2 * n
+        if config.recurrent:
+            self.lstm = block(LstmUnit("lstm", width, hidden, rng))
+            width = hidden
+
+        # decoder; no batch norm in the autoregressive path: rollout steps have
+        # no stable batch distribution, and the train/eval statistics gap
+        # would dominate the residual scale
+        if kind is ModuleKind.LINEAR:
+            self.linear = block(Linear("linear", width, config.n_states, rng))
+        elif kind is ModuleKind.NODE_MLP:
+            self.node_blocks = [block(TwoLayerMlp(f"node{i}", width, hidden, rng, batchnorm=classify))
+                                for i in range(n)]
+            if classify:
+                self.head = block(Linear("head", n * hidden, config.n_states, rng))
             else:
-                self.trunk = TwoLayerMlp("trunk", trunk_in, hidden, rng)
-                self.head = Linear("head", hidden, config.n_states, rng)
-                self._blocks.append(self.trunk)
-            self._blocks.append(self.head)
-        else:  # Task.PREDICT
-            # no batch norm in the autoregressive path: rollout steps have no
-            # stable batch distribution, and the train/eval statistics gap
-            # would dominate the residual scale
-            if kind is ModuleKind.MLP:
-                trunk_in = agg_dim
-                if config.recurrent:
-                    self.lstm = LstmUnit("lstm", trunk_in, hidden, rng)
-                    self._blocks.append(self.lstm)
-                    trunk_in = hidden
-                self.trunk = TwoLayerMlp("trunk", trunk_in, hidden, rng, batchnorm=False)
-                self.head = Linear("head", hidden, 2 * n, rng)
-                self._blocks += [self.trunk, self.head]
-            elif kind is ModuleKind.NODE_MLP:
-                node_in = 2
-                if config.recurrent:
-                    self.lstm = LstmUnit("lstm", 2, hidden, rng)
-                    self._blocks.append(self.lstm)
-                    node_in = hidden
-                self.node_blocks = [TwoLayerMlp(f"node{i}", node_in, hidden, rng, batchnorm=False)
-                                    for i in range(n)]
-                self.node_heads = [Linear(f"node{i}.head", hidden, 2, rng) for i in range(n)]
-                self._blocks += self.node_blocks + self.node_heads
-            else:  # GNN: shared per-node decoder over messages
-                dec_in = 2
-                if config.recurrent:
-                    self.lstm = LstmUnit("lstm", 2, hidden, rng)
-                    self._blocks.append(self.lstm)
-                    dec_in = hidden
-                self.decoder = TwoLayerMlp("dec", dec_in, hidden, rng, batchnorm=False)
-                self.dec_head = Linear("dec_head", hidden, 2, rng)
-                self._blocks += [self.decoder, self.dec_head]
+                self.node_heads = [block(Linear(f"node{i}.head", hidden, 2, rng)) for i in range(n)]
+        elif self._per_node:  # predicting GNN: one decoder shared by every node
+            self.decoder = block(TwoLayerMlp("dec", width, hidden, rng, batchnorm=False))
+            self.dec_head = block(Linear("dec_head", hidden, 2, rng))
+        else:
+            self.trunk = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
+            self.head = block(Linear("head", hidden, config.n_states if classify else 2 * n, rng))
 
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for block in self._blocks:
-            params.extend(block.parameters())
-        return params
+        return [p for block in self._blocks for p in block.parameters()]
 
     def named_parameters(self) -> dict[str, Parameter]:
         named = {}
@@ -300,11 +272,7 @@ class NeuralModel:
         return named
 
     def batchnorms(self) -> list[BatchNorm]:
-        norms = []
-        for block in self._blocks:
-            if hasattr(block, "batchnorms"):
-                norms.extend(block.batchnorms())
-        return norms
+        return [block.bn for block in self._blocks if getattr(block, "bn", None) is not None]
 
     def buffers(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -390,11 +358,63 @@ class NeuralModel:
 
     # -- batched forward passes -------------------------------------------------
 
+    def _edge_stage(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
+                    edge_feats: Tensor | None = None) -> Tensor:
+        """Edge source for a (B, W, N, 2) stack or (B, N, 2) frame: H = A X for
+        the GNN, with A given, loaded, or inferred from ``edge_feats`` (static
+        modes) or ``x`` itself; x unchanged for the other kinds."""
+        if self.config.module_kind is not ModuleKind.GNN:
+            return x
+        if adjacency is not None:
+            return ad.matmul(adjacency, x)
+        if x.ndim == 3:  # one frame: a one-frame stack supplies its own edges
+            stack = ad.reshape(x, (x.shape[0], 1) + x.shape[1:])
+            return ad.reshape(self._edge_stage(stack, training), x.shape)
+        if self.config.edge_mode is EdgeMode.DYNAMIC or edge_feats is None:
+            edge_feats = x
+        return ad.matmul(self._adjacency_for(edge_feats, training), x)
+
     def _aggregate(self, feats: Tensor) -> Tensor:
         """(…, N, 2) -> (…, 2N) in fixed neuron order, or (…, 2) when summing."""
         if self.config.aggregation is Aggregation.CONCATENATE:
             return ad.reshape(feats, feats.shape[:-2] + (2 * self.config.n_neurons,))
         return feats.sum(axis=-2)
+
+    def _recurrent_step(self, x: Tensor, state=None):
+        """One gated-cell step over pooled (B, F) or per-node (B, N, F) input."""
+        flat = x if x.ndim == 2 else ad.reshape(x, (x.shape[0] * x.shape[1], x.shape[2]))
+        if state is None:
+            state = self.lstm.initial_state(flat.shape[0])
+        out, state = self.lstm.forward(flat, state)
+        if x.ndim == 3:
+            out = ad.reshape(out, x.shape[:2] + (self.lstm.hidden_dim,))
+        return out, state
+
+    def _pooled_hidden(self, x: Tensor, training: bool, rec_state=None) -> Tensor:
+        """Aggregate a (B, W, N, F) stack, run the recurrent stage across the
+        window and the trunk; (B, W, hidden)."""
+        x = self._aggregate(x)
+        if self.config.recurrent:
+            batch, width = x.shape[0], x.shape[1]
+            outputs = []
+            for t in range(width):
+                frame = ad.index_select(x, 1, [t]).reshape((batch, x.shape[2]))
+                out, rec_state = self._recurrent_step(frame, rec_state)
+                outputs.append(ad.reshape(out, (batch, 1, self.lstm.hidden_dim)))
+            x = ad.concat(outputs, axis=1)
+        return self.trunk.forward(x, training)
+
+    def _node_decode(self, x: Tensor, training: bool) -> Tensor:
+        """Neuron i of x (…, N, F) through node{i}: the concatenated hidden
+        vectors (…, N * hidden) to classify, the per-node residuals (…, N, 2)
+        to predict."""
+        lead, axis = x.shape[:-2], x.ndim - 2
+        predict = self.config.task is Task.PREDICT
+        outs = []
+        for i, node in enumerate(self.node_blocks):
+            h = node.forward(ad.index_select(x, axis, [i]).reshape(lead + (x.shape[-1],)), training)
+            outs.append(ad.reshape(self.node_heads[i].forward(h), lead + (1, 2)) if predict else h)
+        return ad.concat(outs, axis=axis if predict else -1)
 
     def classify_logits(self, feats: Tensor, training: bool, rec_state=None,
                         edge_feats: Tensor | None = None) -> Tensor:
@@ -411,38 +431,12 @@ class NeuralModel:
             raise ValueError(
                 f"classify_logits: expected (B, W, {cfg.n_neurons}, 2), got {feats.shape}"
             )
+        x = self._edge_stage(feats, training, edge_feats=edge_feats)
         if cfg.module_kind is ModuleKind.LINEAR:
-            return self.linear.forward(self._aggregate(feats))
-        if cfg.module_kind is ModuleKind.NODE_MLP:
-            per_node = [
-                self.node_blocks[i].forward(ad.index_select(feats, 2, [i]).reshape(
-                    (feats.shape[0], feats.shape[1], 2)), training)
-                for i in range(cfg.n_neurons)
-            ]
-            stacked = ad.concat(per_node, axis=-1)
-            return self.head.forward(stacked)
-        if cfg.module_kind is ModuleKind.GNN:
-            if cfg.edge_mode is EdgeMode.DYNAMIC or edge_feats is None:
-                edge_feats = feats
-            adjacency = self._adjacency_for(edge_feats, training)
-            messages = ad.matmul(adjacency, feats)  # one message-passing step
-            x = self._aggregate(messages)
-        else:
-            x = self._aggregate(feats)
-        if cfg.recurrent:
-            x = self._run_lstm_over_window(x, rec_state)
-        return self.head.forward(self.trunk.forward(x, training))
-
-    def _run_lstm_over_window(self, x: Tensor, rec_state=None) -> Tensor:
-        """Thread the gated cell across the window axis of (B, W, F)."""
-        batch, width = x.shape[0], x.shape[1]
-        state = rec_state if rec_state is not None else self.lstm.initial_state(batch)
-        outputs = []
-        for t in range(width):
-            frame = ad.index_select(x, 1, [t]).reshape((batch, x.shape[2]))
-            out, state = self.lstm.forward(frame, state)
-            outputs.append(ad.reshape(out, (batch, 1, self.lstm.hidden_dim)))
-        return ad.concat(outputs, axis=1)
+            return self.linear.forward(self._aggregate(x))
+        if self._per_node:
+            return self.head.forward(self._node_decode(x, training))
+        return self.head.forward(self._pooled_hidden(x, training, rec_state))
 
     def predict_residual(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
                          rec_state=None):
@@ -452,45 +446,20 @@ class NeuralModel:
             raise ValueError("predict_residual: model was built for the Classify task")
         if x.ndim != 3 or x.shape[1] != cfg.n_neurons or x.shape[2] != 2:
             raise ValueError(f"predict_residual: expected (B, {cfg.n_neurons}, 2), got {x.shape}")
-        batch = x.shape[0]
-        if cfg.module_kind is ModuleKind.MLP:
-            flat = self._aggregate(x)
-            if cfg.recurrent:
-                state = rec_state if rec_state is not None else self.lstm.initial_state(batch)
-                flat, state = self.lstm.forward(flat, state)
-                rec_state = state
-            out = self.head.forward(self.trunk.forward(flat, training))
-            return ad.reshape(out, (batch, cfg.n_neurons, 2)), rec_state
-        if cfg.module_kind is ModuleKind.NODE_MLP:
-            inputs = x
-            if cfg.recurrent:
-                state = rec_state if rec_state is not None else self.lstm.initial_state(batch * cfg.n_neurons)
-                flat = ad.reshape(x, (batch * cfg.n_neurons, 2))
-                out, state = self.lstm.forward(flat, state)
-                inputs = ad.reshape(out, (batch, cfg.n_neurons, self.lstm.hidden_dim))
-                rec_state = state
-            rows = []
-            for i in range(cfg.n_neurons):
-                xi = ad.index_select(inputs, 1, [i]).reshape((batch, inputs.shape[2]))
-                hi = self.node_blocks[i].forward(xi, training)
-                rows.append(ad.reshape(self.node_heads[i].forward(hi), (batch, 1, 2)))
-            return ad.concat(rows, axis=1), rec_state
-        # GNN
-        if adjacency is None:
-            stack = ad.reshape(x, (batch, 1, cfg.n_neurons, 2))
-            adj4 = self._adjacency_for(stack, training)  # (B or 1, 1, N, N)
-            messages = ad.reshape(ad.matmul(adj4, stack), (batch, cfg.n_neurons, 2))
-        else:
-            messages = ad.matmul(adjacency, x)  # (B, N, 2)
-        dec_in = messages
-        if cfg.recurrent:
-            state = rec_state if rec_state is not None else self.lstm.initial_state(batch * cfg.n_neurons)
-            flat = ad.reshape(messages, (batch * cfg.n_neurons, 2))
-            out, state = self.lstm.forward(flat, state)
-            dec_in = ad.reshape(out, (batch, cfg.n_neurons, self.lstm.hidden_dim))
-            rec_state = state
-        hidden = self.decoder.forward(dec_in, training)
-        return self.dec_head.forward(hidden), rec_state
+        return self._predict_decode(self._edge_stage(x, training, adjacency), training, rec_state)
+
+    def _predict_decode(self, x: Tensor, training: bool, rec_state=None):
+        """Recurrent stage and decoder for one (B, N, F) frame of messages or features."""
+        if not self._per_node:
+            x = self._aggregate(x)
+        if self.config.recurrent:
+            x, rec_state = self._recurrent_step(x, rec_state)
+        if self.config.module_kind is ModuleKind.NODE_MLP:
+            return self._node_decode(x, training), rec_state
+        if self._per_node:
+            return self.dec_head.forward(self.decoder.forward(x, training)), rec_state
+        out = self.head.forward(self.trunk.forward(x, training))
+        return ad.reshape(out, (x.shape[0], self.config.n_neurons, 2)), rec_state
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +485,7 @@ def mlp_forward(features, model: NeuralModel) -> Tensor:
         raise ValueError(
             f"mlp_forward: features have {window.shape[1]} neurons, model expects {model.config.n_neurons}"
         )
-    x = model._aggregate(Tensor(window[None, :, :, :]))  # (1, W, 2N)
-    if model.config.recurrent:
-        x = model._run_lstm_over_window(x)
-    hidden = model.trunk.forward(x, training=False)
+    hidden = model._pooled_hidden(Tensor(window[None, :, :, :]), training=False)
     return ad.reshape(hidden, (window.shape[0], model.config.hidden_dim)) if window.shape[0] > 1 \
         else ad.reshape(hidden, (model.config.hidden_dim,))
 
@@ -568,11 +534,15 @@ def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -
     return AdjacencyMatrix(weights=Tensor(weights), mode=EdgeMode.CONNECTOME)
 
 
+def _adjacency_tensor(adjacency) -> Tensor:
+    """An AdjacencyMatrix, Tensor or array as a Tensor."""
+    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
+    return a if isinstance(a, Tensor) else Tensor(a)
+
+
 def message_pass(adjacency, features, include_self_edges: bool = True) -> Tensor:
     """One message-passing step H = A X (self edges removable)."""
-    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
+    a = _adjacency_tensor(adjacency)
     x = features if isinstance(features, Tensor) else Tensor(features)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"message_pass: adjacency must be square, got {a.shape}")
@@ -594,25 +564,13 @@ def gnn_forward(features, adjacency, model: NeuralModel):
     window = _as_feature_window(features)
     if window.shape[0] != 1:
         raise ValueError("gnn_forward: expects a single timestep; use the batched paths for windows")
-    x = Tensor(window[0])  # (N, 2)
-    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    messages = message_pass(a, x, include_self_edges=model.config.include_self_edges)
+    messages = message_pass(adjacency, Tensor(window[0]),
+                            include_self_edges=model.config.include_self_edges)  # (N, 2)
     if model.config.task is Task.CLASSIFY:
-        agg = model._aggregate(ad.reshape(messages, (1, 1) + messages.shape))
-        if model.config.recurrent:
-            agg = model._run_lstm_over_window(agg)
-        hidden = model.trunk.forward(agg, training=False)
+        hidden = model._pooled_hidden(ad.reshape(messages, (1, 1) + messages.shape), training=False)
         return ad.reshape(hidden, (model.config.hidden_dim,))
-    dec_in = ad.reshape(messages, (1,) + messages.shape)
-    if model.config.recurrent:
-        state = model.lstm.initial_state(model.config.n_neurons)
-        flat = ad.reshape(dec_in, (model.config.n_neurons, 2))
-        out, _ = model.lstm.forward(flat, state)
-        dec_in = ad.reshape(out, (1, model.config.n_neurons, model.lstm.hidden_dim))
-    hidden = model.decoder.forward(dec_in, training=False)
-    return ad.reshape(model.dec_head.forward(hidden), (model.config.n_neurons, 2))
+    residual, _ = model._predict_decode(ad.reshape(messages, (1,) + messages.shape), training=False)
+    return ad.reshape(residual, messages.shape)
 
 
 def classify(features_or_logits, model: NeuralModel):
@@ -642,10 +600,8 @@ def predict_step(features, model: NeuralModel, adjacency=None, rec_state=None):
         )
     a = None
     if adjacency is not None:
-        a_vals = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
-        if not isinstance(a_vals, Tensor):
-            a_vals = Tensor(a_vals)
-        a = ad.reshape(a_vals, (1,) + a_vals.shape)
+        a = _adjacency_tensor(adjacency)
+        a = ad.reshape(a, (1,) + a.shape)
     batched = ad.reshape(x, (1,) + x.shape)
     residual, rec_state = model.predict_residual(batched, training=False, adjacency=a,
                                                  rec_state=rec_state)

@@ -143,17 +143,6 @@ def mse_loss(predicted: Tensor, target) -> Tensor:
     return ad.mul(diff, diff).mean()
 
 
-def mse_per_step(predicted: np.ndarray, target: np.ndarray, step_axis: int = 1) -> np.ndarray:
-    """Per-prediction-step decomposition of the mean squared error."""
-    predicted = np.asarray(predicted)
-    target = np.asarray(target)
-    if predicted.shape != target.shape:
-        raise ValueError(f"mse_per_step: shapes {predicted.shape} and {target.shape} differ")
-    sq = (predicted - target) ** 2
-    axes = tuple(ax for ax in range(sq.ndim) if ax != step_axis)
-    return sq.mean(axis=axes)
-
-
 # ---------------------------------------------------------------------------
 # optimizer and schedules
 # ---------------------------------------------------------------------------
@@ -176,16 +165,12 @@ class AdamState:
         for p in self.params:
             g = p.tensor.grad
             if g is None:
-                raise ValueError(f"adam_step: parameter {p.name} has no gradient")
+                raise ValueError(f"AdamState.step: parameter {p.name} has no gradient")
             m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
             v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
             m_hat = m / (1 - self.beta1**t)
             v_hat = v / (1 - self.beta2**t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(state: AdamState) -> None:
-    state.step()
 
 
 @dataclass
@@ -507,26 +492,15 @@ def _cell_seed(master_seed: int, perm_index: int, fold: int) -> int:
     return derive_entropy(master_seed, "cell", perm_index, fold)[0]
 
 
-def summarize_runs(records: list[ev.RunMetrics]) -> dict:
-    """Mean +- population standard deviation across runs."""
-    summary: dict = {"runs": len(records)}
-
-    def agg(values):
-        values = [v for v in values if v is not None]
-        if not values:
-            return None
-        arr = np.asarray(values, dtype=np.float64)
-        return {"mean": float(arr.mean()), "std": float(arr.std())}
-
-    for fieldname in ("accuracy_train", "accuracy_val", "accuracy_test", "accuracy_generalization"):
-        got = agg([getattr(r, fieldname) for r in records])
-        if got is not None:
-            summary[fieldname] = got
-    mse_rows = [r.per_step_mse for r in records if r.per_step_mse is not None]
-    if mse_rows:
-        stacked = np.asarray(mse_rows)
-        summary["per_step_mse"] = {
-            "mean": stacked.mean(axis=0).tolist(),
-            "std": stacked.std(axis=0).tolist(),
-        }
+def summarize_runs(records: list[ev.RunMetrics | dict]) -> dict:
+    """Mean +- population standard deviation across runs (RunMetrics or their dicts)."""
+    rows = [r if isinstance(r, dict) else r.to_dict() for r in records]
+    summary: dict = {"runs": len(rows)}
+    for fieldname in ("accuracy_train", "accuracy_val", "accuracy_test", "accuracy_generalization",
+                      "per_step_mse"):
+        values = [r[fieldname] for r in rows if r.get(fieldname) is not None]
+        if values:
+            arr = np.asarray(values, dtype=np.float64)
+            summary[fieldname] = {"mean": arr.mean(axis=0).tolist(),
+                                  "std": arr.std(axis=0).tolist()}
     return summary

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from wormgnn import evaluation as ev
 from wormgnn.data import StateLabel, WormRecording, compute_derivative
-from wormgnn.models import ConstantResidualModel
+from wormgnn.models import ConstantResidualModel, rollout_batch
 from wormgnn.synth import SynthConfig, generate_worm, mixing_matrix
+from wormgnn.training import mse_loss
 
 
 # -- accuracy --------------------------------------------------------------------
@@ -116,6 +117,19 @@ def test_per_step_mse_skips_short_lookahead():
     # starts 0 and 8; only start 0 has 16 frames of lookahead (0+16 < 20)
     assert res.windows_used == 1
     assert res.windows_skipped == 1
+
+
+def test_per_step_mse_averages_to_total():
+    rec = make_rec(np.random.default_rng(1).uniform(size=(3, 64)))
+    model = ConstantResidualModel(3, residual=np.random.default_rng(2).normal(size=(3, 2)))
+    res = ev.per_step_mse(model, [rec], steps=6, window_len=8)
+    full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)
+    teacher = np.stack([full[s : s + 7] for s in range(0, 64, 8)])
+    preds = rollout_batch(model, teacher, steps=6)
+    total = mse_loss(preds, teacher[:, 1:]).item()
+    assert res.per_step.shape == (6,)
+    assert res.windows_used == len(teacher)
+    assert res.per_step.mean() == pytest.approx(total, abs=1e-12)
 
 
 def test_per_step_mse_oracle_model_zero():

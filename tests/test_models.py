@@ -197,15 +197,26 @@ def test_mlp_concatenation_is_order_sensitive():
 def test_sum_aggregation_option():
     rng = np.random.default_rng(0)
     feats = rng.uniform(size=(2, 3, 5, 2))
-    cfg = m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY, n_neurons=5,
-                        n_states=2, hidden_dim=8, aggregation=m.Aggregation.SUM)
-    model = m.NeuralModel(cfg, master_seed=0)
-    logits = model.classify_logits(Tensor(feats), training=False)
-    assert logits.shape == (2, 3, 2)
-    # summing makes the aggregation order-insensitive, unlike concatenation
-    permuted = feats[:, :, [3, 1, 4, 0, 2], :]
-    logits_p = model.classify_logits(Tensor(permuted), training=False)
-    assert np.allclose(logits.data, logits_p.data, atol=1e-12)
+    for kind in (m.ModuleKind.MLP, m.ModuleKind.LINEAR):
+        cfg = m.ModelConfig(module_kind=kind, task=m.Task.CLASSIFY, n_neurons=5,
+                            n_states=2, hidden_dim=8, aggregation=m.Aggregation.SUM)
+        model = m.NeuralModel(cfg, master_seed=0)
+        logits = model.classify_logits(Tensor(feats), training=False)
+        assert logits.shape == (2, 3, 2)
+        # summing makes the aggregation order-insensitive, unlike concatenation
+        permuted = feats[:, :, [3, 1, 4, 0, 2], :]
+        logits_p = model.classify_logits(Tensor(permuted), training=False)
+        assert np.allclose(logits.data, logits_p.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,task,recurrent", [
+    ("linear", "predict", False),
+    ("linear", "classify", True),
+    ("node_mlp", "classify", True),
+])
+def test_config_rejects_unsupported_combinations(kind, task, recurrent):
+    with pytest.raises(ValueError, match=f"module_kind={kind} with task={task}, recurrent={recurrent}"):
+        m.ModelConfig(module_kind=kind, task=task, n_neurons=3, recurrent=recurrent)
 
 
 def test_gnn_forward_shapes():

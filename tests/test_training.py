@@ -65,16 +65,6 @@ def test_mse_shape_mismatch():
         tr.mse_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 2)))
 
 
-def test_mse_per_step_averages_to_total():
-    rng = np.random.default_rng(1)
-    pred = rng.normal(size=(4, 6, 3, 2))
-    target = rng.normal(size=(4, 6, 3, 2))
-    per_step = tr.mse_per_step(pred, target, step_axis=1)
-    total = tr.mse_loss(Tensor(pred), target).item()
-    assert per_step.shape == (6,)
-    assert per_step.mean() == pytest.approx(total, abs=1e-12)
-
-
 # -- adam -----------------------------------------------------------------------
 
 def test_adam_zero_gradient_no_motion():
