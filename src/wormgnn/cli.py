@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,12 @@ from .data import (
     RecordingFormatError,
     load_recording,
     normalize_recording,
+    save_recording,
     select_neurons,
     worm_permutations,
 )
 from .rng import derive_entropy
 from .synth import SynthConfig, generate_worm
-from .data import save_recording
 
 
 class ConfigError(ValueError):
@@ -58,7 +59,11 @@ def _load_config(path) -> tuple[dict, int | None, str | None]:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Write via a temp file and a rename, so a killed run never leaves half a file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    os.replace(tmp, path)
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict) -> None:
@@ -93,28 +98,12 @@ def _load_recordings(config: dict, context: str) -> dict:
     return recs
 
 
-def _model_config(config: dict, task: str, n_neurons: int) -> m.ModelConfig:
-    spec = dict(config.get("model", {}))
-    spec.setdefault("module_kind", "mlp")
-    spec["task"] = "predict" if task == "predict" else "classify"
-    spec["n_neurons"] = n_neurons
-    spec["n_states"] = tr.TASK_CLASS_COUNTS.get(task, 2)
-    return m.ModelConfig(**spec)
-
-
 def _train_config(config: dict, seed: int) -> tr.TrainConfig:
     spec = dict(config.get("train", {}))
     spec["seed"] = seed
     if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
         spec["burn_in"] = 4  # recurrent variants warm up on four teacher frames
     return tr.TrainConfig(**spec)
-
-
-def _maybe_connectome(config: dict, neuron_names, include_self_edges: bool):
-    path = config.get("connectome")
-    if not path:
-        return None
-    return m.load_connectome_edges(path, neuron_names, include_self_edges=include_self_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +152,27 @@ def _resolve_plan(config: dict, recs: dict, context: str) -> tr.ExperimentPlan:
     )
 
 
+def _resolve_run(config: dict, seed: int, context: str):
+    """Recordings, plan, train config, model config and connectome of a training run."""
+    recs = _load_recordings(config, context)
+    plan = _resolve_plan(config, recs, context)
+    first = next(iter(recs.values()))
+    model_spec = dict(config.get("model", {}))
+    model_spec.setdefault("module_kind", "mlp")
+    model_spec["task"] = "predict" if plan.task == "predict" else "classify"
+    model_spec["n_neurons"] = first.n_neurons
+    model_spec["n_states"] = tr.TASK_CLASS_COUNTS.get(plan.task, 2)
+    model_cfg = m.ModelConfig(**model_spec)
+    connectome = None
+    if config.get("connectome"):
+        connectome = m.load_connectome_edges(config["connectome"], first.neuron_names,
+                                             include_self_edges=model_cfg.include_self_edges)
+    return recs, plan, _train_config(config, seed), model_cfg, connectome
+
+
 def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
-    recs = _load_recordings(config, "train")
-    plan = _resolve_plan(config, recs, "train")
-    n_neurons = next(iter(recs.values())).n_neurons
-    model_cfg = _model_config(config, plan.task, n_neurons)
-    train_cfg = _train_config(config, seed)
+    recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "train")
     model = m.NeuralModel(model_cfg, master_seed=seed)
-    connectome = _maybe_connectome(config, next(iter(recs.values())).neuron_names,
-                                   model_cfg.include_self_edges)
     if connectome is not None:
         model.set_connectome(connectome)
     prepared = tr.prepare_worms(recs, plan.task, train_cfg, train_cfg.seed)
@@ -191,60 +192,55 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
     return 0
 
 
-_WORKER_CACHE: dict = {}
-
-
-def _cross_validate_cell(payload: dict) -> dict:
-    """Worker entry: one (permutation, fold) cell from a serialized config."""
-    key = json.dumps(payload["config"], sort_keys=True)
-    if key not in _WORKER_CACHE:
-        config = payload["config"]
-        recs = _load_recordings(config, "cross-validate")
-        plan = _resolve_plan(config, recs, "cross-validate")
-        train_cfg = _train_config(config, payload["seed"])
-        model_cfg = _model_config(config, plan.task, next(iter(recs.values())).n_neurons)
-        connectome = _maybe_connectome(config, next(iter(recs.values())).neuron_names,
-                                       model_cfg.include_self_edges)
-        prepared = tr.prepare_worms(recs, plan.task, train_cfg, train_cfg.seed)
-        _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = (recs, plan, train_cfg, model_cfg, prepared, connectome)
-    recs, plan, train_cfg, model_cfg, prepared, connectome = _WORKER_CACHE[key]
-    metrics = tr.run_cell(
-        recs, plan, train_cfg, model_cfg,
-        permutation_size=int(payload["permutation_size"]),
-        perm_index=int(payload["perm_index"]), fold=int(payload["fold"]),
-        max_epochs=payload.get("max_epochs"), prepared=prepared, connectome=connectome,
-    )
-    return metrics.to_dict()
+def _is_cell_file(path: Path, perm: tuple, fold: int) -> bool:
+    """True when ``path`` holds a complete record of this (permutation, fold) cell."""
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return (isinstance(record, dict) and record.get("fold") == fold
+            and record.get("permutation") == list(perm))
 
 
 def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, resume: bool) -> int:
-    recs = _load_recordings(config, "cross-validate")
-    plan = _resolve_plan(config, recs, "cross-validate")
-    permutation_size = int(_require(config, "permutation_size", "cross-validate"))
-    train_cfg = _train_config(config, seed)
-    perms = worm_permutations(plan.train_worm_ids, permutation_size)
+    """Run a sweep through ``training.cross_validate`` and save it cell by cell.
 
+    ``training.cross_validate`` enumerates the cells and owns the worker pool.
+    This command skips cells with a complete file on ``--resume``, writes each
+    cell file as its cell finishes, reports progress on stderr, and merges the
+    cell files by cell index.
+    """
+    recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "cross-validate")
+    permutation_size = int(_require(config, "permutation_size", "cross-validate"))
+    perms = worm_permutations(plan.train_worm_ids, permutation_size)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(pi, fold) for pi in range(len(perms)) for fold in range(train_cfg.fold_count)]
 
     def cell_path(pi, fold) -> Path:
         return cells_dir / f"perm{pi:03d}_fold{fold:02d}.json"
 
-    pending = [(pi, fold) for pi, fold in cells if not (resume and cell_path(pi, fold).exists())]
-    payloads = [
-        {"config": config, "seed": seed, "permutation_size": permutation_size,
-         "perm_index": pi, "fold": fold, "max_epochs": config.get("max_epochs_override")}
-        for pi, fold in pending
-    ]
-    if workers > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cross_validate_cell, payloads))
-    else:
-        results = [_cross_validate_cell(p) for p in payloads]
-    for (pi, fold), record in zip(pending, results):
-        _write_json(cell_path(pi, fold), record)
+    cells, pending = [], []  # filled by cross_validate's calls, before any cell runs
+
+    def is_pending(pi, fold) -> bool:
+        cells.append((pi, fold))
+        todo = not (resume and _is_cell_file(cell_path(pi, fold), perms[pi], fold))
+        if todo:
+            pending.append((pi, fold))
+        return todo
+
+    started, cell_times = time.perf_counter(), []
+
+    def save(pi, fold, metrics) -> None:
+        _write_json(cell_path(pi, fold), metrics.to_dict())
+        cell_times.append(metrics.runtime_s)
+        done, elapsed = len(cell_times), time.perf_counter() - started
+        print(f"cross-validate: {done}/{len(pending)} cells done, "
+              f"mean cell {sum(cell_times) / done:.3g} s, "
+              f"ETA {elapsed / done * (len(pending) - done):.3g} s", file=sys.stderr)
+
+    tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size,
+                      max_epochs=config.get("max_epochs_override"), cell_filter=is_pending,
+                      progress=save, connectome=connectome, workers=workers)
 
     # deterministic merge by sorted cell index
     records = []

@@ -373,6 +373,13 @@ def load_recording(path) -> WormRecording:
         derivatives = np.asarray(raw["derivatives"], dtype=np.float64)
     else:
         derivatives = np.apply_along_axis(compute_derivative, 1, traces)
+    # min-max scaling would silently zero a row holding NaN, infinity or null
+    for fieldname, matrix in (("traces", traces), ("derivatives", derivatives)):
+        bad = np.argwhere(~np.isfinite(matrix))
+        if bad.size:
+            index = "".join(f"[{i}]" for i in bad[0])
+            raise RecordingFormatError(
+                f"{path}: {fieldname}{index} is {matrix[tuple(bad[0])]}, not a finite number")
 
     try:
         return WormRecording(

@@ -9,8 +9,10 @@ stream, so cells can run concurrently and still merge deterministically.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .data import (
     worm_permutations,
 )
 from .models import ModelConfig, NeuralModel, rollout_batch
-from .rng import derive_rng
+from .rng import derive_entropy, derive_rng
 
 TASK_SCHEMES = {
     "classify2": "binary",
@@ -60,21 +62,6 @@ class TrainConfig:
                 raise ValueError(f"TrainConfig: {name} must be positive")
         if self.loss_kind not in ("nll", "mse"):
             raise ValueError(f"TrainConfig: loss_kind must be 'nll' or 'mse', got {self.loss_kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "plateau_patience": self.plateau_patience,
-            "lr_decay_factor": self.lr_decay_factor,
-            "sampling_decay_epochs": self.sampling_decay_epochs,
-            "loss_kind": self.loss_kind,
-            "seed": self.seed,
-            "fold_count": self.fold_count,
-            "window_len": self.window_len,
-            "eval_rollout": self.eval_rollout,
-            "burn_in": self.burn_in,
-        }
 
 
 @dataclass
@@ -326,6 +313,8 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
             else:
                 loss, _ = _classification_pass(model, worm.features[mask], worm.targets[mask],
                                                True, worm.features)
+            if not np.isfinite(loss.item()):  # an Adam step would spread it to every parameter
+                raise ValueError(f"train: loss is {loss.item()} at epoch {epoch}, worm {wid!r}")
             loss.backward()
             state.adam.step()
 
@@ -413,42 +402,22 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
     return metrics
 
 
-def _check_fold_counts(prepared: dict[str, PreparedWorm], cfg: TrainConfig) -> None:
-    for wid, worm in prepared.items():
-        if cfg.fold_count > worm.features.shape[0]:
-            raise ValueError(
-                f"cross_validate: worm {wid} has {worm.features.shape[0]} windows "
-                f"for {cfg.fold_count} folds"
-            )
-
-
-def run_cell(recordings: dict[str, WormRecording], plan_template: ExperimentPlan,
-             cfg: TrainConfig, model_config: ModelConfig, permutation_size: int,
-             perm_index: int, fold: int, max_epochs: int | None = None,
-             prepared: dict[str, PreparedWorm] | None = None,
-             connectome=None) -> ev.RunMetrics:
+def run_cell(prepared: dict[str, PreparedWorm], plan_template: ExperimentPlan,
+             cfg: TrainConfig, model_config: ModelConfig, perm: tuple, perm_index: int,
+             fold: int, max_epochs: int | None = None, connectome=None) -> ev.RunMetrics:
     """Train and evaluate one (permutation, fold) cell of the sweep.
 
     Cells derive their own seeds from (master seed, cell index), so a cell
     computes the same result whether run serially or on a worker.
     """
-    perms = worm_permutations(plan_template.train_worm_ids, permutation_size)
-    perm = perms[perm_index]
-    if prepared is None:
-        prepared = prepare_worms(recordings, plan_template.task, cfg, cfg.seed)
-        _check_fold_counts(prepared, cfg)
     held_out = [wid for wid in plan_template.train_worm_ids if wid not in perm]
-    plan = ExperimentPlan(
-        task=plan_template.task,
-        train_worm_ids=list(perm),
-        held_out_worm_ids=held_out + plan_template.held_out_worm_ids,
-        extended_eval_ids=plan_template.extended_eval_ids,
-    )
-    cell_seed = _cell_seed(cfg.seed, perm_index, fold)
+    plan = replace(plan_template, train_worm_ids=list(perm),
+                   held_out_worm_ids=held_out + plan_template.held_out_worm_ids)
+    cell_seed = derive_entropy(cfg.seed, "cell", perm_index, fold)[0]
     model = NeuralModel(model_config, master_seed=cell_seed)
     if connectome is not None:
         model.set_connectome(connectome)
-    run_cfg = TrainConfig(**{**cfg.to_dict(), "seed": cell_seed})
+    run_cfg = replace(cfg, seed=cell_seed)
     _, metrics = train(model, plan, run_cfg, prepared,
                        test_fold=fold, val_fold=(fold + 1) % cfg.fold_count,
                        max_epochs=max_epochs)
@@ -458,38 +427,65 @@ def run_cell(recordings: dict[str, WormRecording], plan_template: ExperimentPlan
     return metrics
 
 
+_worker_sweep = None  # (run, perms), set once in each pool worker by _init_worker
+
+
+def _init_worker(run, perms) -> None:
+    global _worker_sweep
+    _worker_sweep = (run, perms)
+
+
+def _worker_cell(cell: tuple[int, int]) -> ev.RunMetrics:
+    run, perms = _worker_sweep
+    return run(perms[cell[0]], *cell)
+
+
+def _finished_cells(run, perms, cells, workers: int):
+    """Yield (cell, metrics) as each cell finishes: in order, or from a pool."""
+    if workers <= 1:
+        for cell in cells:
+            yield cell, run(perms[cell[0]], *cell)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(run, perms))
+    try:
+        futures = {pool.submit(_worker_cell, cell): cell for cell in cells}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+    finally:
+        # after an error, cells that have not started are dropped, not run
+        pool.shutdown(cancel_futures=True)
+
+
 def cross_validate(recordings: dict[str, WormRecording], plan_template: ExperimentPlan,
                    cfg: TrainConfig, model_config: ModelConfig, permutation_size: int,
                    max_epochs: int | None = None, cell_filter=None,
-                   progress=None, connectome=None) -> tuple[list[ev.RunMetrics], dict]:
+                   progress=None, connectome=None,
+                   workers: int = 1) -> tuple[list[ev.RunMetrics], dict]:
     """Enumerate worm permutations x folds, train each cell, aggregate mean +- std.
 
-    ``cell_filter`` (perm_index, fold) -> bool can skip completed cells for
-    resumable sweeps; aggregation uses the population standard deviation.
+    The only code that enumerates sweep cells and the only owner of a worker
+    pool: worms are prepared once here, and each of ``workers`` > 1 processes
+    receives them once, then only (perm_index, fold).  ``cell_filter``
+    (perm_index, fold) -> bool, asked about every cell before any runs, can
+    skip completed cells; ``progress`` (perm_index, fold, metrics) is called
+    as each cell finishes, so the caller can save it.  Records come back in
+    cell order; aggregation uses the population standard deviation.
     """
     perms = worm_permutations(plan_template.train_worm_ids, permutation_size)
     prepared = prepare_worms(recordings, plan_template.task, cfg, cfg.seed)
-    _check_fold_counts(prepared, cfg)
-
-    records: list[ev.RunMetrics] = []
-    for perm_index in range(len(perms)):
-        for fold in range(cfg.fold_count):
-            if cell_filter is not None and not cell_filter(perm_index, fold):
-                continue
-            metrics = run_cell(recordings, plan_template, cfg, model_config,
-                               permutation_size, perm_index, fold,
-                               max_epochs=max_epochs, prepared=prepared,
-                               connectome=connectome)
-            records.append(metrics)
-            if progress is not None:
-                progress(perm_index, fold, metrics)
+    cells = [(perm_index, fold) for perm_index in range(len(perms))
+             for fold in range(cfg.fold_count)
+             if cell_filter is None or cell_filter(perm_index, fold)]
+    run = functools.partial(run_cell, prepared, plan_template, cfg, model_config,
+                            max_epochs=max_epochs, connectome=connectome)
+    finished = {}
+    for cell, metrics in _finished_cells(run, perms, cells, workers):
+        finished[cell] = metrics
+        if progress is not None:
+            progress(*cell, metrics)
+    records = [finished[cell] for cell in cells]
     return records, summarize_runs(records)
-
-
-def _cell_seed(master_seed: int, perm_index: int, fold: int) -> int:
-    from .rng import derive_entropy
-
-    return derive_entropy(master_seed, "cell", perm_index, fold)[0]
 
 
 def summarize_runs(records: list[ev.RunMetrics | dict]) -> dict:

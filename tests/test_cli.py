@@ -1,11 +1,19 @@
 """CLI contract tests: every command, manifests, determinism, diagnostics."""
 
+import contextlib
+import inspect
+import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wormgnn import training as tr
 from wormgnn.cli import main
 
 
@@ -139,6 +147,101 @@ def test_cross_validate_counts_resume_and_workers(tmp_path):
                  "--workers", "2"]) == 0
     records_w = [json.loads(line) for line in (out_w / "records.jsonl").read_text().splitlines()]
     assert strip_wall_time(records_w) == strip_wall_time(records)
+
+
+TINY_CELLS = [(pi, fold) for pi in range(3) for fold in range(4)]
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep(tmp_path_factory):
+    """An uninterrupted 3-worm x 4-fold sweep, 1 epoch, hidden 4: (config, output dir)."""
+    root = tmp_path_factory.mktemp("tiny_sweep")
+    cfg = write_config(root / "cv.json", train_config(
+        gen_synth(root), permutation_size=2,
+        train={"max_epochs": 1, "fold_count": 4, "window_len": 8},
+    ))
+    out = root / "full"
+    assert main(["cross-validate", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+    return cfg, out
+
+
+def sweep(cfg: Path, out: Path, *extra: str) -> int:
+    return main(["cross-validate", "--config", str(cfg), "--out", str(out), "--seed", "1", *extra])
+
+
+def read_records(out: Path) -> list:
+    return [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+
+
+RUN_CELL = tr.run_cell
+
+
+def record_cells(monkeypatch, fail_on_call=None) -> list:
+    """Wrap ``training.run_cell``; returns the list of (perm_index, fold) it is asked for."""
+    calls, signature = [], inspect.signature(RUN_CELL)
+
+    def counted(*args, **kwargs):
+        cell = signature.bind(*args, **kwargs).arguments
+        calls.append((cell["perm_index"], cell["fold"]))
+        if len(calls) == fail_on_call:
+            raise RuntimeError("sweep interrupted")
+        return RUN_CELL(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "run_cell", counted)
+    return calls
+
+
+def test_interrupted_sweep_keeps_finished_cells_and_resumes(tmp_path, monkeypatch, capsys,
+                                                            tiny_sweep):
+    cfg, full = tiny_sweep
+    out = tmp_path / "cv"
+    record_cells(monkeypatch, fail_on_call=5)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        sweep(cfg, out)
+    assert sorted(p.name for p in (out / "cells").iterdir()) == [
+        f"perm000_fold{fold:02d}.json" for fold in range(4)]
+    capsys.readouterr()
+
+    calls = record_cells(monkeypatch)
+    assert sweep(cfg, out, "--resume") == 0
+    assert calls == TINY_CELLS[4:]
+    assert strip_wall_time(read_records(out)) == strip_wall_time(read_records(full))
+    captured = capsys.readouterr()
+    assert captured.out == "cross-validate: 12 runs (3 permutations x 4 folds)\n"
+    progress = captured.err.splitlines()
+    assert len(progress) == 8 and progress[-1].startswith("cross-validate: 8/8 cells done, ")
+    assert "mean cell" in progress[0] and "ETA" in progress[0]
+
+
+def test_resume_recomputes_truncated_and_mismatched_cells(tmp_path, monkeypatch, tiny_sweep):
+    cfg, full = tiny_sweep
+    out = tmp_path / "cv"
+    shutil.copytree(full / "cells", out / "cells")
+    truncated = out / "cells" / "perm001_fold02.json"
+    truncated.write_text(truncated.read_text()[:40])
+    (out / "cells" / "perm002_fold01.json").write_bytes(
+        (full / "cells" / "perm002_fold00.json").read_bytes())
+    calls = record_cells(monkeypatch)
+    assert sweep(cfg, out, "--resume") == 0
+    assert calls == [(1, 2), (2, 1)]
+    assert strip_wall_time(read_records(out)) == strip_wall_time(read_records(full))
+
+
+@settings(max_examples=40, deadline=None)
+@given(present=st.sets(st.sampled_from(TINY_CELLS)))
+def test_resume_runs_exactly_the_missing_cells(tiny_sweep, present):
+    cfg, full = tiny_sweep
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        out = Path(tmp)
+        (out / "cells").mkdir()
+        for pi, fold in present:
+            name = f"perm{pi:03d}_fold{fold:02d}.json"
+            shutil.copy(full / "cells" / name, out / "cells" / name)
+        calls = record_cells(monkeypatch)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert sweep(cfg, out, "--resume") == 0
+        assert calls == [cell for cell in TINY_CELLS if cell not in present]
+        assert strip_wall_time(read_records(out)) == strip_wall_time(read_records(full))
 
 
 # -- eval / rollout -------------------------------------------------------------------

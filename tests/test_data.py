@@ -1,6 +1,7 @@
 """Data pipeline tests: normalization, derivative, windows, folds, labels."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,28 @@ def test_load_recording_duplicate_neurons(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(dp.RecordingFormatError, match="duplicate"):
+        dp.load_recording(path)
+
+
+@pytest.mark.parametrize("fieldname,row,bad", [
+    ("traces", 0, "NaN"),
+    ("traces", 0, "null"),
+    ("derivatives", 1, "-Infinity"),
+])
+def test_load_recording_rejects_non_finite(tmp_path, fieldname, row, bad):
+    payload = {
+        "worm_id": "w",
+        "dataset_tag": "t",
+        "sample_period_s": 0.3,
+        "neuron_names": ["A", "B"],
+        "traces": [[0.1 * t for t in range(8)], [0.2] * 8],
+        "derivatives": [[0.1] * 8, [0.0] * 8],
+        "labels": ["forward"] * 8,
+    }
+    payload[fieldname][row][5] = 12345.5  # stands in for a value JSON dumps cannot write
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload).replace("12345.5", bad))
+    with pytest.raises(dp.RecordingFormatError, match=re.escape(f"{fieldname}[{row}][5]")):
         dp.load_recording(path)
 
 

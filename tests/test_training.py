@@ -250,6 +250,24 @@ def test_train_rejects_missing_worms():
         tr.train(model, plan, cfg, prepared)
 
 
+def test_train_raises_on_non_finite_loss():
+    recs = small_worms(1)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=2)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["w0"])
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                                        n_neurons=4, n_states=2, hidden_dim=4), master_seed=0)
+    head = model.named_parameters()["head.weight"]
+    head.data = head.data * 1e6  # logits saturate: softmax gives some target p = 0
+    before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    prepared = tr.prepare_worms(recs, "classify2", cfg, 0)
+    with np.errstate(divide="ignore"), pytest.raises(ValueError,
+                                                     match="loss is inf at epoch 0, worm 'w0'"):
+        tr.train(model, plan, cfg, prepared)
+    # no optimizer step ran, so every parameter is still finite and unchanged
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.data, before[name])
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="both train and held-out"):
         tr.ExperimentPlan(task="classify2", train_worm_ids=["a"], held_out_worm_ids=["a"])
