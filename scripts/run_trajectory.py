@@ -33,7 +33,7 @@ def main():
         recs[rec.worm_id] = rec
 
     train_cfg = tr.TrainConfig(fold_count=10, window_len=8, max_epochs=args.epochs,
-                               seed=args.seed, loss_kind="mse")
+                               seed=args.seed)
     plan = tr.ExperimentPlan(task="predict", train_worm_ids=["w0", "w1", "w2"],
                              extended_eval_ids=["w3"])
     prepared = tr.prepare_worms(recs, "predict", train_cfg, train_cfg.seed)

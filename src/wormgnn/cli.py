@@ -9,6 +9,7 @@ apart from wall-time fields.  Commands never mutate their input files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -98,12 +99,20 @@ def _load_recordings(config: dict, context: str) -> dict:
     return recs
 
 
-def _train_config(config: dict, seed: int) -> tr.TrainConfig:
+def _build_section(cls, spec: dict, section: str, context: str):
+    """``cls(**spec)``, with a ConfigError naming any field ``cls`` does not have."""
+    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{context}: unknown field(s) {unknown} in the {section!r} section")
+    return cls(**spec)
+
+
+def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
     spec = dict(config.get("train", {}))
     spec["seed"] = seed
     if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
         spec["burn_in"] = 4  # recurrent variants warm up on four teacher frames
-    return tr.TrainConfig(**spec)
+    return _build_section(tr.TrainConfig, spec, "train", context)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +150,15 @@ def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> int:
 def _resolve_plan(config: dict, recs: dict, context: str) -> tr.ExperimentPlan:
     task = _require(config, "task", context)
     train_worms = config.get("train_worms") or sorted(recs)
-    missing = [w for w in train_worms if w not in recs]
-    if missing:
-        raise ConfigError(f"{context}: train_worms not found in data: {missing}")
-    return tr.ExperimentPlan(
-        task=task,
-        train_worm_ids=list(train_worms),
-        held_out_worm_ids=list(config.get("heldout_worms", [])),
-        extended_eval_ids=list(config.get("extended_worms", [])),
-    )
+    held_out = config.get("heldout_worms", [])
+    extended = config.get("extended_worms", [])
+    for key, ids in (("train_worms", train_worms), ("heldout_worms", held_out),
+                     ("extended_worms", extended)):
+        missing = [w for w in ids if w not in recs]
+        if missing:
+            raise ConfigError(f"{context}: {key} not found in data: {missing}")
+    return tr.ExperimentPlan(task=task, train_worm_ids=list(train_worms),
+                             held_out_worm_ids=list(held_out), extended_eval_ids=list(extended))
 
 
 def _resolve_run(config: dict, seed: int, context: str):
@@ -162,12 +171,12 @@ def _resolve_run(config: dict, seed: int, context: str):
     model_spec["task"] = "predict" if plan.task == "predict" else "classify"
     model_spec["n_neurons"] = first.n_neurons
     model_spec["n_states"] = tr.TASK_CLASS_COUNTS.get(plan.task, 2)
-    model_cfg = m.ModelConfig(**model_spec)
+    model_cfg = _build_section(m.ModelConfig, model_spec, "model", context)
     connectome = None
     if config.get("connectome"):
         connectome = m.load_connectome_edges(config["connectome"], first.neuron_names,
                                              include_self_edges=model_cfg.include_self_edges)
-    return recs, plan, _train_config(config, seed), model_cfg, connectome
+    return recs, plan, _train_config(config, seed, context), model_cfg, connectome
 
 
 def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
@@ -282,25 +291,23 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
     model = _load_model_for_data(config, recs, "eval")
     if model.config.task is not m.Task.CLASSIFY:
         raise ConfigError("eval: checkpoint was trained for prediction; use rollout")
-    train_cfg = _train_config(config, seed)
+    k = model.config.n_states
+    if tr.TASK_CLASS_COUNTS.get(task) != k:
+        raise ConfigError(f"eval: task {task!r} does not match the checkpoint's {k} classes")
+    train_cfg = _train_config(config, seed, "eval")
     prepared = tr.prepare_worms(recs, task, train_cfg, train_cfg.seed)
-
-    from .autodiff import Tensor
 
     preds, targets = [], []
     per_worm = {}
     for wid in sorted(prepared):
         worm = prepared[wid]
-        logits = model.classify_logits(Tensor(worm.features), training=False,
-                                       edge_feats=Tensor(worm.features))
-        p = np.argmax(logits.data, axis=-1).reshape(-1)
+        p = tr.predict_classes(model, worm)
         t = worm.targets.reshape(-1)
         preds.append(p)
         targets.append(t)
         per_worm[wid] = ev.accuracy(p, t)
     preds = np.concatenate(preds)
     targets = np.concatenate(targets)
-    k = model.config.n_states
     confusion, support = ev.confusion_matrix(preds, targets, k)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "metrics.json", {

@@ -1,6 +1,7 @@
 """Model zoo: structure-agnostic MLPs, the edge-inferring graph network, and
-a linear hinge-loss baseline, with the two task heads (state classification
-and Markovian trajectory prediction).
+the linear baseline (one affine map, which ``training.train`` fits with a
+one-vs-rest hinge loss), with the two task heads (state classification and
+Markovian trajectory prediction).
 
 A NeuralModel runs three stages in a fixed order: an edge source (none,
 inferred, or a loaded connectome), an optional gated recurrent stage, and a
@@ -707,56 +708,6 @@ class ConstantResidualModel:
 
     def predict_residual(self, x, training, adjacency=None, rec_state=None):
         return Tensor(np.broadcast_to(self._residual, x.shape).copy()), rec_state
-
-
-# ---------------------------------------------------------------------------
-# linear baseline
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearBaseline:
-    """One-vs-rest affine scorer trained with hinge loss + L2."""
-
-    weights: np.ndarray  # (d, k)
-    bias: np.ndarray  # (k,)
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.scores(features), axis=-1)
-
-
-def linear_baseline(features: np.ndarray, labels: np.ndarray, l2: float = 1e-3,
-                    learning_rate: float = 0.05, epochs: int = 200, seed: int = 0) -> LinearBaseline:
-    """Train the hinge-loss one-vs-rest baseline on (M, d) features."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise ValueError(f"linear_baseline: need at least 2 classes, got {classes.size}")
-    k = int(classes.max()) + 1
-    d = features.shape[1]
-    rng = derive_rng(seed, "linear-baseline")
-    w = Parameter("w", ad.uniform_init(rng, d, (d, k)))
-    b = Parameter("b", np.zeros(k))
-    signs_t = Tensor(np.where(np.arange(k)[None, :] == labels[:, None], 1.0, -1.0))
-    x_t = Tensor(features)
-    ones = Tensor(np.ones((features.shape[0], k)))
-
-    from .training import AdamState  # local import to avoid a cycle
-
-    adam = AdamState([w, b], learning_rate)
-    for _ in range(epochs):
-        w.tensor.zero_grad()
-        b.tensor.zero_grad()
-        scores = ad.add(ad.matmul(x_t, w.tensor), b.tensor)
-        hinge = ad.relu(ad.sub(ones, ad.mul(signs_t, scores))).mean()
-        penalty = ad.scale(ad.mul(w.tensor, w.tensor).sum(), l2)
-        loss = ad.add(hinge, penalty)
-        loss.backward()
-        adam.step()
-    return LinearBaseline(weights=w.data.copy(), bias=b.data.copy())
 
 
 # ---------------------------------------------------------------------------

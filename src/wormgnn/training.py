@@ -1,8 +1,10 @@
 """Losses, optimizer, schedules, and the worm-permutation x k-fold protocol.
 
 Classification optimizes masked negative log likelihood on per-timestep
-state probabilities; trajectory prediction optimizes MSE over scheduled-
-sampling rollouts.  One recording forms one optimizer batch per epoch.
+state probabilities, except the linear baseline, which optimizes a masked
+one-vs-rest hinge loss plus an L2 penalty on its weights; trajectory
+prediction optimizes MSE over scheduled-sampling rollouts.  One recording
+forms one optimizer batch per epoch.
 Each (permutation, fold) cell owns its model, optimizer state, and RNG
 stream, so cells can run concurrently and still merge deterministically.
 """
@@ -28,7 +30,7 @@ from .data import (
     windowize,
     worm_permutations,
 )
-from .models import ModelConfig, NeuralModel, rollout_batch
+from .models import ModelConfig, ModuleKind, NeuralModel, rollout_batch
 from .rng import derive_entropy, derive_rng
 
 TASK_SCHEMES = {
@@ -37,6 +39,7 @@ TASK_SCHEMES = {
     "classify4": "coarse4",
 }
 TASK_CLASS_COUNTS = {"classify2": 2, "classify7": 7, "classify4": 4}
+HINGE_L2 = 1e-3  # weight penalty of the linear baseline's hinge objective
 
 
 @dataclass
@@ -46,7 +49,6 @@ class TrainConfig:
     plateau_patience: int = 50
     lr_decay_factor: float = 0.25
     sampling_decay_epochs: int = 300
-    loss_kind: str = "nll"  # "nll" or "mse"
     seed: int = 0
     fold_count: int = 10
     window_len: int = 8
@@ -60,8 +62,6 @@ class TrainConfig:
                      "fold_count", "window_len", "eval_rollout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"TrainConfig: {name} must be positive")
-        if self.loss_kind not in ("nll", "mse"):
-            raise ValueError(f"TrainConfig: loss_kind must be 'nll' or 'mse', got {self.loss_kind!r}")
 
 
 @dataclass
@@ -96,29 +96,46 @@ def class_targets(labels, scheme: str) -> np.ndarray:
     return out
 
 
+def _onehot_targets(shape: tuple, targets, caller: str):
+    """Check targets against (…, k) scores; returns (onehot, valid, count of valid rows >= 1)."""
+    targets = np.asarray(targets, dtype=np.intp)
+    k = shape[-1]
+    if targets.shape != shape[:-1]:
+        raise ValueError(f"{caller}: targets shape {targets.shape} does not match scores {shape}")
+    if targets.max(initial=-1) >= k:
+        raise ValueError(f"{caller}: target {targets.max()} out of range for {k} states")
+    onehot = np.zeros(shape)
+    valid = targets >= 0
+    if valid.any():
+        grid = np.nonzero(valid)
+        onehot[grid + (targets[valid],)] = 1.0
+    return onehot, valid, max(int(valid.sum()), 1)
+
+
 def nll_loss(probabilities: Tensor, targets: np.ndarray) -> Tensor:
     """Mean -log p[target] over timesteps whose target is not masked (-1).
 
     All-masked batches yield exactly zero loss and zero gradients.
     """
-    targets = np.asarray(targets, dtype=np.intp)
-    k = probabilities.shape[-1]
-    if targets.shape != probabilities.shape[:-1]:
-        raise ValueError(
-            f"nll_loss: targets shape {targets.shape} does not match probabilities {probabilities.shape}"
-        )
-    if targets.max(initial=-1) >= k:
-        raise ValueError(f"nll_loss: target {targets.max()} out of range for {k} states")
-    onehot = np.zeros(probabilities.shape)
-    valid = targets >= 0
-    if valid.any():
-        grid = np.nonzero(valid)
-        onehot[grid + (targets[valid],)] = 1.0
-    count = max(int(valid.sum()), 1)
+    onehot, valid, count = _onehot_targets(probabilities.shape, targets, "nll_loss")
     # pick p[target] before the log; masked rows read 1 so they add exactly 0
     picked = ad.mul(probabilities, Tensor(onehot)).sum(axis=-1)
     safe = ad.add(picked, Tensor((~valid).astype(np.float64)))
     return ad.scale(ad.log(safe).sum(), -1.0 / count)
+
+
+def hinge_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
+    """One-vs-rest hinge relu(1 - s * score), s = +1 for the target class and
+    -1 for the others, averaged over unmasked timesteps x classes.
+
+    All-masked batches yield exactly zero loss and zero gradients.
+    """
+    onehot, valid, count = _onehot_targets(scores.shape, targets, "hinge_loss")
+    # masked rows get sign 0 and margin 0: relu(0 - 0 * score) adds exactly 0
+    keep = np.broadcast_to(valid[..., None], scores.shape).astype(np.float64)
+    signs = keep * (2.0 * onehot - 1.0)
+    margins = ad.relu(ad.sub(Tensor(keep), ad.mul(Tensor(signs), scores)))
+    return ad.scale(margins.sum(), 1.0 / (count * scores.shape[-1]))
 
 
 def mse_loss(predicted: Tensor, target) -> Tensor:
@@ -240,11 +257,15 @@ def prepare_worms(recordings: dict[str, WormRecording], task: str, cfg: TrainCon
 # ---------------------------------------------------------------------------
 
 def _classification_pass(model: NeuralModel, feats: np.ndarray, targets: np.ndarray,
-                         training: bool, edge_feats: np.ndarray):
+                         training: bool, edge_feats: np.ndarray) -> Tensor:
+    """Loss of one classification batch: hinge + L2 for the linear baseline, NLL otherwise."""
     logits = model.classify_logits(Tensor(feats), training=training,
                                    edge_feats=Tensor(edge_feats))
-    probs = ad.softmax(logits, axis=-1)
-    return nll_loss(probs, targets), probs
+    if model.config.module_kind is ModuleKind.LINEAR:
+        weight = model.linear.weight.tensor
+        return ad.add(hinge_loss(logits, targets),
+                      ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
+    return nll_loss(ad.softmax(logits, axis=-1), targets)
 
 
 def _snapshot(model: NeuralModel) -> tuple[dict, dict]:
@@ -311,8 +332,8 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
                 target = teacher[:, cfg.burn_in + 1 : cfg.burn_in + 1 + train_steps]
                 loss = mse_loss(preds, target)
             else:
-                loss, _ = _classification_pass(model, worm.features[mask], worm.targets[mask],
-                                               True, worm.features)
+                loss = _classification_pass(model, worm.features[mask], worm.targets[mask],
+                                            True, worm.features)
             if not np.isfinite(loss.item()):  # an Adam step would spread it to every parameter
                 raise ValueError(f"train: loss is {loss.item()} at epoch {epoch}, worm {wid!r}")
             loss.backward()
@@ -338,7 +359,8 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
     for wid in sorted(plan.train_worm_ids):
         worm = prepared[wid]
         mask = worm.folds == val_fold
-        if not mask.any():
+        count = int(mask.sum())
+        if not count:
             continue
         if plan.task == "predict":
             teacher = worm.features[mask]
@@ -347,11 +369,9 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
                                   burn_in=cfg.burn_in, edge_feats=worm.features)
             target = teacher[:, cfg.burn_in + 1 : cfg.burn_in + 1 + steps]
             loss = mse_loss(preds, target)
-            count = int(mask.sum())
         else:
-            loss, _ = _classification_pass(model, worm.features[mask], worm.targets[mask],
-                                           False, worm.features)
-            count = int(mask.sum())
+            loss = _classification_pass(model, worm.features[mask], worm.targets[mask],
+                                        False, worm.features)
         total += loss.item() * count
         weight += count
     return total / weight if weight else np.inf
@@ -370,16 +390,13 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
         return metrics
 
     def pooled_predictions(ids, folds):
-        """Per-worm forward passes (each worm keeps its own static edges)."""
         preds, targets = [], []
         for wid in sorted(ids):
             worm = prepared[wid]
             mask = np.isin(worm.folds, folds)
             if not mask.any():
                 continue
-            logits = model.classify_logits(Tensor(worm.features[mask]), training=False,
-                                           edge_feats=Tensor(worm.features))
-            preds.append(np.argmax(logits.data, axis=-1).reshape(-1))
+            preds.append(predict_classes(model, worm, mask))
             targets.append(worm.targets[mask].reshape(-1))
         if not preds:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -390,16 +407,23 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
         preds, targets = pooled_predictions(plan.train_worm_ids, folds)
         setattr(metrics, f"accuracy_{split}", ev.accuracy(preds, targets) if preds.size else None)
 
+    # the confusion matrix counts held-out worms, or else the test split above
     gen_ids = [wid for wid in plan.held_out_worm_ids + plan.extended_eval_ids if wid in prepared]
     if gen_ids:
         preds, targets = pooled_predictions(gen_ids, list(range(cfg.fold_count)))
         metrics.accuracy_generalization = ev.accuracy(preds, targets) if preds.size else None
+    if gen_ids or preds.size:
         metrics.confusion, metrics.confusion_support = ev.confusion_matrix(preds, targets, n_states)
-    else:
-        preds, targets = pooled_predictions(plan.train_worm_ids, [test_fold])
-        if preds.size:
-            metrics.confusion, metrics.confusion_support = ev.confusion_matrix(preds, targets, n_states)
     return metrics
+
+
+def predict_classes(model: NeuralModel, worm: PreparedWorm, mask=None) -> np.ndarray:
+    """Flat argmax classes for a worm's windows (all, or those under ``mask``);
+    static edges come from the worm's own recording."""
+    feats = worm.features if mask is None else worm.features[mask]
+    logits = model.classify_logits(Tensor(feats), training=False,
+                                   edge_feats=Tensor(worm.features))
+    return np.argmax(logits.data, axis=-1).reshape(-1)
 
 
 def run_cell(prepared: dict[str, PreparedWorm], plan_template: ExperimentPlan,

@@ -325,7 +325,7 @@ def _ramp_recording(t=100, c=0.01, n=3):
 def test_criterion_9_trajectory_rollout():
     rec = _ramp_recording()
     cfg = tr.TrainConfig(fold_count=10, window_len=8, max_epochs=400, seed=0,
-                         loss_kind="mse", sampling_decay_epochs=100)
+                         sampling_decay_epochs=100)
     prepared = tr.prepare_worms({"ramp": rec}, "predict", cfg, 0)
     plan = tr.ExperimentPlan(task="predict", train_worm_ids=["ramp"])
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.PREDICT,

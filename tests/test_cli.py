@@ -113,6 +113,28 @@ def test_train_outputs_and_manifest_rerun(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("section,spec,field", [
+    ("train", {"max_epoch": 1}, "max_epoch"),
+    ("model", {"module_kind": "mlp", "hidden": 4}, "hidden"),
+], ids=["train", "model"])
+def test_unknown_config_field_named(tmp_path, capsys, section, spec, field):
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "train.json", train_config(data, **{section: spec}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown field(s) ['{field}'] in the '{section}' section" in err
+
+
+@pytest.mark.parametrize("key", ["heldout_worms", "extended_worms"])
+def test_unknown_heldout_worms_rejected(tmp_path, capsys, key):
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "train.json", train_config(
+        data, train_worms=["worm_000", "worm_001"], **{key: ["worm_002", "worm_0002"]}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert f"{key} not found in data: ['worm_0002']" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
 def test_manifest_command_mismatch(tmp_path, capsys):
     data = gen_synth(tmp_path)
     assert main(["train", "--config", str(data / "manifest.json"), "--out",
@@ -272,13 +294,26 @@ def test_eval_and_shape_mismatch(tmp_path, capsys):
     assert "5" in err and "7" in err
 
 
+def test_eval_rejects_class_count_mismatch(tmp_path, capsys):
+    data = gen_synth(tmp_path)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(data))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "2"]) == 0
+    bad = write_config(tmp_path / "eval.json", {
+        "task": "classify7", "data_dir": str(data), "checkpoint": str(run / "model.ckpt"),
+        "train": {"fold_count": 5, "window_len": 8},
+    })
+    assert main(["eval", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert "'classify7' does not match the checkpoint's 2 classes" in capsys.readouterr().err
+
+
 def test_rollout_outputs_table(tmp_path):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"
     cfg = write_config(tmp_path / "train.json", train_config(
         data, task="predict",
         model={"module_kind": "mlp", "hidden_dim": 8},
-        train={"max_epochs": 3, "fold_count": 5, "window_len": 8, "loss_kind": "mse"},
+        train={"max_epochs": 3, "fold_count": 5, "window_len": 8},
     ))
     assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "3"]) == 0
 
@@ -304,7 +339,7 @@ def test_eval_rejects_predict_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path / "train.json", train_config(
         data, task="predict",
         model={"module_kind": "mlp", "hidden_dim": 8},
-        train={"max_epochs": 2, "fold_count": 5, "window_len": 8, "loss_kind": "mse"},
+        train={"max_epochs": 2, "fold_count": 5, "window_len": 8},
     ))
     assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "3"]) == 0
     bad = write_config(tmp_path / "bad.json", {
@@ -383,7 +418,7 @@ def test_edges_dynamic_tables(tmp_path):
     cfg = write_config(tmp_path / "train.json", train_config(
         data, task="predict",
         model={"module_kind": "gnn", "edge_mode": "dynamic", "hidden_dim": 4},
-        train={"max_epochs": 2, "fold_count": 5, "window_len": 8, "loss_kind": "mse"},
+        train={"max_epochs": 2, "fold_count": 5, "window_len": 8},
     ))
     assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "1"]) == 0
     out = tmp_path / "edges"

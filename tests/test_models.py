@@ -372,29 +372,15 @@ def test_checkpoint_rejects_other_files(tmp_path):
 
 # -- linear baseline ----------------------------------------------------------------
 
-def test_linear_baseline_separable():
-    rng = np.random.default_rng(0)
-    x0 = rng.normal(loc=-2.0, size=(40, 3))
-    x1 = rng.normal(loc=+2.0, size=(40, 3))
-    features = np.vstack([x0, x1])
-    labels = np.array([0] * 40 + [1] * 40)
-    clf = m.linear_baseline(features, labels, epochs=300)
-    assert (clf.predict(features) == labels).mean() == 1.0
-
-
-def test_linear_baseline_single_class_rejected():
-    with pytest.raises(ValueError, match="2 classes"):
-        m.linear_baseline(np.zeros((5, 2)), np.zeros(5, dtype=int))
-
-
-def test_linear_baseline_is_affine():
-    rng = np.random.default_rng(1)
-    features = rng.normal(size=(30, 4))
-    labels = rng.integers(0, 2, size=30)
-    clf = m.linear_baseline(features, labels, epochs=50)
-    shift = features + 3.0
-    expected = clf.scores(features) + 3.0 * clf.weights.sum(axis=0)
-    assert np.allclose(clf.scores(shift), expected, atol=1e-9)
+def test_linear_classifier_is_affine():
+    cfg = m.ModelConfig(module_kind=m.ModuleKind.LINEAR, task=m.Task.CLASSIFY, n_neurons=2,
+                        n_states=2)
+    model = m.NeuralModel(cfg, master_seed=1)
+    feats = np.random.default_rng(1).normal(size=(5, 3, 2, 2))
+    logits = model.classify_logits(Tensor(feats), training=False).data
+    shifted = model.classify_logits(Tensor(feats + 3.0), training=False).data
+    expected = logits + 3.0 * model.linear.weight.data.sum(axis=0)
+    assert np.allclose(shifted, expected, atol=1e-9)
 
 
 # -- gradient flow through full models ------------------------------------------------

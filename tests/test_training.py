@@ -48,6 +48,29 @@ def test_nll_shape_mismatch():
         tr.nll_loss(probs, np.array([0, 1, 2]))
 
 
+# -- hinge ----------------------------------------------------------------------
+
+def test_hinge_one_vs_rest_margins():
+    scores = Tensor(np.array([[2.0, -0.5], [0.3, 0.1], [5.0, 5.0]]))
+    loss = tr.hinge_loss(scores, np.array([0, 1, -1]))
+    # row 0: relu(1 - 2) + relu(1 - 0.5); row 1: relu(1 + 0.3) + relu(1 - 0.1); row 2 masked
+    assert loss.item() == pytest.approx((0.0 + 0.5 + 1.3 + 0.9) / 4, abs=1e-12)
+
+
+def test_hinge_grad_check():
+    scores = Tensor(np.random.default_rng(0).normal(size=(3, 4, 3)))
+    targets = np.array([[0, 1, 2, -1], [2, 2, -1, 0], [1, 0, 1, 2]])
+    assert ad.grad_check(lambda x: tr.hinge_loss(x, targets), scores, step=1e-6) < 1e-4
+
+
+def test_hinge_all_masked_zero_loss_zero_grads():
+    scores = ad.tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+    loss = tr.hinge_loss(scores, np.array([-1, -1, -1, -1]))
+    assert loss.item() == 0.0
+    loss.backward()
+    assert np.array_equal(scores.grad, np.zeros((4, 3)))
+
+
 # -- mse ------------------------------------------------------------------------
 
 def test_mse_identical_zero():
@@ -268,6 +291,47 @@ def test_train_raises_on_non_finite_loss():
         assert np.array_equal(p.data, before[name])
 
 
+def separable_worm(n_windows=40, window_len=4, fold_count=5) -> tr.PreparedWorm:
+    """Two neurons whose features sit near +2 at class-1 timesteps and near -2 otherwise."""
+    rng = np.random.default_rng(0)
+    targets = rng.integers(0, 2, size=(n_windows, window_len))
+    feats = rng.normal(scale=0.5, size=(n_windows, window_len, 2, 2))
+    feats += np.where(targets == 1, 2.0, -2.0)[..., None, None]
+    targets[0, 0] = -1
+    return tr.PreparedWorm("sep", feats, targets, np.arange(n_windows) % fold_count,
+                           np.arange(n_windows) * window_len, feats.reshape(-1, 2, 2))
+
+
+def test_linear_train_separable_and_hinge_objective():
+    prepared = {"sep": separable_worm()}
+    cfg = tr.TrainConfig(fold_count=5, window_len=4, max_epochs=100, learning_rate=0.05)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["sep"])
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.LINEAR, task=m.Task.CLASSIFY,
+                                        n_neurons=2, n_states=2), master_seed=0)
+    state, metrics = tr.train(model, plan, cfg, prepared, test_fold=0, val_fold=1)
+    assert metrics.accuracy_train == metrics.accuracy_val == metrics.accuracy_test == 1.0
+
+    # the validation objective is the masked hinge plus the L2 weight penalty
+    worm, mask = prepared["sep"], prepared["sep"].folds == 1
+    logits = model.classify_logits(Tensor(worm.features[mask]), training=False)
+    weight = model.linear.weight.data
+    expected = (tr.hinge_loss(logits, worm.targets[mask]).item()
+                + tr.HINGE_L2 * float((weight * weight).sum()))
+    assert state.best_val_loss == pytest.approx(expected, abs=1e-12)
+
+
+def test_linear_sweep_runs_through_cross_validate():
+    recs = small_worms(3, t=120)
+    cfg = tr.TrainConfig(fold_count=4, window_len=8, max_epochs=3, seed=1, learning_rate=0.05)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=sorted(recs))
+    model_cfg = m.ModelConfig(module_kind=m.ModuleKind.LINEAR, task=m.Task.CLASSIFY,
+                              n_neurons=4, n_states=2)
+    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2)
+    assert len(records) == summary["runs"] == 12  # 3 permutations x 4 folds
+    assert all(0.0 <= r.accuracy_generalization <= 1.0 for r in records)
+    assert all(0.0 <= r.accuracy_test <= 1.0 for r in records)
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="both train and held-out"):
         tr.ExperimentPlan(task="classify2", train_worm_ids=["a"], held_out_worm_ids=["a"])
@@ -341,8 +405,7 @@ def test_lr_non_increasing_over_run():
 
 def test_recurrent_predict_training_with_burn_in():
     recs = small_worms(1, t=160)
-    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=4, seed=0,
-                         loss_kind="mse", burn_in=4)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=4, seed=0, burn_in=4)
     plan = tr.ExperimentPlan(task="predict", train_worm_ids=sorted(recs))
     prepared = tr.prepare_worms(recs, "predict", cfg, cfg.seed)
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.GNN, task=m.Task.PREDICT,
@@ -355,7 +418,7 @@ def test_recurrent_predict_training_with_burn_in():
 
 def test_burn_in_exhausting_window_rejected():
     recs = small_worms(1, t=160)
-    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=1, loss_kind="mse", burn_in=7)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=1, burn_in=7)
     plan = tr.ExperimentPlan(task="predict", train_worm_ids=sorted(recs))
     prepared = tr.prepare_worms(recs, "predict", cfg, cfg.seed)
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.PREDICT,
@@ -367,7 +430,7 @@ def test_burn_in_exhausting_window_rejected():
 def test_predict_training_runs_and_improves():
     recs = small_worms(1, t=240)
     cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=120, seed=0,
-                         loss_kind="mse", sampling_decay_epochs=60)
+                         sampling_decay_epochs=60)
     plan = tr.ExperimentPlan(task="predict", train_worm_ids=sorted(recs))
     prepared = tr.prepare_worms(recs, "predict", cfg, cfg.seed)
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.PREDICT,
