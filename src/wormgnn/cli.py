@@ -334,10 +334,7 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> int:
     result = ev.per_step_mse(model, normalized, steps=steps, window_len=window_len,
                              burn_in=burn_in)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["step\tmse"]
-    for s in range(steps):
-        lines.append(f"{s + 1}\t{float(result.per_step[s])!r}")
-    (out_dir / "rollout_mse.tsv").write_text("\n".join(lines) + "\n")
+    ev.export_mse_curves(out_dir / "rollout_mse.tsv", {"mse": result.per_step})
     _write_json(out_dir / "metrics.json", {
         "per_step_mse": result.per_step.tolist(),
         "summary": {str(k): v for k, v in result.summary.items()},
@@ -383,10 +380,7 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_matrix(path, matrix):
-        lines = ["\t".join(["source\\target"] + rec.neuron_names)]
-        for name, row in zip(rec.neuron_names, matrix):
-            lines.append(name + "\t" + "\t".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        ev.export_confusion(path, matrix, rec.neuron_names, corner="source\\target")
 
     if model.config.edge_mode is m.EdgeMode.CONNECTOME:
         if model.connectome is None:

@@ -140,12 +140,15 @@ def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
     """MSE per prediction step, averaged across window-start rollouts of all recordings.
 
     Recordings are expected normalized.  Windows without ``steps`` ground-
-    truth frames of lookahead are skipped and counted.
+    truth frames of lookahead are skipped and counted.  Static edges come
+    from the frames that windowing covers, as in training.
     """
-    sources = ((np.stack([rec.traces.T, rec.derivatives.T], axis=-1),  # (T, N, 2)
-                range(0, (rec.n_timesteps // window_len) * window_len, window_len), None)
-               for rec in recordings)
-    return _rollout_error_per_step(model, sources, steps, burn_in)
+    def source(rec):
+        full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)  # (T, N, 2)
+        covered = (rec.n_timesteps // window_len) * window_len
+        return full, range(0, covered, window_len), full[None, :covered]
+
+    return _rollout_error_per_step(model, map(source, recordings), steps, burn_in)
 
 
 def per_step_mse_prepared(model, prepared_worms, steps: int = 16, burn_in: int = 0) -> np.ndarray:
@@ -212,9 +215,10 @@ def export_accuracy_table(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_confusion(path, matrix, state_names) -> None:
+def export_confusion(path, matrix, state_names, corner: str = "true\\predicted") -> None:
+    """Square matrix with named rows and columns; ``corner`` labels the two axes."""
     matrix = np.asarray(matrix)
-    lines = ["true\\predicted\t" + "\t".join(state_names)]
+    lines = [corner + "\t" + "\t".join(state_names)]
     for name, row in zip(state_names, matrix):
         lines.append(name + "\t" + "\t".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

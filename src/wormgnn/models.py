@@ -17,8 +17,10 @@ or saturated toward {0,1} with a small softmax temperature (one-hot).
 ModelConfig rejects the linear baseline for prediction and recurrent linear
 or node_mlp classifiers.
 
-Forward passes accept batched feature stacks (batch, W, N, 2); the public
-single-timestep operations wrap the batched paths.
+The forward API is batched and has three entry points: classify_logits maps
+a (B, W, N, 2) stack to per-timestep logits (training.predict_classes takes
+their argmax), predict_residual maps one (B, N, 2) frame to its residual, and
+rollout_batch iterates predict_residual under scheduled sampling.
 """
 
 from __future__ import annotations
@@ -391,13 +393,13 @@ class NeuralModel:
             out = ad.reshape(out, x.shape[:2] + (self.lstm.hidden_dim,))
         return out, state
 
-    def _pooled_hidden(self, x: Tensor, training: bool, rec_state=None) -> Tensor:
+    def _pooled_hidden(self, x: Tensor, training: bool) -> Tensor:
         """Aggregate a (B, W, N, F) stack, run the recurrent stage across the
         window and the trunk; (B, W, hidden)."""
         x = self._aggregate(x)
         if self.config.recurrent:
             batch, width = x.shape[0], x.shape[1]
-            outputs = []
+            outputs, rec_state = [], None
             for t in range(width):
                 frame = ad.index_select(x, 1, [t]).reshape((batch, x.shape[2]))
                 out, rec_state = self._recurrent_step(frame, rec_state)
@@ -417,7 +419,7 @@ class NeuralModel:
             outs.append(ad.reshape(self.node_heads[i].forward(h), lead + (1, 2)) if predict else h)
         return ad.concat(outs, axis=axis if predict else -1)
 
-    def classify_logits(self, feats: Tensor, training: bool, rec_state=None,
+    def classify_logits(self, feats: Tensor, training: bool,
                         edge_feats: Tensor | None = None) -> Tensor:
         """Per-timestep class logits for a (B, W, N, 2) feature stack.
 
@@ -437,7 +439,7 @@ class NeuralModel:
             return self.linear.forward(self._aggregate(x))
         if self._per_node:
             return self.head.forward(self._node_decode(x, training))
-        return self.head.forward(self._pooled_hidden(x, training, rec_state))
+        return self.head.forward(self._pooled_hidden(x, training))
 
     def predict_residual(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
                          rec_state=None):
@@ -464,32 +466,8 @@ class NeuralModel:
 
 
 # ---------------------------------------------------------------------------
-# public operations (single-sample contracts over the batched paths)
+# edge inspection, message passing, rollouts
 # ---------------------------------------------------------------------------
-
-def _as_feature_window(features) -> np.ndarray:
-    """Accept (N, 2) or (N, W, 2) layouts and return (W, N, 2)."""
-    arr = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr[None, :, :]
-    if arr.ndim == 3:
-        return np.transpose(arr, (1, 0, 2))
-    raise ValueError(f"features: expected (N, 2) or (N, W, 2), got shape {arr.shape}")
-
-
-def mlp_forward(features, model: NeuralModel) -> Tensor:
-    """Aggregate one timestep's node features and run the two-layer trunk."""
-    if model.config.module_kind is not ModuleKind.MLP:
-        raise ValueError("mlp_forward: model is not an MLP module")
-    window = _as_feature_window(features)
-    if window.shape[1] != model.config.n_neurons:
-        raise ValueError(
-            f"mlp_forward: features have {window.shape[1]} neurons, model expects {model.config.n_neurons}"
-        )
-    hidden = model._pooled_hidden(Tensor(window[None, :, :, :]), training=False)
-    return ad.reshape(hidden, (window.shape[0], model.config.hidden_dim)) if window.shape[0] > 1 \
-        else ad.reshape(hidden, (model.config.hidden_dim,))
-
 
 def encode_edges(features, model: NeuralModel):
     """Infer AdjacencyMatrix(es) from a feature window (N, W, 2) or frame (N, 2).
@@ -497,9 +475,11 @@ def encode_edges(features, model: NeuralModel):
     Static and one-hot modes return a single matrix; dynamic returns one
     per timestep.
     """
-    window = _as_feature_window(features)
-    feats = Tensor(window[None, :, :, :])
-    w = model.edge_weights(feats, training=False)
+    arr = np.asarray(features, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"features: expected (N, 2) or (N, W, 2), got shape {arr.shape}")
+    window = arr[None] if arr.ndim == 2 else np.transpose(arr, (1, 0, 2))  # (W, N, 2)
+    w = model.edge_weights(Tensor(window[None]), training=False)
     mode = model.config.edge_mode
     if w.ndim == 3:
         return AdjacencyMatrix(weights=ad.reshape(w, w.shape[1:]), mode=mode)
@@ -535,15 +515,10 @@ def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -
     return AdjacencyMatrix(weights=Tensor(weights), mode=EdgeMode.CONNECTOME)
 
 
-def _adjacency_tensor(adjacency) -> Tensor:
-    """An AdjacencyMatrix, Tensor or array as a Tensor."""
-    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
-    return a if isinstance(a, Tensor) else Tensor(a)
-
-
 def message_pass(adjacency, features, include_self_edges: bool = True) -> Tensor:
     """One message-passing step H = A X (self edges removable)."""
-    a = _adjacency_tensor(adjacency)
+    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
+    a = a if isinstance(a, Tensor) else Tensor(a)
     x = features if isinstance(features, Tensor) else Tensor(features)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"message_pass: adjacency must be square, got {a.shape}")
@@ -552,62 +527,6 @@ def message_pass(adjacency, features, include_self_edges: bool = True) -> Tensor
     if not include_self_edges:
         a = ad.mul(a, Tensor(_offdiag_mask(a.shape[0])))
     return ad.matmul(a, x)
-
-
-def gnn_forward(features, adjacency, model: NeuralModel):
-    """Message passing + decode for one timestep.
-
-    Classify: aggregated messages through the trunk -> (hidden_dim,).
-    Predict: per-node decode of the messages -> (N, 2) residual.
-    """
-    if model.config.module_kind is not ModuleKind.GNN:
-        raise ValueError("gnn_forward: model is not a GNN module")
-    window = _as_feature_window(features)
-    if window.shape[0] != 1:
-        raise ValueError("gnn_forward: expects a single timestep; use the batched paths for windows")
-    messages = message_pass(adjacency, Tensor(window[0]),
-                            include_self_edges=model.config.include_self_edges)  # (N, 2)
-    if model.config.task is Task.CLASSIFY:
-        hidden = model._pooled_hidden(ad.reshape(messages, (1, 1) + messages.shape), training=False)
-        return ad.reshape(hidden, (model.config.hidden_dim,))
-    residual, _ = model._predict_decode(ad.reshape(messages, (1,) + messages.shape), training=False)
-    return ad.reshape(residual, messages.shape)
-
-
-def classify(features_or_logits, model: NeuralModel):
-    """State probabilities and the argmax state (ties break to the lowest index)."""
-    if model.config.task is not Task.CLASSIFY:
-        raise ValueError("classify: model was built for the Predict task")
-    if isinstance(features_or_logits, Tensor) and features_or_logits.ndim == 1:
-        logits = features_or_logits
-    else:
-        window = _as_feature_window(features_or_logits)
-        if window.shape[0] != 1:
-            raise ValueError("classify: expects a single timestep")
-        feats = Tensor(window[None, :, :, :])
-        logits_b = model.classify_logits(feats, training=False)
-        logits = ad.reshape(logits_b, (model.config.n_states,))
-    probs = ad.softmax(logits, axis=-1)
-    predicted = int(np.argmax(probs.data))
-    return probs, predicted
-
-
-def predict_step(features, model: NeuralModel, adjacency=None, rec_state=None):
-    """Markovian update X(t+1) = X(t) + H for a single frame (N, 2)."""
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.ndim != 2 or x.shape != (model.config.n_neurons, 2):
-        raise ValueError(
-            f"predict_step: expected ({model.config.n_neurons}, 2) frame, got {x.shape}"
-        )
-    a = None
-    if adjacency is not None:
-        a = _adjacency_tensor(adjacency)
-        a = ad.reshape(a, (1,) + a.shape)
-    batched = ad.reshape(x, (1,) + x.shape)
-    residual, rec_state = model.predict_residual(batched, training=False, adjacency=a,
-                                                 rec_state=rec_state)
-    out = ad.add(batched, residual)
-    return ad.reshape(out, x.shape), rec_state
 
 
 def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float = 0.0,
@@ -665,31 +584,6 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
         x = ad.add(x_in, residual)
         outs.append(ad.reshape(x, (batch, 1, cfg.n_neurons, 2)))
     return ad.concat(outs, axis=1)
-
-
-def rollout(x0, steps: int, model, teacher=None, sampling_prob: float = 0.0,
-            burn_in: int = 0, rng=None):
-    """Iterate predict_step from one frame; returns the predicted frames.
-
-    ``teacher`` is the aligned ground-truth window (teacher[0] corresponds
-    to ``x0``); it is required whenever sampling_prob > 0 or a recurrent
-    burn-in is requested.
-    """
-    x0_arr = np.asarray(x0.data if isinstance(x0, Tensor) else x0, dtype=np.float64)
-    if teacher is None:
-        if sampling_prob > 0 or burn_in > 0:
-            raise ValueError(
-                f"rollout: teacher has 0 frames but {burn_in + steps} are needed "
-                f"(burn_in={burn_in}, steps={steps})"
-            )
-        teacher_arr = x0_arr[None]
-    else:
-        teacher_arr = np.asarray(teacher, dtype=np.float64)
-    if sampling_prob > 0 and rng is None:
-        rng = np.random.default_rng(0)
-    preds = rollout_batch(model, teacher_arr[None], steps, sampling_prob=sampling_prob,
-                          rng=rng, training=False, burn_in=burn_in)
-    return [preds.data[0, k].copy() for k in range(steps)]
 
 
 class ConstantResidualModel:

@@ -256,16 +256,23 @@ def prepare_worms(recordings: dict[str, WormRecording], task: str, cfg: TrainCon
 # training
 # ---------------------------------------------------------------------------
 
-def _classification_pass(model: NeuralModel, feats: np.ndarray, targets: np.ndarray,
-                         training: bool, edge_feats: np.ndarray) -> Tensor:
-    """Loss of one classification batch: hinge + L2 for the linear baseline, NLL otherwise."""
-    logits = model.classify_logits(Tensor(feats), training=training,
-                                   edge_feats=Tensor(edge_feats))
+def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: TrainConfig,
+               predict: bool, training: bool, sampling: float = 0.0, rng=None) -> Tensor:
+    """Loss of one worm's windows under ``mask``, with static edges from its
+    whole recording: rollout MSE to predict, hinge + L2 for the linear
+    baseline, NLL otherwise."""
+    feats, edge_feats = worm.features[mask], worm.features
+    if predict:
+        steps = cfg.window_len - 1 - cfg.burn_in
+        preds = rollout_batch(model, feats, steps, sampling_prob=sampling, rng=rng,
+                              training=training, burn_in=cfg.burn_in, edge_feats=edge_feats)
+        return mse_loss(preds, feats[:, cfg.burn_in + 1 : cfg.burn_in + 1 + steps])
+    logits = model.classify_logits(Tensor(feats), training=training, edge_feats=Tensor(edge_feats))
     if model.config.module_kind is ModuleKind.LINEAR:
         weight = model.linear.weight.tensor
-        return ad.add(hinge_loss(logits, targets),
+        return ad.add(hinge_loss(logits, worm.targets[mask]),
                       ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
-    return nll_loss(ad.softmax(logits, axis=-1), targets)
+    return nll_loss(ad.softmax(logits, axis=-1), worm.targets[mask])
 
 
 def _snapshot(model: NeuralModel) -> tuple[dict, dict]:
@@ -294,7 +301,8 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
     best-validation checkpoint is restored before metrics are computed.
     """
     started = time.perf_counter()
-    missing = [wid for wid in plan.train_worm_ids if wid not in prepared]
+    missing = [wid for wid in plan.train_worm_ids + plan.held_out_worm_ids + plan.extended_eval_ids
+               if wid not in prepared]
     if missing:
         raise ValueError(f"train: worms not prepared: {missing}")
     epochs = cfg.max_epochs if max_epochs is None else max_epochs
@@ -321,22 +329,14 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
             if not mask.any():
                 continue
             model.zero_grad()
-            if is_predict:
-                teacher = worm.features[mask]
-                rng = derive_rng(cfg.seed, "scheduled-sampling", wid, epoch)
-                preds = rollout_batch(
-                    model, teacher, train_steps,
-                    sampling_prob=sampling_prob(epoch, cfg), rng=rng, training=True,
-                    burn_in=cfg.burn_in, edge_feats=worm.features,
-                )
-                target = teacher[:, cfg.burn_in + 1 : cfg.burn_in + 1 + train_steps]
-                loss = mse_loss(preds, target)
-            else:
-                loss = _classification_pass(model, worm.features[mask], worm.targets[mask],
-                                            True, worm.features)
-            if not np.isfinite(loss.item()):  # an Adam step would spread it to every parameter
-                raise ValueError(f"train: loss is {loss.item()} at epoch {epoch}, worm {wid!r}")
+            rng = derive_rng(cfg.seed, "scheduled-sampling", wid, epoch) if is_predict else None
+            loss = _worm_loss(model, worm, mask, cfg, is_predict, training=True,
+                              sampling=sampling_prob(epoch, cfg), rng=rng)
+            value = loss.item()
+            if not np.isfinite(value):  # an Adam step would spread it to every parameter
+                raise ValueError(f"train: loss is {value} at epoch {epoch}, worm {wid!r}")
             loss.backward()
+            del loss  # frees the step's graph and its gradients before the next forward
             state.adam.step()
 
         # validation at the epoch boundary; keep the best-validation checkpoint
@@ -362,17 +362,8 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
         count = int(mask.sum())
         if not count:
             continue
-        if plan.task == "predict":
-            teacher = worm.features[mask]
-            steps = cfg.window_len - 1 - cfg.burn_in
-            preds = rollout_batch(model, teacher, steps, sampling_prob=0.0, training=False,
-                                  burn_in=cfg.burn_in, edge_feats=worm.features)
-            target = teacher[:, cfg.burn_in + 1 : cfg.burn_in + 1 + steps]
-            loss = mse_loss(preds, target)
-        else:
-            loss = _classification_pass(model, worm.features[mask], worm.targets[mask],
-                                        False, worm.features)
-        total += loss.item() * count
+        predict = plan.task == "predict"
+        total += _worm_loss(model, worm, mask, cfg, predict, training=False).item() * count
         weight += count
     return total / weight if weight else np.inf
 
@@ -381,8 +372,7 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
     n_states = model.config.n_states
     metrics = ev.RunMetrics(task=plan.task, test_fold=test_fold, val_fold=val_fold)
     if plan.task == "predict":
-        holdout = [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)
-                   if wid in prepared]
+        holdout = [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
         if holdout:
             metrics.per_step_mse = ev.per_step_mse_prepared(
                 model, holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
@@ -408,7 +398,7 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
         setattr(metrics, f"accuracy_{split}", ev.accuracy(preds, targets) if preds.size else None)
 
     # the confusion matrix counts held-out worms, or else the test split above
-    gen_ids = [wid for wid in plan.held_out_worm_ids + plan.extended_eval_ids if wid in prepared]
+    gen_ids = plan.held_out_worm_ids + plan.extended_eval_ids
     if gen_ids:
         preds, targets = pooled_predictions(gen_ids, list(range(cfg.fold_count)))
         metrics.accuracy_generalization = ev.accuracy(preds, targets) if preds.size else None

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wormgnn import autodiff as ad
@@ -226,10 +226,13 @@ def test_softmax_simplex_property(logits, temperature):
     st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=8, unique=True),
     st.floats(min_value=1e-2, max_value=20),
 )
+# logits this close tie exactly at T=1 but not at T=1/16
+@example([-5.133871380395047e-18, 0.0], 0.0625)
 def test_softmax_temperature_preserves_argmax(logits, temperature):
     base = ad.softmax(ad.tensor(logits), axis=0).data
     tempered = ad.softmax(ad.tensor(logits), axis=0, temperature=temperature).data
-    assert int(np.argmax(base)) == int(np.argmax(tempered))
+    # rounding can turn a near tie into an exact one, so compare the sets of maxima
+    assert set(np.flatnonzero(base == base.max())) & set(np.flatnonzero(tempered == tempered.max()))
 
 
 def test_batchnorm_inference_is_affine():

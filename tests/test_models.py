@@ -5,6 +5,7 @@ import pytest
 
 from wormgnn import autodiff as ad
 from wormgnn import models as m
+from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
 
 
@@ -172,25 +173,29 @@ def test_connectome_drops_outside_neurons(tmp_path):
 
 def test_mlp_forward_shape_and_zero_case():
     model = m.NeuralModel(mlp_config(), master_seed=0)
-    out = m.mlp_forward(np.zeros((4, 2)), model)
-    assert out.shape == (8,)
+    logits = model.classify_logits(Tensor(np.zeros((1, 1, 4, 2))), training=False)
+    assert logits.shape == (1, 1, 2)
     # zero input with zero biases: pre-activation output of the trunk is zero,
-    # so the ReLU chain stays zero and batch norm shifts by beta (zero here)
-    assert np.allclose(out.data, 0.0)
+    # so the ReLU chain stays zero, batch norm shifts by beta (zero here) and
+    # the head adds its zero bias
+    assert np.allclose(logits.data, 0.0)
 
 
 def test_mlp_forward_neuron_count_mismatch():
     model = m.NeuralModel(mlp_config(), master_seed=0)
-    with pytest.raises(ValueError, match="neurons"):
-        m.mlp_forward(np.zeros((5, 2)), model)
+    with pytest.raises(ValueError, match=r"expected \(B, W, 4, 2\)"):
+        model.classify_logits(Tensor(np.zeros((1, 1, 5, 2))), training=False)
+    predictor = m.NeuralModel(mlp_config(task=m.Task.PREDICT), master_seed=0)
+    with pytest.raises(ValueError, match=r"expected \(B, 4, 2\)"):
+        predictor.predict_residual(Tensor(np.zeros((1, 5, 2))), training=False)
 
 
 def test_mlp_concatenation_is_order_sensitive():
     model = m.NeuralModel(mlp_config(n=5), master_seed=4)
     rng = np.random.default_rng(0)
-    feats = rng.uniform(size=(5, 2))
-    base = m.mlp_forward(feats, model).data
-    permuted = m.mlp_forward(feats[[1, 0, 2, 4, 3]], model).data
+    feats = rng.uniform(size=(1, 1, 5, 2))
+    base = model.classify_logits(Tensor(feats), training=False).data
+    permuted = model.classify_logits(Tensor(feats[:, :, [1, 0, 2, 4, 3]]), training=False).data
     assert not np.allclose(base, permuted)
 
 
@@ -219,119 +224,160 @@ def test_config_rejects_unsupported_combinations(kind, task, recurrent):
         m.ModelConfig(module_kind=kind, task=task, n_neurons=3, recurrent=recurrent)
 
 
-def test_gnn_forward_shapes():
-    clf = m.NeuralModel(gnn_config(), master_seed=0)
-    hidden = m.gnn_forward(np.random.default_rng(0).uniform(size=(4, 2)), np.eye(4), clf)
-    assert hidden.shape == (8,)
+def connectome_gnn(adjacency, task=m.Task.CLASSIFY, n=4, hidden=8, master_seed=0):
+    """A GNN that passes messages over a given adjacency."""
+    model = m.NeuralModel(gnn_config(task=task, n=n, hidden=hidden,
+                                     edge_mode=m.EdgeMode.CONNECTOME), master_seed=master_seed)
+    model.set_connectome(adjacency)
+    return model
 
-    pred = m.NeuralModel(gnn_config(task=m.Task.PREDICT), master_seed=0)
-    out = m.gnn_forward(np.random.default_rng(0).uniform(size=(4, 2)), np.eye(4), pred)
-    assert out.shape == (4, 2)
+
+def test_gnn_forward_shapes():
+    feats = np.random.default_rng(0).uniform(size=(3, 5, 4, 2))
+    clf = connectome_gnn(np.eye(4))
+    assert clf.classify_logits(Tensor(feats), training=False).shape == (3, 5, 2)
+
+    pred = connectome_gnn(np.eye(4), task=m.Task.PREDICT)
+    residual, state = pred.predict_residual(Tensor(feats[:, 0]), training=False)
+    assert residual.shape == (3, 4, 2) and state is None
+    frame = Tensor(feats[:, 0])
+    given, _ = pred.predict_residual(frame, training=False, adjacency=Tensor(np.eye(4)[None]))
+    assert np.array_equal(given.data, residual.data)
 
 
 def test_gnn_zero_adjacency_zero_bias_output():
-    model = m.NeuralModel(gnn_config(), master_seed=0)
-    hidden = m.gnn_forward(np.random.default_rng(3).uniform(size=(4, 2)), np.zeros((4, 4)), model)
+    model = connectome_gnn(np.zeros((4, 4)))
+    feats = np.random.default_rng(3).uniform(size=(2, 3, 4, 2))
+    logits = model.classify_logits(Tensor(feats), training=False)
     # zero messages through zero-bias layers: identically zero pre-activations
-    assert np.allclose(hidden.data, 0.0)
+    assert np.allclose(logits.data, 0.0)
 
 
 def test_identity_adjacency_reduces_gnn_to_mlp():
-    gnn = m.NeuralModel(gnn_config(n=4, hidden=8), master_seed=0)
+    gnn = connectome_gnn(np.eye(4), master_seed=0)
     mlp = m.NeuralModel(mlp_config(n=4, hidden=8), master_seed=9)
-    # copy trunk weights between the two models
+    # copy the trunk and head weights between the two models
     gnn_params = gnn.named_parameters()
     for name, p in mlp.named_parameters().items():
-        if name.startswith("trunk."):
-            p.data = gnn_params[name].data.copy()
-    feats = np.random.default_rng(1).uniform(size=(4, 2))
+        p.data = gnn_params[name].data.copy()
+    feats = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 4, 2)))
     assert np.allclose(
-        m.gnn_forward(feats, np.eye(4), gnn).data,
-        m.mlp_forward(feats, mlp).data,
+        gnn.classify_logits(feats, training=False).data,
+        mlp.classify_logits(feats, training=False).data,
         atol=1e-12,
     )
 
 
 # -- classify / predict heads ---------------------------------------------------
 
+def linear_classifier(bias, weight=None, n=2):
+    """A LINEAR classifier with the given head; its logits are x @ weight + bias."""
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.LINEAR, task=m.Task.CLASSIFY,
+                                        n_neurons=n, n_states=len(bias)), master_seed=0)
+    model.linear.weight.data = np.zeros((2 * n, len(bias))) if weight is None else weight
+    model.linear.bias.data = np.asarray(bias, dtype=np.float64)
+    return model
+
+
+def worm_of(feats):
+    """A PreparedWorm holding the (B, W, N, 2) windows ``feats``."""
+    b, w, n, _ = feats.shape
+    return tr.PreparedWorm("w", feats, np.zeros((b, w), dtype=np.intp), np.zeros(b, dtype=np.intp),
+                           np.arange(b) * w, feats.reshape(b * w, n, 2))
+
+
 def test_classify_argmax():
-    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
-                                        n_neurons=2, n_states=3, hidden_dim=4), master_seed=0)
-    probs, state = m.classify(ad.tensor([2.0, 1.0, 0.0]), model)
-    assert state == 0
-    assert probs.data.sum() == pytest.approx(1.0, abs=1e-9)
+    feats = np.random.default_rng(0).normal(size=(3, 4, 2, 2))
+    model = linear_classifier([0.0, 2.0, 1.0])
+    assert np.array_equal(tr.predict_classes(model, worm_of(feats)), np.ones(12, dtype=np.intp))
+
+    model = linear_classifier([0.0, 0.0, 0.0], np.random.default_rng(1).normal(size=(4, 3)))
+    worm = worm_of(feats)
+    logits = model.classify_logits(Tensor(feats), training=False).data
+    expected = np.argmax(logits, axis=-1).reshape(-1)
+    assert len(set(expected)) > 1
+    assert np.array_equal(tr.predict_classes(model, worm), expected)
+    mask = np.array([True, False, True])
+    assert np.array_equal(tr.predict_classes(model, worm, mask),
+                          np.argmax(logits[mask], axis=-1).reshape(-1))
 
 
 def test_classify_tie_breaks_low_index():
-    model = m.NeuralModel(mlp_config(), master_seed=0)
-    _, state = m.classify(ad.tensor([1.0, 1.0]), model)
-    assert state == 0
+    worm = worm_of(np.random.default_rng(0).normal(size=(2, 3, 2, 2)))
+    # an all-zero model ties every class
+    assert np.array_equal(tr.predict_classes(linear_classifier([0.0, 0.0, 0.0]), worm),
+                          np.zeros(6, dtype=np.intp))
+    assert np.array_equal(tr.predict_classes(linear_classifier([0.0, 1.0, 1.0]), worm),
+                          np.ones(6, dtype=np.intp))
 
 
 def test_classify_temperature_and_shift_invariance():
-    model = m.NeuralModel(mlp_config(), master_seed=0)
-    logits = np.array([0.3, -1.2])
-    _, base = m.classify(ad.tensor(logits), model)
-    _, shifted = m.classify(ad.tensor(logits + 5.0), model)
-    assert base == shifted
+    rng = np.random.default_rng(0)
+    worm = worm_of(rng.normal(size=(3, 4, 2, 2)))
+    weight, bias = rng.normal(size=(4, 2)), np.array([0.3, -1.2])
+    base = tr.predict_classes(linear_classifier(bias, weight), worm)
+    # shifting every logit, or dividing them by a temperature, keeps the argmax
+    shifted = tr.predict_classes(linear_classifier(bias + 5.0, weight), worm)
+    tempered = tr.predict_classes(linear_classifier(bias / 0.25, weight / 0.25), worm)
+    assert np.array_equal(base, shifted) and np.array_equal(base, tempered)
 
 
 def test_predict_step_zero_residual_is_identity():
     stub = m.ConstantResidualModel(n_neurons=3)
-    x = np.random.default_rng(0).uniform(size=(3, 2))
-    out, _ = m.predict_step(x, stub)
-    assert np.array_equal(out.data, x)
+    x = np.random.default_rng(0).uniform(size=(1, 1, 3, 2))
+    preds = m.rollout_batch(stub, x, steps=1)
+    assert np.array_equal(preds.data, x)
 
 
 def test_predict_step_output_shape():
     model = m.NeuralModel(mlp_config(task=m.Task.PREDICT), master_seed=0)
-    x = np.random.default_rng(0).uniform(size=(4, 2))
-    out, _ = m.predict_step(x, model)
-    assert out.shape == (4, 2)
+    x = np.random.default_rng(0).uniform(size=(3, 4, 2))
+    residual, _ = model.predict_residual(Tensor(x), training=False)
+    assert residual.shape == (3, 4, 2)
+    preds = m.rollout_batch(model, x[:, None], steps=1)
+    assert np.array_equal(preds.data[:, 0], x + residual.data)
 
 
 # -- rollout ---------------------------------------------------------------------
 
 def test_rollout_returns_requested_frames():
     model = m.NeuralModel(mlp_config(task=m.Task.PREDICT), master_seed=0)
-    preds = m.rollout(np.random.default_rng(0).uniform(size=(4, 2)), 16, model)
-    assert len(preds) == 16
-    assert preds[0].shape == (4, 2)
+    x0 = np.random.default_rng(0).uniform(size=(2, 1, 4, 2))
+    preds = m.rollout_batch(model, x0, 16)
+    assert preds.shape == (2, 16, 4, 2)
 
 
 def test_rollout_pure_teacher_forcing():
     stub = m.ConstantResidualModel(n_neurons=2, residual=np.full((2, 2), 0.25))
-    teacher = np.random.default_rng(0).uniform(size=(6, 2, 2))
-    preds = m.rollout(teacher[0], 5, stub, teacher=teacher, sampling_prob=1.0,
-                      rng=np.random.default_rng(1))
+    teacher = np.random.default_rng(0).uniform(size=(1, 6, 2, 2))
+    preds = m.rollout_batch(stub, teacher, 5, sampling_prob=1.0, rng=np.random.default_rng(1))
     for k in range(5):
-        assert np.allclose(preds[k], teacher[k] + 0.25)
+        assert np.allclose(preds.data[0, k], teacher[0, k] + 0.25)
 
 
 def test_rollout_free_running_identity_is_constant():
     stub = m.ConstantResidualModel(n_neurons=2)
-    x0 = np.random.default_rng(0).uniform(size=(2, 2))
-    preds = m.rollout(x0, 7, stub, sampling_prob=0.0)
-    for frame in preds:
-        assert np.array_equal(frame, x0)
+    x0 = np.random.default_rng(0).uniform(size=(1, 1, 2, 2))
+    preds = m.rollout_batch(stub, x0, 7, sampling_prob=0.0)
+    for k in range(7):
+        assert np.array_equal(preds.data[:, k], x0[:, 0])
 
 
 def test_rollout_teacher_too_short():
     stub = m.ConstantResidualModel(n_neurons=2)
-    teacher = np.zeros((3, 2, 2))
+    teacher = np.zeros((1, 3, 2, 2))
     with pytest.raises(ValueError, match="teacher"):
-        m.rollout(teacher[0], 8, stub, teacher=teacher, sampling_prob=0.5,
-                  rng=np.random.default_rng(0))
+        m.rollout_batch(stub, teacher, 8, sampling_prob=0.5, rng=np.random.default_rng(0))
 
 
 def test_rollout_recurrent_burn_in():
     model = m.NeuralModel(gnn_config(task=m.Task.PREDICT, recurrent=True,
                                      edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
-    teacher = np.random.default_rng(0).uniform(size=(9, 4, 2))
-    preds = m.rollout(teacher[0], 5, model, teacher=teacher, burn_in=4)
-    assert len(preds) == 5
+    teacher = np.random.default_rng(0).uniform(size=(1, 9, 4, 2))
+    preds = m.rollout_batch(model, teacher, 5, burn_in=4)
+    assert preds.shape == (1, 5, 4, 2)
     with pytest.raises(ValueError, match="teacher"):
-        m.rollout(teacher[0], 6, model, teacher=teacher[:8], burn_in=4)
+        m.rollout_batch(model, teacher[:, :8], 6, burn_in=4)
 
 
 # -- determinism and checkpoints --------------------------------------------------
@@ -352,9 +398,9 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.ckpt"
     m.save_checkpoint(model, path)
     clone = m.load_checkpoint(path)
-    feats = np.random.default_rng(0).uniform(size=(4, 2))
-    out_a, _ = m.predict_step(feats, model)
-    out_b, _ = m.predict_step(feats, clone)
+    teacher = np.random.default_rng(0).uniform(size=(2, 1, 4, 2))
+    out_a = m.rollout_batch(model, teacher, 3)
+    out_b = m.rollout_batch(clone, teacher, 3)
     assert np.array_equal(out_a.data, out_b.data)
 
     # byte-stable: saving the clone reproduces the file exactly

@@ -273,6 +273,18 @@ def test_train_rejects_missing_worms():
         tr.train(model, plan, cfg, prepared)
 
 
+@pytest.mark.parametrize("field", ["held_out_worm_ids", "extended_eval_ids"])
+def test_train_rejects_unknown_evaluation_worms(field):
+    recs = small_worms(3)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=1)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["w0", "w1"], **{field: ["w_2"]})
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                                        n_neurons=4, n_states=2, hidden_dim=4), master_seed=0)
+    prepared = tr.prepare_worms(recs, "classify2", cfg, 0)
+    with pytest.raises(ValueError, match=r"worms not prepared: \['w_2'\]"):
+        tr.train(model, plan, cfg, prepared)
+
+
 def test_train_raises_on_non_finite_loss():
     recs = small_worms(1)
     cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=2)
