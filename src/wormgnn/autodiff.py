@@ -4,14 +4,25 @@ The op set is exactly what the models in this package need: matmul,
 elementwise add/sub/mul, scalar scale, ReLU, axis softmax with an optional
 temperature divisor, natural log, concatenation, sum/mean reductions, batch
 normalization with running statistics, and a gated recurrent cell.  A few
-shape-plumbing primitives (reshape, index_select, sigmoid/tanh/power) exist
-because batched model forwards cannot be expressed without them.
+shape-plumbing primitives (reshape, index_select, split, sigmoid/tanh/power)
+exist because batched model forwards cannot be expressed without them;
+``split`` cuts a tensor into contiguous views along one axis, and its
+backward writes every slice's gradient into one buffer.
+
+Inside ``with no_grad():`` ops compute the same values but build no graph:
+outputs record no parents and no backward closure, so forward-only passes
+(validation, evaluation, edge dumps) keep nothing alive.  ``backward``
+stores ``.grad`` on leaves only.
 
 A computation graph and its tensors belong to one thread; distinct graphs
 (e.g. per cross-validation cell) may run concurrently without shared state.
+The ``no_grad`` flag is per thread too.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,7 +47,9 @@ __all__ = [
     "tensor_mean",
     "reshape",
     "index_select",
+    "split",
     "lstm_cell",
+    "no_grad",
     "backward",
     "grad_check",
     "uniform_init",
@@ -51,9 +64,10 @@ class Tensor:
     """Dense float64 array participating in a computation graph.
 
     Leaves are created directly; every op returns a new Tensor holding a
-    reference to its parents and a backward closure.  After ``backward()``
-    on a scalar root, ``grad`` is populated on every reachable tensor with
-    ``requires_grad``.
+    reference to its parents and a backward closure (none under
+    ``no_grad``).  After ``backward()`` on a scalar root, ``grad`` is
+    populated on every reachable leaf with ``requires_grad``; intermediate
+    tensors keep ``grad`` None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
@@ -129,9 +143,28 @@ def _coerce(value) -> Tensor:
     return Tensor(value)
 
 
+class _GradMode(threading.local):
+    enabled = True  # the class attribute is every new thread's default
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph in this thread while inside; the previous mode is
+    restored on exit, also after an exception."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -363,6 +396,38 @@ def index_select(a: Tensor, axis: int, indices) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def split(a: Tensor, sizes, axis: int = 0) -> tuple[Tensor, ...]:
+    """Contiguous pieces of ``a`` along ``axis`` with the given sizes, as views.
+
+    The pieces hang off one private node; their backward writes each slice's
+    gradient into that node's single zero buffer (pieces without a gradient
+    leave zeros), which then flows to ``a`` as one gradient.
+    """
+    axis = axis % a.ndim
+    sizes = [int(size) for size in sizes]
+    if min(sizes, default=0) < 1 or sum(sizes) != a.shape[axis]:
+        raise ValueError(f"split: sizes {sizes} do not partition axis {axis} of {a.shape}")
+    whole = _make(a.data, (a,), lambda g: (g,))
+    buffer: list[np.ndarray] = []
+
+    def piece(index):
+        def bwd(g):
+            # reverse topological order runs every piece before `whole`, so the
+            # buffer is complete when `whole` passes it on; only the first
+            # piece to run hands it to the engine
+            first = not buffer
+            if first:
+                buffer.append(np.zeros_like(a.data))
+            buffer[0][index] = g
+            return (buffer[0] if first else None,)
+
+        return _make(a.data[index], (whole,), bwd)
+
+    bounds = np.cumsum([0] + sizes)
+    lead = (slice(None),) * axis
+    return tuple(piece(lead + (slice(lo, hi),)) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
 # ---------------------------------------------------------------------------
 # parameters, initialization, batch norm, gated recurrent cell
 # ---------------------------------------------------------------------------
@@ -455,11 +520,8 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_x: Tensor, w_h: Tensor, b: Tens
             f"lstm_cell: projection widths {w_x.shape} / {w_h.shape} do not match hidden {hidden}"
         )
     z = add(add(matmul(x, w_x), matmul(h, w_h)), b)
-    idx = np.arange(4 * hidden)
-    gate_i = sigmoid(index_select(z, -1, idx[:hidden]))
-    gate_f = sigmoid(index_select(z, -1, idx[hidden : 2 * hidden]))
-    gate_o = sigmoid(index_select(z, -1, idx[2 * hidden : 3 * hidden]))
-    candidate = tanh(index_select(z, -1, idx[3 * hidden :]))
+    z_i, z_f, z_o, z_c = split(z, [hidden] * 4, axis=-1)
+    gate_i, gate_f, gate_o, candidate = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o), tanh(z_c)
     c_next = add(mul(gate_f, c), mul(gate_i, candidate))
     h_next = mul(gate_o, tanh(c_next))
     return h_next, c_next
@@ -489,11 +551,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Populate gradients of ``root`` w.r.t. every requires_grad tensor.
+    """Populate gradients of ``root`` w.r.t. every requires_grad leaf.
 
     The root must be scalar.  Each graph node is visited exactly once, in
-    reverse topological order; a second backward on the same root is an
-    error (rebuild the graph instead of silently accumulating).
+    reverse topological order, and an intermediate node's gradient is
+    dropped once its backward closure has consumed it; only leaves keep
+    ``.grad``.  A second backward on the same root is an error (rebuild the
+    graph instead of silently accumulating).
     """
     if root.data.shape != ():
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
@@ -509,9 +573,8 @@ def backward(root: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._backward_fn is None:  # a leaf
             node.grad = g if node.grad is None else node.grad + g
-        if node._backward_fn is None:
             continue
         parent_grads = node._backward_fn(g)
         for parent, pg in zip(node._parents, parent_grads):

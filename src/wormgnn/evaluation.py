@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .models import rollout_batch
 
 
@@ -110,8 +111,9 @@ def _accumulate_rollout_error(model, full: np.ndarray, starts, steps: int, burn_
     skipped = len(list(starts)) - len(usable)
     if usable:
         teacher = np.stack([full[s : s + horizon + 1] for s in usable])
-        preds = rollout_batch(model, teacher, steps, sampling_prob=0.0, training=False,
-                              burn_in=burn_in, edge_feats=edge_feats)
+        with ad.no_grad():
+            preds = rollout_batch(model, teacher, steps, sampling_prob=0.0, training=False,
+                                  burn_in=burn_in, edge_feats=edge_feats)
         target = teacher[:, burn_in + 1 :]
         sq = (preds.data - target) ** 2
         totals += sq.sum(axis=(0, 2, 3))

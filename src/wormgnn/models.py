@@ -10,10 +10,14 @@ or the linear map) or per-node (one MLP per neuron for node_mlp, one decoder
 shared by every node for the predicting GNN).  The graph network encodes
 node features, scores every ordered neuron pair with a two-dimensional
 softmax whose second component is the edge weight, and performs exactly one
-message-passing step H = A X.  Edges are inferred per timestep (dynamic),
-once for all frames supplied (static; node embeddings averaged over the
-whole stack before pairing, so a worm's recording yields one fixed matrix),
-or saturated toward {0,1} with a small softmax temperature (one-hot).
+message-passing step H = A X.  The pair MLP's first layer acts on the
+concatenation [h_i, h_j], so it is factored per node (NRI, Kipf et al. 2018):
+[h_i, h_j] W = h_i W_top + h_j W_bot, projected once per neuron and
+broadcast-added over all ordered pairs.  Edges are inferred per timestep
+(dynamic), once for all frames supplied (static; node embeddings averaged
+over the whole stack before pairing, so a worm's recording yields one fixed
+matrix), or saturated toward {0,1} with a small softmax temperature
+(one-hot).
 ModelConfig rejects the linear baseline for prediction and recurrent linear
 or node_mlp classifiers.
 
@@ -152,13 +156,19 @@ class TwoLayerMlp:
 
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
-    the module trunks keep it.
+    the module trunks keep it.  A ``pairwise`` block (the edge MLP) maps
+    node embeddings (…, N, d) to one output per ordered pair (…, N * N, h),
+    pair (i, j) at i * N + j, as if it ran on [x_i, x_j]; its first layer
+    keeps the (2d, h) weight of that concatenation but applies each half
+    once per node.
     """
 
-    def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True):
+    def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
+                 pairwise: bool = False):
         self.fc1 = Linear(f"{name}.fc1", in_dim, hidden_dim, rng)
         self.fc2 = Linear(f"{name}.fc2", hidden_dim, hidden_dim, rng)
         self.bn = BatchNorm(hidden_dim, name=f"{name}.bn") if batchnorm else None
+        self.pairwise = pairwise
 
     def parameters(self):
         params = self.fc1.parameters() + self.fc2.parameters()
@@ -167,9 +177,19 @@ class TwoLayerMlp:
         return params
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = ad.relu(self.fc1.forward(x))
+        h = ad.relu(self._pair_fc1(x) if self.pairwise else self.fc1.forward(x))
         h = ad.relu(self.fc2.forward(h))
         return h if self.bn is None else self.bn.forward(h, training)
+
+    def _pair_fc1(self, x: Tensor) -> Tensor:
+        """fc1 of [x_i, x_j] for every ordered pair: x_i W_top + x_j W_bot + b."""
+        lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+        w_src, w_dst = ad.split(self.fc1.weight.tensor, [d, d], axis=0)
+        width = w_src.shape[-1]
+        src = ad.reshape(ad.matmul(x, w_src), lead + (n, 1, width))
+        dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
+        pre = ad.add(ad.add(src, dst), self.fc1.bias.tensor)  # (…, N, N, h)
+        return ad.reshape(pre, lead + (n * n, width))
 
 
 class LstmUnit:
@@ -192,11 +212,6 @@ class LstmUnit:
         h, c = state
         h2, c2 = ad.lstm_cell(x, h, c, self.w_x.tensor, self.w_h.tensor, self.bias.tensor)
         return h2, (h2, c2)
-
-
-def _pair_indices(n: int):
-    grid_i, grid_j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return grid_i.reshape(-1), grid_j.reshape(-1)
 
 
 def _offdiag_mask(n: int) -> np.ndarray:
@@ -234,7 +249,8 @@ class NeuralModel:
         # edge source; connectome mode uses a fixed structural matrix instead
         if kind is ModuleKind.GNN and config.edge_mode is not EdgeMode.CONNECTOME:
             self.encoder = block(TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False))
-            self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False))
+            self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False,
+                                              pairwise=True))
             self.edge_head = block(Linear("edge_head", hidden, 2, rng))
 
         width = 2 if self._per_node or config.aggregation is Aggregation.SUM else 2 * n
@@ -324,19 +340,11 @@ class NeuralModel:
         hidden = self.encoder.forward(feats, training)  # (B, W, N, h)
         if cfg.edge_mode in (EdgeMode.STATIC, EdgeMode.ONE_HOT):
             hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
-            node_axis = 1
-        else:
-            node_axis = 2
-        idx_i, idx_j = _pair_indices(n)
-        h_i = ad.index_select(hidden, node_axis, idx_i)
-        h_j = ad.index_select(hidden, node_axis, idx_j)
-        pair = ad.concat([h_i, h_j], axis=-1)
-        logits = self.edge_head.forward(self.edge_mlp.forward(pair, training))
+        logits = self.edge_head.forward(self.edge_mlp.forward(hidden, training))  # (…, N * N, 2)
         probs = ad.softmax(logits, axis=-1, temperature=self.edge_temperature())
         # the edge weight is the second softmax component
-        w = ad.index_select(probs, -1, [1])
-        shape = (1, n, n) if node_axis == 1 else (feats.shape[0], feats.shape[1], n, n)
-        w = ad.reshape(w, shape)
+        _, w = ad.split(probs, [1, 1], axis=-1)
+        w = ad.reshape(w, hidden.shape[:-2] + (n, n))
         # self edges follow the connectome convention: weight 1 when enabled,
         # 0 when disabled; ordered pairs i != j keep their inferred weight
         w = ad.mul(w, Tensor(_offdiag_mask(n)))
@@ -479,18 +487,13 @@ def encode_edges(features, model: NeuralModel):
     if arr.ndim not in (2, 3):
         raise ValueError(f"features: expected (N, 2) or (N, W, 2), got shape {arr.shape}")
     window = arr[None] if arr.ndim == 2 else np.transpose(arr, (1, 0, 2))  # (W, N, 2)
-    w = model.edge_weights(Tensor(window[None]), training=False)
+    with ad.no_grad():
+        w = model.edge_weights(Tensor(window[None]), training=False).data
     mode = model.config.edge_mode
     if w.ndim == 3:
-        return AdjacencyMatrix(weights=ad.reshape(w, w.shape[1:]), mode=mode)
-    return [
-        AdjacencyMatrix(
-            weights=ad.reshape(ad.index_select(w, 1, [t]), (w.shape[2], w.shape[3])),
-            mode=mode,
-            timestep=t,
-        )
-        for t in range(w.shape[1])
-    ]
+        return AdjacencyMatrix(weights=Tensor(w[0]), mode=mode)
+    return [AdjacencyMatrix(weights=Tensor(w[0, t]), mode=mode, timestep=t)
+            for t in range(w.shape[1])]
 
 
 def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -> AdjacencyMatrix:

@@ -363,7 +363,8 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
         if not count:
             continue
         predict = plan.task == "predict"
-        total += _worm_loss(model, worm, mask, cfg, predict, training=False).item() * count
+        with ad.no_grad():
+            total += _worm_loss(model, worm, mask, cfg, predict, training=False).item() * count
         weight += count
     return total / weight if weight else np.inf
 
@@ -411,8 +412,9 @@ def predict_classes(model: NeuralModel, worm: PreparedWorm, mask=None) -> np.nda
     """Flat argmax classes for a worm's windows (all, or those under ``mask``);
     static edges come from the worm's own recording."""
     feats = worm.features if mask is None else worm.features[mask]
-    logits = model.classify_logits(Tensor(feats), training=False,
-                                   edge_feats=Tensor(worm.features))
+    with ad.no_grad():
+        logits = model.classify_logits(Tensor(feats), training=False,
+                                       edge_feats=Tensor(worm.features))
     return np.argmax(logits.data, axis=-1).reshape(-1)
 
 

@@ -166,11 +166,9 @@ def test_criterion_3_edge_weight_normalization():
             master_seed=model_seed)
         feats = Tensor(rng.uniform(size=(100, 1, 4, 2)))
         hidden = model.encoder.forward(feats, training=False)
-        idx_i, idx_j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-        h_i = ad.index_select(hidden, 2, idx_i.reshape(-1))
-        h_j = ad.index_select(hidden, 2, idx_j.reshape(-1))
-        logits = model.edge_head.forward(
-            model.edge_mlp.forward(ad.concat([h_i, h_j], axis=-1), False))
+        # the pair MLP scores all 16 ordered pairs of the 4 node embeddings
+        logits = model.edge_head.forward(model.edge_mlp.forward(hidden, False))
+        assert logits.shape == (100, 1, 16, 2)
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-9)
         w = model.edge_weights(feats, training=False).data

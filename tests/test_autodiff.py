@@ -1,5 +1,7 @@
 """Gradient engine tests: every op against central finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,7 +107,15 @@ OPS = {
     "mean_axis": lambda x: ad.tensor_mean(x, axis=1),
     "reshape": lambda x: ad.reshape(x, (4, 3)),
     "index_select": lambda x: ad.index_select(x, 1, [0, 2, 2, 1]),
+    "split": lambda x: ad.split(x, [1, 3], axis=1)[1],
+    "split_two_outputs": lambda x: split_two_outputs(x),
 }
+
+
+def split_two_outputs(x):
+    # two pieces of one split, and x itself, all reach the root
+    left, right = ad.split(x, [2, 2], axis=-1)
+    return ad.concat([ad.mul(left, right), x], axis=1)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -273,3 +283,98 @@ def test_uniform_init_bounds():
     rng = np.random.default_rng(0)
     w = ad.uniform_init(rng, 16, (16, 8))
     assert np.all(np.abs(w) <= 1.0 / 4.0)
+
+
+def test_split_pieces_are_views_and_sizes_checked():
+    x = ad.tensor(np.arange(12.0).reshape(3, 4))
+    top, bottom = ad.split(x, [1, 2], axis=0)
+    assert np.array_equal(top.data, x.data[:1]) and np.array_equal(bottom.data, x.data[1:])
+    assert np.shares_memory(top.data, x.data) and np.shares_memory(bottom.data, x.data)
+    for sizes in ([2, 2], [3, 0], [4]):
+        with pytest.raises(ValueError, match="split"):
+            ad.split(x, sizes, axis=0)
+
+
+# -- graph recording: no_grad and leaf-only gradients ------------------------------
+
+def composite(x, w):
+    """A forward touching most ops, split and the gated cell included."""
+    hidden = 2
+    z = ad.matmul(x, w)
+    a, b = ad.split(z, [4 * hidden, 1], axis=-1)
+    w_x = ad.split(w, [4 * hidden, 1], axis=-1)[0]
+    h, c = ad.lstm_cell(x, ad.Tensor(np.zeros((3, hidden))), ad.Tensor(np.ones((3, hidden))),
+                        w_x, ad.Tensor(np.eye(hidden, 4 * hidden)), ad.Tensor(np.zeros(4 * hidden)))
+    return ad.add(ad.softmax(ad.concat([h, c, b], axis=-1), axis=-1).sum(), ad.relu(a).mean())
+
+
+def test_no_grad_builds_no_graph_and_matches_grad_mode():
+    rng = np.random.default_rng(3)
+    x = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = ad.tensor(rng.normal(size=(4, 9)), requires_grad=True)
+    with ad.no_grad():
+        quiet = composite(x, w)
+        pieces = ad.split(w, [8, 1], axis=-1)
+    for out in (quiet,) + pieces:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+    recorded = composite(x, w)
+    assert recorded.requires_grad and recorded._parents
+    assert quiet.data.tobytes() == recorded.data.tobytes()
+
+
+def test_no_grad_nesting_and_exceptions_restore_the_mode():
+    x = ad.tensor([1.0, 2.0], requires_grad=True)
+
+    def records():
+        return ad.mul(x, x).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside")
+    assert records()
+
+
+def test_no_grad_in_one_thread_leaves_other_threads_recording():
+    entered, built = threading.Event(), threading.Event()
+    seen = []
+
+    def hold_no_grad():
+        with ad.no_grad():
+            entered.set()
+            x = ad.tensor([3.0], requires_grad=True)
+            seen.append(ad.mul(x, x).requires_grad)
+            built.wait(timeout=10)
+
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        x = ad.tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, x).sum()  # built while the other thread sits in no_grad
+    finally:
+        built.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [False]
+    assert y.requires_grad and y._parents
+    y.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    x = ad.tensor([1.5, -0.5, 2.0], requires_grad=True)
+    w = ad.tensor([0.5, 1.0, -2.0], requires_grad=True)
+    s = ad.mul(x, w)
+    r = ad.relu(s)
+    loss = ad.mul(r, r).sum()
+    loss.backward()
+    assert s.grad is None and r.grad is None and loss.grad is None
+    # d/dx sum(relu(x w)^2) = 2 relu(x w) w, and symmetrically for w
+    assert np.array_equal(x.grad, 2.0 * r.data * w.data)
+    assert np.array_equal(w.grad, 2.0 * r.data * x.data)

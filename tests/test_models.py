@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormgnn import autodiff as ad
 from wormgnn import models as m
@@ -82,6 +84,58 @@ def test_equal_logits_give_half():
     assert out[1] == pytest.approx(0.5)
 
 
+def concat_pair_logits(model, hidden: Tensor) -> Tensor:
+    """Edge logits (…, N * N, 2) of the unfactored pair MLP: each ordered
+    pair's [h_i, h_j] gathered, concatenated and run through edge.fc1."""
+    n, axis = hidden.shape[-2], hidden.ndim - 2
+    grid_i, grid_j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    pair = ad.concat([ad.index_select(hidden, axis, grid_i.reshape(-1)),
+                      ad.index_select(hidden, axis, grid_j.reshape(-1))], axis=-1)
+    mlp = model.edge_mlp
+    h = ad.relu(mlp.fc2.forward(ad.relu(mlp.fc1.forward(pair))))
+    return model.edge_head.forward(h)
+
+
+def concat_edge_weights(model, feats: Tensor) -> Tensor:
+    """NeuralModel.edge_weights through the unfactored pair MLP: the reference."""
+    hidden = model.encoder.forward(feats, training=True)
+    n = hidden.shape[-2]
+    if model.config.edge_mode is not m.EdgeMode.DYNAMIC:
+        hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
+    probs = ad.softmax(concat_pair_logits(model, hidden), axis=-1,
+                       temperature=model.edge_temperature())
+    w = ad.reshape(ad.index_select(probs, -1, [1]), hidden.shape[:-2] + (n, n))
+    w = ad.mul(w, Tensor(1.0 - np.eye(n)))
+    return ad.add(w, Tensor(np.eye(n))) if model.config.include_self_edges else w
+
+
+INFERRED_MODES = [m.EdgeMode.DYNAMIC, m.EdgeMode.STATIC, m.EdgeMode.ONE_HOT]
+
+
+@pytest.mark.parametrize("mode", INFERRED_MODES, ids=lambda mode: mode.value)
+def test_factored_pair_mlp_matches_concat_reference(mode):
+    # the factoring reorders one sum per pair: edges and every parameter
+    # gradient agree with the concatenating pair MLP up to rounding
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        model = m.NeuralModel(gnn_config(n=5, edge_mode=mode, include_self_edges=bool(seed % 2)),
+                              master_seed=seed)
+        feats = Tensor(rng.normal(size=(3, 4, 5, 2)))
+        results = []
+        for factored in (True, False):
+            model.zero_grad()
+            w = model.edge_weights(feats, training=True) if factored \
+                else concat_edge_weights(model, feats)
+            ad.mul(w, Tensor(np.cos(np.arange(w.data.size)).reshape(w.shape))).sum().backward()
+            results.append((w.data, {p.name: p.tensor.grad for p in model.parameters()
+                                     if p.tensor.grad is not None}))
+        (w, grads), (w_ref, grads_ref) = results
+        assert np.allclose(w, w_ref, rtol=0, atol=1e-12)
+        assert sorted(grads) == sorted(grads_ref) and "edge.fc1.weight" in grads
+        for name in grads:
+            assert np.allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12), name
+
+
 def test_edge_weights_in_unit_interval_and_normalized():
     model = m.NeuralModel(gnn_config(), master_seed=3)
     rng = np.random.default_rng(0)
@@ -95,15 +149,35 @@ def test_edge_weights_in_unit_interval_and_normalized():
         # recompute both softmax components: they must sum to one
         feats = Tensor(np.transpose(window, (1, 0, 2))[None])
         hidden = model.encoder.forward(feats, training=False).mean(axis=(0, 1))
-        hidden = ad.reshape(hidden, (1, 4, hidden.shape[-1]))
-        idx_i, idx_j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-        h_i = ad.index_select(hidden, 1, idx_i.reshape(-1))
-        h_j = ad.index_select(hidden, 1, idx_j.reshape(-1))
-        logits = model.edge_head.forward(
-            model.edge_mlp.forward(ad.concat([h_i, h_j], axis=-1), False))
+        logits = concat_pair_logits(model, ad.reshape(hidden, (1, 4, hidden.shape[-1])))
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
         assert np.allclose(probs[0, :, 1].reshape(4, 4)[off_diag], w[off_diag], atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm=st.permutations(list(range(5))), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(INFERRED_MODES))
+def test_edge_weights_permutation_equivariant(perm, seed, mode):
+    # relabelling neurons relabels the inferred graph: edges(P x) = P A P^T
+    p = np.array(perm)
+    model = m.NeuralModel(gnn_config(n=5, edge_mode=mode), master_seed=seed % 5)
+    feats = np.random.default_rng(seed).normal(size=(2, 3, 5, 2))
+    a = model.edge_weights(Tensor(feats), training=False).data
+    a_perm = model.edge_weights(Tensor(feats[..., p, :]), training=False).data
+    assert np.allclose(a_perm, a[..., p, :][..., :, p], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), mode=st.sampled_from([m.EdgeMode.STATIC, m.EdgeMode.ONE_HOT]))
+def test_static_edges_ignore_window_and_frame_order(seed, mode):
+    rng = np.random.default_rng(seed)
+    model = m.NeuralModel(gnn_config(n=5, edge_mode=mode), master_seed=seed % 5)
+    feats = rng.normal(size=(3, 4, 5, 2))
+    shuffled = feats.reshape(12, 5, 2)[rng.permutation(12)].reshape(3, 4, 5, 2)
+    a = model.edge_weights(Tensor(feats), training=False).data
+    a_shuffled = model.edge_weights(Tensor(shuffled), training=False).data
+    assert np.allclose(a_shuffled, a, rtol=0, atol=1e-12)
 
 
 def test_static_mode_single_matrix_dynamic_per_timestep():

@@ -1,5 +1,7 @@
 """Training harness tests: losses, Adam, schedules, masking, cross-validation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,3 +454,77 @@ def test_predict_training_runs_and_improves():
     assert min(state.val_history[60:]) < state.val_history[0]
     assert metrics.val_mse is not None
     assert metrics.val_mse == pytest.approx(min(state.val_history), abs=1e-9)
+
+
+# -- one small cell per kind: recorded metrics, and no_grad against grad mode --------
+
+CELL_KINDS = {
+    "mlp": ("classify2", {"module_kind": "mlp"}),
+    "node_mlp": ("classify2", {"module_kind": "node_mlp"}),
+    "gnn_static": ("classify2", {"module_kind": "gnn", "edge_mode": "static"}),
+    "gnn_dynamic": ("classify2", {"module_kind": "gnn", "edge_mode": "dynamic"}),
+    "predict_gnn_dynamic": ("predict", {"module_kind": "gnn", "edge_mode": "dynamic"}),
+}
+
+# What these cells gave at commit 69588f4, before forward-only passes ran
+# under no_grad and before the pair MLP was factored per node.  Kinds that
+# infer no edges must match exactly; the factoring reorders one sum per
+# edge, which moved gnn_dynamic by at most 4.5e-12 relative.
+RECORDED_CELLS = {
+    "mlp": {"accuracy_train": 0.7552083333333334, "accuracy_val": 0.75,
+            "accuracy_test": 0.859375, "accuracy_generalization": 0.68125,
+            "val_history": [0.6956036383347957, 0.6908617723097122, 0.6863623962745002,
+                            0.6820977757457797]},
+    "node_mlp": {"accuracy_train": 0.75, "accuracy_val": 0.765625, "accuracy_test": 1.0,
+                 "accuracy_generalization": 0.86875,
+                 "val_history": [0.6620441677797333, 0.6588753614253856, 0.6554987598432814,
+                                 0.6521852034966764]},
+    "gnn_static": {"accuracy_train": 0.5104166666666666, "accuracy_val": 0.75,
+                   "accuracy_test": 0.75, "accuracy_generalization": 0.75625,
+                   "val_history": [0.6801818874498415, 0.6779062482603977, 0.675641144930621,
+                                   0.6733139899100157]},
+    "gnn_dynamic": {"accuracy_train": 0.5104166666666666, "accuracy_val": 0.75,
+                    "accuracy_test": 0.75, "accuracy_generalization": 0.75625,
+                    "val_history": [0.6800600185772223, 0.6776630297718538, 0.6753927483324221,
+                                    0.6731225274811052]},
+    "predict_gnn_dynamic": {"val_mse": 0.027990756688850295,
+                            "per_step_mse": [0.00957350200210531, 0.014157392758086484,
+                                             0.02057243271771595, 0.029475538872776753],
+                            "val_history": [0.02867373840378945, 0.028324494558121388,
+                                            0.028151124606582433, 0.027990756688850295]},
+}
+
+
+def run_small_cell(kind: str) -> dict:
+    """Train one 4-epoch cell of ``kind`` on two worms, the third held out;
+    its metrics (wall time dropped) plus the validation history."""
+    task, model_kw = CELL_KINDS[kind]
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=4, seed=3, eval_rollout=4,
+                         sampling_decay_epochs=4)
+    plan = tr.ExperimentPlan(task=task, train_worm_ids=["w0", "w1"], held_out_worm_ids=["w2"])
+    prepared = tr.prepare_worms(small_worms(3), task, cfg, cfg.seed)
+    model = m.NeuralModel(m.ModelConfig(task="predict" if task == "predict" else "classify",
+                                        n_neurons=4, hidden_dim=6, **model_kw), master_seed=5)
+    state, metrics = tr.train(model, plan, cfg, prepared, test_fold=0, val_fold=1)
+    result = metrics.to_dict()
+    del result["wall_time_s"]
+    return {**result, "val_history": state.val_history}
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_small_cell_matches_recorded_metrics(kind):
+    result = run_small_cell(kind)
+    for name, value in RECORDED_CELLS[kind].items():
+        if kind.startswith(("gnn", "predict_gnn")):
+            assert result[name] == pytest.approx(value, rel=1e-9, abs=0), name
+        else:
+            assert result[name] == value, name
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_no_grad_passes_match_grad_mode(kind, monkeypatch):
+    # validation, class prediction and evaluation rollouts give bit-identical
+    # metrics whether or not they record a graph
+    quiet = run_small_cell(kind)
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    assert run_small_cell(kind) == quiet
