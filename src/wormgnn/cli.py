@@ -108,6 +108,8 @@ def _build_section(cls, spec: dict, section: str, context: str):
 
 
 def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
+    if "max_epochs_override" in config:
+        raise ConfigError(f"{context}: max_epochs_override is not supported; set train.max_epochs")
     spec = dict(config.get("train", {}))
     spec["seed"] = seed
     if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
@@ -189,7 +191,6 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
         model, plan, train_cfg, prepared,
         test_fold=int(config.get("test_fold", 0)),
         val_fold=int(config.get("val_fold", 1)),
-        max_epochs=config.get("max_epochs_override"),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     m.save_checkpoint(model, out_dir / "model.ckpt")
@@ -241,14 +242,13 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
 
     def save(pi, fold, metrics) -> None:
         _write_json(cell_path(pi, fold), metrics.to_dict())
-        cell_times.append(metrics.runtime_s)
+        cell_times.append(metrics.wall_time_s)
         done, elapsed = len(cell_times), time.perf_counter() - started
         print(f"cross-validate: {done}/{len(pending)} cells done, "
               f"mean cell {sum(cell_times) / done:.3g} s, "
               f"ETA {elapsed / done * (len(pending) - done):.3g} s", file=sys.stderr)
 
-    tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size,
-                      max_epochs=config.get("max_epochs_override"), cell_filter=is_pending,
+    tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size, cell_filter=is_pending,
                       progress=save, connectome=connectome, workers=workers)
 
     # deterministic merge by sorted cell index
@@ -388,14 +388,12 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
         inferred_mean = model.connectome
         write_matrix(out_dir / "edges.tsv", inferred_mean)
     elif model.config.edge_mode is m.EdgeMode.DYNAMIC:
-        adjs = m.encode_edges(window, model)
-        stack = np.stack([a.values for a in adjs])
+        stack = m.encode_edges(window, model)
         inferred_mean = stack.mean(axis=0)
         write_matrix(out_dir / "edges_mean.tsv", inferred_mean)
         write_matrix(out_dir / "edges_std.tsv", stack.std(axis=0))
     else:
-        adj = m.encode_edges(window, model)
-        inferred_mean = adj.values
+        inferred_mean = m.encode_edges(window, model)
         write_matrix(out_dir / "edges.tsv", inferred_mean)
 
     report = {"edge_mode": model.config.edge_mode.value}
@@ -403,7 +401,7 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
     if connectome_path:
         structural = m.load_connectome_edges(
             connectome_path, rec.neuron_names,
-            include_self_edges=model.config.include_self_edges).values
+            include_self_edges=model.config.include_self_edges)
         off = ~np.eye(rec.n_neurons, dtype=bool)
         a, b = inferred_mean[off], structural[off]
         if a.size < 2 or a.std() == 0 or b.std() == 0:
@@ -432,9 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config or manifest file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        p.add_argument("--workers", type=int, default=1, help="parallel cells (cross-validate)")
-        p.add_argument("--resume", action="store_true", help="skip completed cells")
-        p.add_argument("--force", action="store_true", help="allow overwriting outputs")
+        if name == "cross-validate":
+            p.add_argument("--workers", type=int, default=1, help="parallel cells")
+            p.add_argument("--resume", action="store_true", help="skip completed cells")
+        if name == "gen-synth":
+            p.add_argument("--force", action="store_true", help="allow overwriting outputs")
     return parser
 
 

@@ -88,13 +88,6 @@ _BINARY_CLASSES = {
     StateLabel.REVERSE4: 1,
 }
 
-LABEL_SCHEMES = {
-    "binary": 2,
-    "fine7": 7,
-    "coarse4": 4,
-}
-
-
 def label_to_class(label: StateLabel, scheme: str):
     """Map a label to its class index under ``scheme`` (None = masked)."""
     if scheme == "binary":

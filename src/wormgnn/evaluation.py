@@ -7,7 +7,7 @@ All functions are pure over immutable run outputs.  Undefined accuracy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,28 +34,13 @@ class RunMetrics:
     confusion_support: np.ndarray | None = None
     per_step_mse: np.ndarray | None = None
     val_mse: float | None = None
-    runtime_s: float = 0.0
+    wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "permutation": list(self.permutation),
-            "fold": self.fold,
-            "test_fold": self.test_fold,
-            "val_fold": self.val_fold,
-            "seed": self.seed,
-            "accuracy_train": self.accuracy_train,
-            "accuracy_val": self.accuracy_val,
-            "accuracy_test": self.accuracy_test,
-            "accuracy_generalization": self.accuracy_generalization,
-            "confusion": None if self.confusion is None else np.asarray(self.confusion).tolist(),
-            "confusion_support": None if self.confusion_support is None
-            else np.asarray(self.confusion_support).tolist(),
-            "per_step_mse": None if self.per_step_mse is None
-            else np.asarray(self.per_step_mse).tolist(),
-            "val_mse": self.val_mse,
-            "wall_time_s": self.runtime_s,
-        }
+        """Every field by name, arrays and sequences as lists."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v if v is None or np.isscalar(v) else np.asarray(v).tolist()
+                for name, v in raw.items()}
 
 
 def accuracy(predictions, targets) -> float | None:

@@ -10,10 +10,13 @@ or the linear map) or per-node (one MLP per neuron for node_mlp, one decoder
 shared by every node for the predicting GNN).  The graph network encodes
 node features, scores every ordered neuron pair with a two-dimensional
 softmax whose second component is the edge weight, and performs exactly one
-message-passing step H = A X.  The pair MLP's first layer acts on the
-concatenation [h_i, h_j], so it is factored per node (NRI, Kipf et al. 2018):
-[h_i, h_j] W = h_i W_top + h_j W_bot, projected once per neuron and
-broadcast-added over all ordered pairs.  Edges are inferred per timestep
+message-passing step H = A X (message_pass) over NeuralModel.adjacency, the
+one edge source: the loaded connectome or the inferred edges, either of
+which broadcasts against a (B, W, N, 2) stack and a (B, N, 2) frame.  The
+pair MLP's first layer acts on the concatenation [h_i, h_j], so it is
+factored per node (NRI, Kipf et al. 2018): [h_i, h_j] W = h_i W_top +
+h_j W_bot, projected once per neuron and broadcast-added over all ordered
+pairs.  Edges are inferred per timestep
 (dynamic), once for all frames supplied (static; node embeddings averaged
 over the whole stack before pairing, so a worm's recording yields one fixed
 matrix), or saturated toward {0,1} with a small softmax temperature
@@ -25,12 +28,14 @@ The forward API is batched and has three entry points: classify_logits maps
 a (B, W, N, 2) stack to per-timestep logits (training.predict_classes takes
 their argmax), predict_residual maps one (B, N, 2) frame to its residual, and
 rollout_batch iterates predict_residual under scheduled sampling.
+encode_edges returns inferred edges as arrays.  NeuralModel.state and
+load_state copy parameters and buffers, for checkpoints and the best epoch.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -42,6 +47,7 @@ from .data import load_connectome_triples
 from .rng import derive_rng
 
 ONE_HOT_TEMPERATURE = 0.05
+EDGE_CHUNK_FRAMES = 256  # dynamic edges of a long recording are inferred in chunks this long
 CHECKPOINT_FORMAT = "wormgnn-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -68,19 +74,6 @@ class EdgeMode(Enum):
 class Aggregation(Enum):
     CONCATENATE = "concatenate"
     SUM = "sum"
-
-
-@dataclass
-class AdjacencyMatrix:
-    """N x N edge weights; inferred entries live in [0, 1]."""
-
-    weights: Tensor
-    mode: EdgeMode
-    timestep: int | None = None  # Dynamic only
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.weights.data
 
 
 @dataclass
@@ -117,22 +110,9 @@ class ModelConfig:
                              f"{self.task.value}, recurrent={self.recurrent} is not supported")
 
     def to_dict(self) -> dict:
-        return {
-            "module_kind": self.module_kind.value,
-            "task": self.task.value,
-            "n_neurons": self.n_neurons,
-            "n_states": self.n_states,
-            "hidden_dim": self.hidden_dim,
-            "edge_mode": self.edge_mode.value,
-            "softmax_temperature": self.softmax_temperature,
-            "aggregation": self.aggregation.value,
-            "recurrent": self.recurrent,
-            "include_self_edges": self.include_self_edges,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
+        """Every field in declaration order, enums as their values."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.value if isinstance(v, Enum) else v for name, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +273,46 @@ class NeuralModel:
     def batchnorms(self) -> list[BatchNorm]:
         return [block.bn for block in self._blocks if getattr(block, "bn", None) is not None]
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for bn in self.batchnorms():
-            out.update(bn.buffers())
+    def state(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Copies of every parameter and buffer by name, for ``load_state``."""
+        params = {name: p.data.copy() for name, p in self.named_parameters().items()}
+        buffers = {name: v.copy() for bn in self.batchnorms() for name, v in bn.buffers().items()}
         if self.connectome is not None:
-            out["connectome"] = self.connectome
-        return out
+            buffers["connectome"] = self.connectome.copy()
+        return params, buffers
+
+    def load_state(self, params: dict, buffers: dict) -> None:
+        """Set parameters and buffers from arrays by name; an unknown or missing
+        parameter, or one of the wrong shape, raises naming it."""
+        named = self.named_parameters()
+        unknown = sorted(set(params) - set(named))
+        if unknown:
+            raise ValueError(f"unknown parameter {unknown[0]}")
+        missing = sorted(set(named) - set(params))
+        if missing:
+            raise ValueError(f"missing parameters {missing}")
+        for name, p in named.items():
+            values = np.array(params[name], dtype=np.float64)
+            if values.shape != p.data.shape:
+                raise ValueError(f"parameter {name} shape {values.shape} != expected {p.data.shape}")
+            p.data = values
+        for bn in self.batchnorms():
+            bn.load_buffers(buffers)
+        if "connectome" in buffers:
+            self.connectome = np.array(buffers["connectome"], dtype=np.float64)
 
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.tensor.zero_grad()
 
-    def set_connectome(self, adjacency: "AdjacencyMatrix | np.ndarray") -> None:
-        values = adjacency.values if isinstance(adjacency, AdjacencyMatrix) else np.asarray(adjacency)
+    def set_connectome(self, adjacency: np.ndarray) -> None:
+        values = np.asarray(adjacency, dtype=np.float64)
         if values.shape != (self.config.n_neurons, self.config.n_neurons):
             raise ValueError(
                 f"set_connectome: matrix shape {values.shape} != "
                 f"({self.config.n_neurons}, {self.config.n_neurons})"
             )
-        self.connectome = np.asarray(values, dtype=np.float64)
+        self.connectome = values
 
     # -- edge inference ---------------------------------------------------------
 
@@ -322,12 +322,13 @@ class NeuralModel:
         return self.config.softmax_temperature
 
     def edge_weights(self, feats: Tensor, training: bool) -> Tensor:
-        """Infer adjacency from a batched feature stack (B, W, N, 2).
+        """Infer adjacency from features (…, N, 2): a (B, W, N, 2) stack or a
+        (B, N, 2) frame.
 
         Static and one-hot modes average node embeddings over every frame
         supplied (the batch is one individual's windows, so the matrix is
         fixed for that whole temporal graph) and return (1, N, N); dynamic
-        returns one matrix per timestep, (B, W, N, N).
+        returns one matrix per frame, (…, N, N).
         """
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN:
@@ -337,9 +338,10 @@ class NeuralModel:
         n = cfg.n_neurons
         if feats.shape[-2] != n or feats.shape[-1] != 2:
             raise ValueError(f"edge_weights: expected (..., {n}, 2) features, got {feats.shape}")
-        hidden = self.encoder.forward(feats, training)  # (B, W, N, h)
+        hidden = self.encoder.forward(feats, training)  # (…, N, h)
         if cfg.edge_mode in (EdgeMode.STATIC, EdgeMode.ONE_HOT):
-            hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
+            lead = tuple(range(hidden.ndim - 2))
+            hidden = ad.reshape(hidden.mean(axis=lead), (1, n, hidden.shape[-1]))
         logits = self.edge_head.forward(self.edge_mlp.forward(hidden, training))  # (…, N * N, 2)
         probs = ad.softmax(logits, axis=-1, temperature=self.edge_temperature())
         # the edge weight is the second softmax component
@@ -352,20 +354,17 @@ class NeuralModel:
             w = ad.add(w, Tensor(np.eye(n)))
         return w
 
-    def _adjacency_for(self, feats: Tensor, training: bool) -> Tensor:
-        """(B, W, N, N) or broadcastable (B, 1, N, N) adjacency for a feature stack."""
+    def adjacency(self, feats: Tensor, training: bool) -> Tensor:
+        """The adjacency a GNN passes messages over, for features (…, N, 2);
+        it broadcasts against them: the loaded connectome (N, N), with its
+        diagonal zeroed when self edges are off, or ``edge_weights(feats)``."""
         cfg = self.config
-        if cfg.edge_mode is EdgeMode.CONNECTOME:
-            if self.connectome is None:
-                raise ValueError("forward: edge_mode=connectome but no connectome matrix was set")
-            a = self.connectome
-            if not cfg.include_self_edges:
-                a = a * _offdiag_mask(cfg.n_neurons)
-            return Tensor(a.reshape((1, 1) + a.shape))
-        w = self.edge_weights(feats, training)
-        if w.ndim == 3:  # static: one matrix shared by every frame
-            return ad.reshape(w, (w.shape[0], 1, w.shape[1], w.shape[2]))
-        return w
+        if cfg.edge_mode is not EdgeMode.CONNECTOME:
+            return self.edge_weights(feats, training)
+        if self.connectome is None:
+            raise ValueError("adjacency: edge_mode=connectome but no connectome matrix was set")
+        a = self.connectome
+        return Tensor(a if cfg.include_self_edges else a * _offdiag_mask(cfg.n_neurons))
 
     # -- batched forward passes -------------------------------------------------
 
@@ -376,14 +375,11 @@ class NeuralModel:
         modes) or ``x`` itself; x unchanged for the other kinds."""
         if self.config.module_kind is not ModuleKind.GNN:
             return x
-        if adjacency is not None:
-            return ad.matmul(adjacency, x)
-        if x.ndim == 3:  # one frame: a one-frame stack supplies its own edges
-            stack = ad.reshape(x, (x.shape[0], 1) + x.shape[1:])
-            return ad.reshape(self._edge_stage(stack, training), x.shape)
-        if self.config.edge_mode is EdgeMode.DYNAMIC or edge_feats is None:
-            edge_feats = x
-        return ad.matmul(self._adjacency_for(edge_feats, training), x)
+        if adjacency is None:
+            if self.config.edge_mode is EdgeMode.DYNAMIC or edge_feats is None:
+                edge_feats = x
+            adjacency = self.adjacency(edge_feats, training)
+        return message_pass(adjacency, x)
 
     def _aggregate(self, feats: Tensor) -> Tensor:
         """(…, N, 2) -> (…, 2N) in fixed neuron order, or (…, 2) when summing."""
@@ -477,26 +473,26 @@ class NeuralModel:
 # edge inspection, message passing, rollouts
 # ---------------------------------------------------------------------------
 
-def encode_edges(features, model: NeuralModel):
-    """Infer AdjacencyMatrix(es) from a feature window (N, W, 2) or frame (N, 2).
+def encode_edges(features, model: NeuralModel) -> np.ndarray:
+    """Inferred edge weights of a feature window (N, W, 2) or frame (N, 2).
 
-    Static and one-hot modes return a single matrix; dynamic returns one
-    per timestep.
+    Static and one-hot modes return one (N, N) matrix; dynamic returns one
+    per timestep, (W, N, N), inferred EDGE_CHUNK_FRAMES frames at a time so
+    that memory stays bounded on long recordings.
     """
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise ValueError(f"features: expected (N, 2) or (N, W, 2), got shape {arr.shape}")
     window = arr[None] if arr.ndim == 2 else np.transpose(arr, (1, 0, 2))  # (W, N, 2)
     with ad.no_grad():
-        w = model.edge_weights(Tensor(window[None]), training=False).data
-    mode = model.config.edge_mode
-    if w.ndim == 3:
-        return AdjacencyMatrix(weights=Tensor(w[0]), mode=mode)
-    return [AdjacencyMatrix(weights=Tensor(w[0, t]), mode=mode, timestep=t)
-            for t in range(w.shape[1])]
+        if model.config.edge_mode is not EdgeMode.DYNAMIC:
+            return model.edge_weights(Tensor(window[None]), training=False).data[0]
+        starts = range(0, len(window), EDGE_CHUNK_FRAMES)
+        return np.concatenate([model.edge_weights(Tensor(window[None, t : t + EDGE_CHUNK_FRAMES]),
+                                                  training=False).data[0] for t in starts])
 
 
-def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -> AdjacencyMatrix:
+def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -> np.ndarray:
     """Structural adjacency restricted to ``neuron_names``, row-max normalized.
 
     Edges touching neurons outside the selected set are dropped; missing
@@ -515,20 +511,17 @@ def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -
     np.divide(weights, row_max, out=weights, where=row_max > 0)
     if include_self_edges:
         np.fill_diagonal(weights, 1.0)
-    return AdjacencyMatrix(weights=Tensor(weights), mode=EdgeMode.CONNECTOME)
+    return weights
 
 
-def message_pass(adjacency, features, include_self_edges: bool = True) -> Tensor:
-    """One message-passing step H = A X (self edges removable)."""
-    a = adjacency.weights if isinstance(adjacency, AdjacencyMatrix) else adjacency
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def message_pass(adjacency: Tensor, features: Tensor) -> Tensor:
+    """One message-passing step H = A X: adjacency (…, N, N), features
+    (…, N, F), leading axes broadcast."""
+    a, x = adjacency, features
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"message_pass: adjacency must be square, got {a.shape}")
-    if x.ndim != 2 or x.shape[0] != a.shape[0]:
+    if x.ndim < 2 or x.shape[-2] != a.shape[-1]:
         raise ValueError(f"message_pass: features {x.shape} do not match adjacency {a.shape}")
-    if not include_self_edges:
-        a = ad.mul(a, Tensor(_offdiag_mask(a.shape[0])))
     return ad.matmul(a, x)
 
 
@@ -563,11 +556,8 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     adjacency = None
     cfg = model.config
     if cfg.module_kind is ModuleKind.GNN and cfg.edge_mode is not EdgeMode.DYNAMIC:
-        source = Tensor(np.asarray(edge_feats, dtype=np.float64)) if edge_feats is not None \
-            else Tensor(teacher)
-        adj4 = model._adjacency_for(source, training)
-        n = cfg.n_neurons
-        adjacency = ad.reshape(adj4, (adj4.shape[0], n, n))
+        source = teacher if edge_feats is None else edge_feats
+        adjacency = model.adjacency(Tensor(source), training)
 
     state = None
     for k in range(burn_in):
@@ -589,45 +579,20 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     return ad.concat(outs, axis=1)
 
 
-class ConstantResidualModel:
-    """Stub predictor with a fixed residual; the identity map when it is zero."""
-
-    def __init__(self, n_neurons: int, residual=None):
-        self.config = ModelConfig(module_kind=ModuleKind.MLP, task=Task.PREDICT,
-                                  n_neurons=n_neurons, hidden_dim=1)
-        if residual is None:
-            residual = np.zeros((n_neurons, 2))
-        self._residual = np.broadcast_to(np.asarray(residual, dtype=np.float64),
-                                         (n_neurons, 2)).copy()
-
-    def parameters(self):
-        return []
-
-    def predict_residual(self, x, training, adjacency=None, rec_state=None):
-        return Tensor(np.broadcast_to(self._residual, x.shape).copy()), rec_state
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: NeuralModel, path) -> None:
     """Named-parameter manifest + config; byte-stable for identical inputs."""
-    named = model.named_parameters()
+    params, buffers = model.state()
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
-        "parameters": [
-            {"name": name, "shape": list(named[name].data.shape),
-             "values": named[name].data.reshape(-1).tolist()}
-            for name in sorted(named)
-        ],
-        "buffers": [
-            {"name": name, "shape": list(np.asarray(vals).shape),
-             "values": np.asarray(vals).reshape(-1).tolist()}
-            for name, vals in sorted(model.buffers().items())
-        ],
+        **{key: [{"name": name, "shape": list(arrays[name].shape),
+                  "values": arrays[name].reshape(-1).tolist()} for name in sorted(arrays)]
+           for key, arrays in (("parameters", params), ("buffers", buffers))},
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -638,29 +603,11 @@ def load_checkpoint(path) -> NeuralModel:
         raise ValueError(f"load_checkpoint: {path} is not a {CHECKPOINT_FORMAT} file")
     if raw.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"load_checkpoint: unsupported version {raw.get('version')}")
-    model = NeuralModel(ModelConfig.from_dict(raw["config"]))
-    named = model.named_parameters()
-    seen = set()
-    for entry in raw["parameters"]:
-        name = entry["name"]
-        if name not in named:
-            raise ValueError(f"load_checkpoint: unknown parameter {name}")
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != named[name].data.shape:
-            raise ValueError(
-                f"load_checkpoint: parameter {name} shape {arr.shape} != expected {named[name].data.shape}"
-            )
-        named[name].data = arr
-        seen.add(name)
-    missing = sorted(set(named) - seen)
-    if missing:
-        raise ValueError(f"load_checkpoint: missing parameters {missing}")
-    buffer_map = {
-        entry["name"]: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for entry in raw.get("buffers", [])
-    }
-    for bn in model.batchnorms():
-        bn.load_buffers(buffer_map)
-    if "connectome" in buffer_map:
-        model.connectome = buffer_map["connectome"]
+    model = NeuralModel(ModelConfig(**raw["config"]))
+    params, buffers = ({entry["name"]: np.reshape(entry["values"], entry["shape"])
+                        for entry in raw.get(key, [])} for key in ("parameters", "buffers"))
+    try:
+        model.load_state(params, buffers)
+    except ValueError as exc:
+        raise ValueError(f"load_checkpoint: {path}: {exc}") from None
     return model

@@ -183,8 +183,7 @@ class TrainState:
     lr: float = 1e-3
     best_val_loss: float = np.inf
     epochs_since_improvement: int = 0
-    best_parameters: dict = field(default_factory=dict)
-    best_buffers: dict = field(default_factory=dict)
+    best_state: tuple = ()  # NeuralModel.state() at the best validation loss
     val_history: list = field(default_factory=list)
     adam: AdamState | None = None
 
@@ -275,24 +274,9 @@ def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: Tr
     return nll_loss(ad.softmax(logits, axis=-1), worm.targets[mask])
 
 
-def _snapshot(model: NeuralModel) -> tuple[dict, dict]:
-    params = {name: p.data.copy() for name, p in model.named_parameters().items()}
-    buffers = {name: np.asarray(v).copy() for name, v in model.buffers().items()}
-    return params, buffers
-
-
-def _restore(model: NeuralModel, params: dict, buffers: dict) -> None:
-    for name, p in model.named_parameters().items():
-        p.data = params[name].copy()
-    for bn in model.batchnorms():
-        bn.load_buffers(buffers)
-    if "connectome" in buffers:
-        model.connectome = buffers["connectome"].copy()
-
-
 def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
-          prepared: dict[str, PreparedWorm], test_fold: int = 0, val_fold: int = 1,
-          max_epochs: int | None = None) -> tuple[TrainState, ev.RunMetrics]:
+          prepared: dict[str, PreparedWorm], test_fold: int = 0,
+          val_fold: int = 1) -> tuple[TrainState, ev.RunMetrics]:
     """Fit one (permutation, fold) cell and evaluate it.
 
     Classification holds out ``test_fold`` and stops on ``val_fold`` loss;
@@ -305,7 +289,6 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
                if wid not in prepared]
     if missing:
         raise ValueError(f"train: worms not prepared: {missing}")
-    epochs = cfg.max_epochs if max_epochs is None else max_epochs
 
     state = TrainState(lr=cfg.learning_rate, adam=AdamState(model.parameters(), cfg.learning_rate))
     train_ids = sorted(plan.train_worm_ids)
@@ -321,7 +304,7 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
 
     train_folds = [f for f in range(cfg.fold_count) if f not in (test_fold, val_fold)]
 
-    for epoch in range(epochs):
+    for epoch in range(cfg.max_epochs):
         state.epoch = epoch
         for wid in train_ids:
             worm = prepared[wid]
@@ -343,14 +326,14 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
         val_loss = _validation_loss(model, plan, cfg, prepared, val_fold)
         state.val_history.append(val_loss)
         if val_loss < state.best_val_loss - PLATEAU_EPS:
-            state.best_parameters, state.best_buffers = _snapshot(model)
+            state.best_state = model.state()
         lr_on_plateau(state, val_loss, cfg.plateau_patience, cfg.lr_decay_factor)
 
-    if state.best_parameters:
-        _restore(model, state.best_parameters, state.best_buffers)
+    if state.best_state:
+        model.load_state(*state.best_state)
 
     metrics = _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold)
-    metrics.runtime_s = time.perf_counter() - started
+    metrics.wall_time_s = time.perf_counter() - started
     return state, metrics
 
 
@@ -420,7 +403,7 @@ def predict_classes(model: NeuralModel, worm: PreparedWorm, mask=None) -> np.nda
 
 def run_cell(prepared: dict[str, PreparedWorm], plan_template: ExperimentPlan,
              cfg: TrainConfig, model_config: ModelConfig, perm: tuple, perm_index: int,
-             fold: int, max_epochs: int | None = None, connectome=None) -> ev.RunMetrics:
+             fold: int, connectome=None) -> ev.RunMetrics:
     """Train and evaluate one (permutation, fold) cell of the sweep.
 
     Cells derive their own seeds from (master seed, cell index), so a cell
@@ -435,8 +418,7 @@ def run_cell(prepared: dict[str, PreparedWorm], plan_template: ExperimentPlan,
         model.set_connectome(connectome)
     run_cfg = replace(cfg, seed=cell_seed)
     _, metrics = train(model, plan, run_cfg, prepared,
-                       test_fold=fold, val_fold=(fold + 1) % cfg.fold_count,
-                       max_epochs=max_epochs)
+                       test_fold=fold, val_fold=(fold + 1) % cfg.fold_count)
     metrics.permutation = list(perm)
     metrics.fold = fold
     metrics.seed = cell_seed
@@ -475,8 +457,7 @@ def _finished_cells(run, perms, cells, workers: int):
 
 def cross_validate(recordings: dict[str, WormRecording], plan_template: ExperimentPlan,
                    cfg: TrainConfig, model_config: ModelConfig, permutation_size: int,
-                   max_epochs: int | None = None, cell_filter=None,
-                   progress=None, connectome=None,
+                   cell_filter=None, progress=None, connectome=None,
                    workers: int = 1) -> tuple[list[ev.RunMetrics], dict]:
     """Enumerate worm permutations x folds, train each cell, aggregate mean +- std.
 
@@ -494,7 +475,7 @@ def cross_validate(recordings: dict[str, WormRecording], plan_template: Experime
              for fold in range(cfg.fold_count)
              if cell_filter is None or cell_filter(perm_index, fold)]
     run = functools.partial(run_cell, prepared, plan_template, cfg, model_config,
-                            max_epochs=max_epochs, connectome=connectome)
+                            connectome=connectome)
     finished = {}
     for cell, metrics in _finished_cells(run, perms, cells, workers):
         finished[cell] = metrics

@@ -1,0 +1,24 @@
+"""Stand-in models for tests of the rollout and evaluation code."""
+
+import numpy as np
+
+from wormgnn.autodiff import Tensor
+from wormgnn.models import ModelConfig, ModuleKind, Task
+
+
+class ConstantResidualModel:
+    """Stub predictor with a fixed residual; the identity map when it is zero."""
+
+    def __init__(self, n_neurons: int, residual=None):
+        self.config = ModelConfig(module_kind=ModuleKind.MLP, task=Task.PREDICT,
+                                  n_neurons=n_neurons, hidden_dim=1)
+        if residual is None:
+            residual = np.zeros((n_neurons, 2))
+        self._residual = np.broadcast_to(np.asarray(residual, dtype=np.float64),
+                                         (n_neurons, 2)).copy()
+
+    def parameters(self):
+        return []
+
+    def predict_residual(self, x, training, adjacency=None, rec_state=None):
+        return Tensor(np.broadcast_to(self._residual, x.shape).copy()), rec_state

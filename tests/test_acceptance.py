@@ -27,6 +27,8 @@ from wormgnn.data import (
 )
 from wormgnn.synth import SynthConfig, generate_worm, latent_trajectory, mixing_matrix
 
+from model_stubs import ConstantResidualModel
+
 GRAD_TOL = 1e-4
 
 
@@ -146,7 +148,7 @@ def test_criterion_2_message_passing_oracle():
         f = int(rng.integers(1, 5))
         a = rng.uniform(size=(n, n))
         x = rng.normal(size=(n, f))
-        got = m.message_pass(a, x).data
+        got = m.message_pass(Tensor(a), Tensor(x)).data
         want = np.zeros((n, f))
         for i in range(n):
             for j in range(n):
@@ -182,10 +184,10 @@ def test_criterion_3_edge_weight_normalization():
                       n_states=2, hidden_dim=6, edge_mode=m.EdgeMode.STATIC), master_seed=0)
     window = rng.uniform(size=(4, 12, 2))
     adj = m.encode_edges(window, static)
-    assert isinstance(adj, m.AdjacencyMatrix) and adj.values.shape == (4, 4)
+    assert isinstance(adj, np.ndarray) and adj.shape == (4, 4)
     shuffled = window[:, rng.permutation(12), :]
     adj2 = m.encode_edges(shuffled, static)
-    assert np.allclose(adj.values, adj2.values, atol=1e-12)
+    assert np.allclose(adj, adj2, atol=1e-12)
     report(3, "1000 inputs: pair components sum to 1 (1e-9), w in [0,1]; static A timestep-invariant")
 
 
@@ -214,8 +216,7 @@ def test_criterion_5_permutation_protocol():
     plan = tr.ExperimentPlan(task="classify2", train_worm_ids=sorted(recs))
     model_cfg = m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
                               n_neurons=4, n_states=2, hidden_dim=4)
-    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2,
-                                         max_epochs=1)
+    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2)
     assert len(records) == 100
     assert summary["runs"] == 100
     report(5, "the 10 documented pairs in order; cross_validate emitted 100 runs")
@@ -341,7 +342,7 @@ def test_criterion_9_trajectory_rollout():
         worm_id="r", dataset_tag="t", sample_period_s=1 / 3,
         neuron_names=["A", "B"], traces=np.tile(ramp, (2, 1)),
         derivatives=np.tile(ramp, (2, 1)), labels=[StateLabel.FORWARD] * t)
-    identity = m.ConstantResidualModel(2)
+    identity = ConstantResidualModel(2)
     per_step = ev.per_step_mse(identity, [ramp_rec], steps=16).per_step
     expected = (np.arange(1, 17) * c) ** 2
     assert np.allclose(per_step, expected, atol=1e-9)
@@ -374,7 +375,7 @@ def test_criterion_11_determinism(tmp_path):
     def strip(payload):
         if isinstance(payload, dict):
             return {k: strip(v) for k, v in payload.items()
-                    if k not in ("wall_time_s", "runtime_s")}
+                    if k != "wall_time_s"}
         if isinstance(payload, list):
             return [strip(v) for v in payload]
         return payload

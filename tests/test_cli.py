@@ -36,7 +36,7 @@ def gen_synth(tmp_path: Path, n_worms=3, seed=7, t=160, n_neurons=5, n_states=2)
 def strip_wall_time(payload):
     if isinstance(payload, dict):
         return {k: strip_wall_time(v) for k, v in payload.items()
-                if k not in ("wall_time_s", "runtime_s")}
+                if k != "wall_time_s"}
     if isinstance(payload, list):
         return [strip_wall_time(v) for v in payload]
     return payload
@@ -123,6 +123,28 @@ def test_unknown_config_field_named(tmp_path, capsys, section, spec, field):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert f"unknown field(s) ['{field}'] in the '{section}' section" in err
+
+
+def test_max_epochs_override_rejected(tmp_path, capsys):
+    # train.max_epochs is the one epoch count; an old manifest's override fails loudly
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "train.json", train_config(data, max_epochs_override=1))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "set train.max_epochs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--resume"],
+    ["train", "--workers", "2"],
+    ["eval", "--force"],
+], ids=["train-resume", "train-workers", "eval-force"])
+def test_options_exist_only_on_their_command(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", str(cfg), "--out", str(tmp_path / "out")] + argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["heldout_worms", "extended_worms"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wormgnn import evaluation as ev
 from wormgnn.data import StateLabel, WormRecording, compute_derivative, normalize_recording
 from wormgnn.models import (
-    ConstantResidualModel,
     EdgeMode,
     ModelConfig,
     ModuleKind,
@@ -18,6 +17,8 @@ from wormgnn.models import (
 )
 from wormgnn.synth import SynthConfig, generate_worm, mixing_matrix
 from wormgnn.training import TrainConfig, mse_loss, prepare_worm
+
+from model_stubs import ConstantResidualModel
 
 
 # -- accuracy --------------------------------------------------------------------

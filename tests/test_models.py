@@ -1,5 +1,7 @@
 """Model zoo tests: edge inference, message passing, task heads, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from wormgnn import autodiff as ad
 from wormgnn import models as m
 from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
+
+from model_stubs import ConstantResidualModel
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -34,13 +38,13 @@ def brute_force_messages(a, x):
 
 def test_message_pass_identity():
     x = np.random.default_rng(0).normal(size=(3, 2))
-    out = m.message_pass(np.eye(3), x)
+    out = m.message_pass(Tensor(np.eye(3)), Tensor(x))
     assert np.array_equal(out.data, x)
 
 
 def test_message_pass_hand_case():
     a = np.full((2, 2), 0.5)
-    out = m.message_pass(a, np.eye(2))
+    out = m.message_pass(Tensor(a), Tensor(np.eye(2)))
     assert np.array_equal(out.data, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -51,22 +55,31 @@ def test_message_pass_matches_brute_force():
         f = int(rng.integers(1, 4))
         a = rng.uniform(size=(n, n))
         x = rng.normal(size=(n, f))
-        out = m.message_pass(a, x)
+        out = m.message_pass(Tensor(a), Tensor(x))
         assert np.allclose(out.data, brute_force_messages(a, x), atol=1e-12)
 
 
 def test_message_pass_self_edge_removal():
-    a = np.ones((3, 3))
-    x = np.eye(3)
-    out = m.message_pass(a, x, include_self_edges=False)
-    assert np.array_equal(np.diag(out.data), [0.0, 0.0, 0.0])
+    # a connectome GNN drops the loaded diagonal when self edges are off
+    matrix = np.arange(1.0, 10.0).reshape(3, 3)
+    off = ~np.eye(3, dtype=bool)
+    frame = Tensor(np.eye(3)[None])
+    for self_edges in (False, True):
+        model = m.NeuralModel(gnn_config(n=3, edge_mode=m.EdgeMode.CONNECTOME,
+                                         include_self_edges=self_edges))
+        model.set_connectome(matrix)
+        a = model.adjacency(frame, training=False)
+        assert a.shape == (3, 3) and np.array_equal(a.data[off], matrix[off])
+        out = m.message_pass(a, frame).data[0]
+        assert np.array_equal(np.diag(out), np.diag(matrix) if self_edges else np.zeros(3))
+    assert np.array_equal(model.connectome, matrix)  # the stored matrix is unchanged
 
 
 def test_message_pass_shape_mismatch():
     with pytest.raises(ValueError, match="adjacency"):
-        m.message_pass(np.ones((2, 3)), np.ones((2, 2)))
+        m.message_pass(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
     with pytest.raises(ValueError, match="features"):
-        m.message_pass(np.ones((3, 3)), np.ones((2, 2)))
+        m.message_pass(Tensor(np.ones((3, 3))), Tensor(np.ones((2, 2))))
 
 
 # -- edge inference ------------------------------------------------------------
@@ -142,8 +155,7 @@ def test_edge_weights_in_unit_interval_and_normalized():
     off_diag = ~np.eye(4, dtype=bool)
     for _ in range(20):
         window = rng.uniform(size=(4, 6, 2))
-        adj = m.encode_edges(window, model)
-        w = adj.values
+        w = m.encode_edges(window, model)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         assert np.array_equal(np.diag(w), np.ones(4))  # self edges enabled
         # recompute both softmax components: they must sum to one
@@ -180,25 +192,63 @@ def test_static_edges_ignore_window_and_frame_order(seed, mode):
     assert np.allclose(a_shuffled, a, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(INFERRED_MODES + [m.EdgeMode.CONNECTOME]), self_edges=st.booleans(),
+       seed=st.integers(0, 2**16), batch=st.integers(1, 3), width=st.integers(1, 4),
+       n=st.integers(1, 5))
+def test_adjacency_broadcasts_and_message_pass_is_brute_force(mode, self_edges, seed, batch,
+                                                              width, n):
+    # one adjacency per edge mode serves a (B, W, N, 2) stack and a (B, N, 2) frame alike
+    rng = np.random.default_rng(seed)
+    model = m.NeuralModel(gnn_config(n=n, edge_mode=mode, include_self_edges=self_edges),
+                          master_seed=seed % 7)
+    if mode is m.EdgeMode.CONNECTOME:
+        model.set_connectome(rng.uniform(size=(n, n)))
+    for shape in ((batch, width, n, 2), (batch, n, 2)):
+        x = rng.normal(size=shape)
+        a = model.adjacency(Tensor(x), training=False)
+        lead = {m.EdgeMode.DYNAMIC: shape[:-2], m.EdgeMode.CONNECTOME: ()}.get(mode, (1,))
+        assert a.shape == lead + (n, n)
+        h = m.message_pass(a, Tensor(x)).data
+        assert h.shape == shape
+        full = np.broadcast_to(a.data, shape[:-2] + (n, n))
+        for idx in np.ndindex(shape[:-2]):
+            assert np.allclose(h[idx], brute_force_messages(full[idx], x[idx]), rtol=0, atol=1e-12)
+
+
 def test_static_mode_single_matrix_dynamic_per_timestep():
     window = np.random.default_rng(1).uniform(size=(4, 6, 2))
     static = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.STATIC), master_seed=0)
     adj = m.encode_edges(window, static)
-    assert isinstance(adj, m.AdjacencyMatrix) and adj.values.shape == (4, 4)
+    assert isinstance(adj, np.ndarray) and adj.shape == (4, 4)
 
     dynamic = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
     adjs = m.encode_edges(window, dynamic)
-    assert len(adjs) == 6
-    assert adjs[0].timestep == 0 and adjs[5].timestep == 5
-    assert not np.allclose(adjs[0].values, adjs[1].values)
+    assert adjs.shape == (6, 4, 4)
+    # matrix t is the edges of frame t alone
+    assert np.array_equal(adjs[5], m.encode_edges(window[:, 5], dynamic)[0])
+    assert not np.allclose(adjs[0], adjs[1])
+
+
+def test_dynamic_edges_chunked_equal_whole_stack():
+    # a recording longer than one chunk: chunked inference equals one pass over every frame
+    model = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.DYNAMIC), master_seed=2)
+    frames = 2 * m.EDGE_CHUNK_FRAMES + 37
+    window = np.random.default_rng(3).normal(size=(4, frames, 2))
+    with ad.no_grad():
+        stack = Tensor(np.transpose(window, (1, 0, 2))[None])
+        whole = model.edge_weights(stack, training=False).data[0]
+    chunked = m.encode_edges(window, model)
+    assert chunked.shape == (frames, 4, 4)
+    assert np.array_equal(chunked, whole)
 
 
 def test_one_hot_mode_saturates_more_than_unit_temperature():
     window = np.random.default_rng(5).uniform(size=(5, 8, 2))
     plain = m.NeuralModel(gnn_config(n=5, edge_mode=m.EdgeMode.STATIC), master_seed=2)
     onehot = m.NeuralModel(gnn_config(n=5, edge_mode=m.EdgeMode.ONE_HOT), master_seed=2)
-    w_plain = m.encode_edges(window, plain).values
-    w_hot = m.encode_edges(window, onehot).values
+    w_plain = m.encode_edges(window, plain)
+    w_hot = m.encode_edges(window, onehot)
     assert np.abs(w_hot - 0.5).mean() > np.abs(w_plain - 0.5).mean()
     assert np.all(w_hot >= 0) and np.all(w_hot <= 1)
 
@@ -207,7 +257,7 @@ def test_no_self_edges_zero_diagonal():
     model = m.NeuralModel(gnn_config(include_self_edges=False), master_seed=1)
     window = np.random.default_rng(2).uniform(size=(4, 6, 2))
     adj = m.encode_edges(window, model)
-    assert np.array_equal(np.diag(adj.values), np.zeros(4))
+    assert np.array_equal(np.diag(adj), np.zeros(4))
 
 
 def test_connectome_mode_rejected_by_encoder():
@@ -222,25 +272,25 @@ def test_connectome_empty(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("")
     adj = m.load_connectome_edges(path, ["A", "B"], include_self_edges=True)
-    assert np.array_equal(adj.values, np.eye(2))
+    assert np.array_equal(adj, np.eye(2))
     adj2 = m.load_connectome_edges(path, ["A", "B"], include_self_edges=False)
-    assert np.array_equal(adj2.values, np.zeros((2, 2)))
+    assert np.array_equal(adj2, np.zeros((2, 2)))
 
 
 def test_connectome_row_max_normalization(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b 2.0\n")
     adj = m.load_connectome_edges(path, ["a", "b"], include_self_edges=False)
-    assert adj.values[0, 1] == 1.0
-    assert adj.values[1, 0] == 0.0
+    assert adj[0, 1] == 1.0
+    assert adj[1, 0] == 0.0
 
 
 def test_connectome_drops_outside_neurons(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b 1.0\nzz a 5.0\nb zz 4.0\n")
     adj = m.load_connectome_edges(path, ["a", "b"], include_self_edges=False)
-    assert adj.values[0, 1] == 1.0
-    assert adj.values.sum() == 1.0
+    assert adj[0, 1] == 1.0
+    assert adj.sum() == 1.0
 
 
 # -- module forwards -----------------------------------------------------------
@@ -397,7 +447,7 @@ def test_classify_temperature_and_shift_invariance():
 
 
 def test_predict_step_zero_residual_is_identity():
-    stub = m.ConstantResidualModel(n_neurons=3)
+    stub = ConstantResidualModel(n_neurons=3)
     x = np.random.default_rng(0).uniform(size=(1, 1, 3, 2))
     preds = m.rollout_batch(stub, x, steps=1)
     assert np.array_equal(preds.data, x)
@@ -422,7 +472,7 @@ def test_rollout_returns_requested_frames():
 
 
 def test_rollout_pure_teacher_forcing():
-    stub = m.ConstantResidualModel(n_neurons=2, residual=np.full((2, 2), 0.25))
+    stub = ConstantResidualModel(n_neurons=2, residual=np.full((2, 2), 0.25))
     teacher = np.random.default_rng(0).uniform(size=(1, 6, 2, 2))
     preds = m.rollout_batch(stub, teacher, 5, sampling_prob=1.0, rng=np.random.default_rng(1))
     for k in range(5):
@@ -430,7 +480,7 @@ def test_rollout_pure_teacher_forcing():
 
 
 def test_rollout_free_running_identity_is_constant():
-    stub = m.ConstantResidualModel(n_neurons=2)
+    stub = ConstantResidualModel(n_neurons=2)
     x0 = np.random.default_rng(0).uniform(size=(1, 1, 2, 2))
     preds = m.rollout_batch(stub, x0, 7, sampling_prob=0.0)
     for k in range(7):
@@ -438,7 +488,7 @@ def test_rollout_free_running_identity_is_constant():
 
 
 def test_rollout_teacher_too_short():
-    stub = m.ConstantResidualModel(n_neurons=2)
+    stub = ConstantResidualModel(n_neurons=2)
     teacher = np.zeros((1, 3, 2, 2))
     with pytest.raises(ValueError, match="teacher"):
         m.rollout_batch(stub, teacher, 8, sampling_prob=0.5, rng=np.random.default_rng(0))
@@ -487,6 +537,29 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="wormgnn-checkpoint"):
+        m.load_checkpoint(path)
+
+
+def _entry(raw, name):
+    return next(e for e in raw["parameters"] if e["name"] == name)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda raw: raw["parameters"].append({"name": "ghost.weight", "shape": [1], "values": [0.0]}),
+     "unknown parameter ghost.weight"),
+    (lambda raw: raw["parameters"].remove(_entry(raw, "head.bias")),
+     r"missing parameters \['head.bias'\]"),
+    (lambda raw: _entry(raw, "head.bias").update(shape=[1, 2]),
+     r"parameter head.bias shape \(1, 2\) != expected \(2,\)"),
+    (lambda raw: raw.update(version=2), "unsupported version 2"),
+], ids=["unknown", "missing", "shape", "version"])
+def test_checkpoint_rejects_bad_entries(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    m.save_checkpoint(m.NeuralModel(gnn_config(), master_seed=1), path)
+    raw = json.loads(path.read_text())
+    corrupt(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
         m.load_checkpoint(path)
 
 

@@ -361,8 +361,7 @@ def test_cross_validate_run_count_and_aggregation():
     plan = tr.ExperimentPlan(task="classify2", train_worm_ids=sorted(recs))
     model_cfg = m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
                               n_neurons=4, n_states=2, hidden_dim=4)
-    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2,
-                                         max_epochs=1)
+    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2)
     assert len(records) == 100  # 10 permutations x 10 folds
     assert summary["runs"] == 100
     accs = [r.accuracy_test for r in records if r.accuracy_test is not None]
