@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 The op set is exactly what the models in this package need: matmul,
+``linear`` (x @ w + b as one graph node, bit-equal to matmul then add),
 elementwise add/sub/mul, scalar scale, ReLU, axis softmax with an optional
 temperature divisor, natural log, concatenation, sum/mean reductions, batch
 normalization with running statistics, and a gated recurrent cell.  A few
@@ -8,6 +9,11 @@ shape-plumbing primitives (reshape, index_select, split, sigmoid/tanh/power)
 exist because batched model forwards cannot be expressed without them;
 ``split`` cuts a tensor into contiguous views along one axis, and its
 backward writes every slice's gradient into one buffer.
+
+The backward of add, sub, mul, matmul and linear computes no gradient for
+an operand that does not require one (inputs, masks, targets).  ReLU is
+``max(a, 0)``: +0.0 for either signed zero, and a NaN input stays NaN, so a
+NaN pre-activation reaches the loss instead of being zeroed.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -36,6 +42,7 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "linear",
     "relu",
     "softmax",
     "log",
@@ -163,16 +170,26 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(data)
+    out = Tensor.__new__(Tensor)
+    # ops mostly hand over float64 ndarrays; full reductions give numpy scalars
+    out.data = data if type(data) is np.ndarray and data.dtype == np.float64 else _as_array(data)
+    out.grad = None
+    out._consumed = False
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward_fn = None
     return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -182,6 +199,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -192,11 +211,16 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 # elementwise and scalar ops
 # ---------------------------------------------------------------------------
 
+# The backward closures of the two-operand ops return None for an operand
+# that does not require a gradient (an input, mask or target), so no kernel
+# runs for it; ``backward`` skips None.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -205,7 +229,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(a.data - b.data, (a, b), bwd)
 
@@ -214,7 +239,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -229,13 +255,14 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # Subgradient at 0 is 0.
-    mask = a.data > 0
+    # Subgradient at 0 is 0.  max(a, 0) maps -0.0 to +0.0 and keeps NaN;
+    # out > 0 exactly where a > 0.
+    out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _make(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -277,22 +304,41 @@ def power(a: Tensor, exponent: float) -> Tensor:
 # matmul, softmax, concat, reductions, shape plumbing
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
     if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
+        raise ValueError(f"{op}: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
     try:
-        out = np.matmul(a.data, b.data)
+        return np.matmul(a.data, b.data)
     except ValueError:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor):
+    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    out = _matmul_data("matmul", a, b)
+    return _make(out, (a, b), lambda g: _matmul_grads(g, a, b))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node; values and gradients are bit-equal to
+    ``add(matmul(x, w), b)``.  ``b`` must broadcast to the product's shape."""
+    out = _matmul_data("linear", x, w)
+    try:
+        out += b.data
+    except ValueError:
+        raise ValueError(f"linear: bias {b.shape} does not broadcast to {out.shape}") from None
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _matmul_grads(g, x, w) + ((_unbroadcast(g, b.shape) if b.requires_grad else None),)
 
-    return _make(out, (a, b), bwd)
+    return _make(out, (x, w, b), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

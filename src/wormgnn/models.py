@@ -128,7 +128,7 @@ class Linear:
         return [self.weight, self.bias]
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight.tensor), self.bias.tensor)
+        return ad.linear(x, self.weight.tensor, self.bias.tensor)
 
 
 class TwoLayerMlp:
@@ -196,6 +196,26 @@ class LstmUnit:
 
 def _offdiag_mask(n: int) -> np.ndarray:
     return 1.0 - np.eye(n)
+
+
+def _checked_arrays(kind: str, given: dict, shapes: dict, optional: dict | None = None) -> dict:
+    """``given`` as float64 arrays by name, once every name in ``shapes`` is
+    present, no name outside ``shapes`` and ``optional`` is, and each array
+    has its expected shape."""
+    optional = optional or {}
+    unknown = sorted(set(given) - set(shapes) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {kind} {unknown[0]}")
+    missing = sorted(set(shapes) - set(given))
+    if missing:
+        raise ValueError(f"missing {kind}s {missing}")
+    arrays = {}
+    for name, values in given.items():
+        arrays[name] = np.array(values, dtype=np.float64)
+        expected = shapes[name] if name in shapes else optional[name]
+        if arrays[name].shape != expected:
+            raise ValueError(f"{kind} {name} shape {arrays[name].shape} != expected {expected}")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +303,21 @@ class NeuralModel:
 
     def load_state(self, params: dict, buffers: dict) -> None:
         """Set parameters and buffers from arrays by name; an unknown or missing
-        parameter, or one of the wrong shape, raises naming it."""
+        parameter or buffer, or one of the wrong shape, raises naming it.  The
+        connectome buffer is optional."""
         named = self.named_parameters()
-        unknown = sorted(set(params) - set(named))
-        if unknown:
-            raise ValueError(f"unknown parameter {unknown[0]}")
-        missing = sorted(set(named) - set(params))
-        if missing:
-            raise ValueError(f"missing parameters {missing}")
+        n = self.config.n_neurons
+        params = _checked_arrays("parameter", params, {name: p.data.shape for name, p in named.items()})
+        buffers = _checked_arrays(
+            "buffer", buffers,
+            {name: v.shape for bn in self.batchnorms() for name, v in bn.buffers().items()},
+            optional={"connectome": (n, n)})
         for name, p in named.items():
-            values = np.array(params[name], dtype=np.float64)
-            if values.shape != p.data.shape:
-                raise ValueError(f"parameter {name} shape {values.shape} != expected {p.data.shape}")
-            p.data = values
+            p.data = params[name]
         for bn in self.batchnorms():
             bn.load_buffers(buffers)
         if "connectome" in buffers:
-            self.connectome = np.array(buffers["connectome"], dtype=np.float64)
+            self.connectome = buffers["connectome"]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -404,9 +422,8 @@ class NeuralModel:
         if self.config.recurrent:
             batch, width = x.shape[0], x.shape[1]
             outputs, rec_state = [], None
-            for t in range(width):
-                frame = ad.index_select(x, 1, [t]).reshape((batch, x.shape[2]))
-                out, rec_state = self._recurrent_step(frame, rec_state)
+            for frame in ad.split(x, [1] * width, axis=1):
+                out, rec_state = self._recurrent_step(frame.reshape((batch, x.shape[2])), rec_state)
                 outputs.append(ad.reshape(out, (batch, 1, self.lstm.hidden_dim)))
             x = ad.concat(outputs, axis=1)
         return self.trunk.forward(x, training)
@@ -418,8 +435,9 @@ class NeuralModel:
         lead, axis = x.shape[:-2], x.ndim - 2
         predict = self.config.task is Task.PREDICT
         outs = []
-        for i, node in enumerate(self.node_blocks):
-            h = node.forward(ad.index_select(x, axis, [i]).reshape(lead + (x.shape[-1],)), training)
+        columns = ad.split(x, [1] * len(self.node_blocks), axis=axis)
+        for i, (node, column) in enumerate(zip(self.node_blocks, columns)):
+            h = node.forward(column.reshape(lead + (x.shape[-1],)), training)
             outs.append(ad.reshape(self.node_heads[i].forward(h), lead + (1, 2)) if predict else h)
         return ad.concat(outs, axis=axis if predict else -1)
 
@@ -603,10 +621,15 @@ def load_checkpoint(path) -> NeuralModel:
         raise ValueError(f"load_checkpoint: {path} is not a {CHECKPOINT_FORMAT} file")
     if raw.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"load_checkpoint: unsupported version {raw.get('version')}")
-    model = NeuralModel(ModelConfig(**raw["config"]))
-    params, buffers = ({entry["name"]: np.reshape(entry["values"], entry["shape"])
-                        for entry in raw.get(key, [])} for key in ("parameters", "buffers"))
     try:
+        # a config key ModelConfig does not take, or a missing one, is a TypeError naming it
+        config = ModelConfig(**raw.get("config", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"load_checkpoint: {path}: {exc}") from None
+    model = NeuralModel(config)
+    try:
+        params, buffers = ({entry["name"]: np.reshape(entry["values"], entry["shape"])
+                            for entry in raw.get(key, [])} for key in ("parameters", "buffers"))
         model.load_state(params, buffers)
     except ValueError as exc:
         raise ValueError(f"load_checkpoint: {path}: {exc}") from None

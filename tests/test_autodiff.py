@@ -29,6 +29,13 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+def test_relu_matches_masked_select_on_signed_zeros_and_propagates_nan():
+    a = np.array([-0.0, 0.0, -1.5, 2.0, -0.0, 1e-300, -1e-300] * 5)
+    assert ad.relu(ad.tensor(a)).data.tobytes() == np.where(a > 0, a, 0.0).tobytes()
+    out = ad.relu(ad.tensor([np.nan, -np.nan, 1.0]))
+    assert np.isnan(out.data[:2]).all() and out.data[2] == 1.0
+
+
 def test_softmax_symmetry():
     out = ad.softmax(ad.tensor([0.0, 0.0]), axis=0)
     assert np.allclose(out.data, [0.5, 0.5])
@@ -96,6 +103,13 @@ OPS = {
     "mul": lambda x: ad.mul(x, ad.Tensor(np.linspace(0.5, 1.5, x.data.size).reshape(x.shape))),
     "scale": lambda x: ad.scale(x, -2.5),
     "matmul": lambda x: ad.matmul(x, ad.Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
+    # x as each operand of linear in turn: input, weight, and a bias broadcast over a leading axis
+    "linear_x": lambda x: ad.linear(x, ad.Tensor(np.linspace(-1, 1, 12).reshape(4, 3)),
+                                    ad.Tensor(np.linspace(0.5, -0.5, 3))),
+    "linear_w": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 5, 3)), x,
+                                    ad.Tensor(np.linspace(0.5, -0.5, 4))),
+    "linear_b": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 3, 5)),
+                                    ad.Tensor(np.cos(np.arange(20.0)).reshape(5, 4)), x),
     "relu": lambda x: ad.relu(x),
     "softmax": lambda x: ad.softmax(x, axis=-1, temperature=0.7),
     "log": lambda x: ad.log(ad.add(ad.mul(x, x), ad.Tensor(np.full(x.shape, 0.5)))),
@@ -126,6 +140,64 @@ def test_grad_check_each_op(name):
         x = ad.tensor(rng.normal(size=(3, 4)) + 0.1)
         err = ad.grad_check(scalarize(op), x, step=STEP)
         assert err < GRAD_TOL, f"{name} seed {seed}: {err}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_linear_is_bit_equal_to_matmul_then_add(lead, in_dim, out_dim, bias_per_row, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=tuple(lead) + (in_dim,))
+    w0 = rng.normal(size=(in_dim, out_dim))
+    b0 = rng.normal(size=(lead[-1], out_dim) if bias_per_row else (out_dim,))
+    upstream = ad.Tensor(rng.normal(size=tuple(lead) + (out_dim,)))
+
+    def run(op):
+        x, w, b = (ad.tensor(v, requires_grad=True) for v in (x0, w0, b0))
+        out = op(x, w, b)
+        ad.mul(out, upstream).sum().backward()
+        return [t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)]
+
+    fused = run(ad.linear)
+    assert fused == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+
+
+def test_linear_shape_errors_name_the_op():
+    x, w = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(4, 5\)"):
+        ad.linear(x, ad.tensor(np.zeros((4, 5))), ad.tensor(np.zeros(5)))
+    with pytest.raises(ValueError, match=r"linear: bias \(3, 2, 4\) does not broadcast to \(2, 4\)"):
+        ad.linear(x, w, ad.tensor(np.zeros((3, 2, 4))))
+
+
+BINARY_BACKWARD = {
+    # op, operand shapes, the gradients of (a, b) for upstream g
+    "add": (ad.add, ((3, 4), (4,)), lambda g, a, b: (g, g.sum(axis=0))),
+    "sub": (ad.sub, ((3, 4), (4,)), lambda g, a, b: (g, (-g).sum(axis=0))),
+    "mul": (ad.mul, ((3, 4), (4,)), lambda g, a, b: (g * b, (g * a).sum(axis=0))),
+    "matmul": (ad.matmul, ((3, 4), (4, 2)), lambda g, a, b: (g @ b.T, a.T @ g)),
+    "linear": (lambda a, b: ad.linear(a, b, ad.tensor(np.ones(2))), ((3, 4), (4, 2)),
+               lambda g, a, b: (g @ b.T, a.T @ g)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_BACKWARD))
+@pytest.mark.parametrize("constant", [0, 1])
+def test_backward_skips_constant_operands(name, constant):
+    op, shapes, expected = BINARY_BACKWARD[name]
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=shape) for shape in shapes]
+    operands = [ad.tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+    out = op(*operands)
+    g = rng.normal(size=out.shape)
+    grads = out._backward_fn(g)
+    assert grads[constant] is None
+    live = 1 - constant
+    assert grads[live].tobytes() == expected(g, *values)[live].tobytes()
+    if name == "linear":  # the bias is a constant too
+        assert grads[2] is None
 
 
 def test_grad_check_lstm_cell():

@@ -316,6 +316,29 @@ def test_eval_and_shape_mismatch(tmp_path, capsys):
     assert "5" in err and "7" in err
 
 
+@pytest.mark.parametrize("corrupt,name", [
+    (lambda raw: raw.update(buffers=[b for b in raw["buffers"]
+                                     if b["name"] != "trunk.bn.running_var"]), "trunk.bn.running_var"),
+    (lambda raw: raw["config"].update(hidden=3), "hidden"),
+], ids=["missing_buffer", "unknown_config_key"])
+def test_eval_names_bad_checkpoint_entry(tmp_path, capsys, corrupt, name):
+    data = gen_synth(tmp_path)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(data))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "2"]) == 0
+    ckpt = run / "model.ckpt"
+    raw = json.loads(ckpt.read_text())
+    corrupt(raw)
+    ckpt.write_text(json.dumps(raw))
+    eval_cfg = write_config(tmp_path / "eval.json", {
+        "task": "classify2", "data_dir": str(data), "checkpoint": str(ckpt),
+        "train": {"fold_count": 5, "window_len": 8},
+    })
+    assert main(["eval", "--config", str(eval_cfg), "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert f"load_checkpoint: {ckpt}: " in err and name in err
+
+
 def test_eval_rejects_class_count_mismatch(tmp_path, capsys):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"

@@ -540,8 +540,8 @@ def test_checkpoint_rejects_other_files(tmp_path):
         m.load_checkpoint(path)
 
 
-def _entry(raw, name):
-    return next(e for e in raw["parameters"] if e["name"] == name)
+def _entry(raw, name, key="parameters"):
+    return next(e for e in raw[key] if e["name"] == name)
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -552,15 +552,26 @@ def _entry(raw, name):
     (lambda raw: _entry(raw, "head.bias").update(shape=[1, 2]),
      r"parameter head.bias shape \(1, 2\) != expected \(2,\)"),
     (lambda raw: raw.update(version=2), "unsupported version 2"),
-], ids=["unknown", "missing", "shape", "version"])
+    (lambda raw: raw["buffers"].append({"name": "trunk.bn.ghost", "shape": [1], "values": [0.0]}),
+     "unknown buffer trunk.bn.ghost"),
+    (lambda raw: raw["buffers"].remove(_entry(raw, "trunk.bn.running_var", "buffers")),
+     r"missing buffers \['trunk.bn.running_var'\]"),
+    (lambda raw: _entry(raw, "trunk.bn.running_mean", "buffers").update(shape=[1, 8]),
+     r"buffer trunk.bn.running_mean shape \(1, 8\) != expected \(8,\)"),
+    (lambda raw: raw["buffers"].append({"name": "connectome", "shape": [2, 2], "values": [0.0] * 4}),
+     r"buffer connectome shape \(2, 2\) != expected \(4, 4\)"),
+    (lambda raw: raw["config"].update(hidden=16), "unexpected keyword argument 'hidden'"),
+], ids=["unknown", "missing", "shape", "version", "buffer_unknown", "buffer_missing",
+        "buffer_shape", "connectome_shape", "config_key"])
 def test_checkpoint_rejects_bad_entries(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
     m.save_checkpoint(m.NeuralModel(gnn_config(), master_seed=1), path)
     raw = json.loads(path.read_text())
     corrupt(raw)
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         m.load_checkpoint(path)
+    assert str(info.value).startswith("load_checkpoint: ")
 
 
 # -- linear baseline ----------------------------------------------------------------
