@@ -376,7 +376,6 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
             f"recording has {rec.n_neurons}"
         )
     rec = normalize_recording(rec)
-    window = np.stack([rec.traces, rec.derivatives], axis=-1)  # (N, T, 2)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_matrix(path, matrix):
@@ -388,12 +387,12 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
         inferred_mean = model.connectome
         write_matrix(out_dir / "edges.tsv", inferred_mean)
     elif model.config.edge_mode is m.EdgeMode.DYNAMIC:
-        stack = m.encode_edges(window, model)
+        stack = m.encode_edges(rec.features, model)
         inferred_mean = stack.mean(axis=0)
         write_matrix(out_dir / "edges_mean.tsv", inferred_mean)
         write_matrix(out_dir / "edges_std.tsv", stack.std(axis=0))
     else:
-        inferred_mean = m.encode_edges(window, model)
+        inferred_mean = m.encode_edges(rec.features, model)
         write_matrix(out_dir / "edges.tsv", inferred_mean)
 
     report = {"edge_mode": model.config.edge_mode.value}

@@ -2,13 +2,16 @@
 
 Covers normalization, the derivative feature channel, fixed-length windows,
 fold assignment, neuron selection, and the fine-to-coarse label mapping.
+WormRecording.features is the one (T, N, 2) layout of a recording's trace
+and derivative channels; windows and folds are integer arrays over its
+timesteps (start index and fold of each window), not copies of it.
 All operations are pure given (input, seed).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -158,6 +161,11 @@ class WormRecording:
     def n_timesteps(self) -> int:
         return self.traces.shape[1]
 
+    @property
+    def features(self) -> np.ndarray:
+        """(T, N, 2): each timestep's trace and derivative channel per neuron."""
+        return np.stack([self.traces.T, self.derivatives.T], axis=-1)
+
 
 def compute_derivative(trace: np.ndarray) -> np.ndarray:
     """Forward difference; the final value repeats so length stays T."""
@@ -187,15 +195,8 @@ def normalize_recording(rec: WormRecording) -> WormRecording:
 
     Constant rows map to all-zeros; idempotent on already-normalized data.
     """
-    return WormRecording(
-        worm_id=rec.worm_id,
-        dataset_tag=rec.dataset_tag,
-        sample_period_s=rec.sample_period_s,
-        neuron_names=list(rec.neuron_names),
-        traces=_minmax_rows(rec.traces),
-        derivatives=_minmax_rows(rec.derivatives),
-        labels=list(rec.labels),
-    )
+    return replace(rec, neuron_names=list(rec.neuron_names), traces=_minmax_rows(rec.traces),
+                   derivatives=_minmax_rows(rec.derivatives), labels=list(rec.labels))
 
 
 def select_neurons(rec: WormRecording, names, exclude: bool = False) -> WormRecording:
@@ -212,46 +213,26 @@ def select_neurons(rec: WormRecording, names, exclude: bool = False) -> WormReco
     else:
         keep = list(names)
     idx = [rec.neuron_names.index(n) for n in keep]
-    return WormRecording(
-        worm_id=rec.worm_id,
-        dataset_tag=rec.dataset_tag,
-        sample_period_s=rec.sample_period_s,
-        neuron_names=keep,
-        traces=rec.traces[idx],
-        derivatives=rec.derivatives[idx],
-        labels=list(rec.labels),
-    )
+    return replace(rec, neuron_names=keep, traces=rec.traces[idx],
+                   derivatives=rec.derivatives[idx], labels=list(rec.labels))
 
 
 # ---------------------------------------------------------------------------
 # windows and folds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Window:
-    """Contiguous W-timestep slice; the unit of batching and fold assignment."""
-
-    worm_id: str
-    start_index: int
-    features: np.ndarray  # N x W x 2 (trace, derivative channels)
-    labels: list[StateLabel]
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.worm_id, self.start_index)
-
-    def majority_label(self) -> StateLabel:
-        counts: dict[StateLabel, int] = {}
-        for lab in self.labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        best = max(counts.values())
-        winners = [lab for lab, c in counts.items() if c == best]
-        winners.sort(key=lambda lab: lab.value)
-        return winners[0]
+def majority_label(labels) -> StateLabel:
+    """The most frequent label; a tie goes to the smallest label value."""
+    counts: dict[StateLabel, int] = {}
+    for lab in labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    best = max(counts.values())
+    return min((lab for lab, c in counts.items() if c == best), key=lambda lab: lab.value)
 
 
-def windowize(rec: WormRecording, window_len: int, seed: int) -> list[Window]:
-    """Cut floor(T/W) non-overlapping windows and shuffle them deterministically.
+def windowize(rec: WormRecording, window_len: int, seed: int) -> np.ndarray:
+    """Start indices of floor(T/W) non-overlapping windows, shuffled
+    deterministically; window i is ``rec.features[starts[i] : starts[i] + W]``.
 
     The trailing remainder is dropped.
     """
@@ -261,61 +242,35 @@ def windowize(rec: WormRecording, window_len: int, seed: int) -> list[Window]:
         raise ValueError(
             f"windowize: window length {window_len} exceeds recording length {rec.n_timesteps}"
         )
-    count = rec.n_timesteps // window_len
-    windows = []
-    for i in range(count):
-        start = i * window_len
-        stop = start + window_len
-        feats = np.stack([rec.traces[:, start:stop], rec.derivatives[:, start:stop]], axis=-1)
-        windows.append(
-            Window(
-                worm_id=rec.worm_id,
-                start_index=start,
-                features=feats,
-                labels=rec.labels[start:stop],
-            )
-        )
-    rng = derive_rng(seed, "windowize", rec.worm_id)
-    order = rng.permutation(count)
-    return [windows[i] for i in order]
+    order = derive_rng(seed, "windowize", rec.worm_id).permutation(rec.n_timesteps // window_len)
+    return (order * window_len).astype(np.intp)
 
 
-@dataclass
-class FoldAssignment:
-    fold_count: int
-    assignment: dict = field(default_factory=dict)  # window key -> fold index
-    seed: int = 0
+def assign_folds(window_labels, k: int, seed: int) -> np.ndarray:
+    """Stratified near-equal folds, one per window, deterministic under seed.
 
-    def fold_of(self, window: Window) -> int:
-        return self.assignment[window.key]
-
-
-def assign_folds(windows: list[Window], k: int, seed: int) -> FoldAssignment:
-    """Stratified near-equal folds, deterministic under seed.
-
-    Windows are grouped by majority label and dealt round-robin with a
-    cursor shared across groups, so fold sizes differ by at most one while
-    each fold stays representative of the label mix.
+    ``window_labels`` holds each window's label sequence.  Windows are
+    grouped by majority label and dealt round-robin with a cursor shared
+    across groups, so fold sizes differ by at most one while each fold
+    stays representative of the label mix.
     """
     if k < 2:
         raise ValueError(f"assign_folds: fold count must be >= 2, got {k}")
-    if k > len(windows):
-        raise ValueError(f"assign_folds: {k} folds for only {len(windows)} windows")
+    if k > len(window_labels):
+        raise ValueError(f"assign_folds: {k} folds for only {len(window_labels)} windows")
 
-    groups: dict[str, list[Window]] = {}
-    for w in windows:
-        groups.setdefault(w.majority_label().value, []).append(w)
+    groups: dict[str, list[int]] = {}
+    for i, labels in enumerate(window_labels):
+        groups.setdefault(majority_label(labels).value, []).append(i)
 
     rng = derive_rng(seed, "folds")
-    assignment: dict[tuple[str, int], int] = {}
+    folds = np.empty(len(window_labels), dtype=np.intp)
     cursor = 0
     for label_value in sorted(groups):
-        members = groups[label_value]
-        order = rng.permutation(len(members))
-        for j in order:
-            assignment[members[j].key] = cursor % k
-            cursor += 1
-    return FoldAssignment(fold_count=k, assignment=assignment, seed=seed)
+        members = np.asarray(groups[label_value])
+        folds[members[rng.permutation(len(members))]] = (cursor + np.arange(len(members))) % k
+        cursor += len(members)
+    return folds
 
 
 def worm_permutations(worm_ids, r: int) -> list[tuple]:

@@ -116,7 +116,10 @@ def _rollout_error_per_step(model, sources, steps: int, burn_in: int) -> PerStep
                                          edge_feats=edge_feats)
         used += u
         skipped += s
-    per_step = np.divide(totals, counts, out=np.zeros(steps), where=counts > 0)
+    if not used:  # an average over no rollout is undefined, not zero
+        raise ValueError(f"per-step MSE: no window has the {burn_in + steps} frames of lookahead "
+                         f"that burn_in={burn_in} and steps={steps} need ({skipped} skipped)")
+    per_step = totals / counts
     summary = {s: float(per_step[s - 1]) for s in (1, 8, 16) if s <= steps}
     return PerStepMse(per_step=per_step, summary=summary,
                       windows_used=used, windows_skipped=skipped)
@@ -127,11 +130,15 @@ def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
     """MSE per prediction step, averaged across window-start rollouts of all recordings.
 
     Recordings are expected normalized.  Windows without ``steps`` ground-
-    truth frames of lookahead are skipped and counted.  Static edges come
-    from the frames that windowing covers, as in training.
+    truth frames of lookahead are skipped and counted; no usable window at
+    all raises.  Static edges come from the frames that windowing covers,
+    as in training.
     """
+    if window_len < 1:
+        raise ValueError(f"per_step_mse: window_len must be >= 1, got {window_len}")
+
     def source(rec):
-        full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)  # (T, N, 2)
+        full = rec.features
         covered = (rec.n_timesteps // window_len) * window_len
         return full, range(0, covered, window_len), full[None, :covered]
 
@@ -194,45 +201,41 @@ def pca_project(derivatives: np.ndarray, components: int = 3) -> PcaResult:
 # plot-data export (delimited text; no rendering)
 # ---------------------------------------------------------------------------
 
+def _write_tsv(path, header, rows) -> None:
+    """One tab-joined line per row of string cells, header first."""
+    lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def export_accuracy_table(path, rows) -> None:
     """Rows of (label, mean, std) -> accuracy-bar table."""
-    lines = ["model\tmean\tstd"]
-    for label, mean, std in rows:
-        lines.append(f"{label}\t{float(mean)!r}\t{float(std)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_tsv(path, ["model", "mean", "std"],
+               ([str(label), repr(float(mean)), repr(float(std))] for label, mean, std in rows))
 
 
 def export_confusion(path, matrix, state_names, corner: str = "true\\predicted") -> None:
     """Square matrix with named rows and columns; ``corner`` labels the two axes."""
-    matrix = np.asarray(matrix)
-    lines = [corner + "\t" + "\t".join(state_names)]
-    for name, row in zip(state_names, matrix):
-        lines.append(name + "\t" + "\t".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_tsv(path, [corner, *state_names],
+               ([name, *(repr(float(v)) for v in row)]
+                for name, row in zip(state_names, np.asarray(matrix))))
 
 
 def export_mse_curves(path, curves: dict) -> None:
     """curves: model label -> per-step MSE vector."""
     labels = sorted(curves)
-    steps = max(len(np.asarray(curves[lab])) for lab in labels)
-    lines = ["step\t" + "\t".join(labels)]
-    for s in range(steps):
-        cells = []
-        for lab in labels:
-            vec = np.asarray(curves[lab])
-            cells.append(repr(float(vec[s])) if s < len(vec) else "")
-        lines.append(f"{s + 1}\t" + "\t".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    vectors = [np.asarray(curves[lab]) for lab in labels]
+    steps = max(len(vec) for vec in vectors)
+    _write_tsv(path, ["step", *labels],
+               ([str(s + 1), *(repr(float(vec[s])) if s < len(vec) else "" for vec in vectors)]
+                for s in range(steps)))
 
 
 def export_pca_trajectory(path, projection, labels=None) -> None:
     projection = np.asarray(projection)
-    c = projection.shape[1]
-    header = "t\t" + "\t".join(f"pc{j + 1}" for j in range(c)) + ("\tstate" if labels is not None else "")
-    lines = [header]
-    for t in range(projection.shape[0]):
-        row = f"{t}\t" + "\t".join(repr(float(v)) for v in projection[t])
-        if labels is not None:
-            row += f"\t{labels[t].value if hasattr(labels[t], 'value') else labels[t]}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["t"] + [f"pc{j + 1}" for j in range(projection.shape[1])]
+    rows = [[str(t), *(repr(float(v)) for v in row)] for t, row in enumerate(projection)]
+    if labels is not None:
+        header.append("state")
+        for t, row in enumerate(rows):
+            row.append(str(labels[t].value if hasattr(labels[t], "value") else labels[t]))
+    _write_tsv(path, header, rows)

@@ -28,8 +28,9 @@ The forward API is batched and has three entry points: classify_logits maps
 a (B, W, N, 2) stack to per-timestep logits (training.predict_classes takes
 their argmax), predict_residual maps one (B, N, 2) frame to its residual, and
 rollout_batch iterates predict_residual under scheduled sampling.
-encode_edges returns inferred edges as arrays.  NeuralModel.state and
-load_state copy parameters and buffers, for checkpoints and the best epoch.
+encode_edges returns the inferred edges of a recording's (T, N, 2) frames
+(WormRecording.features) or of one (N, 2) frame as arrays.  NeuralModel.state
+and load_state copy parameters and buffers, for checkpoints and the best epoch.
 """
 
 from __future__ import annotations
@@ -492,21 +493,22 @@ class NeuralModel:
 # ---------------------------------------------------------------------------
 
 def encode_edges(features, model: NeuralModel) -> np.ndarray:
-    """Inferred edge weights of a feature window (N, W, 2) or frame (N, 2).
+    """Inferred edge weights of a recording's frames (T, N, 2) or one frame (N, 2).
 
     Static and one-hot modes return one (N, N) matrix; dynamic returns one
-    per timestep, (W, N, N), inferred EDGE_CHUNK_FRAMES frames at a time so
+    per frame, (T, N, N), inferred EDGE_CHUNK_FRAMES frames at a time so
     that memory stays bounded on long recordings.
     """
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim not in (2, 3):
-        raise ValueError(f"features: expected (N, 2) or (N, W, 2), got shape {arr.shape}")
-    window = arr[None] if arr.ndim == 2 else np.transpose(arr, (1, 0, 2))  # (W, N, 2)
+    frames = np.asarray(features, dtype=np.float64)
+    if frames.ndim not in (2, 3):
+        raise ValueError(f"features: expected (N, 2) or (T, N, 2), got shape {frames.shape}")
+    if frames.ndim == 2:
+        frames = frames[None]
     with ad.no_grad():
         if model.config.edge_mode is not EdgeMode.DYNAMIC:
-            return model.edge_weights(Tensor(window[None]), training=False).data[0]
-        starts = range(0, len(window), EDGE_CHUNK_FRAMES)
-        return np.concatenate([model.edge_weights(Tensor(window[None, t : t + EDGE_CHUNK_FRAMES]),
+            return model.edge_weights(Tensor(frames[None]), training=False).data[0]
+        starts = range(0, len(frames), EDGE_CHUNK_FRAMES)
+        return np.concatenate([model.edge_weights(Tensor(frames[None, t : t + EDGE_CHUNK_FRAMES]),
                                                   training=False).data[0] for t in starts])
 
 
@@ -558,6 +560,8 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     """
     if steps < 1:
         raise ValueError(f"rollout: steps must be >= 1, got {steps}")
+    if burn_in < 0:
+        raise ValueError(f"rollout: burn_in must be >= 0, got {burn_in}")
     teacher = np.asarray(teacher, dtype=np.float64)
     if teacher.ndim != 4:
         raise ValueError(f"rollout: teacher must be (B, L, N, 2), got {teacher.shape}")

@@ -62,6 +62,8 @@ class TrainConfig:
                      "fold_count", "window_len", "eval_rollout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"TrainConfig: {name} must be positive")
+        if self.burn_in < 0:
+            raise ValueError(f"TrainConfig: burn_in must be >= 0, got {self.burn_in}")
 
 
 @dataclass
@@ -226,23 +228,25 @@ class PreparedWorm:
     features: np.ndarray  # (n_windows, W, N, 2)
     targets: np.ndarray  # (n_windows, W) class indices, -1 masked; empty for predict
     folds: np.ndarray  # (n_windows,)
-    window_starts: np.ndarray
+    window_starts: np.ndarray  # (n_windows,) first timestep of each window in full_features
     full_features: np.ndarray  # (T, N, 2) whole recording, for long rollouts
 
 
 def prepare_worm(rec: WormRecording, task: str, cfg: TrainConfig, master_seed: int) -> PreparedWorm:
     rec = normalize_recording(rec)
-    windows = windowize(rec, cfg.window_len, seed=master_seed)
-    fold_assignment = assign_folds(windows, cfg.fold_count, seed=master_seed)
-    feats = np.stack([np.transpose(w.features, (1, 0, 2)) for w in windows])  # (B, W, N, 2)
+    full = rec.features
+    starts = windowize(rec, cfg.window_len, seed=master_seed)
+    steps = starts[:, None] + np.arange(cfg.window_len)  # (B, W) timesteps of each window
+    # (B, W, N, 2) stored neuron-major within each window, as (B, N, W, 2): the
+    # memory order fixes the summation order of reductions over the windows
+    neurons = np.arange(rec.n_neurons)[:, None]
+    feats = full.transpose(1, 0, 2)[neurons, steps[:, None]].transpose(0, 2, 1, 3)
+    folds = assign_folds([rec.labels[s : s + cfg.window_len] for s in starts], cfg.fold_count,
+                         seed=master_seed)
     if task == "predict":
-        targets = np.empty((len(windows), 0), dtype=np.intp)
+        targets = np.empty((len(starts), 0), dtype=np.intp)
     else:
-        scheme = TASK_SCHEMES[task]
-        targets = np.stack([class_targets(w.labels, scheme) for w in windows])
-    folds = np.array([fold_assignment.fold_of(w) for w in windows], dtype=np.intp)
-    starts = np.array([w.start_index for w in windows], dtype=np.intp)
-    full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)  # (T, N, 2)
+        targets = class_targets(rec.labels, TASK_SCHEMES[task])[steps]
     return PreparedWorm(rec.worm_id, feats, targets, folds, starts, full)
 
 
@@ -289,6 +293,9 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
                if wid not in prepared]
     if missing:
         raise ValueError(f"train: worms not prepared: {missing}")
+    if test_fold == val_fold or not (0 <= test_fold < cfg.fold_count and 0 <= val_fold < cfg.fold_count):
+        raise ValueError(f"train: test_fold {test_fold} and val_fold {val_fold} must be distinct "
+                         f"folds in [0, {cfg.fold_count})")
 
     state = TrainState(lr=cfg.learning_rate, adam=AdamState(model.parameters(), cfg.learning_rate))
     train_ids = sorted(plan.train_worm_ids)
@@ -299,16 +306,13 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
             f"train: window_len {cfg.window_len} leaves no prediction steps after burn_in {cfg.burn_in}"
         )
 
-    def fold_slice(worm: PreparedWorm, folds) -> np.ndarray:
-        return np.isin(worm.folds, folds)
-
     train_folds = [f for f in range(cfg.fold_count) if f not in (test_fold, val_fold)]
 
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
         for wid in train_ids:
             worm = prepared[wid]
-            mask = fold_slice(worm, train_folds)
+            mask = np.isin(worm.folds, train_folds)
             if not mask.any():
                 continue
             model.zero_grad()

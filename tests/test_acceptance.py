@@ -182,10 +182,10 @@ def test_criterion_3_edge_weight_normalization():
     static = m.NeuralModel(
         m.ModelConfig(module_kind=m.ModuleKind.GNN, task=m.Task.CLASSIFY, n_neurons=4,
                       n_states=2, hidden_dim=6, edge_mode=m.EdgeMode.STATIC), master_seed=0)
-    window = rng.uniform(size=(4, 12, 2))
-    adj = m.encode_edges(window, static)
+    frames = rng.uniform(size=(12, 4, 2))
+    adj = m.encode_edges(frames, static)
     assert isinstance(adj, np.ndarray) and adj.shape == (4, 4)
-    shuffled = window[:, rng.permutation(12), :]
+    shuffled = frames[rng.permutation(12)]
     adj2 = m.encode_edges(shuffled, static)
     assert np.allclose(adj, adj2, atol=1e-12)
     report(3, "1000 inputs: pair components sum to 1 (1e-9), w in [0,1]; static A timestep-invariant")

@@ -113,6 +113,18 @@ def test_train_outputs_and_manifest_rerun(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("folds", [{"test_fold": 0, "val_fold": 0}, {"test_fold": 7},
+                                   {"val_fold": -1}], ids=["same", "test_7_of_5", "val_-1"])
+def test_train_rejects_unusable_folds(tmp_path, capsys, folds):
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "train.json", train_config(data, **folds))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    test_fold, val_fold = folds.get("test_fold", 0), folds.get("val_fold", 1)
+    assert (f"test_fold {test_fold} and val_fold {val_fold} must be distinct folds in [0, 5)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("section,spec,field", [
     ("train", {"max_epoch": 1}, "max_epoch"),
     ("model", {"module_kind": "mlp", "hidden": 4}, "hidden"),
@@ -376,6 +388,24 @@ def test_rollout_outputs_table(tmp_path):
         assert float(mse) >= 0.0
     metrics = json.loads((out / "metrics.json").read_text())
     assert len(metrics["per_step_mse"]) == 16
+
+
+@pytest.mark.parametrize("roll,message", [
+    ({"window_len": 0}, "window_len must be >= 1, got 0"),
+    ({"window_len": 400}, "no window has the 16 frames"),
+    ({"burn_in": -2}, "burn_in must be >= 0, got -2"),
+], ids=["zero_window", "window_too_long", "negative_burn_in"])
+def test_rollout_rejects_unusable_windows(tmp_path, capsys, roll, message):
+    data = gen_synth(tmp_path)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(
+        data, task="predict", model={"module_kind": "mlp", "hidden_dim": 4}))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "3"]) == 0
+    roll_cfg = write_config(tmp_path / "roll.json", {
+        "data_dir": str(data), "checkpoint": str(run / "model.ckpt"), "steps": 16, **roll})
+    assert main(["rollout", "--config", str(roll_cfg), "--out", str(tmp_path / "roll")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "roll" / "metrics.json").exists()
 
 
 def test_eval_rejects_predict_checkpoint(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wormgnn import data as dp
@@ -164,26 +164,26 @@ def test_label_to_class_binary_masks_turns():
 
 def test_windowize_count_3200():
     rec = make_recording(np.random.default_rng(0).normal(size=(2, 3200)))
-    windows = dp.windowize(rec, 8, seed=0)
+    starts = dp.windowize(rec, 8, seed=0)
     # oracle: enumeration of non-overlapping starts
-    starts = list(range(0, 3200 - 8 + 1, 8))
-    assert len(windows) == len(starts) == 400
-    assert sorted(w.start_index for w in windows) == starts
+    expected = list(range(0, 3200 - 8 + 1, 8))
+    assert starts.dtype == np.intp
+    assert len(starts) == len(expected) == 400
+    assert sorted(starts.tolist()) == expected
 
 
 def test_windowize_remainder_dropped():
     rec = make_recording(np.random.default_rng(0).normal(size=(2, 10)))
-    windows = dp.windowize(rec, 8, seed=5)
-    assert len(windows) == 1
-    assert windows[0].start_index == 0
-    assert windows[0].features.shape == (2, 8, 2)
+    starts = dp.windowize(rec, 8, seed=5)
+    assert starts.tolist() == [0]
+    assert rec.features[starts[0] : starts[0] + 8].shape == (8, 2, 2)
 
 
 def test_windowize_deterministic():
     rec = make_recording(np.random.default_rng(0).normal(size=(2, 160)))
     a = dp.windowize(rec, 8, seed=42)
     b = dp.windowize(rec, 8, seed=42)
-    assert [w.start_index for w in a] == [w.start_index for w in b]
+    assert a.tolist() == b.tolist()
 
 
 def test_windowize_window_too_long():
@@ -194,72 +194,101 @@ def test_windowize_window_too_long():
 
 def test_windows_tile_prefix():
     rec = make_recording(np.random.default_rng(0).normal(size=(3, 43)))
-    windows = dp.windowize(rec, 8, seed=1)
-    covered = sorted(t for w in windows for t in range(w.start_index, w.start_index + 8))
+    starts = dp.windowize(rec, 8, seed=1)
+    covered = sorted(t for s in starts for t in range(s, s + 8))
     assert covered == list(range((43 // 8) * 8))
 
 
 def test_window_features_match_channels():
     rec = dp.normalize_recording(make_recording(np.random.default_rng(3).normal(size=(3, 16))))
-    w = sorted(dp.windowize(rec, 8, seed=0), key=lambda w: w.start_index)[0]
-    assert np.array_equal(w.features[:, :, 0], rec.traces[:, :8])
-    assert np.array_equal(w.features[:, :, 1], rec.derivatives[:, :8])
+    assert rec.features.shape == (16, 3, 2)
+    assert np.array_equal(rec.features[:, :, 0], rec.traces.T)
+    assert np.array_equal(rec.features[:, :, 1], rec.derivatives.T)
+    first = min(dp.windowize(rec, 8, seed=0))
+    window = rec.features[first : first + 8]
+    assert np.array_equal(window[:, :, 0], rec.traces[:, :8].T)
+    assert np.array_equal(window[:, :, 1], rec.derivatives[:, :8].T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 300), w=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       worm_id=st.sampled_from(["w1", "w2"]))
+def test_windowize_permutes_window_starts(t, w, seed, worm_id):
+    assume(w <= t)
+    rec = make_recording(np.zeros((1, t)), worm_id=worm_id)
+    starts = dp.windowize(rec, w, seed=seed)
+    assert starts.dtype == np.intp
+    assert sorted(starts.tolist()) == list(range(0, (t // w) * w, w))
+    assert np.array_equal(starts, dp.windowize(rec, w, seed=seed))
 
 
 # -- folds --------------------------------------------------------------------
 
-def _labeled_windows(n, labels_cycle):
-    rng = np.random.default_rng(0)
-    windows = []
-    for i in range(n):
-        lab = labels_cycle[i % len(labels_cycle)]
-        windows.append(
-            dp.Window(
-                worm_id="w",
-                start_index=i * 8,
-                features=rng.normal(size=(2, 8, 2)),
-                labels=[lab] * 8,
-            )
-        )
-    return windows
+def _window_labels(n, labels_cycle):
+    """n windows of 8 identical labels, cycling through ``labels_cycle``."""
+    return [[labels_cycle[i % len(labels_cycle)]] * 8 for i in range(n)]
+
+
+def test_majority_label_ties_go_to_smallest_value():
+    assert dp.majority_label([StateLabel.REVERSE1] * 3 + [StateLabel.FORWARD]) is StateLabel.REVERSE1
+    tie = [StateLabel.REVERSE1, StateLabel.FORWARD, StateLabel.UNKNOWN, StateLabel.FORWARD,
+           StateLabel.UNKNOWN, StateLabel.REVERSE1]
+    assert dp.majority_label(tie) is StateLabel.FORWARD
+    assert dp.majority_label(tie[2:3] + tie[5:]) is StateLabel.REVERSE1
 
 
 def test_assign_folds_equal_sizes():
-    windows = _labeled_windows(400, [StateLabel.FORWARD, StateLabel.REVERSE1])
-    fa = dp.assign_folds(windows, 10, seed=0)
-    sizes = np.bincount([fa.fold_of(w) for w in windows], minlength=10)
+    labels = _window_labels(400, [StateLabel.FORWARD, StateLabel.REVERSE1])
+    folds = dp.assign_folds(labels, 10, seed=0)
+    sizes = np.bincount(folds, minlength=10)
     assert np.array_equal(sizes, np.full(10, 40))
 
 
 def test_assign_folds_near_equal_sizes():
-    windows = _labeled_windows(43, [StateLabel.FORWARD, StateLabel.REVERSE1, StateLabel.DORSAL_TURN])
-    fa = dp.assign_folds(windows, 10, seed=0)
-    sizes = np.bincount([fa.fold_of(w) for w in windows], minlength=10)
+    labels = _window_labels(43, [StateLabel.FORWARD, StateLabel.REVERSE1, StateLabel.DORSAL_TURN])
+    folds = dp.assign_folds(labels, 10, seed=0)
+    sizes = np.bincount(folds, minlength=10)
     assert set(sizes) <= {4, 5}
 
 
 def test_assign_folds_partition():
-    windows = _labeled_windows(37, [StateLabel.FORWARD, StateLabel.REVERSE1])
-    fa = dp.assign_folds(windows, 5, seed=3)
-    assert sorted(fa.assignment.keys()) == sorted(w.key for w in windows)
-    assert set(fa.assignment.values()) <= set(range(5))
+    labels = _window_labels(37, [StateLabel.FORWARD, StateLabel.REVERSE1])
+    folds = dp.assign_folds(labels, 5, seed=3)
+    # one fold per window, aligned with the windows
+    assert folds.shape == (37,) and folds.dtype == np.intp
+    assert set(folds.tolist()) <= set(range(5))
 
 
 def test_assign_folds_stratified_proportions():
     # 70/30 label mix; per-fold majority-label share within 10 points of global
-    windows = _labeled_windows(200, [StateLabel.FORWARD] * 7 + [StateLabel.REVERSE1] * 3)
-    fa = dp.assign_folds(windows, 10, seed=1)
+    labels = _window_labels(200, [StateLabel.FORWARD] * 7 + [StateLabel.REVERSE1] * 3)
+    folds = dp.assign_folds(labels, 10, seed=1)
     global_share = 0.7
     for fold in range(10):
-        members = [w for w in windows if fa.fold_of(w) == fold]
-        share = sum(w.majority_label() is StateLabel.FORWARD for w in members) / len(members)
+        members = [lab for lab, f in zip(labels, folds) if f == fold]
+        share = sum(dp.majority_label(lab) is StateLabel.FORWARD for lab in members) / len(members)
         assert abs(share - global_share) <= 0.10
 
 
 def test_assign_folds_too_many():
-    windows = _labeled_windows(4, [StateLabel.FORWARD])
+    labels = _window_labels(4, [StateLabel.FORWARD])
     with pytest.raises(ValueError, match="folds"):
-        dp.assign_folds(windows, 10, seed=0)
+        dp.assign_folds(labels, 10, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(majorities=st.lists(st.sampled_from(dp.FINE_LABELS + [StateLabel.UNKNOWN]),
+                           min_size=2, max_size=120),
+       k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_assign_folds_near_equal_and_deterministic(majorities, k, seed):
+    assume(k <= len(majorities))
+    labels = [[lab] * 3 for lab in majorities]
+    folds = dp.assign_folds(labels, k, seed=seed)
+    assert folds.shape == (len(labels),)
+    assert folds.min() >= 0 and folds.max() < k
+    sizes = np.bincount(folds, minlength=k)
+    assert sizes.max() - sizes.min() <= 1
+    assert np.array_equal(folds, dp.assign_folds(labels, k, seed=seed))
 
 
 # -- permutations -------------------------------------------------------------

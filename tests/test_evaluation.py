@@ -132,8 +132,7 @@ def test_per_step_mse_averages_to_total():
     rec = make_rec(np.random.default_rng(1).uniform(size=(3, 64)))
     model = ConstantResidualModel(3, residual=np.random.default_rng(2).normal(size=(3, 2)))
     res = ev.per_step_mse(model, [rec], steps=6, window_len=8)
-    full = np.stack([rec.traces.T, rec.derivatives.T], axis=-1)
-    teacher = np.stack([full[s : s + 7] for s in range(0, 64, 8)])
+    teacher = np.stack([rec.features[s : s + 7] for s in range(0, 64, 8)])
     preds = rollout_batch(model, teacher, steps=6)
     total = mse_loss(preds, teacher[:, 1:]).item()
     assert res.per_step.shape == (6,)
@@ -165,6 +164,26 @@ def test_per_step_mse_static_edges_match_training_harness():
                                  window_len=8).per_step
         prepared = ev.per_step_mse_prepared(model, [worm], steps=steps)
         np.testing.assert_allclose(direct, prepared, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("window_len,t,steps,match", [
+    (-8, 64, 4, "window_len must be >= 1, got -8"),
+    (0, 64, 4, "window_len must be >= 1, got 0"),
+    (80, 64, 4, "no window has the 4 frames"),
+    (8, 20, 20, r"no window has the 20 frames .* \(2 skipped\)"),
+], ids=["negative", "zero", "longer_than_recording", "no_lookahead"])
+def test_per_step_mse_rejects_unusable_windows(window_len, t, steps, match):
+    rec = make_rec(np.random.default_rng(0).uniform(size=(2, t)))
+    with pytest.raises(ValueError, match=match):
+        ev.per_step_mse(ConstantResidualModel(2), [rec], steps=steps, window_len=window_len)
+
+
+def test_rollout_rejects_negative_burn_in():
+    rec = make_rec(np.random.default_rng(0).uniform(size=(2, 64)))
+    with pytest.raises(ValueError, match="burn_in must be >= 0, got -2"):
+        ev.per_step_mse(ConstantResidualModel(2), [rec], steps=4, window_len=8, burn_in=-2)
+    with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+        rollout_batch(ConstantResidualModel(2), np.zeros((1, 5, 2, 2)), steps=2, burn_in=-1)
 
 
 # -- PCA ------------------------------------------------------------------------------
@@ -247,6 +266,28 @@ def test_export_tables(tmp_path):
     lines = (tmp_path / "pca.tsv").read_text().splitlines()
     assert lines[0] == "t\tpc1\tpc2\tpc3\tstate"
     assert lines[1].endswith("forward")
+
+
+def test_export_tables_exact_bytes(tmp_path):
+    ev.export_accuracy_table(tmp_path / "acc.tsv", [("mlp", 0.1 + 0.2, np.float64(1e-20)),
+                                                    (3, 1, 2.5)])
+    ev.export_confusion(tmp_path / "conf.tsv", [[100.0, 0.0], [1 / 3, 200 / 3]], ["fwd", "rev"])
+    ev.export_confusion(tmp_path / "edges.tsv", np.eye(2), ["A", "B"], corner="source\\target")
+    ev.export_mse_curves(tmp_path / "mse.tsv", {"mlp": [0.5, 0.25], "gnn": np.array([1e-3, 2.0, 3.0])})
+    ev.export_pca_trajectory(tmp_path / "pca.tsv", np.array([[1.0, -0.5], [0.1, 2.0]]),
+                             [StateLabel.FORWARD, "x"])
+    ev.export_pca_trajectory(tmp_path / "pca1.tsv", np.array([[1.0], [-2.0]]))
+    expected = {
+        "acc.tsv": "model\tmean\tstd\nmlp\t0.30000000000000004\t1e-20\n3\t1.0\t2.5\n",
+        "conf.tsv": "true\\predicted\tfwd\trev\nfwd\t100.0\t0.0\n"
+                    "rev\t0.3333333333333333\t66.66666666666667\n",
+        "edges.tsv": "source\\target\tA\tB\nA\t1.0\t0.0\nB\t0.0\t1.0\n",
+        "mse.tsv": "step\tgnn\tmlp\n1\t0.001\t0.5\n2\t2.0\t0.25\n3\t3.0\t\n",
+        "pca.tsv": "t\tpc1\tpc2\tstate\n0\t1.0\t-0.5\tforward\n1\t0.1\t2.0\tx\n",
+        "pca1.tsv": "t\tpc1\n0\t1.0\n1\t-2.0\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 def test_runmetrics_roundtrip():

@@ -154,12 +154,12 @@ def test_edge_weights_in_unit_interval_and_normalized():
     rng = np.random.default_rng(0)
     off_diag = ~np.eye(4, dtype=bool)
     for _ in range(20):
-        window = rng.uniform(size=(4, 6, 2))
-        w = m.encode_edges(window, model)
+        frames = rng.uniform(size=(6, 4, 2))
+        w = m.encode_edges(frames, model)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         assert np.array_equal(np.diag(w), np.ones(4))  # self edges enabled
         # recompute both softmax components: they must sum to one
-        feats = Tensor(np.transpose(window, (1, 0, 2))[None])
+        feats = Tensor(frames[None])
         hidden = model.encoder.forward(feats, training=False).mean(axis=(0, 1))
         logits = concat_pair_logits(model, ad.reshape(hidden, (1, 4, hidden.shape[-1])))
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
@@ -217,53 +217,52 @@ def test_adjacency_broadcasts_and_message_pass_is_brute_force(mode, self_edges, 
 
 
 def test_static_mode_single_matrix_dynamic_per_timestep():
-    window = np.random.default_rng(1).uniform(size=(4, 6, 2))
+    frames = np.random.default_rng(1).uniform(size=(6, 4, 2))
     static = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.STATIC), master_seed=0)
-    adj = m.encode_edges(window, static)
+    adj = m.encode_edges(frames, static)
     assert isinstance(adj, np.ndarray) and adj.shape == (4, 4)
 
     dynamic = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
-    adjs = m.encode_edges(window, dynamic)
+    adjs = m.encode_edges(frames, dynamic)
     assert adjs.shape == (6, 4, 4)
     # matrix t is the edges of frame t alone
-    assert np.array_equal(adjs[5], m.encode_edges(window[:, 5], dynamic)[0])
+    assert np.array_equal(adjs[5], m.encode_edges(frames[5], dynamic)[0])
     assert not np.allclose(adjs[0], adjs[1])
 
 
 def test_dynamic_edges_chunked_equal_whole_stack():
     # a recording longer than one chunk: chunked inference equals one pass over every frame
     model = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.DYNAMIC), master_seed=2)
-    frames = 2 * m.EDGE_CHUNK_FRAMES + 37
-    window = np.random.default_rng(3).normal(size=(4, frames, 2))
+    length = 2 * m.EDGE_CHUNK_FRAMES + 37
+    frames = np.random.default_rng(3).normal(size=(length, 4, 2))
     with ad.no_grad():
-        stack = Tensor(np.transpose(window, (1, 0, 2))[None])
-        whole = model.edge_weights(stack, training=False).data[0]
-    chunked = m.encode_edges(window, model)
-    assert chunked.shape == (frames, 4, 4)
+        whole = model.edge_weights(Tensor(frames[None]), training=False).data[0]
+    chunked = m.encode_edges(frames, model)
+    assert chunked.shape == (length, 4, 4)
     assert np.array_equal(chunked, whole)
 
 
 def test_one_hot_mode_saturates_more_than_unit_temperature():
-    window = np.random.default_rng(5).uniform(size=(5, 8, 2))
+    frames = np.random.default_rng(5).uniform(size=(8, 5, 2))
     plain = m.NeuralModel(gnn_config(n=5, edge_mode=m.EdgeMode.STATIC), master_seed=2)
     onehot = m.NeuralModel(gnn_config(n=5, edge_mode=m.EdgeMode.ONE_HOT), master_seed=2)
-    w_plain = m.encode_edges(window, plain)
-    w_hot = m.encode_edges(window, onehot)
+    w_plain = m.encode_edges(frames, plain)
+    w_hot = m.encode_edges(frames, onehot)
     assert np.abs(w_hot - 0.5).mean() > np.abs(w_plain - 0.5).mean()
     assert np.all(w_hot >= 0) and np.all(w_hot <= 1)
 
 
 def test_no_self_edges_zero_diagonal():
     model = m.NeuralModel(gnn_config(include_self_edges=False), master_seed=1)
-    window = np.random.default_rng(2).uniform(size=(4, 6, 2))
-    adj = m.encode_edges(window, model)
+    frames = np.random.default_rng(2).uniform(size=(6, 4, 2))
+    adj = m.encode_edges(frames, model)
     assert np.array_equal(np.diag(adj), np.zeros(4))
 
 
 def test_connectome_mode_rejected_by_encoder():
     model = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.CONNECTOME), master_seed=0)
     with pytest.raises(ValueError, match="connectome"):
-        m.encode_edges(np.random.default_rng(0).uniform(size=(4, 6, 2)), model)
+        m.encode_edges(np.random.default_rng(0).uniform(size=(6, 4, 2)), model)
 
 
 # -- connectome file -----------------------------------------------------------

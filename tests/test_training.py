@@ -11,7 +11,13 @@ from wormgnn import autodiff as ad
 from wormgnn import models as m
 from wormgnn import training as tr
 from wormgnn.autodiff import Parameter, Tensor
-from wormgnn.data import StateLabel
+from wormgnn.data import (
+    FINE_LABELS,
+    StateLabel,
+    WormRecording,
+    compute_derivative,
+    normalize_recording,
+)
 from wormgnn.synth import SynthConfig, generate_worm
 
 
@@ -303,6 +309,50 @@ def test_train_raises_on_non_finite_loss():
     # no optimizer step ran, so every parameter is still finite and unchanged
     for name, p in model.named_parameters().items():
         assert np.array_equal(p.data, before[name])
+
+
+@pytest.mark.parametrize("test_fold,val_fold", [(0, 0), (7, 1), (0, -1)],
+                         ids=["same_fold", "test_out_of_range", "val_negative"])
+def test_train_rejects_unusable_folds(test_fold, val_fold):
+    recs = small_worms(1)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=1)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["w0"])
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                                        n_neurons=4, n_states=2, hidden_dim=4), master_seed=0)
+    prepared = tr.prepare_worms(recs, "classify2", cfg, 0)
+    with pytest.raises(ValueError, match=rf"test_fold {test_fold} and val_fold {val_fold} must "
+                                         r"be distinct folds in \[0, 5\)"):
+        tr.train(model, plan, cfg, prepared, test_fold=test_fold, val_fold=val_fold)
+
+
+def test_negative_burn_in_rejected():
+    with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+        tr.TrainConfig(burn_in=-1)
+
+
+def test_prepare_worm_pins_starts_folds_and_targets():
+    # pinned: any change here moves every fold split and so every recorded result;
+    # each window's six labels tie 3-3, so fold grouping goes through the tie rule
+    labels = [(FINE_LABELS + [StateLabel.UNKNOWN])[(t // 3) % 8] for t in range(63)]
+    traces = np.random.default_rng(4).normal(size=(3, 63))
+    rec = WormRecording(worm_id="pin", dataset_tag="test", sample_period_s=0.33,
+                        neuron_names=["a", "b", "c"], traces=traces,
+                        derivatives=np.apply_along_axis(compute_derivative, 1, traces),
+                        labels=labels)
+    worm = tr.prepare_worm(rec, "classify4", tr.TrainConfig(window_len=6, fold_count=3),
+                           master_seed=11)
+    assert worm.window_starts.tolist() == [36, 30, 48, 54, 0, 18, 6, 12, 24, 42]
+    assert worm.folds.tolist() == [0, 2, 0, 0, 1, 0, 1, 1, 2, 2]
+    assert worm.targets.tolist() == [
+        [1, 1, 1, 2, 2, 2], [1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1],
+        [0, 0, 0, 0, 0, 0], [3, 3, 3, -1, -1, -1], [1, 1, 1, 1, 1, 1], [1, 1, 1, 2, 2, 2],
+        [0, 0, 0, 0, 0, 0], [3, 3, 3, -1, -1, -1]]
+    # neuron-major within each window: sums over the stack keep their order
+    assert worm.features.transpose(0, 2, 1, 3).flags.c_contiguous
+    full = normalize_recording(rec).features
+    assert np.array_equal(worm.full_features, full)
+    for start, window in zip(worm.window_starts, worm.features):
+        assert np.array_equal(window, full[start : start + 6])
 
 
 def separable_worm(n_windows=40, window_len=4, fold_count=5) -> tr.PreparedWorm:
