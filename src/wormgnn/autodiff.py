@@ -1,19 +1,24 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 The op set is exactly what the models in this package need: matmul,
-``linear`` (x @ w + b as one graph node, bit-equal to matmul then add),
-elementwise add/sub/mul, scalar scale, ReLU, axis softmax with an optional
-temperature divisor, natural log, concatenation, sum/mean reductions, batch
-normalization with running statistics, and a gated recurrent cell.  A few
+``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
+an optional fused ReLU), ``pair_relu`` (relu(src + dst + b) as one node, for
+the pairwise edge layer), elementwise add/sub/mul, scalar scale, ReLU, axis
+softmax with an optional temperature divisor, natural log, concatenation,
+sum/mean reductions, batch normalization with running statistics, and a
+gated recurrent cell.  A fused ReLU rectifies its node's own output buffer
+in place, so an activated layer keeps one array in the graph, not two; its
+values and gradients are bit-equal to the composed ops.  A few
 shape-plumbing primitives (reshape, index_select, split, sigmoid/tanh/power)
 exist because batched model forwards cannot be expressed without them;
 ``split`` cuts a tensor into contiguous views along one axis, and its
 backward writes every slice's gradient into one buffer.
 
-The backward of add, sub, mul, matmul and linear computes no gradient for
-an operand that does not require one (inputs, masks, targets).  ReLU is
-``max(a, 0)``: +0.0 for either signed zero, and a NaN input stays NaN, so a
-NaN pre-activation reaches the loss instead of being zeroed.
+The backward of add, sub, mul, matmul, linear and pair_relu computes no
+gradient for an operand that does not require one (inputs, masks, targets).
+ReLU, fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
+input stays NaN, so a NaN pre-activation reaches the loss instead of being
+zeroed.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -43,6 +48,7 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
+    "pair_relu",
     "relu",
     "softmax",
     "log",
@@ -326,19 +332,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: _matmul_grads(g, a, b))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b`` as one node; values and gradients are bit-equal to
-    ``add(matmul(x, w), b)``.  ``b`` must broadcast to the product's shape."""
+    ``add(matmul(x, w), b)``, and with ``relu`` to ``relu`` of that.  ``b``
+    must broadcast to the product's shape."""
     out = _matmul_data("linear", x, w)
     try:
         out += b.data
     except ValueError:
         raise ValueError(f"linear: bias {b.shape} does not broadcast to {out.shape}") from None
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g):
+        if relu:
+            g = g * (out > 0)
         return _matmul_grads(g, x, w) + ((_unbroadcast(g, b.shape) if b.requires_grad else None),)
 
     return _make(out, (x, w, b), bwd)
+
+
+def pair_relu(src: Tensor, dst: Tensor, b: Tensor) -> Tensor:
+    """``relu(src + dst + b)`` as one node; values and gradients are bit-equal
+    to ``relu(add(add(src, dst), b))``.  ``src`` and ``dst`` broadcast against
+    each other (one row per source and per target node gives every pair), and
+    ``b`` must broadcast to their sum's shape."""
+    _check_broadcast("pair_relu", src, dst)
+    out = src.data + dst.data
+    try:
+        out += b.data
+    except ValueError:
+        raise ValueError(f"pair_relu: bias {b.shape} does not broadcast to {out.shape}") from None
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        g = g * (out > 0)
+        return tuple(_unbroadcast(g, t.shape) if t.requires_grad else None for t in (src, dst, b))
+
+    return _make(out, (src, dst, b), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

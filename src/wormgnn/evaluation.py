@@ -88,13 +88,24 @@ class PerStepMse:
     windows_skipped: int
 
 
+def _no_lookahead(steps: int, burn_in: int, skipped: int) -> ValueError:
+    return ValueError(f"per-step MSE: no window has the {burn_in + steps} frames of lookahead "
+                      f"that burn_in={burn_in} and steps={steps} need ({skipped} skipped)")
+
+
+def _usable_starts(full: np.ndarray, starts, horizon: int) -> np.ndarray:
+    """The window starts with ``horizon`` frames of lookahead left in ``full``."""
+    starts = np.asarray(starts, dtype=np.intp)
+    return starts[starts + horizon < full.shape[0]]
+
+
 def _accumulate_rollout_error(model, full: np.ndarray, starts, steps: int, burn_in: int,
                               totals: np.ndarray, counts: np.ndarray, edge_feats=None):
     """Free-running rollouts from each start; squared error summed per step."""
     horizon = burn_in + steps
-    usable = [s for s in starts if s + horizon < full.shape[0]]
-    skipped = len(list(starts)) - len(usable)
-    if usable:
+    usable = _usable_starts(full, starts, horizon)
+    skipped = len(starts) - len(usable)
+    if usable.size:
         teacher = np.stack([full[s : s + horizon + 1] for s in usable])
         with ad.no_grad():
             preds = rollout_batch(model, teacher, steps, sampling_prob=0.0, training=False,
@@ -117,8 +128,7 @@ def _rollout_error_per_step(model, sources, steps: int, burn_in: int) -> PerStep
         used += u
         skipped += s
     if not used:  # an average over no rollout is undefined, not zero
-        raise ValueError(f"per-step MSE: no window has the {burn_in + steps} frames of lookahead "
-                         f"that burn_in={burn_in} and steps={steps} need ({skipped} skipped)")
+        raise _no_lookahead(steps, burn_in, skipped)
     per_step = totals / counts
     summary = {s: float(per_step[s - 1]) for s in (1, 8, 16) if s <= steps}
     return PerStepMse(per_step=per_step, summary=summary,
@@ -151,6 +161,14 @@ def per_step_mse_prepared(model, prepared_worms, steps: int = 16, burn_in: int =
     return _rollout_error_per_step(model, sources, steps, burn_in).per_step
 
 
+def check_rollout_windows(prepared_worms, steps: int, burn_in: int = 0) -> None:
+    """Raise per_step_mse_prepared's error, without running a model, when no
+    window of ``prepared_worms`` has the frames of lookahead it needs."""
+    if not any(_usable_starts(worm.full_features, worm.window_starts, burn_in + steps).size
+               for worm in prepared_worms):
+        raise _no_lookahead(steps, burn_in, sum(len(worm.window_starts) for worm in prepared_worms))
+
+
 # ---------------------------------------------------------------------------
 # principal components
 # ---------------------------------------------------------------------------
@@ -171,6 +189,8 @@ def pca_project(derivatives: np.ndarray, components: int = 3) -> PcaResult:
     x = np.asarray(derivatives, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"pca_project: expected N x T matrix, got shape {x.shape}")
+    if components < 1:
+        raise ValueError(f"pca_project: components must be >= 1, got {components}")
     n, t = x.shape
     if t <= components:
         raise ValueError(f"pca_project: need more than {components} timesteps, got {t}")

@@ -128,12 +128,15 @@ class Linear:
     def parameters(self):
         return [self.weight, self.bias]
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight.tensor, self.bias.tensor)
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        return ad.linear(x, self.weight.tensor, self.bias.tensor, relu=relu)
 
 
 class TwoLayerMlp:
     """Linear + ReLU twice, optionally batch norm on the output.
+
+    Each ReLU is fused into the node of its layer (``linear(relu=True)``,
+    ``pair_relu``), so each layer keeps one activation array in the graph.
 
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
@@ -158,19 +161,19 @@ class TwoLayerMlp:
         return params
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = ad.relu(self._pair_fc1(x) if self.pairwise else self.fc1.forward(x))
-        h = ad.relu(self.fc2.forward(h))
+        h = self._pair_fc1(x) if self.pairwise else self.fc1.forward(x, relu=True)
+        h = self.fc2.forward(h, relu=True)
         return h if self.bn is None else self.bn.forward(h, training)
 
     def _pair_fc1(self, x: Tensor) -> Tensor:
-        """fc1 of [x_i, x_j] for every ordered pair: x_i W_top + x_j W_bot + b."""
+        """ReLU'd fc1 of [x_i, x_j] for every ordered pair: relu(x_i W_top + x_j W_bot + b)."""
         lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
         w_src, w_dst = ad.split(self.fc1.weight.tensor, [d, d], axis=0)
         width = w_src.shape[-1]
         src = ad.reshape(ad.matmul(x, w_src), lead + (n, 1, width))
         dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
-        pre = ad.add(ad.add(src, dst), self.fc1.bias.tensor)  # (…, N, N, h)
-        return ad.reshape(pre, lead + (n * n, width))
+        h = ad.pair_relu(src, dst, self.fc1.bias.tensor)  # (…, N, N, h)
+        return ad.reshape(h, lead + (n * n, width))
 
 
 class LstmUnit:

@@ -166,12 +166,18 @@ class AdamState:
         self.v = {p.name: np.zeros_like(p.data) for p in params}
 
     def step(self) -> None:
-        self.step_count += 1
-        t = self.step_count
+        """One update of every parameter; a missing or non-finite gradient
+        raises, naming its parameter, before any parameter moves."""
         for p in self.params:
             g = p.tensor.grad
             if g is None:
                 raise ValueError(f"AdamState.step: parameter {p.name} has no gradient")
+            if not np.isfinite(g).all():
+                raise ValueError(f"AdamState.step: gradient of {p.name} is NaN or infinite")
+        self.step_count += 1
+        t = self.step_count
+        for p in self.params:
+            g = p.tensor.grad
             m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
             v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
             m_hat = m / (1 - self.beta1**t)
@@ -307,6 +313,9 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
         )
 
     train_folds = [f for f in range(cfg.fold_count) if f not in (test_fold, val_fold)]
+    holdout = _holdout_worms(plan, prepared) if is_predict else []
+    if holdout:  # fail before training, not after it, when no window can be rolled out
+        ev.check_rollout_windows(holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
 
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
@@ -356,16 +365,24 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
     return total / weight if weight else np.inf
 
 
+def _holdout_worms(plan, prepared) -> list[PreparedWorm]:
+    """The held-out and extended worms a predict run is rolled out on."""
+    return [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
+
+
 def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetrics:
     n_states = model.config.n_states
     metrics = ev.RunMetrics(task=plan.task, test_fold=test_fold, val_fold=val_fold)
     if plan.task == "predict":
-        holdout = [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
+        holdout = _holdout_worms(plan, prepared)
         if holdout:
             metrics.per_step_mse = ev.per_step_mse_prepared(
                 model, holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
         metrics.val_mse = _validation_loss(model, plan, cfg, prepared, val_fold)
         return metrics
+
+    # one forward pass per worm: its (n_windows, W) classes, sliced per split below
+    window_preds = {}
 
     def pooled_predictions(ids, folds):
         preds, targets = [], []
@@ -374,7 +391,9 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
             mask = np.isin(worm.folds, folds)
             if not mask.any():
                 continue
-            preds.append(predict_classes(model, worm, mask))
+            if wid not in window_preds:
+                window_preds[wid] = predict_classes(model, worm).reshape(worm.targets.shape)
+            preds.append(window_preds[wid][mask].reshape(-1))
             targets.append(worm.targets[mask].reshape(-1))
         if not preds:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -395,12 +414,12 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
     return metrics
 
 
-def predict_classes(model: NeuralModel, worm: PreparedWorm, mask=None) -> np.ndarray:
-    """Flat argmax classes for a worm's windows (all, or those under ``mask``);
-    static edges come from the worm's own recording."""
-    feats = worm.features if mask is None else worm.features[mask]
+def predict_classes(model: NeuralModel, worm: PreparedWorm) -> np.ndarray:
+    """Flat argmax classes for all of a worm's windows, window-major; static
+    edges come from the worm's own recording.  A window's classes do not
+    depend on which other windows share the batch."""
     with ad.no_grad():
-        logits = model.classify_logits(Tensor(feats), training=False,
+        logits = model.classify_logits(Tensor(worm.features), training=False,
                                        edge_feats=Tensor(worm.features))
     return np.argmax(logits.data, axis=-1).reshape(-1)
 

@@ -110,6 +110,22 @@ OPS = {
                                     ad.Tensor(np.linspace(0.5, -0.5, 4))),
     "linear_b": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 3, 5)),
                                     ad.Tensor(np.cos(np.arange(20.0)).reshape(5, 4)), x),
+    # the fused ReLU: x as each operand, pre-activations of both signs
+    "linear_relu_x": lambda x: ad.linear(x, ad.Tensor(np.linspace(-1, 1, 12).reshape(4, 3)),
+                                         ad.Tensor(np.linspace(0.5, -0.5, 3)), relu=True),
+    "linear_relu_w": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 5, 3)), x,
+                                         ad.Tensor(np.linspace(0.5, -0.5, 4)), relu=True),
+    "linear_relu_b": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 3, 5)),
+                                         ad.Tensor(np.cos(np.arange(20.0)).reshape(5, 4)), x,
+                                         relu=True),
+    "pair_relu_src": lambda x: ad.pair_relu(ad.reshape(x, (3, 1, 4)),
+                                            ad.Tensor(np.sin(np.arange(20.0)).reshape(1, 5, 4)),
+                                            ad.Tensor(np.linspace(0.3, -0.3, 4))),
+    "pair_relu_dst": lambda x: ad.pair_relu(ad.Tensor(np.cos(np.arange(8.0)).reshape(2, 1, 4)),
+                                            ad.reshape(x, (1, 3, 4)),
+                                            ad.Tensor(np.linspace(0.3, -0.3, 4))),
+    "pair_relu_b": lambda x: ad.pair_relu(ad.Tensor(np.cos(np.arange(8.0)).reshape(2, 1, 4)),
+                                          ad.Tensor(np.sin(np.arange(12.0)).reshape(1, 3, 4)), x),
     "relu": lambda x: ad.relu(x),
     "softmax": lambda x: ad.softmax(x, axis=-1, temperature=0.7),
     "log": lambda x: ad.log(ad.add(ad.mul(x, x), ad.Tensor(np.full(x.shape, 0.5)))),
@@ -164,6 +180,57 @@ def test_linear_is_bit_equal_to_matmul_then_add(lead, in_dim, out_dim, bias_per_
     assert fused == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
 
 
+def signed_zero_heavy(rng, shape):
+    """Normal draws with about half the entries +0.0 or -0.0."""
+    values = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.5
+    values[zero] = np.copysign(0.0, values[zero])
+    return values
+
+
+FUSED_RELU = {
+    # operand shapes for (rows, cols, width), the fused op, the composed ops
+    "linear": (lambda r, c, w: [(r, c, w), (w, 3), (3,)],
+               lambda x, w, b: ad.linear(x, w, b, relu=True),
+               lambda x, w, b: ad.relu(ad.linear(x, w, b))),
+    "pair_relu": (lambda r, c, w: [(r, 1, w), (1, c, w), (w,)], ad.pair_relu,
+                  lambda src, dst, b: ad.relu(ad.add(ad.add(src, dst), b))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FUSED_RELU)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_fused_relu_is_bit_equal_to_composed_ops(op, rows, cols, width, with_nan, seed):
+    # values and every operand's gradient, byte for byte, with signed zeros
+    # in every operand and optionally a NaN in the first one
+    shapes, fused, composed = FUSED_RELU[op]
+    rng = np.random.default_rng(seed)
+    values = [signed_zero_heavy(rng, shape) for shape in shapes(rows, cols, width)]
+    if with_nan:
+        values[0].flat[rng.integers(values[0].size)] = np.nan
+    out = fused(*map(ad.tensor, values)).data
+    upstream = ad.Tensor(rng.normal(size=out.shape))
+
+    def run(fn):
+        leaves = [ad.tensor(v, requires_grad=True) for v in values]
+        result = fn(*leaves)
+        ad.mul(result, upstream).sum().backward()
+        return [result.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+    assert run(fused) == run(composed)
+    assert np.isnan(out).any() == with_nan  # a NaN pre-activation is not zeroed
+    assert not np.signbit(out[~np.isnan(out)]).any()  # -0.0 comes out as +0.0
+
+
+def test_pair_relu_shape_errors_name_the_op():
+    src, dst = ad.tensor(np.zeros((2, 1, 4))), ad.tensor(np.zeros((1, 3, 4)))
+    with pytest.raises(ValueError, match=r"pair_relu: shapes \(2, 1, 4\) and \(1, 3, 5\)"):
+        ad.pair_relu(src, ad.tensor(np.zeros((1, 3, 5))), ad.tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match=r"pair_relu: bias \(2, 2, 3, 4\) does not broadcast"):
+        ad.pair_relu(src, dst, ad.tensor(np.zeros((2, 2, 3, 4))))
+
+
 def test_linear_shape_errors_name_the_op():
     x, w = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 4)))
     with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(4, 5\)"):
@@ -180,6 +247,9 @@ BINARY_BACKWARD = {
     "matmul": (ad.matmul, ((3, 4), (4, 2)), lambda g, a, b: (g @ b.T, a.T @ g)),
     "linear": (lambda a, b: ad.linear(a, b, ad.tensor(np.ones(2))), ((3, 4), (4, 2)),
                lambda g, a, b: (g @ b.T, a.T @ g)),
+    "pair_relu": (lambda a, b: ad.pair_relu(a, b, ad.tensor(np.zeros(4))), ((3, 1, 4), (1, 2, 4)),
+                  lambda g, a, b: ((g * (a + b > 0)).sum(axis=1, keepdims=True),
+                                   (g * (a + b > 0)).sum(axis=0, keepdims=True))),
 }
 
 
@@ -196,7 +266,7 @@ def test_backward_skips_constant_operands(name, constant):
     assert grads[constant] is None
     live = 1 - constant
     assert grads[live].tobytes() == expected(g, *values)[live].tobytes()
-    if name == "linear":  # the bias is a constant too
+    if name in ("linear", "pair_relu"):  # the bias is a constant too
         assert grads[2] is None
 
 

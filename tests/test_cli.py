@@ -440,6 +440,17 @@ def test_pca_command(tmp_path):
     assert len(lines) == 301
 
 
+def test_pca_command_rejects_zero_components(tmp_path, capsys):
+    data = gen_synth(tmp_path, n_worms=1, t=60)
+    out = tmp_path / "pca"
+    cfg = write_config(tmp_path / "pca.json", {
+        "recording": str(sorted(data.glob('worm_*.json'))[0]), "components": 0,
+    })
+    assert main(["pca", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "components must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_edges_static_and_comparison(tmp_path):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"

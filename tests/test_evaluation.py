@@ -240,6 +240,13 @@ def test_pca_spectrum_invariant_to_orthonormal_mixing_change():
     assert np.allclose(frac_a, frac_b, atol=1e-9)
 
 
+@pytest.mark.parametrize("components", [0, -1])
+def test_pca_rejects_fewer_than_one_component(components):
+    data = np.random.default_rng(0).normal(size=(4, 50))
+    with pytest.raises(ValueError, match=f"components must be >= 1, got {components}"):
+        ev.pca_project(data, components=components)
+
+
 def test_pca_rejects_short_series():
     with pytest.raises(ValueError, match="timesteps"):
         ev.pca_project(np.zeros((4, 3)), components=3)

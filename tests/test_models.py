@@ -149,6 +149,21 @@ def test_factored_pair_mlp_matches_concat_reference(mode):
             assert np.allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12), name
 
 
+@pytest.mark.parametrize("pairwise", [False, True], ids=["plain", "pairwise"])
+def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
+    # each ReLU is part of its layer's node: the graph has no relu node and
+    # owns one activation array per layer (fc1, fc2); reshapes are views
+    rng = np.random.default_rng(0)
+    mlp = m.TwoLayerMlp("edge", 6 if pairwise else 3, 7, rng, batchnorm=False, pairwise=pairwise)
+    out = mlp.forward(Tensor(rng.normal(size=(2, 5, 3))), training=True)
+    assert out.shape == ((2, 25, 7) if pairwise else (2, 5, 7))
+    nodes = ad._topo_order(out)
+    ops = {node._backward_fn.__qualname__.split(".")[0] for node in nodes if node._backward_fn}
+    assert "relu" not in ops
+    owned = [node for node in nodes if node.data.base is None and node.data.size == out.data.size]
+    assert len(owned) == 2
+
+
 def test_edge_weights_in_unit_interval_and_normalized():
     model = m.NeuralModel(gnn_config(), master_seed=3)
     rng = np.random.default_rng(0)
@@ -420,9 +435,11 @@ def test_classify_argmax():
     expected = np.argmax(logits, axis=-1).reshape(-1)
     assert len(set(expected)) > 1
     assert np.array_equal(tr.predict_classes(model, worm), expected)
+    # the windows of a fold are a slice of the whole worm's classes
     mask = np.array([True, False, True])
-    assert np.array_equal(tr.predict_classes(model, worm, mask),
-                          np.argmax(logits[mask], axis=-1).reshape(-1))
+    masked = model.classify_logits(Tensor(feats[mask]), training=False).data
+    assert np.array_equal(tr.predict_classes(model, worm).reshape(3, 4)[mask],
+                          np.argmax(masked, axis=-1))
 
 
 def test_classify_tie_breaks_low_index():

@@ -124,6 +124,19 @@ def test_adam_missing_gradient_named():
         adam.step()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_gradient_named_before_any_update(bad):
+    first, second = Parameter("enc.fc1.weight", np.ones(2)), Parameter("head.bias", np.ones(2))
+    adam = tr.AdamState([first, second], learning_rate=1e-3)
+    first.tensor.grad = np.array([0.5, -0.5])
+    second.tensor.grad = np.array([1.0, bad])
+    with pytest.raises(ValueError, match="gradient of head.bias is NaN or infinite"):
+        adam.step()
+    # the finite parameter listed first did not move either
+    assert np.array_equal(first.data, np.ones(2)) and np.array_equal(second.data, np.ones(2))
+    assert adam.step_count == 0 and not adam.m["enc.fc1.weight"].any()
+
+
 def test_adam_bit_identical_runs():
     def run():
         rng = np.random.default_rng(42)
@@ -309,6 +322,27 @@ def test_train_raises_on_non_finite_loss():
     # no optimizer step ran, so every parameter is still finite and unchanged
     for name, p in model.named_parameters().items():
         assert np.array_equal(p.data, before[name])
+
+
+def test_predict_rejects_too_short_held_out_worms_before_training(monkeypatch):
+    recs = {}
+    for i, t in enumerate([160, 160, 40]):
+        rec = generate_worm(SynthConfig(n_neurons=3, n_timesteps=t, n_states=2, noise_std=0.02,
+                                        mixing_seed=i, latent_seed=5), worm_id=f"w{i}")
+        recs[rec.worm_id] = rec
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=20, eval_rollout=48)
+    plan = tr.ExperimentPlan(task="predict", train_worm_ids=["w0", "w1"], held_out_worm_ids=["w2"])
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.PREDICT,
+                                        n_neurons=3, hidden_dim=4), master_seed=0)
+    prepared = tr.prepare_worms(recs, "predict", cfg, 0)
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(tr, "_worm_loss", no_epoch)
+    with pytest.raises(ValueError, match=r"per-step MSE: no window has the 48 frames of lookahead "
+                                         r"that burn_in=0 and steps=48 need \(5 skipped\)"):
+        tr.train(model, plan, cfg, prepared)
 
 
 @pytest.mark.parametrize("test_fold,val_fold", [(0, 0), (7, 1), (0, -1)],
