@@ -14,6 +14,14 @@ exist because batched model forwards cannot be expressed without them;
 ``split`` cuts a tensor into contiguous views along one axis, and its
 backward writes every slice's gradient into one buffer.
 
+Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
+logits to the second component of their temperature softmax (the inferred
+edge weight) through the logit difference, overflow-free; values and
+gradients are bit-equal to softmax then split, without softmax's slow
+reductions over a length-2 axis.  ``softmax_nll`` is the masked mean
+negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it takes
+logits, not probabilities, and stays finite when logits saturate.
+
 The backward of add, sub, mul, matmul, linear and pair_relu computes no
 gradient for an operand that does not require one (inputs, masks, targets).
 ReLU, fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
@@ -51,6 +59,8 @@ __all__ = [
     "pair_relu",
     "relu",
     "softmax",
+    "softmax_gate",
+    "softmax_nll",
     "log",
     "sigmoid",
     "tanh",
@@ -387,6 +397,78 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
         return (out * (g - inner) / temperature,)
 
     return _make(out, (a,), bwd)
+
+
+def softmax_gate(a: Tensor, temperature: float = 1.0) -> Tensor:
+    """Second component of ``softmax(a, axis=-1, temperature)`` for ``(..., 2)``
+    logits, shape ``(..., 1)``, as one node.
+
+    It is the sigmoid of ``d = l1 / T - l0 / T`` in the overflow-free form
+    ``1 / (1 + exp(-|d|))`` or ``exp(-|d|) / (1 + exp(-|d|))``; values and
+    gradients, ``(-g w (1 - w) / T, g w (1 - w) / T)``, are bit-equal to
+    softmax then the second split piece.
+    """
+    temperature = float(temperature)
+    if temperature <= 0.0:
+        raise ValueError(f"softmax_gate: temperature must be > 0, got {temperature}")
+    if a.ndim < 1 or a.shape[-1] != 2:
+        raise ValueError(f"softmax_gate: expected (..., 2) logits, got shape {a.shape}")
+    d = a.data[..., 1:] / temperature - a.data[..., :1] / temperature
+    ahead = d >= 0
+    e = np.exp(-np.abs(d))  # the smaller softmax numerator, over the larger one's 1
+    out = np.where(ahead, 1.0, e) / (1.0 + e)
+
+    def bwd(g):
+        # softmax's rounding order: the first component (1 - w) is computed
+        # directly, not as one minus the second, and `+ 0.0` gives the signed
+        # zero of softmax's sum over (0 * (1 - w), g * w)
+        inner = g * out + 0.0
+        first = np.where(ahead, e, 1.0) / (1.0 + e)
+        grad = np.empty(a.shape)
+        grad[..., :1] = first * (0.0 - inner) / temperature
+        grad[..., 1:] = out * (g - inner) / temperature
+        return (grad,)
+
+    return _make(out, (a,), bwd)
+
+
+def softmax_nll(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of ``logsumexp(z) - z[target]`` over the rows of ``(..., k)``
+    logits (every axis but the last) whose integer target in ``[0, k)`` is not
+    negative, as one node; a negative target masks its row.
+
+    Logits are read relative to their row maximum, so saturated logits give a
+    finite loss and gradient.  A valid row's gradient is ``softmax(z)`` minus
+    its target's one-hot row, over the count of valid rows; a masked row's is
+    exactly 0, and with no valid row the loss is exactly 0 too.
+    """
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ValueError(f"softmax_nll: targets {targets.shape} do not match logits {logits.shape}")
+    z, k = logits.data, logits.shape[-1]
+    valid = targets >= 0
+    count = max(int(valid.sum()), 1)
+    at = np.where(valid, targets, 0)[..., None]  # each row's target column; 0 when masked
+    # one column at a time: numpy reduces a short last axis slowly, row by row
+    top = z[..., 0]
+    for j in range(1, k):
+        top = np.maximum(top, z[..., j])
+    shifted = z - top[..., None]
+    e = np.exp(shifted)
+    total = e[..., 0].copy()
+    for j in range(1, k):
+        total += e[..., j]
+    rows = np.log(total) - np.take_along_axis(shifted, at, axis=-1)[..., 0]
+    out = np.where(valid, rows, 0.0).sum() * (1.0 / count)
+
+    def bwd(g):
+        grad = e / total[..., None]
+        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=-1) - 1.0, axis=-1)
+        grad *= g * (1.0 / count)
+        grad[~valid] = 0.0
+        return (grad,)
+
+    return _make(out, (logits,), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -8,11 +8,13 @@ inferred, or a loaded connectome), an optional gated recurrent stage, and a
 decoder, either pooled (the aggregated neurons through a trunk MLP and head,
 or the linear map) or per-node (one MLP per neuron for node_mlp, one decoder
 shared by every node for the predicting GNN).  The graph network encodes
-node features, scores every ordered neuron pair with a two-dimensional
-softmax whose second component is the edge weight, and performs exactly one
-message-passing step H = A X (message_pass) over NeuralModel.adjacency, the
-one edge source: the loaded connectome or the inferred edges, either of
-which broadcasts against a (B, W, N, 2) stack and a (B, N, 2) frame.  The
+node features, scores every ordered neuron pair with two logits whose
+temperature softmax's second component is the edge weight (``ad.softmax_gate``
+computes it from the logit difference, bit-equal to the softmax), and
+performs exactly one message-passing step H = A X (message_pass) over
+NeuralModel.adjacency, the one edge source: the loaded connectome or the
+inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
+a (B, N, 2) frame.  The
 pair MLP's first layer acts on the concatenation [h_i, h_j], so it is
 factored per node (NRI, Kipf et al. 2018): [h_i, h_j] W = h_i W_top +
 h_j W_bot, projected once per neuron and broadcast-added over all ordered
@@ -351,6 +353,10 @@ class NeuralModel:
         supplied (the batch is one individual's windows, so the matrix is
         fixed for that whole temporal graph) and return (1, N, N); dynamic
         returns one matrix per frame, (…, N, N).
+
+        Each ordered pair's weight is ``ad.softmax_gate`` of the edge head's two
+        logits: the second component of their temperature softmax, computed
+        from the logit difference and bit-equal to that softmax.
         """
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN:
@@ -365,9 +371,8 @@ class NeuralModel:
             lead = tuple(range(hidden.ndim - 2))
             hidden = ad.reshape(hidden.mean(axis=lead), (1, n, hidden.shape[-1]))
         logits = self.edge_head.forward(self.edge_mlp.forward(hidden, training))  # (…, N * N, 2)
-        probs = ad.softmax(logits, axis=-1, temperature=self.edge_temperature())
-        # the edge weight is the second softmax component
-        _, w = ad.split(probs, [1, 1], axis=-1)
+        # the edge weight is the second softmax component, from the logit difference
+        w = ad.softmax_gate(logits, self.edge_temperature())
         w = ad.reshape(w, hidden.shape[:-2] + (n, n))
         # self edges follow the connectome convention: weight 1 when enabled,
         # 0 when disabled; ordered pairs i != j keep their inferred weight

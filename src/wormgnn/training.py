@@ -1,10 +1,11 @@
 """Losses, optimizer, schedules, and the worm-permutation x k-fold protocol.
 
-Classification optimizes masked negative log likelihood on per-timestep
-state probabilities, except the linear baseline, which optimizes a masked
-one-vs-rest hinge loss plus an L2 penalty on its weights; trajectory
-prediction optimizes MSE over scheduled-sampling rollouts.  One recording
-forms one optimizer batch per epoch.
+Classification optimizes masked negative log likelihood of per-timestep
+state logits (one log-sum-exp node, finite when logits saturate), except the
+linear baseline, which optimizes a masked one-vs-rest hinge loss plus an L2
+penalty on its weights; trajectory prediction optimizes MSE over
+scheduled-sampling rollouts.  One recording forms one optimizer batch per
+epoch.
 Each (permutation, fold) cell owns its model, optimizer state, and RNG
 stream, so cells can run concurrently and still merge deterministically.
 """
@@ -12,6 +13,8 @@ stream, so cells can run concurrently and still merge deterministically.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -98,14 +101,20 @@ def class_targets(labels, scheme: str) -> np.ndarray:
     return out
 
 
-def _onehot_targets(shape: tuple, targets, caller: str):
-    """Check targets against (…, k) scores; returns (onehot, valid, count of valid rows >= 1)."""
+def _checked_targets(shape: tuple, targets, caller: str) -> np.ndarray:
+    """Targets as class indices, checked against (…, k) scores."""
     targets = np.asarray(targets, dtype=np.intp)
     k = shape[-1]
     if targets.shape != shape[:-1]:
         raise ValueError(f"{caller}: targets shape {targets.shape} does not match scores {shape}")
     if targets.max(initial=-1) >= k:
         raise ValueError(f"{caller}: target {targets.max()} out of range for {k} states")
+    return targets
+
+
+def _onehot_targets(shape: tuple, targets, caller: str):
+    """Check targets against (…, k) scores; returns (onehot, valid, count of valid rows >= 1)."""
+    targets = _checked_targets(shape, targets, caller)
     onehot = np.zeros(shape)
     valid = targets >= 0
     if valid.any():
@@ -114,16 +123,14 @@ def _onehot_targets(shape: tuple, targets, caller: str):
     return onehot, valid, max(int(valid.sum()), 1)
 
 
-def nll_loss(probabilities: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean -log p[target] over timesteps whose target is not masked (-1).
+def nll_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean -log softmax(logits)[target] over timesteps whose target is not
+    masked (-1), as one log-sum-exp node (``ad.softmax_nll``).
 
-    All-masked batches yield exactly zero loss and zero gradients.
+    Saturated logits give a finite loss and gradient.  All-masked batches
+    yield exactly zero loss and zero gradients.
     """
-    onehot, valid, count = _onehot_targets(probabilities.shape, targets, "nll_loss")
-    # pick p[target] before the log; masked rows read 1 so they add exactly 0
-    picked = ad.mul(probabilities, Tensor(onehot)).sum(axis=-1)
-    safe = ad.add(picked, Tensor((~valid).astype(np.float64)))
-    return ad.scale(ad.log(safe).sum(), -1.0 / count)
+    return ad.softmax_nll(logits, _checked_targets(logits.shape, targets, "nll_loss"))
 
 
 def hinge_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
@@ -281,7 +288,7 @@ def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: Tr
         weight = model.linear.weight.tensor
         return ad.add(hinge_loss(logits, worm.targets[mask]),
                       ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
-    return nll_loss(ad.softmax(logits, axis=-1), worm.targets[mask])
+    return nll_loss(logits, worm.targets[mask])
 
 
 def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
@@ -449,11 +456,21 @@ def run_cell(prepared: dict[str, PreparedWorm], plan_template: ExperimentPlan,
 
 
 _worker_sweep = None  # (run, perms), set once in each pool worker by _init_worker
+PARENT_POLL_S = 0.5  # how often a pool worker checks that its parent is alive
 
 
 def _init_worker(run, perms) -> None:
+    """Keep the sweep in this pool worker, and exit the worker once its parent
+    dies (a killed sweep would otherwise leave it running, reparented)."""
     global _worker_sweep
     _worker_sweep = (run, perms)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
 
 
 def _worker_cell(cell: tuple[int, int]) -> ev.RunMetrics:
@@ -486,12 +503,15 @@ def cross_validate(recordings: dict[str, WormRecording], plan_template: Experime
 
     The only code that enumerates sweep cells and the only owner of a worker
     pool: worms are prepared once here, and each of ``workers`` > 1 processes
-    receives them once, then only (perm_index, fold).  ``cell_filter``
+    receives them once, then only (perm_index, fold); a worker exits when this
+    process dies.  ``workers`` < 1 is an error.  ``cell_filter``
     (perm_index, fold) -> bool, asked about every cell before any runs, can
     skip completed cells; ``progress`` (perm_index, fold, metrics) is called
     as each cell finishes, so the caller can save it.  Records come back in
     cell order; aggregation uses the population standard deviation.
     """
+    if workers < 1:
+        raise ValueError(f"cross_validate: workers must be >= 1, got {workers}")
     perms = worm_permutations(plan_template.train_worm_ids, permutation_size)
     prepared = prepare_worms(recordings, plan_template.task, cfg, cfg.seed)
     cells = [(perm_index, fold) for perm_index in range(len(perms))

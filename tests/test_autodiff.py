@@ -139,6 +139,11 @@ OPS = {
     "index_select": lambda x: ad.index_select(x, 1, [0, 2, 2, 1]),
     "split": lambda x: ad.split(x, [1, 3], axis=1)[1],
     "split_two_outputs": lambda x: split_two_outputs(x),
+    # x as (3, 2, 2): six pairs of logits, at the default and a cold temperature
+    "softmax_gate": lambda x: ad.softmax_gate(ad.reshape(x, (3, 2, 2))),
+    "softmax_gate_cold": lambda x: ad.softmax_gate(ad.reshape(x, (3, 2, 2)), temperature=0.3),
+    # rows 0 and 2 target classes 2 and 0; row 1 is masked
+    "softmax_nll": lambda x: ad.softmax_nll(x, np.array([2, -1, 0])),
 }
 
 
@@ -221,6 +226,90 @@ def test_fused_relu_is_bit_equal_to_composed_ops(op, rows, cols, width, with_nan
     assert run(fused) == run(composed)
     assert np.isnan(out).any() == with_nan  # a NaN pre-activation is not zeroed
     assert not np.signbit(out[~np.isnan(out)]).any()  # -0.0 comes out as +0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=0, max_size=3),
+       st.sampled_from([1.0, 0.7, 0.05, 3.0]), st.floats(0.01, 1000.0), st.integers(0, 2**32 - 1))
+def test_softmax_gate_is_bit_equal_to_softmax_second_component(lead, temperature, spread, seed):
+    # values and gradients, byte for byte, with ties, signed zeros in the
+    # logits and upstream gradient, and logits wide enough to saturate
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (2,)
+    values = signed_zero_heavy(rng, shape) * spread
+    values.reshape(-1, 2)[0, 1] = values.reshape(-1, 2)[0, 0]  # a tie
+    upstream = ad.Tensor(signed_zero_heavy(rng, shape[:-1] + (1,)))
+
+    def run(fn):
+        logits = ad.tensor(values, requires_grad=True)
+        out = fn(logits)
+        ad.mul(out, upstream).sum().backward()
+        return [out.data.tobytes(), logits.grad.tobytes()]
+
+    gate = run(lambda z: ad.softmax_gate(z, temperature))
+    assert gate == run(lambda z: ad.split(ad.softmax(z, axis=-1, temperature=temperature),
+                                          [1, 1], axis=-1)[1])
+
+
+def test_softmax_gate_saturates_without_overflow():
+    # softmax(l / T)[1] for logit differences far past exp's range
+    logits = ad.tensor([[0.0, 1e6], [1e6, 0.0], [-3e305, 3e305]], requires_grad=True)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # exp may underflow to 0
+        out = ad.softmax_gate(logits, temperature=0.05)
+        out.sum().backward()
+    assert out.data.ravel().tolist() == [1.0, 0.0, 1.0]
+    assert np.array_equal(logits.grad, np.zeros((3, 2)))
+
+
+def test_softmax_gate_errors_name_the_op():
+    with pytest.raises(ValueError, match=r"softmax_gate: temperature must be > 0, got 0.0"):
+        ad.softmax_gate(ad.tensor(np.zeros((3, 2))), temperature=0.0)
+    with pytest.raises(ValueError, match=r"softmax_gate: temperature must be > 0, got -1.0"):
+        ad.softmax_gate(ad.tensor(np.zeros((3, 2))), temperature=-1.0)
+    with pytest.raises(ValueError, match=r"softmax_gate: expected \(\.\.\., 2\) logits, "
+                                         r"got shape \(3, 3\)"):
+        ad.softmax_gate(ad.tensor(np.zeros((3, 3))))
+
+
+# the composed ops round p near 1 at about 1e-16 absolute, which log(p) keeps,
+# so the bound is relative plus a small absolute floor
+NLL_REL, NLL_ABS = 1e-12, 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(2, 7), st.floats(0.1, 20.0),
+       st.integers(0, 2**32 - 1))
+def test_softmax_nll_matches_softmax_then_log(rows, cols, k, spread, seed):
+    # value and gradient against -mean(log(softmax(z))[target]) over the
+    # unmasked rows, with about a third of the rows masked
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-spread, spread, size=(rows, cols, k))
+    targets = rng.integers(-1, k, size=(rows, cols))
+    valid = targets >= 0
+    onehot = np.zeros(values.shape)
+    onehot[np.nonzero(valid) + (targets[valid],)] = 1.0
+    count = max(int(valid.sum()), 1)
+
+    def composed(z):
+        picked = ad.mul(ad.log(ad.softmax(z, axis=-1)), ad.Tensor(onehot))
+        return ad.scale(picked.sum(), -1.0 / count)
+
+    def run(fn):
+        logits = ad.tensor(values, requires_grad=True)
+        loss = fn(logits)
+        loss.backward()
+        return loss.item(), logits.grad
+
+    loss, grad = run(lambda z: ad.softmax_nll(z, targets))
+    ref_loss, ref_grad = run(composed)
+    assert abs(loss - ref_loss) <= NLL_REL * abs(ref_loss) + NLL_ABS
+    assert np.abs(grad - ref_grad).max() <= NLL_REL * np.abs(ref_grad).max() + NLL_ABS
+    assert np.array_equal(grad[~valid], np.zeros_like(grad[~valid]))  # masked rows: exact zeros
+
+
+def test_softmax_nll_shape_error_names_the_op():
+    with pytest.raises(ValueError, match=r"softmax_nll: targets \(2,\) do not match logits \(3, 2\)"):
+        ad.softmax_nll(ad.tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
 
 
 def test_pair_relu_shape_errors_name_the_op():

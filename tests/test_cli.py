@@ -205,6 +205,19 @@ def test_cross_validate_counts_resume_and_workers(tmp_path):
     assert strip_wall_time(records_w) == strip_wall_time(records)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_cross_validate_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    data = gen_synth(tmp_path, n_worms=3)
+    cfg = write_config(tmp_path / "cv.json", train_config(
+        data, permutation_size=2, train={"max_epochs": 1, "fold_count": 4, "window_len": 8}))
+    out = tmp_path / "cv"
+    assert main(["cross-validate", "--config", str(cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 1
+    assert f"cross_validate: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+    assert not list((out / "cells").glob("*.json"))
+
+
 TINY_CELLS = [(pi, fold) for pi in range(3) for fold in range(4)]
 
 

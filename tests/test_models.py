@@ -149,6 +149,47 @@ def test_factored_pair_mlp_matches_concat_reference(mode):
             assert np.allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12), name
 
 
+def softmax_edge_weights(model, feats: Tensor) -> Tensor:
+    """NeuralModel.edge_weights with each edge read as the second piece of the
+    edge head's full temperature softmax: the reference for the gate."""
+    hidden = model.encoder.forward(feats, training=True)
+    n = hidden.shape[-2]
+    if model.config.edge_mode is not m.EdgeMode.DYNAMIC:
+        hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
+    logits = model.edge_head.forward(model.edge_mlp.forward(hidden, True))
+    probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature())
+    w = ad.reshape(ad.split(probs, [1, 1], axis=-1)[1], hidden.shape[:-2] + (n, n))
+    return ad.add(ad.mul(w, Tensor(1.0 - np.eye(n))), Tensor(np.eye(n)))
+
+
+@pytest.mark.parametrize("mode", INFERRED_MODES, ids=lambda mode: mode.value)
+@pytest.mark.parametrize("head_scale", [1.0, 1e3], ids=["plain", "saturated"])
+def test_edge_gate_equals_second_softmax_component(mode, head_scale):
+    # criterion 3: every edge is the second softmax component of its logits.
+    # Tolerance 0: edges and every parameter gradient agree byte for byte,
+    # also when a scaled edge head saturates one-hot edges to exactly 0 or 1
+    rng = np.random.default_rng(8)
+    model = m.NeuralModel(gnn_config(n=5, edge_mode=mode), master_seed=2)
+    head = model.named_parameters()["edge_head.weight"]
+    head.data = head.data * head_scale
+    feats = Tensor(rng.normal(size=(3, 4, 5, 2)))
+    upstream = Tensor(np.cos(np.arange(3 * 4 * 25)).reshape(3, 4, 5, 5))
+    results = []
+    for edges in (lambda x: model.edge_weights(x, training=True),
+                  lambda x: softmax_edge_weights(model, x)):
+        model.zero_grad()
+        w = edges(feats)
+        ad.mul(w, upstream).sum().backward()
+        results.append((w.data, [p.tensor.grad.tobytes() for p in model.parameters()
+                                 if p.tensor.grad is not None]))
+    (w, grads), (w_ref, grads_ref) = results
+    assert w.tobytes() == w_ref.tobytes()
+    assert grads == grads_ref and grads
+    if mode is m.EdgeMode.ONE_HOT and head_scale > 1:
+        assert model.edge_temperature() == m.ONE_HOT_TEMPERATURE
+        assert np.isin(w[..., ~np.eye(5, dtype=bool)], [0.0, 1.0]).mean() > 0.5
+
+
 @pytest.mark.parametrize("pairwise", [False, True], ids=["plain", "pairwise"])
 def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
     # each ReLU is part of its layer's node: the graph has no relu node and
@@ -611,8 +652,7 @@ def model_loss_fn(model, task, feats, targets):
 
     if task is m.Task.CLASSIFY:
         logits = model.classify_logits(Tensor(feats), training=True)
-        probs = ad.softmax(logits, axis=-1)
-        return nll_loss(probs, targets)
+        return nll_loss(logits, targets)
     preds = m.rollout_batch(model, feats, steps=2, training=True)
     return mse_loss(preds, feats[:, 1:3])
 
@@ -648,7 +688,7 @@ def test_full_model_grad_check(kind, task, edge_mode):
             from wormgnn.training import nll_loss
 
             logits = model.classify_logits(x, training=True)
-            return nll_loss(ad.softmax(logits, axis=-1), targets)
+            return nll_loss(logits, targets)
 
         err = ad.grad_check(loss_against_input, ad.tensor(feats), step=1e-6)
         assert err < 1e-4
