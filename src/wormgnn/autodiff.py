@@ -120,28 +120,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # Operator sugar; scalars are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -158,12 +136,6 @@ class Tensor:
 
 def tensor(values, requires_grad: bool = False) -> Tensor:
     return Tensor(values, requires_grad=requires_grad)
-
-
-def _coerce(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 class _GradMode(threading.local):

@@ -1,8 +1,8 @@
 """Command-line entry point: data generation, training, cross-validation,
 evaluation, rollouts, PCA export, and edge inspection.
 
-Every run writes a manifest (resolved config + seed) into the output
-directory; rerunning from a manifest reproduces all outputs bit-identically
+Once a command succeeds, ``main`` writes a manifest (command, seed, config) into
+its output directory; rerunning from it reproduces all outputs bit-identically
 apart from wall-time fields.  Commands never mutate their input files.
 """
 
@@ -67,13 +67,8 @@ def _write_json(path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int, config: dict) -> None:
-    _write_json(out_dir / "manifest.json", {"command": command, "seed": seed, "config": config})
-
-
 def _load_recordings(config: dict, context: str) -> dict:
     """Recordings from data_dir or an explicit path list, with neuron selection."""
-    paths: list[Path] = []
     if "data_dir" in config and config["data_dir"]:
         data_dir = Path(config["data_dir"])
         if not data_dir.is_dir():
@@ -113,7 +108,7 @@ def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
     spec = dict(config.get("train", {}))
     spec["seed"] = seed
     if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
-        spec["burn_in"] = 4  # recurrent variants warm up on four teacher frames
+        spec["burn_in"] = tr.RECURRENT_BURN_IN
     return _build_section(tr.TrainConfig, spec, "train", context)
 
 
@@ -121,7 +116,7 @@ def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> int:
+def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
     n_worms = int(_require(config, "n_worms", "gen-synth"))
     # validate every worm's config before writing anything
     synth_cfgs = []
@@ -144,9 +139,7 @@ def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (cfg, path) in enumerate(zip(synth_cfgs, targets)):
         save_recording(generate_worm(cfg, worm_id=f"worm_{i:03d}"), path)
-    _write_manifest(out_dir, "gen-synth", seed, config)
     print(f"wrote {n_worms} recordings to {out_dir}")
-    return 0
 
 
 def _resolve_plan(config: dict, recs: dict, context: str) -> tr.ExperimentPlan:
@@ -181,7 +174,7 @@ def _resolve_run(config: dict, seed: int, context: str):
     return recs, plan, _train_config(config, seed, context), model_cfg, connectome
 
 
-def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_train(config: dict, out_dir: Path, seed: int) -> None:
     recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "train")
     model = m.NeuralModel(model_cfg, master_seed=seed)
     if connectome is not None:
@@ -197,9 +190,7 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
     record = metrics.to_dict()
     record["best_val_loss"] = state.best_val_loss
     _write_json(out_dir / "metrics.json", record)
-    _write_manifest(out_dir, "train", seed, config)
     print(f"train: task={plan.task} best_val_loss={state.best_val_loss:.6g}")
-    return 0
 
 
 def _is_cell_file(path: Path, perm: tuple, fold: int) -> bool:
@@ -212,7 +203,7 @@ def _is_cell_file(path: Path, perm: tuple, fold: int) -> bool:
             and record.get("permutation") == list(perm))
 
 
-def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, resume: bool) -> int:
+def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, resume: bool) -> None:
     """Run a sweep through ``training.cross_validate`` and save it cell by cell.
 
     ``training.cross_validate`` enumerates the cells and owns the worker pool.
@@ -266,10 +257,8 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
             rows.append((fieldname, summary[fieldname]["mean"], summary[fieldname]["std"]))
     if rows:
         ev.export_accuracy_table(out_dir / "accuracy.tsv", rows)
-    _write_manifest(out_dir, "cross-validate", seed, config)
     print(f"cross-validate: {len(records)} runs "
           f"({len(perms)} permutations x {train_cfg.fold_count} folds)")
-    return 0
 
 
 def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralModel:
@@ -283,7 +272,7 @@ def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralMode
     return model
 
 
-def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_eval(config: dict, out_dir: Path, seed: int) -> None:
     recs = _load_recordings(config, "eval")
     task = _require(config, "task", "eval")
     if task == "predict":
@@ -309,27 +298,26 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
     preds = np.concatenate(preds)
     targets = np.concatenate(targets)
     confusion, support = ev.confusion_matrix(preds, targets, k)
+    accuracy = ev.accuracy(preds, targets)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "metrics.json", {
         "task": task,
-        "accuracy": ev.accuracy(preds, targets),
+        "accuracy": accuracy,
         "per_worm_accuracy": per_worm,
         "confusion_support": support.tolist(),
     })
     ev.export_confusion(out_dir / "confusion.tsv", confusion, [str(i) for i in range(k)])
-    _write_manifest(out_dir, "eval", seed, config)
-    print(f"eval: accuracy={ev.accuracy(preds, targets)}")
-    return 0
+    print(f"eval: accuracy={accuracy}")
 
 
-def cmd_rollout(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_rollout(config: dict, out_dir: Path, seed: int) -> None:
     recs = _load_recordings(config, "rollout")
     model = _load_model_for_data(config, recs, "rollout")
     if model.config.task is not m.Task.PREDICT:
         raise ConfigError("rollout: checkpoint was trained for classification; use eval")
     steps = int(config.get("steps", 16))
     window_len = int(config.get("window_len", 8))
-    burn_in = int(config.get("burn_in", 4 if model.config.recurrent else 0))
+    burn_in = int(config.get("burn_in", tr.RECURRENT_BURN_IN if model.config.recurrent else 0))
     normalized = [normalize_recording(rec) for _, rec in sorted(recs.items())]
     result = ev.per_step_mse(model, normalized, steps=steps, window_len=window_len,
                              burn_in=burn_in)
@@ -341,12 +329,10 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> int:
         "windows_used": result.windows_used,
         "windows_skipped": result.windows_skipped,
     })
-    _write_manifest(out_dir, "rollout", seed, config)
     print(f"rollout: {steps}-step MSE summary {result.summary}")
-    return 0
 
 
-def cmd_pca(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_pca(config: dict, out_dir: Path, seed: int) -> None:
     rec = normalize_recording(load_recording(_require(config, "recording", "pca")))
     components = int(config.get("components", 3))
     result = ev.pca_project(rec.derivatives, components=components)
@@ -356,42 +342,30 @@ def cmd_pca(config: dict, out_dir: Path, seed: int) -> int:
         "explained_variance_fractions": result.fractions.tolist(),
         "zero_variance_components": result.zero_variance_components,
     })
-    _write_manifest(out_dir, "pca", seed, config)
     top = result.fractions[:components].sum()
     print(f"pca: top-{components} explained variance {top:.4f}")
-    return 0
 
 
-def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
     rec = load_recording(_require(config, "recording", "edges"))
     names = config.get("neurons")
     if names:
         rec = select_neurons(rec, names)
-    model = m.load_checkpoint(_require(config, "checkpoint", "edges"))
+    model = _load_model_for_data(config, {rec.worm_id: rec}, "edges")
     if model.config.module_kind is not m.ModuleKind.GNN:
         raise ConfigError("edges: checkpoint is not a graph model; no edges to dump")
-    if rec.n_neurons != model.config.n_neurons:
-        raise ConfigError(
-            f"edges: checkpoint expects {model.config.n_neurons} neurons, "
-            f"recording has {rec.n_neurons}"
-        )
     rec = normalize_recording(rec)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_matrix(path, matrix):
         ev.export_confusion(path, matrix, rec.neuron_names, corner="source\\target")
 
-    if model.config.edge_mode is m.EdgeMode.CONNECTOME:
-        if model.connectome is None:
-            raise ConfigError("edges: connectome checkpoint carries no matrix")
-        inferred_mean = model.connectome
-        write_matrix(out_dir / "edges.tsv", inferred_mean)
-    elif model.config.edge_mode is m.EdgeMode.DYNAMIC:
+    if model.config.edge_mode is m.EdgeMode.DYNAMIC:
         stack = m.encode_edges(rec.features, model)
         inferred_mean = stack.mean(axis=0)
         write_matrix(out_dir / "edges_mean.tsv", inferred_mean)
         write_matrix(out_dir / "edges_std.tsv", stack.std(axis=0))
-    else:
+    else:  # the adjacency messages pass over: inferred, or the connectome as the model uses it
         inferred_mean = m.encode_edges(rec.features, model)
         write_matrix(out_dir / "edges.tsv", inferred_mean)
 
@@ -409,14 +383,25 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> int:
         else:
             report["pearson_correlation"] = float(np.corrcoef(a, b)[0, 1])
     _write_json(out_dir / "edge_comparison.json", report)
-    _write_manifest(out_dir, "edges", seed, config)
     print(f"edges: mode={model.config.edge_mode.value}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+# name -> (command, its own flags); every command also takes --config, --out and --seed
+COMMANDS = {
+    "gen-synth": (cmd_gen_synth, {"--force": dict(action="store_true", help="allow overwriting outputs")}),
+    "train": (cmd_train, {}),
+    "cross-validate": (cmd_cross_validate, {"--workers": dict(type=int, default=1, help="parallel cells"),
+                                            "--resume": dict(action="store_true", help="skip completed cells")}),
+    "eval": (cmd_eval, {}),
+    "rollout": (cmd_rollout, {}),
+    "pca": (cmd_pca, {}),
+    "edges": (cmd_edges, {}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -424,21 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph networks and baselines for multi-neuron calcium-imaging time series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-synth", "train", "cross-validate", "eval", "rollout", "pca", "edges"):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config or manifest file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        if name == "cross-validate":
-            p.add_argument("--workers", type=int, default=1, help="parallel cells")
-            p.add_argument("--resume", action="store_true", help="skip completed cells")
-        if name == "gen-synth":
-            p.add_argument("--force", action="store_true", help="allow overwriting outputs")
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, flags = COMMANDS[args.command]
     try:
         config, config_seed, manifest_command = _load_config(args.config)
         if manifest_command is not None and manifest_command != args.command:
@@ -449,21 +432,9 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else (config_seed if config_seed is not None else 0)
         seed = int(seed)
         out_dir = Path(args.out)
-        if args.command == "gen-synth":
-            return cmd_gen_synth(config, out_dir, seed, args.force)
-        if args.command == "train":
-            return cmd_train(config, out_dir, seed)
-        if args.command == "cross-validate":
-            return cmd_cross_validate(config, out_dir, seed, args.workers, args.resume)
-        if args.command == "eval":
-            return cmd_eval(config, out_dir, seed)
-        if args.command == "rollout":
-            return cmd_rollout(config, out_dir, seed)
-        if args.command == "pca":
-            return cmd_pca(config, out_dir, seed)
-        if args.command == "edges":
-            return cmd_edges(config, out_dir, seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command(config, out_dir, seed, **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
+        _write_json(out_dir / "manifest.json", {"command": args.command, "seed": seed, "config": config})
+        return 0
     except (ConfigError, RecordingFormatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

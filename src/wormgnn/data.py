@@ -305,20 +305,28 @@ def load_recording(path) -> WormRecording:
     for fieldname in ("worm_id", "dataset_tag", "sample_period_s", "neuron_names", "traces", "labels"):
         if fieldname not in raw:
             raise RecordingFormatError(f"{path}: missing field {fieldname!r}")
+        if fieldname in ("neuron_names", "labels") and not isinstance(raw[fieldname], list):
+            raise RecordingFormatError(f"{path}: {fieldname} must be a list, got {type(raw[fieldname]).__name__}")
 
-    traces = np.asarray(raw["traces"], dtype=np.float64)
+    def numbers(fieldname, convert=lambda values: np.asarray(values, dtype=np.float64)):
+        try:  # ragged rows, or an entry that is not a number
+            return convert(raw[fieldname])
+        except (TypeError, ValueError) as exc:
+            raise RecordingFormatError(f"{path}: {fieldname}: {exc}") from None
+
+    traces, period = numbers("traces"), numbers("sample_period_s", float)
     if traces.ndim != 2 or traces.shape[1] < 2:
         raise RecordingFormatError(
             f"{path}: traces must be an N x T matrix with T >= 2, got shape {traces.shape}"
         )
     labels = []
     for i, s in enumerate(raw["labels"]):
-        lab = _LABEL_FROM_STRING.get(s)
+        lab = _LABEL_FROM_STRING.get(s) if isinstance(s, str) else None
         if lab is None or lab.is_coarse:
             raise RecordingFormatError(f"{path}: labels[{i}]: unknown fine label {s!r}")
         labels.append(lab)
     if "derivatives" in raw and raw["derivatives"] is not None:
-        derivatives = np.asarray(raw["derivatives"], dtype=np.float64)
+        derivatives = numbers("derivatives")
     else:
         derivatives = np.apply_along_axis(compute_derivative, 1, traces)
     # min-max scaling would silently zero a row holding NaN, infinity or null
@@ -333,7 +341,7 @@ def load_recording(path) -> WormRecording:
         return WormRecording(
             worm_id=str(raw["worm_id"]),
             dataset_tag=str(raw["dataset_tag"]),
-            sample_period_s=float(raw["sample_period_s"]),
+            sample_period_s=period,
             neuron_names=[str(n) for n in raw["neuron_names"]],
             traces=traces,
             derivatives=derivatives,

@@ -501,11 +501,12 @@ class NeuralModel:
 # ---------------------------------------------------------------------------
 
 def encode_edges(features, model: NeuralModel) -> np.ndarray:
-    """Inferred edge weights of a recording's frames (T, N, 2) or one frame (N, 2).
+    """The adjacency a GNN passes messages over (``NeuralModel.adjacency``)
+    for a recording's frames (T, N, 2) or one frame (N, 2).
 
-    Static and one-hot modes return one (N, N) matrix; dynamic returns one
-    per frame, (T, N, N), inferred EDGE_CHUNK_FRAMES frames at a time so
-    that memory stays bounded on long recordings.
+    Static, one-hot and connectome modes return one (N, N) matrix; dynamic
+    returns one per frame, (T, N, N), inferred EDGE_CHUNK_FRAMES frames at a
+    time so that memory stays bounded on long recordings.
     """
     frames = np.asarray(features, dtype=np.float64)
     if frames.ndim not in (2, 3):
@@ -514,7 +515,8 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
         frames = frames[None]
     with ad.no_grad():
         if model.config.edge_mode is not EdgeMode.DYNAMIC:
-            return model.edge_weights(Tensor(frames[None]), training=False).data[0]
+            adjacency = model.adjacency(Tensor(frames[None]), training=False).data
+            return adjacency.reshape(adjacency.shape[-2:])
         starts = range(0, len(frames), EDGE_CHUNK_FRAMES)
         return np.concatenate([model.edge_weights(Tensor(frames[None, t : t + EDGE_CHUNK_FRAMES]),
                                                   training=False).data[0] for t in starts])
@@ -629,20 +631,26 @@ def save_checkpoint(model: NeuralModel, path) -> None:
 
 def load_checkpoint(path) -> NeuralModel:
     raw = json.loads(Path(path).read_text())
-    if raw.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"load_checkpoint: {path} is not a {CHECKPOINT_FORMAT} file")
+    if not isinstance(raw, dict) or raw.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"load_checkpoint: {path}: top level is not a {CHECKPOINT_FORMAT} object")
     if raw.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"load_checkpoint: unsupported version {raw.get('version')}")
+        raise ValueError(f"load_checkpoint: {path}: unsupported version {raw.get('version')}")
     try:
         # a config key ModelConfig does not take, or a missing one, is a TypeError naming it
         config = ModelConfig(**raw.get("config", {}))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"load_checkpoint: {path}: {exc}") from None
     model = NeuralModel(config)
+    arrays = []
+    for key in ("parameters", "buffers"):
+        try:  # not a list of objects, an entry without a field, or values that are not numbers
+            arrays.append({entry["name"]: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+                           for entry in raw.get(key, [])})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"load_checkpoint: {path}: {key} is not a list of name, shape and values "
+                             f"entries ({exc!r})") from None
     try:
-        params, buffers = ({entry["name"]: np.reshape(entry["values"], entry["shape"])
-                            for entry in raw.get(key, [])} for key in ("parameters", "buffers"))
-        model.load_state(params, buffers)
+        model.load_state(*arrays)
     except ValueError as exc:
         raise ValueError(f"load_checkpoint: {path}: {exc}") from None
     return model

@@ -43,6 +43,8 @@ TASK_SCHEMES = {
 }
 TASK_CLASS_COUNTS = {"classify2": 2, "classify7": 7, "classify4": 4}
 HINGE_L2 = 1e-3  # weight penalty of the linear baseline's hinge objective
+RECURRENT_BURN_IN = 4  # teacher frames a recurrent model warms up on when burn_in is not given
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -56,7 +58,7 @@ class TrainConfig:
     fold_count: int = 10
     window_len: int = 8
     eval_rollout: int = 16
-    burn_in: int = 0  # 4 for recurrent prediction variants
+    burn_in: int = 0  # the CLI defaults it to RECURRENT_BURN_IN for recurrent models
 
     def __post_init__(self):
         if not 0 < self.lr_decay_factor < 1:
@@ -163,11 +165,9 @@ def mse_loss(predicted: Tensor, target) -> Tensor:
 class AdamState:
     """First/second-moment optimizer with bias correction."""
 
-    def __init__(self, params: list[Parameter], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}
@@ -185,16 +185,15 @@ class AdamState:
         t = self.step_count
         for p in self.params:
             g = p.tensor.grad
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
+            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
 class TrainState:
-    epoch: int = 0
     lr: float = 1e-3
     best_val_loss: float = np.inf
     epochs_since_improvement: int = 0
@@ -206,22 +205,23 @@ class TrainState:
 PLATEAU_EPS = 1e-12
 
 
-def lr_on_plateau(state: TrainState, val_loss: float, patience: int, factor: float) -> float:
-    """Decay lr by ``factor`` after ``patience`` epochs without improvement.
+def lr_on_plateau(state: TrainState, val_loss: float, patience: int, factor: float) -> bool:
+    """True when ``val_loss`` beats ``best_val_loss`` by more than PLATEAU_EPS;
+    after ``patience`` epochs without that, lr decays by ``factor``.
 
-    Owns ``best_val_loss`` and the patience counter; call once per epoch.
+    The one owner of ``best_val_loss`` and the patience counter; call once per epoch.
     """
     if val_loss < state.best_val_loss - PLATEAU_EPS:
         state.best_val_loss = val_loss
         state.epochs_since_improvement = 0
-    else:
-        state.epochs_since_improvement += 1
-        if state.epochs_since_improvement >= patience:
-            state.lr *= factor
-            if state.adam is not None:
-                state.adam.lr = state.lr
-            state.epochs_since_improvement = 0
-    return state.lr
+        return True
+    state.epochs_since_improvement += 1
+    if state.epochs_since_improvement >= patience:
+        state.lr *= factor
+        if state.adam is not None:
+            state.adam.lr = state.lr
+        state.epochs_since_improvement = 0
+    return False
 
 
 def sampling_prob(epoch: int, cfg: TrainConfig) -> float:
@@ -325,7 +325,6 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
         ev.check_rollout_windows(holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
 
     for epoch in range(cfg.max_epochs):
-        state.epoch = epoch
         for wid in train_ids:
             worm = prepared[wid]
             mask = np.isin(worm.folds, train_folds)
@@ -344,15 +343,15 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
 
         # validation at the epoch boundary; keep the best-validation checkpoint
         val_loss = _validation_loss(model, plan, cfg, prepared, val_fold)
+        if not np.isfinite(val_loss):
+            raise ValueError(f"train: validation loss is {val_loss} at epoch {epoch}")
         state.val_history.append(val_loss)
-        if val_loss < state.best_val_loss - PLATEAU_EPS:
+        if lr_on_plateau(state, val_loss, cfg.plateau_patience, cfg.lr_decay_factor):
             state.best_state = model.state()
-        lr_on_plateau(state, val_loss, cfg.plateau_patience, cfg.lr_decay_factor)
 
-    if state.best_state:
-        model.load_state(*state.best_state)
+    model.load_state(*state.best_state)  # set at epoch 0: a finite loss improves on inf
 
-    metrics = _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold)
+    metrics = _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold, state.best_val_loss)
     metrics.wall_time_s = time.perf_counter() - started
     return state, metrics
 
@@ -377,7 +376,7 @@ def _holdout_worms(plan, prepared) -> list[PreparedWorm]:
     return [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
 
 
-def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetrics:
+def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold, best_val_loss) -> ev.RunMetrics:
     n_states = model.config.n_states
     metrics = ev.RunMetrics(task=plan.task, test_fold=test_fold, val_fold=val_fold)
     if plan.task == "predict":
@@ -385,7 +384,7 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold) -> ev.RunMetr
         if holdout:
             metrics.per_step_mse = ev.per_step_mse_prepared(
                 model, holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
-        metrics.val_mse = _validation_loss(model, plan, cfg, prepared, val_fold)
+        metrics.val_mse = best_val_loss  # the restored state's, measured in its epoch
         return metrics
 
     # one forward pass per worm: its (n_windows, W) classes, sliced per split below

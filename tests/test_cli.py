@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wormgnn import cli
+from wormgnn import models as m
 from wormgnn import training as tr
+from wormgnn.autodiff import Tensor
 from wormgnn.cli import main
 
 
@@ -176,6 +179,30 @@ def test_manifest_command_mismatch(tmp_path, capsys):
     assert "gen-synth" in capsys.readouterr().err
 
 
+def test_load_recordings_from_paths_with_neuron_selection(tmp_path):
+    data = gen_synth(tmp_path)
+    paths = [str(p) for p in sorted(data.glob("worm_*.json"))[:2]]
+    recs = cli._load_recordings({"recordings": paths, "neurons": ["SN03", "SN01"]}, "test")
+    assert sorted(recs) == ["worm_000", "worm_001"]
+    assert all(rec.neuron_names == ["SN03", "SN01"] for rec in recs.values())
+    assert np.array_equal(recs["worm_000"].traces,
+                          cli.load_recording(paths[0]).traces[[3, 1]])
+    recs = cli._load_recordings({"recordings": paths, "exclude_neurons": ["SN00", "SN02"]}, "test")
+    assert all(rec.neuron_names == ["SN01", "SN03", "SN04"] for rec in recs.values())
+    with pytest.raises(cli.ConfigError, match="duplicate worm_id 'worm_000'"):
+        cli._load_recordings({"recordings": [paths[0], paths[0]]}, "test")
+
+
+@pytest.mark.parametrize("config,burn_in", [
+    ({"model": {"recurrent": True}}, tr.RECURRENT_BURN_IN),
+    ({"model": {"recurrent": True}, "train": {"burn_in": 2}}, 2),
+    ({"model": {"recurrent": False}}, 0),
+    ({}, 0),
+], ids=["recurrent", "recurrent_explicit", "not_recurrent", "no_model"])
+def test_train_config_burn_in_defaults_for_recurrent_models(config, burn_in):
+    assert cli._train_config(config, seed=0, context="test").burn_in == burn_in
+
+
 # -- cross-validate -----------------------------------------------------------------
 
 def test_cross_validate_counts_resume_and_workers(tmp_path):
@@ -216,6 +243,23 @@ def test_cross_validate_rejects_fewer_than_one_worker(tmp_path, capsys, workers)
     assert f"cross_validate: workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not (out / "records.jsonl").exists()
     assert not list((out / "cells").glob("*.json"))
+
+
+def test_cross_validate_with_connectome(tmp_path):
+    # every cell's model gets the connectome, in this process and in pool workers
+    data = gen_synth(tmp_path, n_worms=3)
+    conn = tmp_path / "conn.txt"
+    conn.write_text("SN00 SN01 2.0\nSN01 SN02 1.0\nSN03 SN00 0.5\n")
+    cfg = write_config(tmp_path / "cv.json", train_config(
+        data, permutation_size=2, connectome=str(conn),
+        model={"module_kind": "gnn", "edge_mode": "connectome", "hidden_dim": 4},
+        train={"max_epochs": 1, "fold_count": 4, "window_len": 8}))
+    outs = [tmp_path / f"cv_{workers}" for workers in (1, 2)]
+    for out, workers in zip(outs, (1, 2)):
+        assert main(["cross-validate", "--config", str(cfg), "--out", str(out), "--seed", "1",
+                     "--workers", str(workers)]) == 0
+    records = [strip_wall_time(read_records(out)) for out in outs]
+    assert len(records[0]) == 12 and records[0] == records[1]
 
 
 TINY_CELLS = [(pi, fold) for pi in range(3) for fold in range(4)]
@@ -341,11 +385,24 @@ def test_eval_and_shape_mismatch(tmp_path, capsys):
     assert "5" in err and "7" in err
 
 
+def drop(entry: dict, key: str) -> None:
+    del entry[key]
+
+
 @pytest.mark.parametrize("corrupt,name", [
     (lambda raw: raw.update(buffers=[b for b in raw["buffers"]
                                      if b["name"] != "trunk.bn.running_var"]), "trunk.bn.running_var"),
     (lambda raw: raw["config"].update(hidden=3), "hidden"),
-], ids=["missing_buffer", "unknown_config_key"])
+    (lambda raw: drop(raw["parameters"][0], "name"),
+     "parameters is not a list of name, shape and values entries (KeyError('name'))"),
+    (lambda raw: drop(raw["buffers"][1], "values"),
+     "buffers is not a list of name, shape and values entries (KeyError('values'))"),
+    (lambda raw: raw["parameters"][2].update(values=["x"] * len(raw["parameters"][2]["values"])),
+     "parameters is not a list"),
+    (lambda raw: raw.update(parameters={"head.bias": [0.0, 0.0]}), "parameters is not a list"),
+    (lambda raw: [raw], "top level is not a wormgnn-checkpoint object"),
+], ids=["missing_buffer", "unknown_config_key", "entry_without_name", "entry_without_values",
+        "non_numeric_values", "parameters_not_a_list", "top_level_list"])
 def test_eval_names_bad_checkpoint_entry(tmp_path, capsys, corrupt, name):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"
@@ -353,7 +410,7 @@ def test_eval_names_bad_checkpoint_entry(tmp_path, capsys, corrupt, name):
     assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "2"]) == 0
     ckpt = run / "model.ckpt"
     raw = json.loads(ckpt.read_text())
-    corrupt(raw)
+    raw = corrupt(raw) or raw  # a corruption edits the checkpoint in place or replaces it
     ckpt.write_text(json.dumps(raw))
     eval_cfg = write_config(tmp_path / "eval.json", {
         "task": "classify2", "data_dir": str(data), "checkpoint": str(ckpt),
@@ -361,6 +418,7 @@ def test_eval_names_bad_checkpoint_entry(tmp_path, capsys, corrupt, name):
     })
     assert main(["eval", "--config", str(eval_cfg), "--out", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
     assert f"load_checkpoint: {ckpt}: " in err and name in err
 
 
@@ -464,6 +522,31 @@ def test_pca_command_rejects_zero_components(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("labels", 7, "labels must be a list, got int"),
+    ("labels", [["forward"]] * 8, "labels[0]: unknown fine label ['forward']"),
+    ("neuron_names", "AB", "neuron_names must be a list, got str"),
+    ("traces", [[0.1] * 8, [0.2] * 7], "traces: setting an array element with a sequence"),
+    ("traces", [[0.1] * 8, ["x"] * 8], "traces: could not convert string to float: 'x'"),
+    ("derivatives", [[0.1] * 8, [{}] * 8], "derivatives: float() argument must be"),
+    ("sample_period_s", "fast", "sample_period_s: could not convert string to float: 'fast'"),
+    ("sample_period_s", [0.3, 0.3], "sample_period_s: float() argument must be"),
+], ids=["labels_int", "label_list", "names_str", "traces_ragged", "traces_text",
+        "derivatives_object", "period_text", "period_list"])
+def test_malformed_recording_fails_with_one_named_error(tmp_path, capsys, field, value, message):
+    payload = {
+        "worm_id": "w", "dataset_tag": "t", "sample_period_s": 0.3, "neuron_names": ["A", "B"],
+        "traces": [[0.1 * t for t in range(8)], [0.2] * 8], "labels": ["forward"] * 8,
+    }
+    payload[field] = value
+    rec = write_config(tmp_path / "rec.json", payload)
+    cfg = write_config(tmp_path / "pca.json", {"recording": str(rec), "components": 1})
+    assert main(["pca", "--config", str(cfg), "--out", str(tmp_path / "pca")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rec}: ") and err.count("\n") == 1  # one line, no traceback
+    assert message in err
+
+
 def test_edges_static_and_comparison(tmp_path):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"
@@ -509,6 +592,31 @@ def test_connectome_training_and_edges_dump(tmp_path):
     report = json.loads((out / "edge_comparison.json").read_text())
     # the checkpoint carries the same structural matrix: perfect correlation
     assert report["pearson_correlation"] == pytest.approx(1.0)
+
+
+def test_edges_dumps_the_adjacency_messages_pass_over(tmp_path):
+    # with self edges off, a self pair in the connectome file passes no message
+    data = gen_synth(tmp_path)
+    conn = tmp_path / "conn.txt"
+    conn.write_text("SN00 SN00 3.0\nSN00 SN01 2.0\nSN01 SN02 1.0\nSN03 SN00 0.5\n")
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(
+        data, connectome=str(conn),
+        model={"module_kind": "gnn", "edge_mode": "connectome", "hidden_dim": 4,
+               "include_self_edges": False}))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "4"]) == 0
+    out = tmp_path / "edges"
+    edges_cfg = write_config(tmp_path / "edges.json", {
+        "checkpoint": str(run / "model.ckpt"),
+        "recording": str(sorted(data.glob("worm_*.json"))[0]),
+    })
+    assert main(["edges", "--config", str(edges_cfg), "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in (out / "edges.tsv").read_text().splitlines()]
+    dumped = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    model = m.load_checkpoint(run / "model.ckpt")
+    assert model.connectome[0, 0] == 1.0  # stored, but unused
+    assert np.array_equal(dumped, model.adjacency(Tensor(np.zeros((5, 2))), training=False).data)
+    assert not np.diag(dumped).any() and dumped[0, 1] == model.connectome[0, 1] == 2.0 / 3.0
 
 
 def test_edges_dynamic_tables(tmp_path):

@@ -692,3 +692,28 @@ def test_full_model_grad_check(kind, task, edge_mode):
 
         err = ad.grad_check(loss_against_input, ad.tensor(feats), step=1e-6)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("kind", [m.ModuleKind.MLP, m.ModuleKind.GNN])
+def test_recurrent_classifier_grad_check_and_determinism(kind):
+    # the recurrent loop of _pooled_hidden: one gated-cell step per window frame
+    cfg = m.ModelConfig(module_kind=kind, task=m.Task.CLASSIFY, n_neurons=3, n_states=2,
+                        hidden_dim=4, recurrent=True)
+    rng = np.random.default_rng(0)
+    feats = rng.uniform(0.1, 0.9, size=(2, 3, 3, 2))
+    targets = rng.integers(0, 2, size=(2, 3))
+    model = m.NeuralModel(cfg, master_seed=0)
+    for name in ("lstm.w_x", "lstm.w_h", "lstm.bias", "head.weight"):
+        err = ad.grad_check(lambda _: model_loss_fn(model, m.Task.CLASSIFY, feats, targets),
+                            model.named_parameters()[name].tensor, step=1e-4)
+        assert err < 1e-4, f"{kind} parameter {name}: {err}"
+
+    def run():
+        model = m.NeuralModel(cfg, master_seed=3)
+        loss = model_loss_fn(model, m.Task.CLASSIFY, feats, targets)
+        loss.backward()
+        return loss.item(), {name: p.tensor.grad for name, p in model.named_parameters().items()}
+
+    (loss_a, grads_a), (loss_b, grads_b) = run(), run()
+    assert loss_a == loss_b
+    assert all(np.array_equal(grads_a[name], grads_b[name]) for name in grads_a)

@@ -338,6 +338,19 @@ def test_train_raises_on_non_finite_loss():
         assert np.array_equal(p.data, before[name], equal_nan=True)
 
 
+def test_train_raises_on_non_finite_validation_loss():
+    recs = small_worms(1)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=2)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["w0"])
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                                        n_neurons=4, n_states=2, hidden_dim=4), master_seed=0)
+    # training normalizes by batch statistics, validation by the running ones
+    model.trunk.bn.running_var[0] = np.nan
+    prepared = tr.prepare_worms(recs, "classify2", cfg, 0)
+    with pytest.raises(ValueError, match="validation loss is nan at epoch 0"):
+        tr.train(model, plan, cfg, prepared)
+
+
 def test_predict_rejects_too_short_held_out_worms_before_training(monkeypatch):
     recs = {}
     for i, t in enumerate([160, 160, 40]):
@@ -612,6 +625,8 @@ def test_predict_training_runs_and_improves():
     assert min(state.val_history[60:]) < state.val_history[0]
     assert metrics.val_mse is not None
     assert metrics.val_mse == pytest.approx(min(state.val_history), abs=1e-9)
+    # the best epoch's validation loss is the restored state's: no second pass
+    assert metrics.val_mse == state.best_val_loss
 
 
 # -- one small cell per kind: recorded metrics, and no_grad against grad mode --------
