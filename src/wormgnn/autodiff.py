@@ -9,10 +9,11 @@ sum/mean reductions, batch normalization with running statistics, and a
 gated recurrent cell.  A fused ReLU rectifies its node's own output buffer
 in place, so an activated layer keeps one array in the graph, not two; its
 values and gradients are bit-equal to the composed ops.  A few
-shape-plumbing primitives (reshape, index_select, split, sigmoid/tanh/power)
-exist because batched model forwards cannot be expressed without them;
-``split`` cuts a tensor into contiguous views along one axis, and its
-backward writes every slice's gradient into one buffer.
+shape-plumbing primitives (reshape, swapaxes, index_select, split,
+sigmoid/tanh/power) exist because batched model forwards cannot be expressed
+without them; ``swapaxes`` returns a view, and ``split`` cuts a tensor into
+contiguous views along one axis, whose backward writes every slice's
+gradient into one buffer.
 
 Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
 logits to the second component of their temperature softmax (the inferred
@@ -69,6 +70,7 @@ __all__ = [
     "tensor_sum",
     "tensor_mean",
     "reshape",
+    "swapaxes",
     "index_select",
     "split",
     "lstm_cell",
@@ -513,6 +515,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """``a`` with two axes exchanged, as a view."""
+    return _make(np.swapaxes(a.data, axis1, axis2), (a,),
+                 lambda g: (np.swapaxes(g, axis1, axis2),))
+
+
 def index_select(a: Tensor, axis: int, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.intp)
     axis = axis % a.ndim
@@ -590,22 +598,25 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+BATCHNORM_MOMENTUM = 0.1
+BATCHNORM_EPS = 1e-5
+
+
 class BatchNorm:
     """Per-feature standardization with learned scale/shift and running stats.
 
-    The feature axis is the last one; all leading axes form the batch.
+    ``features`` is a width or a shape: the trailing axes of that shape are
+    the features (one statistic per entry), all leading axes form the batch.
     Running statistics follow an exponential moving average with momentum
-    0.1.  In inference mode the layer is a fixed affine map.
+    BATCHNORM_MOMENTUM.  In inference mode the layer is a fixed affine map.
     """
 
-    def __init__(self, num_features: int, name: str, momentum: float = 0.1, eps: float = 1e-5):
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(f"{name}.gamma", np.ones(num_features))
-        self.beta = Parameter(f"{name}.beta", np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+    def __init__(self, features, name: str):
+        self.features = (features,) if isinstance(features, int) else tuple(features)
+        self.gamma = Parameter(f"{name}.gamma", np.ones(self.features))
+        self.beta = Parameter(f"{name}.beta", np.zeros(self.features))
+        self.running_mean = np.zeros(self.features)
+        self.running_var = np.ones(self.features)
         self.name = name
 
     def parameters(self) -> list[Parameter]:
@@ -619,22 +630,23 @@ class BatchNorm:
         self.running_var = np.asarray(values[f"{self.name}.running_var"], dtype=np.float64)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.shape[-1] != self.num_features:
+        batch_ndim = x.ndim - len(self.features)
+        if batch_ndim < 0 or x.shape[batch_ndim:] != self.features:
             raise ValueError(
-                f"batchnorm {self.name}: expected {self.num_features} features, got shape {x.shape}"
+                f"batchnorm {self.name}: expected {self.features} features, got shape {x.shape}"
             )
-        batch_axes = tuple(range(x.ndim - 1))
+        batch_axes = tuple(range(batch_ndim))
         if training:
             mu = x.mean(axis=batch_axes)
             centered = sub(x, mu)
             var = mul(centered, centered).mean(axis=batch_axes)
-            m = self.momentum
+            m = BATCHNORM_MOMENTUM
             self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
             self.running_var = (1.0 - m) * self.running_var + m * var.data
-            inv_std = power(add(var, Tensor(np.full(self.num_features, self.eps))), -0.5)
+            inv_std = power(add(var, Tensor(np.full(self.features, BATCHNORM_EPS))), -0.5)
             normed = mul(centered, inv_std)
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv = 1.0 / np.sqrt(self.running_var + BATCHNORM_EPS)
             normed = mul(sub(x, Tensor(self.running_mean)), Tensor(inv))
         return add(mul(normed, self.gamma.tensor), self.beta.tensor)
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,12 @@ def _load_recordings(config: dict, context: str) -> dict:
         recs = {wid: select_neurons(rec, names) for wid, rec in recs.items()}
     if exclude:
         recs = {wid: select_neurons(rec, exclude, exclude=True) for wid, rec in recs.items()}
+    first_id = next(iter(recs), None)
+    for wid, rec in recs.items():  # one neuron axis: neuron i is the same cell in every worm
+        for i, (want, got) in enumerate(zip_longest(recs[first_id].neuron_names, rec.neuron_names)):
+            if want != got:
+                raise ConfigError(f"{context}: worm {wid!r} has neuron {got!r} at position {i} where "
+                                  f"worm {first_id!r} has {want!r}; choose shared neurons with 'neurons'")
     return recs
 
 

@@ -6,8 +6,9 @@ Markovian trajectory prediction).
 A NeuralModel runs three stages in a fixed order: an edge source (none,
 inferred, or a loaded connectome), an optional gated recurrent stage, and a
 decoder, either pooled (the aggregated neurons through a trunk MLP and head,
-or the linear map) or per-node (one MLP per neuron for node_mlp, one decoder
-shared by every node for the predicting GNN).  The graph network encodes
+or the linear map) or per-node (one decoder over the neuron axis, with
+weights of its own per neuron for node_mlp and shared by every node for the
+predicting GNN).  The graph network encodes
 node features, scores every ordered neuron pair with two logits whose
 temperature softmax's second component is the edge weight (``ad.softmax_gate``
 computes it from the logit difference, bit-equal to the softmax), and
@@ -38,6 +39,7 @@ and load_state copy parameters and buffers, for checkpoints and the best epoch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -52,7 +54,7 @@ from .rng import derive_rng
 ONE_HOT_TEMPERATURE = 0.05
 EDGE_CHUNK_FRAMES = 256  # dynamic edges of a long recording are inferred in chunks this long
 CHECKPOINT_FORMAT = "wormgnn-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 held node_mlp weights as one node{i}.* set per neuron
 
 
 class ModuleKind(Enum):
@@ -123,19 +125,38 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 
 class Linear:
-    def __init__(self, name: str, in_dim: int, out_dim: int, rng):
-        self.weight = Parameter(f"{name}.weight", ad.uniform_init(rng, in_dim, (in_dim, out_dim)))
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_dim))
+    """``x @ w + b`` over the last axis.  With ``n_neurons`` N, every neuron
+    has its own weights: the weight is (N, in, out), the bias (N, 1, out),
+    and the input (…, N, in) runs as one product batched over neurons.
+    ``weight`` gives initial weights instead of drawing them from ``rng``."""
+
+    def __init__(self, name: str, in_dim: int, out_dim: int, rng, n_neurons: int | None = None,
+                 weight: np.ndarray | None = None):
+        lead = () if n_neurons is None else (n_neurons, 1)
+        if weight is None:
+            weight = ad.uniform_init(rng, in_dim, lead[:1] + (in_dim, out_dim))
+        self.weight = Parameter(f"{name}.weight", weight)
+        self.bias = Parameter(f"{name}.bias", np.zeros(lead + (out_dim,)))
+        self.per_neuron = n_neurons is not None
 
     def parameters(self):
         return [self.weight, self.bias]
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
-        return ad.linear(x, self.weight.tensor, self.bias.tensor, relu=relu)
+        if not self.per_neuron:
+            return ad.linear(x, self.weight.tensor, self.bias.tensor, relu=relu)
+        # (…, N, in) -> (N, M, in) -> (N, M, out) -> (…, N, out), every step a view
+        rows = ad.swapaxes(ad.reshape(x, (math.prod(x.shape[:-2]),) + x.shape[-2:]), 0, 1)
+        out = ad.linear(rows, self.weight.tensor, self.bias.tensor, relu=relu)
+        return ad.reshape(ad.swapaxes(out, 0, 1), x.shape[:-1] + out.shape[-1:])
 
 
 class TwoLayerMlp:
     """Linear + ReLU twice, optionally batch norm on the output.
+
+    With ``n_neurons`` both layers (and the batch norm's statistics) are per
+    neuron, as in ``Linear``; neuron i's fc1 weight is drawn, then its fc2
+    weight, then neuron i + 1's, as if each neuron had a block of its own.
 
     Each ReLU is fused into the node of its layer (``linear(relu=True)``,
     ``pair_relu``), so each layer keeps one activation array in the graph.
@@ -150,10 +171,15 @@ class TwoLayerMlp:
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
-                 pairwise: bool = False):
-        self.fc1 = Linear(f"{name}.fc1", in_dim, hidden_dim, rng)
-        self.fc2 = Linear(f"{name}.fc2", hidden_dim, hidden_dim, rng)
-        self.bn = BatchNorm(hidden_dim, name=f"{name}.bn") if batchnorm else None
+                 pairwise: bool = False, n_neurons: int | None = None):
+        lead = () if n_neurons is None else (n_neurons,)
+        draws = [(ad.uniform_init(rng, in_dim, (in_dim, hidden_dim)),
+                  ad.uniform_init(rng, hidden_dim, (hidden_dim, hidden_dim)))
+                 for _ in range(n_neurons or 1)]
+        w1, w2 = (np.stack(ws).reshape(lead + ws[0].shape) for ws in zip(*draws))
+        self.fc1 = Linear(f"{name}.fc1", in_dim, hidden_dim, rng, n_neurons, weight=w1)
+        self.fc2 = Linear(f"{name}.fc2", hidden_dim, hidden_dim, rng, n_neurons, weight=w2)
+        self.bn = BatchNorm(lead + (hidden_dim,), name=f"{name}.bn") if batchnorm else None
         self.pairwise = pairwise
 
     def parameters(self):
@@ -269,16 +295,16 @@ class NeuralModel:
         # would dominate the residual scale
         if kind is ModuleKind.LINEAR:
             self.linear = block(Linear("linear", width, config.n_states, rng))
-        elif kind is ModuleKind.NODE_MLP:
-            self.node_blocks = [block(TwoLayerMlp(f"node{i}", width, hidden, rng, batchnorm=classify))
-                                for i in range(n)]
+        elif self._per_node:
+            # one decoder per node: own weights per neuron in node_mlp, one set
+            # shared by every node in the predicting GNN
+            own = n if kind is ModuleKind.NODE_MLP else None
+            self.decoder = block(TwoLayerMlp("node" if own else "dec", width, hidden, rng,
+                                             batchnorm=classify, n_neurons=own))
             if classify:
                 self.head = block(Linear("head", n * hidden, config.n_states, rng))
             else:
-                self.node_heads = [block(Linear(f"node{i}.head", hidden, 2, rng)) for i in range(n)]
-        elif self._per_node:  # predicting GNN: one decoder shared by every node
-            self.decoder = block(TwoLayerMlp("dec", width, hidden, rng, batchnorm=False))
-            self.dec_head = block(Linear("dec_head", hidden, 2, rng))
+                self.dec_head = block(Linear("node.head" if own else "dec_head", hidden, 2, rng, own))
         else:
             self.trunk = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
             self.head = block(Linear("head", hidden, config.n_states if classify else 2 * n, rng))
@@ -437,19 +463,6 @@ class NeuralModel:
             x = ad.concat(outputs, axis=1)
         return self.trunk.forward(x, training)
 
-    def _node_decode(self, x: Tensor, training: bool) -> Tensor:
-        """Neuron i of x (…, N, F) through node{i}: the concatenated hidden
-        vectors (…, N * hidden) to classify, the per-node residuals (…, N, 2)
-        to predict."""
-        lead, axis = x.shape[:-2], x.ndim - 2
-        predict = self.config.task is Task.PREDICT
-        outs = []
-        columns = ad.split(x, [1] * len(self.node_blocks), axis=axis)
-        for i, (node, column) in enumerate(zip(self.node_blocks, columns)):
-            h = node.forward(column.reshape(lead + (x.shape[-1],)), training)
-            outs.append(ad.reshape(self.node_heads[i].forward(h), lead + (1, 2)) if predict else h)
-        return ad.concat(outs, axis=axis if predict else -1)
-
     def classify_logits(self, feats: Tensor, training: bool,
                         edge_feats: Tensor | None = None) -> Tensor:
         """Per-timestep class logits for a (B, W, N, 2) feature stack.
@@ -468,8 +481,9 @@ class NeuralModel:
         x = self._edge_stage(feats, training, edge_feats=edge_feats)
         if cfg.module_kind is ModuleKind.LINEAR:
             return self.linear.forward(self._aggregate(x))
-        if self._per_node:
-            return self.head.forward(self._node_decode(x, training))
+        if self._per_node:  # the per-node hidden vectors, concatenated in neuron order
+            h = self.decoder.forward(x, training)
+            return self.head.forward(ad.reshape(h, h.shape[:-2] + (h.shape[-2] * h.shape[-1],)))
         return self.head.forward(self._pooled_hidden(x, training))
 
     def predict_residual(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
@@ -488,8 +502,6 @@ class NeuralModel:
             x = self._aggregate(x)
         if self.config.recurrent:
             x, rec_state = self._recurrent_step(x, rec_state)
-        if self.config.module_kind is ModuleKind.NODE_MLP:
-            return self._node_decode(x, training), rec_state
         if self._per_node:
             return self.dec_head.forward(self.decoder.forward(x, training)), rec_state
         out = self.head.forward(self.trunk.forward(x, training))
@@ -629,11 +641,28 @@ def save_checkpoint(model: NeuralModel, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _stack_v1_nodes(arrays: dict, current: dict) -> dict:
+    """A version-1 node_mlp checkpoint's arrays with each set of per-neuron
+    ``node{i}.<rest>`` arrays stacked into the ``node.<rest>`` array of
+    ``current``'s shape; a set with a neuron missing is left as it is."""
+    arrays = dict(arrays)
+    for name, value in current.items():
+        keys = [f"node{i}{name[4:]}" for i in range(len(value))] if name.startswith("node.") else []
+        if keys and all(key in arrays for key in keys):
+            arrays[name] = np.stack([arrays.pop(key) for key in keys]).reshape(value.shape)
+    return arrays
+
+
 def load_checkpoint(path) -> NeuralModel:
-    raw = json.loads(Path(path).read_text())
+    """The model a checkpoint holds; version-1 files load too (node_mlp ones
+    through ``_stack_v1_nodes``)."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"load_checkpoint: {path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"load_checkpoint: {path}: top level is not a {CHECKPOINT_FORMAT} object")
-    if raw.get("version") != CHECKPOINT_VERSION:
+    if raw.get("version") not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"load_checkpoint: {path}: unsupported version {raw.get('version')}")
     try:
         # a config key ModelConfig does not take, or a missing one, is a TypeError naming it
@@ -650,6 +679,8 @@ def load_checkpoint(path) -> NeuralModel:
             raise ValueError(f"load_checkpoint: {path}: {key} is not a list of name, shape and values "
                              f"entries ({exc!r})") from None
     try:
+        if raw["version"] == 1 and config.module_kind is ModuleKind.NODE_MLP:
+            arrays = [_stack_v1_nodes(given, current) for given, current in zip(arrays, model.state())]
         model.load_state(*arrays)
     except ValueError as exc:
         raise ValueError(f"load_checkpoint: {path}: {exc}") from None

@@ -136,6 +136,7 @@ OPS = {
     "sum_axis": lambda x: ad.tensor_sum(x, axis=0, keepdims=True),
     "mean_axis": lambda x: ad.tensor_mean(x, axis=1),
     "reshape": lambda x: ad.reshape(x, (4, 3)),
+    "swapaxes": lambda x: ad.swapaxes(ad.reshape(x, (3, 2, 2)), 0, 2),
     "index_select": lambda x: ad.index_select(x, 1, [0, 2, 2, 1]),
     "split": lambda x: ad.split(x, [1, 3], axis=1)[1],
     "split_two_outputs": lambda x: split_two_outputs(x),
@@ -390,6 +391,42 @@ def test_grad_check_batchnorm_training():
         assert ad.grad_check(run, x, step=STEP) < GRAD_TOL
 
 
+def test_batchnorm_feature_shape_keeps_one_statistic_per_entry():
+    # a (3, 2) feature shape normalizes each of the 6 entries over the batch
+    # axes: values and running statistics byte-equal to one width-2 batch norm
+    # per row of the feature shape, and the gradient passes grad_check
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, 4, 3, 2))
+    stacked = ad.BatchNorm((3, 2), name="bn")
+    stacked.gamma.data = rng.normal(size=(3, 2))
+    stacked.beta.data = rng.normal(size=(3, 2))
+    out = stacked.forward(ad.tensor(x), training=True).data
+    for i in range(3):
+        single = ad.BatchNorm(2, name="bn")
+        single.gamma.data, single.beta.data = stacked.gamma.data[i], stacked.beta.data[i]
+        column = single.forward(ad.tensor(np.ascontiguousarray(x[:, :, i])), training=True).data
+        assert column.tobytes() == np.ascontiguousarray(out[:, :, i]).tobytes()
+        assert single.running_mean.tobytes() == stacked.running_mean[i].tobytes()
+        assert single.running_var.tobytes() == stacked.running_var[i].tobytes()
+    with pytest.raises(ValueError, match=r"batchnorm bn: expected \(3, 2\) features"):
+        stacked.forward(ad.tensor(np.ones((5, 2, 3))), training=True)
+
+    def run(t):
+        bn = ad.BatchNorm((2, 3), name="bn")
+        bn.gamma.data = 1.0 + 0.1 * np.arange(6.0).reshape(2, 3)
+        return ad.mul(bn.forward(ad.reshape(t, (6, 2, 3)), training=True),
+                      ad.Tensor(np.cos(np.arange(36.0)).reshape(6, 2, 3))).sum()
+
+    assert ad.grad_check(run, ad.tensor(rng.normal(size=(6, 6))), step=STEP) < GRAD_TOL
+
+
+def test_swapaxes_is_a_view():
+    x = ad.tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    out = ad.swapaxes(x, 0, 1)
+    assert out.shape == (3, 2, 4) and np.shares_memory(out.data, x.data)
+    assert np.array_equal(out.data, np.swapaxes(x.data, 0, 1))
+
+
 def test_grad_check_constant_function():
     x = ad.tensor(np.ones((2, 2)))
     err = ad.grad_check(lambda t: ad.mul(t, ad.Tensor(np.zeros((2, 2)))).sum(), x)
@@ -486,7 +523,7 @@ def test_batchnorm_inference_is_affine():
 
     x = rng.normal(size=(5, 4))
     y = bn.forward(ad.tensor(x), training=False).data
-    scale_vec = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    scale_vec = bn.gamma.data / np.sqrt(bn.running_var + ad.BATCHNORM_EPS)
     expected = (x - bn.running_mean) * scale_vec + bn.beta.data
     assert np.allclose(y, expected, atol=1e-12)
 

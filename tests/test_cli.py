@@ -193,6 +193,27 @@ def test_load_recordings_from_paths_with_neuron_selection(tmp_path):
         cli._load_recordings({"recordings": [paths[0], paths[0]]}, "test")
 
 
+def test_recordings_with_other_neuron_order_rejected_unless_selected(tmp_path, capsys):
+    # one worm's neurons reversed: neuron i would be a different cell in that
+    # worm, so training refuses it; naming the neurons aligns every worm
+    data = gen_synth(tmp_path)
+    path = data / "worm_001.json"
+    rec = cli.load_recording(path)
+    cli.save_recording(cli.select_neurons(rec, rec.neuron_names[::-1]), path)
+    cfg = write_config(tmp_path / "train.json", train_config(data))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert ("train: worm 'worm_001' has neuron 'SN04' at position 0 where worm 'worm_000' has "
+            "'SN00'; choose shared neurons with 'neurons'") in err
+    assert not (tmp_path / "run").exists()
+
+    names = [f"SN0{i}" for i in range(5)]
+    cfg = write_config(tmp_path / "train.json", train_config(data, neurons=names))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    recs = cli._load_recordings({"data_dir": str(data), "neurons": names}, "test")
+    assert np.array_equal(recs["worm_001"].traces, rec.traces)
+
+
 @pytest.mark.parametrize("config,burn_in", [
     ({"model": {"recurrent": True}}, tr.RECURRENT_BURN_IN),
     ({"model": {"recurrent": True}, "train": {"burn_in": 2}}, 2),

@@ -1,6 +1,9 @@
 """Docs drift: the README's CLI walkthrough configs and the example recording
-still load, so a removed or renamed option fails here, not in a reader's run."""
+still load, and its `model` and `train` key lists name exactly the config
+fields, so a removed, renamed or added option fails here, not in a reader's
+run."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 
 from wormgnn import cli
 from wormgnn import models as m
+from wormgnn import training as tr
 from wormgnn.data import load_recording
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +38,21 @@ def test_walkthrough_model_and_train_sections_build(name, config):
         cli._build_section(m.ModelConfig, spec, "model", name)
     if "train" in config:
         cli._train_config(config, seed=0, context=name)
+
+
+# each config section's dataclass, and the fields the CLI fills in itself
+SECTION_FIELDS = {"model": (m.ModelConfig, {"task", "n_neurons", "n_states"}),
+                  "train": (tr.TrainConfig, {"seed"})}
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_FIELDS))
+def test_readme_lists_every_config_field(section):
+    cls, filled_in = SECTION_FIELDS[section]
+    bullet = re.search(rf"^- `{section}` holds `{cls.__name__}` fields: (.*?)^(?:- |$)",
+                       (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+    # the list ends at its first full stop; parentheses hold values and defaults
+    names = re.findall(r"`(\w+)`", re.split(r"\.\s", re.sub(r"\([^)]*\)", "", bullet))[0])
+    assert names == [f.name for f in dataclasses.fields(cls) if f.name not in filled_in]
 
 
 def test_example_recording_loads():

@@ -11,6 +11,7 @@ from wormgnn import autodiff as ad
 from wormgnn import models as m
 from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
+from wormgnn.rng import derive_rng
 
 from model_stubs import ConstantResidualModel
 
@@ -595,6 +596,132 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="wormgnn-checkpoint"):
         m.load_checkpoint(path)
+    path.write_text("junk")
+    with pytest.raises(ValueError, match=r"^load_checkpoint: .*x\.json: not valid JSON \(Expecting value"):
+        m.load_checkpoint(path)
+
+
+def node_mlp_config(task="classify", n=4, hidden=6):
+    return m.ModelConfig(module_kind="node_mlp", task=task, n_neurons=n, hidden_dim=hidden)
+
+
+def as_version_1(raw: dict) -> dict:
+    """A version-2 checkpoint as version 1 wrote it: each stacked ``node.*``
+    array cut into one ``node{i}.*`` array per neuron, biases without the
+    neuron axis's broadcast row."""
+    raw = {**raw, "version": 1}
+    for key in ("parameters", "buffers"):
+        entries = []
+        for entry in raw[key]:
+            if not entry["name"].startswith("node."):
+                entries.append(entry)
+                continue
+            for i, values in enumerate(np.reshape(entry["values"], entry["shape"])):
+                shape = values.shape[1:] if entry["name"].endswith(".bias") else values.shape
+                entries.append({"name": f"node{i}{entry['name'][4:]}", "shape": list(shape),
+                                "values": values.reshape(-1).tolist()})
+        raw[key] = entries
+    return raw
+
+
+@pytest.mark.parametrize("task", ["classify", "predict"])
+def test_version_1_node_mlp_checkpoint_loads_and_reproduces_outputs(tmp_path, task):
+    model = m.NeuralModel(node_mlp_config(task), master_seed=2)
+    rng = np.random.default_rng(0)
+    for p in model.parameters():  # every parameter, biases and batch-norm scales too, off its init
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    feats = rng.normal(size=(3, 5, 4, 2))
+    if task == "classify":
+        model.classify_logits(Tensor(feats), training=True)  # running statistics off their init
+        assert model.batchnorms()[0].running_var.shape == (4, 6)
+
+    def outputs(net):
+        if task == "classify":
+            return net.classify_logits(Tensor(feats), training=False).data.tobytes()
+        return m.rollout_batch(net, feats, 3).data.tobytes()
+
+    v2, v1, again = (tmp_path / name for name in ("v2.ckpt", "v1.ckpt", "again.ckpt"))
+    m.save_checkpoint(model, v2)
+    raw = as_version_1(json.loads(v2.read_text()))
+    assert "node3.fc1.weight" in {entry["name"] for entry in raw["parameters"]}
+    v1.write_text(json.dumps(raw))
+    loaded = m.load_checkpoint(v1)
+    assert outputs(loaded) == outputs(model)
+    # saved again it is the version-2 file, byte for byte
+    m.save_checkpoint(loaded, again)
+    assert again.read_bytes() == v2.read_bytes()
+
+    # a neuron's array missing leaves that set unstacked, and loading names it
+    raw["parameters"] = [entry for entry in raw["parameters"] if entry["name"] != "node3.fc2.bias"]
+    v1.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=r"^load_checkpoint: .*: unknown parameter node0\.fc2\.bias"):
+        m.load_checkpoint(v1)
+
+
+def test_version_1_checkpoint_of_another_kind_loads_unchanged(tmp_path):
+    model = m.NeuralModel(gnn_config(task=m.Task.PREDICT, edge_mode=m.EdgeMode.DYNAMIC),
+                          master_seed=8)
+    path = tmp_path / "model.ckpt"
+    m.save_checkpoint(model, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+    teacher = np.random.default_rng(0).uniform(size=(2, 1, 4, 2))
+    assert np.array_equal(m.rollout_batch(m.load_checkpoint(path), teacher, 3).data,
+                          m.rollout_batch(model, teacher, 3).data)
+
+
+# -- the per-node decoder: stacked per-neuron weights --------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_per_neuron_linear_matches_a_loop_over_neurons(n, lead, in_dim, out_dim, relu, seed):
+    # values byte-equal to neuron i's rows, flattened to 2-D, through its own
+    # ad.linear; each gradient entry within 1e-12 of the sum of the absolute
+    # terms it adds up, as one product sums them in another order
+    rng = np.random.default_rng(seed)
+    layer = m.Linear("node", in_dim, out_dim, rng, n_neurons=n)
+    layer.bias.data = rng.normal(size=layer.bias.data.shape)
+    x0 = rng.normal(size=tuple(lead) + (n, in_dim))
+    upstream = rng.normal(size=tuple(lead) + (n, out_dim))
+    x = ad.tensor(x0, requires_grad=True)
+    out = layer.forward(x, relu=relu)
+    assert out.shape == tuple(lead) + (n, out_dim)
+    ad.mul(out, Tensor(upstream)).sum().backward()
+
+    def close(got, want, terms):
+        return np.all(np.abs(got - want) <= 1e-12 * terms)
+
+    for i in range(n):
+        xi, wi, bi = (ad.tensor(v, requires_grad=True) for v in (
+            x0[..., i, :].reshape(-1, in_dim), layer.weight.data[i], layer.bias.data[i, 0]))
+        ref = ad.linear(xi, wi, bi, relu=relu)
+        ad.mul(ref, Tensor(upstream[..., i, :].reshape(-1, out_dim))).sum().backward()
+        assert np.ascontiguousarray(out.data[..., i, :]).tobytes() == ref.data.tobytes()
+        g = np.abs(upstream[..., i, :].reshape(-1, out_dim)) * (ref.data > 0 if relu else 1.0)
+        assert close(x.grad[..., i, :].reshape(-1, in_dim), xi.grad, g @ np.abs(wi.data.T))
+        assert close(layer.weight.tensor.grad[i], wi.grad, np.abs(xi.data.T) @ g)
+        assert close(layer.bias.tensor.grad[i, 0], bi.grad, g.sum(axis=0))
+
+
+@pytest.mark.parametrize("task", ["classify", "predict"])
+def test_node_mlp_init_equals_per_neuron_draws(task):
+    # from the model-init stream: neuron i's fc1 weight, then its fc2 weight,
+    # then neuron i + 1's; then the head, one per neuron when predicting
+    n, hidden = 4, 5
+    model = m.NeuralModel(node_mlp_config(task, n, hidden), master_seed=7)
+    params = {name: p.data for name, p in model.named_parameters().items()}
+    rng = derive_rng(7, "model-init", "node_mlp", task)
+    for i in range(n):
+        assert np.array_equal(params["node.fc1.weight"][i], ad.uniform_init(rng, 2, (2, hidden)))
+        assert np.array_equal(params["node.fc2.weight"][i],
+                              ad.uniform_init(rng, hidden, (hidden, hidden)))
+    if task == "classify":
+        assert np.array_equal(params["head.weight"], ad.uniform_init(rng, n * hidden, (n * hidden, 2)))
+    else:
+        for i in range(n):
+            assert np.array_equal(params["node.head.weight"][i], ad.uniform_init(rng, hidden, (hidden, 2)))
+    assert all(name.startswith(("node.", "head.")) for name in params)
+    assert not any(params[name].any() for name in params if name.endswith(".bias"))
 
 
 def _entry(raw, name, key="parameters"):
@@ -608,7 +735,7 @@ def _entry(raw, name, key="parameters"):
      r"missing parameters \['head.bias'\]"),
     (lambda raw: _entry(raw, "head.bias").update(shape=[1, 2]),
      r"parameter head.bias shape \(1, 2\) != expected \(2,\)"),
-    (lambda raw: raw.update(version=2), "unsupported version 2"),
+    (lambda raw: raw.update(version=3), "unsupported version 3"),
     (lambda raw: raw["buffers"].append({"name": "trunk.bn.ghost", "shape": [1], "values": [0.0]}),
      "unknown buffer trunk.bn.ghost"),
     (lambda raw: raw["buffers"].remove(_entry(raw, "trunk.bn.running_var", "buffers")),
