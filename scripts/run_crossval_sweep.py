@@ -42,7 +42,7 @@ def main():
                                   n_states=2, hidden_dim=16, edge_mode=m.EdgeMode.STATIC)
         done = []
 
-        def progress(pi, fold, metrics):
+        def progress(pi, fold, metrics, todo):
             done.append(None)
             if len(done) % 20 == 0:
                 print(f"  {kind.value}: {len(done)} cells")

@@ -51,8 +51,9 @@ def main():
     print(f"{'model':<10} {'1-step':>10} {'8-step':>10} {'16-step':>10}")
     for label, model_cfg in variants.items():
         model = m.NeuralModel(model_cfg, master_seed=args.seed)
-        tr.train(model, plan, train_cfg, prepared, test_fold=0, val_fold=1)
-        per_step = ev.per_step_mse_prepared(model, [prepared["w3"]], steps=16)
+        # the run's evaluation rolls the model out 16 steps on the unseen worm w3
+        _, metrics = tr.train(model, plan, train_cfg, prepared, test_fold=0, val_fold=1)
+        per_step = metrics.per_step_mse
         curves[label] = per_step
         print(f"{label:<10} {per_step[0]:>10.5f} {per_step[7]:>10.5f} {per_step[15]:>10.5f}")
 

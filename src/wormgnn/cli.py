@@ -28,7 +28,6 @@ from .data import (
     normalize_recording,
     save_recording,
     select_neurons,
-    worm_permutations,
 )
 from .rng import derive_entropy
 from .synth import SynthConfig, generate_worm
@@ -94,11 +93,16 @@ def _load_recordings(config: dict, context: str) -> dict:
         recs = {wid: select_neurons(rec, exclude, exclude=True) for wid, rec in recs.items()}
     first_id = next(iter(recs), None)
     for wid, rec in recs.items():  # one neuron axis: neuron i is the same cell in every worm
-        for i, (want, got) in enumerate(zip_longest(recs[first_id].neuron_names, rec.neuron_names)):
-            if want != got:
-                raise ConfigError(f"{context}: worm {wid!r} has neuron {got!r} at position {i} where "
-                                  f"worm {first_id!r} has {want!r}; choose shared neurons with 'neurons'")
+        _check_neurons(rec, recs[first_id].neuron_names, f"worm {first_id!r}",
+                       f"{context}: worm {wid!r}", "; choose shared neurons with 'neurons'")
     return recs
+
+
+def _check_neurons(rec, names: list, owner: str, where: str, hint: str = "") -> None:
+    """Raise a ConfigError at the first position where ``rec`` lists another neuron than ``names``."""
+    for i, (want, got) in enumerate(zip_longest(names, rec.neuron_names)):
+        if want != got:
+            raise ConfigError(f"{where} has neuron {got!r} at position {i} where {owner} has {want!r}{hint}")
 
 
 def _build_section(cls, spec: dict, section: str, context: str):
@@ -184,6 +188,7 @@ def _resolve_run(config: dict, seed: int, context: str):
 def cmd_train(config: dict, out_dir: Path, seed: int) -> None:
     recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "train")
     model = m.NeuralModel(model_cfg, master_seed=seed)
+    model.neuron_names = next(iter(recs.values())).neuron_names
     if connectome is not None:
         model.set_connectome(connectome)
     prepared = tr.prepare_worms(recs, plan.task, train_cfg, train_cfg.seed)
@@ -200,63 +205,58 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> None:
     print(f"train: task={plan.task} best_val_loss={state.best_val_loss:.6g}")
 
 
-def _is_cell_file(path: Path, perm: tuple, fold: int) -> bool:
-    """True when ``path`` holds a complete record of this (permutation, fold) cell."""
+RECORD_FIELDS = {f.name for f in dataclasses.fields(ev.RunMetrics)}
+
+
+def _saved_cell(path: Path, perm: tuple, fold: int) -> ev.RunMetrics | None:
+    """The record ``path`` holds when it is a complete record of this
+    (permutation, fold) cell: exactly the RunMetrics fields, this fold and
+    this permutation.  None otherwise."""
     try:
         record = json.loads(path.read_text())
     except (OSError, ValueError):
-        return False
-    return (isinstance(record, dict) and record.get("fold") == fold
-            and record.get("permutation") == list(perm))
+        return None
+    if (not isinstance(record, dict) or set(record) != RECORD_FIELDS or record["fold"] != fold
+            or record["permutation"] != list(perm)):
+        return None
+    return ev.RunMetrics(**record)
 
 
 def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, resume: bool) -> None:
     """Run a sweep through ``training.cross_validate`` and save it cell by cell.
 
-    ``training.cross_validate`` enumerates the cells and owns the worker pool.
-    This command skips cells with a complete file on ``--resume``, writes each
-    cell file as its cell finishes, reports progress on stderr, and merges the
-    cell files by cell index.
+    ``training.cross_validate`` enumerates the cells, owns the worker pool and
+    returns every cell's record.  This command supplies, on ``--resume``, the
+    records of cells with a complete file, writes each cell file as its cell
+    finishes, reports progress on stderr, and writes the returned records and
+    their summary.
     """
     recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "cross-validate")
     permutation_size = int(_require(config, "permutation_size", "cross-validate"))
-    perms = worm_permutations(plan.train_worm_ids, permutation_size)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
     def cell_path(pi, fold) -> Path:
         return cells_dir / f"perm{pi:03d}_fold{fold:02d}.json"
 
-    cells, pending = [], []  # filled by cross_validate's calls, before any cell runs
-
-    def is_pending(pi, fold) -> bool:
-        cells.append((pi, fold))
-        todo = not (resume and _is_cell_file(cell_path(pi, fold), perms[pi], fold))
-        if todo:
-            pending.append((pi, fold))
-        return todo
-
     started, cell_times = time.perf_counter(), []
 
-    def save(pi, fold, metrics) -> None:
+    def save(pi, fold, metrics, todo) -> None:
         _write_json(cell_path(pi, fold), metrics.to_dict())
         cell_times.append(metrics.wall_time_s)
         done, elapsed = len(cell_times), time.perf_counter() - started
-        print(f"cross-validate: {done}/{len(pending)} cells done, "
+        print(f"cross-validate: {done}/{todo} cells done, "
               f"mean cell {sum(cell_times) / done:.3g} s, "
-              f"ETA {elapsed / done * (len(pending) - done):.3g} s", file=sys.stderr)
+              f"ETA {elapsed / done * (todo - done):.3g} s", file=sys.stderr)
 
-    tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size, cell_filter=is_pending,
-                      progress=save, connectome=connectome, workers=workers)
+    def saved(pi, perm, fold) -> ev.RunMetrics | None:
+        return _saved_cell(cell_path(pi, fold), perm, fold)
 
-    # deterministic merge by sorted cell index
-    records = []
-    for pi, fold in cells:
-        records.append(json.loads(cell_path(pi, fold).read_text()))
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    records, summary = tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size,
+                                         saved=saved if resume else None, progress=save,
+                                         connectome=connectome, workers=workers)
+    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
     (out_dir / "records.jsonl").write_text("\n".join(lines) + "\n")
-
-    summary = tr.summarize_runs(records)
     _write_json(out_dir / "summary.json", summary)
     rows = []
     for fieldname in ("accuracy_test", "accuracy_generalization"):
@@ -265,7 +265,7 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     if rows:
         ev.export_accuracy_table(out_dir / "accuracy.tsv", rows)
     print(f"cross-validate: {len(records)} runs "
-          f"({len(perms)} permutations x {train_cfg.fold_count} folds)")
+          f"({len(records) // train_cfg.fold_count} permutations x {train_cfg.fold_count} folds)")
 
 
 def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralModel:
@@ -276,6 +276,8 @@ def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralMode
                 f"{context}: checkpoint expects {model.config.n_neurons} neurons, "
                 f"recording {wid!r} has {rec.n_neurons}"
             )
+        if model.neuron_names is not None:  # checkpoints written before names were kept skip this
+            _check_neurons(rec, model.neuron_names, "the checkpoint", f"{context}: worm {wid!r}")
     return model
 
 

@@ -93,38 +93,51 @@ def _no_lookahead(steps: int, burn_in: int, skipped: int) -> ValueError:
                       f"that burn_in={burn_in} and steps={steps} need ({skipped} skipped)")
 
 
-def _usable_starts(full: np.ndarray, starts, horizon: int) -> np.ndarray:
-    """The window starts with ``horizon`` frames of lookahead left in ``full``."""
-    starts = np.asarray(starts, dtype=np.intp)
-    return starts[starts + horizon < full.shape[0]]
+def _rollout_starts(n_timesteps: int, window_len: int, horizon: int):
+    """A recording's rollout windows: (starts, usable starts).  Windows start
+    every ``window_len`` frames over the frames windowing covers; a start is
+    usable when ``horizon`` frames of lookahead follow it."""
+    starts = np.arange(0, n_timesteps - n_timesteps % window_len, window_len)
+    return starts, starts[starts + horizon < n_timesteps]
 
 
-def _accumulate_rollout_error(model, full: np.ndarray, starts, steps: int, burn_in: int,
-                              totals: np.ndarray, counts: np.ndarray, edge_feats=None):
-    """Free-running rollouts from each start; squared error summed per step."""
+def _accumulate_rollout_error(model, full: np.ndarray, steps: int, window_len: int, burn_in: int,
+                              totals: np.ndarray, counts: np.ndarray):
+    """Free-running rollouts from each usable window start of the (T, N, 2)
+    recording ``full``, squared error summed per step; static edges come
+    from the frames windowing covers.  Returns (used, skipped) windows."""
     horizon = burn_in + steps
-    usable = _usable_starts(full, starts, horizon)
-    skipped = len(starts) - len(usable)
+    starts, usable = _rollout_starts(len(full), window_len, horizon)
     if usable.size:
         teacher = np.stack([full[s : s + horizon + 1] for s in usable])
         with ad.no_grad():
             preds = rollout_batch(model, teacher, steps, sampling_prob=0.0, training=False,
-                                  burn_in=burn_in, edge_feats=edge_feats)
+                                  burn_in=burn_in, edge_feats=full[None, : len(starts) * window_len])
         target = teacher[:, burn_in + 1 :]
         sq = (preds.data - target) ** 2
         totals += sq.sum(axis=(0, 2, 3))
         counts += sq.shape[0] * sq.shape[2] * sq.shape[3]
-    return len(usable), skipped
+    return len(usable), len(starts) - len(usable)
 
 
-def _rollout_error_per_step(model, sources, steps: int, burn_in: int) -> PerStepMse:
-    """Accumulate rollout errors over (full, starts, edge_feats) sources."""
+def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
+                 burn_in: int = 0) -> PerStepMse:
+    """MSE per prediction step, averaged across window-start rollouts of all recordings.
+
+    The one rollout evaluation: the ``rollout`` command and ``train``'s final
+    evaluation both run it.  Recordings are expected normalized.  Windows
+    without ``burn_in + steps`` ground-truth frames of lookahead are skipped
+    and counted; no usable window at all raises.  Static edges come from the
+    frames that windowing covers, as in training.
+    """
+    if window_len < 1:
+        raise ValueError(f"per_step_mse: window_len must be >= 1, got {window_len}")
     totals = np.zeros(steps)
     counts = np.zeros(steps)
     used = skipped = 0
-    for full, starts, edge_feats in sources:
-        u, s = _accumulate_rollout_error(model, full, starts, steps, burn_in, totals, counts,
-                                         edge_feats=edge_feats)
+    for rec in recordings:
+        u, s = _accumulate_rollout_error(model, rec.features, steps, window_len, burn_in,
+                                         totals, counts)
         used += u
         skipped += s
     if not used:  # an average over no rollout is undefined, not zero
@@ -135,38 +148,12 @@ def _rollout_error_per_step(model, sources, steps: int, burn_in: int) -> PerStep
                       windows_used=used, windows_skipped=skipped)
 
 
-def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
-                 burn_in: int = 0) -> PerStepMse:
-    """MSE per prediction step, averaged across window-start rollouts of all recordings.
-
-    Recordings are expected normalized.  Windows without ``steps`` ground-
-    truth frames of lookahead are skipped and counted; no usable window at
-    all raises.  Static edges come from the frames that windowing covers,
-    as in training.
-    """
-    if window_len < 1:
-        raise ValueError(f"per_step_mse: window_len must be >= 1, got {window_len}")
-
-    def source(rec):
-        full = rec.features
-        covered = (rec.n_timesteps // window_len) * window_len
-        return full, range(0, covered, window_len), full[None, :covered]
-
-    return _rollout_error_per_step(model, map(source, recordings), steps, burn_in)
-
-
-def per_step_mse_prepared(model, prepared_worms, steps: int = 16, burn_in: int = 0) -> np.ndarray:
-    """As per_step_mse but over PreparedWorm slabs from the training harness."""
-    sources = ((worm.full_features, worm.window_starts, worm.features) for worm in prepared_worms)
-    return _rollout_error_per_step(model, sources, steps, burn_in).per_step
-
-
-def check_rollout_windows(prepared_worms, steps: int, burn_in: int = 0) -> None:
-    """Raise per_step_mse_prepared's error, without running a model, when no
-    window of ``prepared_worms`` has the frames of lookahead it needs."""
-    if not any(_usable_starts(worm.full_features, worm.window_starts, burn_in + steps).size
-               for worm in prepared_worms):
-        raise _no_lookahead(steps, burn_in, sum(len(worm.window_starts) for worm in prepared_worms))
+def check_rollout_windows(recordings, steps: int, window_len: int, burn_in: int = 0) -> None:
+    """Raise per_step_mse's error, without running a model, when no window
+    of ``recordings`` has the frames of lookahead it needs."""
+    windows = [_rollout_starts(rec.n_timesteps, window_len, burn_in + steps) for rec in recordings]
+    if not any(usable.size for _, usable in windows):
+        raise _no_lookahead(steps, burn_in, sum(len(starts) for starts, _ in windows))
 
 
 # ---------------------------------------------------------------------------

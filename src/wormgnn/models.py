@@ -273,6 +273,7 @@ class NeuralModel:
         self._per_node = kind is ModuleKind.NODE_MLP or (kind is ModuleKind.GNN and not classify)
         self._blocks: list = []
         self.connectome: np.ndarray | None = None
+        self.neuron_names: list[str] | None = None  # the data's neuron order; checkpoints keep it
 
         def block(b):
             self._blocks.append(b)
@@ -628,12 +629,14 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: NeuralModel, path) -> None:
-    """Named-parameter manifest + config; byte-stable for identical inputs."""
+    """Named-parameter manifest + config, and the neuron names when the
+    model has them; byte-stable for identical inputs."""
     params, buffers = model.state()
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
+        **({} if model.neuron_names is None else {"neuron_names": list(model.neuron_names)}),
         **{key: [{"name": name, "shape": list(arrays[name].shape),
                   "values": arrays[name].reshape(-1).tolist()} for name in sorted(arrays)]
            for key, arrays in (("parameters", params), ("buffers", buffers))},
@@ -670,6 +673,12 @@ def load_checkpoint(path) -> NeuralModel:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"load_checkpoint: {path}: {exc}") from None
     model = NeuralModel(config)
+    model.neuron_names = raw.get("neuron_names")
+    if model.neuron_names is not None and (
+            not isinstance(model.neuron_names, list) or len(model.neuron_names) != config.n_neurons
+            or not all(isinstance(name, str) for name in model.neuron_names)):
+        raise ValueError(f"load_checkpoint: {path}: neuron_names is not a list of "
+                         f"{config.n_neurons} names")
     arrays = []
     for key in ("parameters", "buffers"):
         try:  # not a list of objects, an entry without a field, or values that are not numbers

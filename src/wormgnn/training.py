@@ -81,9 +81,14 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.task not in ("classify2", "classify7", "classify4", "predict"):
             raise ValueError(f"ExperimentPlan: unknown task {self.task!r}")
-        overlap = set(self.train_worm_ids) & set(self.held_out_worm_ids)
-        if overlap:
-            raise ValueError(f"ExperimentPlan: worms in both train and held-out sets: {sorted(overlap)}")
+        seen = {}  # worm id -> the list that named it first
+        for name, ids in (("train", self.train_worm_ids), ("held-out", self.held_out_worm_ids),
+                          ("extended", self.extended_eval_ids)):
+            for wid in ids:
+                if wid in seen:
+                    where = f"twice in the {name}" if seen[wid] == name else f"in both {seen[wid]} and {name}"
+                    raise ValueError(f"ExperimentPlan: worm {wid!r} named {where} lists")
+                seen[wid] = name
         if not self.train_worm_ids:
             raise ValueError("ExperimentPlan: empty training set")
 
@@ -241,8 +246,7 @@ class PreparedWorm:
     features: np.ndarray  # (n_windows, W, N, 2)
     targets: np.ndarray  # (n_windows, W) class indices, -1 masked; empty for predict
     folds: np.ndarray  # (n_windows,)
-    window_starts: np.ndarray  # (n_windows,) first timestep of each window in full_features
-    full_features: np.ndarray  # (T, N, 2) whole recording, for long rollouts
+    recording: WormRecording  # the normalized recording the windows are cut from
 
 
 def prepare_worm(rec: WormRecording, task: str, cfg: TrainConfig, master_seed: int) -> PreparedWorm:
@@ -260,7 +264,7 @@ def prepare_worm(rec: WormRecording, task: str, cfg: TrainConfig, master_seed: i
         targets = np.empty((len(starts), 0), dtype=np.intp)
     else:
         targets = class_targets(rec.labels, TASK_SCHEMES[task])[steps]
-    return PreparedWorm(rec.worm_id, feats, targets, folds, starts, full)
+    return PreparedWorm(rec.worm_id, feats, targets, folds, rec)
 
 
 def prepare_worms(recordings: dict[str, WormRecording], task: str, cfg: TrainConfig,
@@ -319,10 +323,15 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
             f"train: window_len {cfg.window_len} leaves no prediction steps after burn_in {cfg.burn_in}"
         )
 
+    for wid in train_ids:  # folds split a training worm's windows; each fold needs one
+        windows = len(prepared[wid].folds)
+        if windows < cfg.fold_count:
+            raise ValueError(f"train: worm {wid!r} has {windows} windows for {cfg.fold_count} folds")
     train_folds = [f for f in range(cfg.fold_count) if f not in (test_fold, val_fold)]
-    holdout = _holdout_worms(plan, prepared) if is_predict else []
+    holdout = _holdout_recordings(plan, prepared) if is_predict else []
     if holdout:  # fail before training, not after it, when no window can be rolled out
-        ev.check_rollout_windows(holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
+        ev.check_rollout_windows(holdout, steps=cfg.eval_rollout, window_len=cfg.window_len,
+                                 burn_in=cfg.burn_in)
 
     for epoch in range(cfg.max_epochs):
         for wid in train_ids:
@@ -371,19 +380,20 @@ def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
     return total / weight if weight else np.inf
 
 
-def _holdout_worms(plan, prepared) -> list[PreparedWorm]:
-    """The held-out and extended worms a predict run is rolled out on."""
-    return [prepared[wid] for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
+def _holdout_recordings(plan, prepared) -> list[WormRecording]:
+    """The normalized recordings of the held-out and extended worms a predict
+    run is rolled out on."""
+    return [prepared[wid].recording for wid in sorted(plan.held_out_worm_ids + plan.extended_eval_ids)]
 
 
 def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold, best_val_loss) -> ev.RunMetrics:
     n_states = model.config.n_states
     metrics = ev.RunMetrics(task=plan.task, test_fold=test_fold, val_fold=val_fold)
     if plan.task == "predict":
-        holdout = _holdout_worms(plan, prepared)
+        holdout = _holdout_recordings(plan, prepared)
         if holdout:
-            metrics.per_step_mse = ev.per_step_mse_prepared(
-                model, holdout, steps=cfg.eval_rollout, burn_in=cfg.burn_in)
+            metrics.per_step_mse = ev.per_step_mse(model, holdout, steps=cfg.eval_rollout,
+                                                   window_len=cfg.window_len, burn_in=cfg.burn_in).per_step
         metrics.val_mse = best_val_loss  # the restored state's, measured in its epoch
         return metrics
 
@@ -496,44 +506,44 @@ def _finished_cells(run, perms, cells, workers: int):
 
 def cross_validate(recordings: dict[str, WormRecording], plan_template: ExperimentPlan,
                    cfg: TrainConfig, model_config: ModelConfig, permutation_size: int,
-                   cell_filter=None, progress=None, connectome=None,
+                   saved=None, progress=None, connectome=None,
                    workers: int = 1) -> tuple[list[ev.RunMetrics], dict]:
     """Enumerate worm permutations x folds, train each cell, aggregate mean +- std.
 
     The only code that enumerates sweep cells and the only owner of a worker
     pool: worms are prepared once here, and each of ``workers`` > 1 processes
     receives them once, then only (perm_index, fold); a worker exits when this
-    process dies.  ``workers`` < 1 is an error.  ``cell_filter``
-    (perm_index, fold) -> bool, asked about every cell before any runs, can
-    skip completed cells; ``progress`` (perm_index, fold, metrics) is called
-    as each cell finishes, so the caller can save it.  Records come back in
-    cell order; aggregation uses the population standard deviation.
+    process dies.  ``workers`` < 1 is an error.  ``saved`` (perm_index,
+    permutation, fold) -> RunMetrics or None, asked about every cell before
+    any runs, supplies records of cells already done, which are not run
+    again; ``progress`` (perm_index, fold, metrics, cells to run) is called
+    as each run cell finishes, so the caller can save it.  Every cell's
+    record comes back in cell order, with their summary; aggregation uses
+    the population standard deviation.
     """
     if workers < 1:
         raise ValueError(f"cross_validate: workers must be >= 1, got {workers}")
     perms = worm_permutations(plan_template.train_worm_ids, permutation_size)
     prepared = prepare_worms(recordings, plan_template.task, cfg, cfg.seed)
-    cells = [(perm_index, fold) for perm_index in range(len(perms))
-             for fold in range(cfg.fold_count)
-             if cell_filter is None or cell_filter(perm_index, fold)]
+    by_cell = {(pi, fold): saved(pi, perm, fold) if saved is not None else None
+               for pi, perm in enumerate(perms) for fold in range(cfg.fold_count)}
+    todo = [cell for cell, record in by_cell.items() if record is None]
     run = functools.partial(run_cell, prepared, plan_template, cfg, model_config,
                             connectome=connectome)
-    finished = {}
-    for cell, metrics in _finished_cells(run, perms, cells, workers):
-        finished[cell] = metrics
+    for cell, metrics in _finished_cells(run, perms, todo, workers):
+        by_cell[cell] = metrics
         if progress is not None:
-            progress(*cell, metrics)
-    records = [finished[cell] for cell in cells]
+            progress(*cell, metrics, len(todo))
+    records = list(by_cell.values())  # in cell order: a dict keeps its insertion order
     return records, summarize_runs(records)
 
 
-def summarize_runs(records: list[ev.RunMetrics | dict]) -> dict:
-    """Mean +- population standard deviation across runs (RunMetrics or their dicts)."""
-    rows = [r if isinstance(r, dict) else r.to_dict() for r in records]
-    summary: dict = {"runs": len(rows)}
+def summarize_runs(records: list[ev.RunMetrics]) -> dict:
+    """Mean +- population standard deviation across runs."""
+    summary: dict = {"runs": len(records)}
     for fieldname in ("accuracy_train", "accuracy_val", "accuracy_test", "accuracy_generalization",
                       "per_step_mse"):
-        values = [r[fieldname] for r in rows if r.get(fieldname) is not None]
+        values = [getattr(r, fieldname) for r in records if getattr(r, fieldname) is not None]
         if values:
             arr = np.asarray(values, dtype=np.float64)
             summary[fieldname] = {"mean": arr.mean(axis=0).tolist(),

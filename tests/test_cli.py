@@ -355,9 +355,16 @@ def test_resume_recomputes_truncated_and_mismatched_cells(tmp_path, monkeypatch,
     truncated.write_text(truncated.read_text()[:40])
     (out / "cells" / "perm002_fold01.json").write_bytes(
         (full / "cells" / "perm002_fold00.json").read_bytes())
+    # a record with a key missing, and one with a key RunMetrics does not have
+    for name, edit in (("perm000_fold01.json", lambda r: r.pop("wall_time_s")),
+                       ("perm002_fold03.json", lambda r: r.update(note="extra"))):
+        path = out / "cells" / name
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
     calls = record_cells(monkeypatch)
     assert sweep(cfg, out, "--resume") == 0
-    assert calls == [(1, 2), (2, 1)]
+    assert calls == [(0, 1), (1, 2), (2, 1), (2, 3)]
     assert strip_wall_time(read_records(out)) == strip_wall_time(read_records(full))
 
 
@@ -406,6 +413,52 @@ def test_eval_and_shape_mismatch(tmp_path, capsys):
     assert "5" in err and "7" in err
 
 
+def test_eval_scores_recordings_with_fewer_windows_than_folds(tmp_path, capsys):
+    # eval reads no folds, so a 64-frame recording (8 windows) is scored at
+    # the default 10 folds; train and cross-validate still need one window a fold
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(gen_synth(tmp_path)))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "2"]) == 0
+    short = gen_synth(tmp_path / "short", t=64)
+    out = tmp_path / "eval"
+    eval_cfg = write_config(tmp_path / "eval.json", {
+        "task": "classify2", "data_dir": str(short), "checkpoint": str(run / "model.ckpt"),
+        "train": {"window_len": 8}})
+    assert main(["eval", "--config", str(eval_cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert sum(metrics["confusion_support"]) > 0 and 0.0 <= metrics["accuracy"] <= 1.0
+    capsys.readouterr()
+
+    for command, extra in (("train", {}), ("cross-validate", {"permutation_size": 2})):
+        bad = write_config(tmp_path / "bad.json", train_config(
+            short, train={"max_epochs": 1, "fold_count": 10, "window_len": 8}, **extra))
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / command)]) == 1
+        assert "has 8 windows for 10 folds" in capsys.readouterr().err
+        assert not (tmp_path / command / "manifest.json").exists()
+
+
+def test_checkpoint_neuron_names_checked_on_eval(tmp_path, capsys):
+    data = gen_synth(tmp_path)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "train.json", train_config(data))
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "2"]) == 0
+    ckpt = run / "model.ckpt"
+    names = [f"SN0{i}" for i in range(5)]
+    assert m.load_checkpoint(ckpt).neuron_names == names
+    eval_cfg = write_config(tmp_path / "eval.json", {
+        "task": "classify2", "data_dir": str(data), "checkpoint": str(ckpt),
+        "neurons": names[::-1], "train": {"window_len": 8}})
+    assert main(["eval", "--config", str(eval_cfg), "--out", str(tmp_path / "eval")]) == 1
+    assert ("eval: worm 'worm_000' has neuron 'SN04' at position 0 where the checkpoint has "
+            "'SN00'") in capsys.readouterr().err
+
+    # a checkpoint written before names were kept loads without the check
+    raw = json.loads(ckpt.read_text())
+    del raw["neuron_names"]
+    ckpt.write_text(json.dumps(raw))
+    assert main(["eval", "--config", str(eval_cfg), "--out", str(tmp_path / "eval")]) == 0
+
+
 def drop(entry: dict, key: str) -> None:
     del entry[key]
 
@@ -422,8 +475,9 @@ def drop(entry: dict, key: str) -> None:
      "parameters is not a list"),
     (lambda raw: raw.update(parameters={"head.bias": [0.0, 0.0]}), "parameters is not a list"),
     (lambda raw: [raw], "top level is not a wormgnn-checkpoint object"),
+    (lambda raw: raw.update(neuron_names=["SN00"]), "neuron_names is not a list of 5 names"),
 ], ids=["missing_buffer", "unknown_config_key", "entry_without_name", "entry_without_values",
-        "non_numeric_values", "parameters_not_a_list", "top_level_list"])
+        "non_numeric_values", "parameters_not_a_list", "top_level_list", "short_neuron_names"])
 def test_eval_names_bad_checkpoint_entry(tmp_path, capsys, corrupt, name):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"

@@ -270,12 +270,6 @@ def test_assign_folds_stratified_proportions():
         assert abs(share - global_share) <= 0.10
 
 
-def test_assign_folds_too_many():
-    labels = _window_labels(4, [StateLabel.FORWARD])
-    with pytest.raises(ValueError, match="folds"):
-        dp.assign_folds(labels, 10, seed=0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(majorities=st.lists(st.sampled_from(dp.FINE_LABELS + [StateLabel.UNKNOWN]),
                            min_size=2, max_size=120),

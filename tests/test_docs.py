@@ -1,7 +1,7 @@
 """Docs drift: the README's CLI walkthrough configs and the example recording
-still load, and its `model` and `train` key lists name exactly the config
-fields, so a removed, renamed or added option fails here, not in a reader's
-run."""
+still load, its config-key table has one row per command, and its `model`
+and `train` key lists name exactly the config fields, so a removed, renamed
+or added command or option fails here, not in a reader's run."""
 
 import dataclasses
 import json
@@ -53,6 +53,13 @@ def test_readme_lists_every_config_field(section):
     # the list ends at its first full stop; parentheses hold values and defaults
     names = re.findall(r"`(\w+)`", re.split(r"\.\s", re.sub(r"\([^)]*\)", "", bullet))[0])
     assert names == [f.name for f in dataclasses.fields(cls) if f.name not in filled_in]
+
+
+def test_readme_command_table_has_one_row_per_command():
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("| command | keys |"):].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|", table, re.M)
+    assert rows == list(cli.COMMANDS)
 
 
 def test_example_recording_loads():

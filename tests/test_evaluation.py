@@ -6,17 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormgnn import evaluation as ev
-from wormgnn.data import StateLabel, WormRecording, compute_derivative, normalize_recording
-from wormgnn.models import (
-    EdgeMode,
-    ModelConfig,
-    ModuleKind,
-    NeuralModel,
-    Task,
-    rollout_batch,
-)
+from wormgnn.data import StateLabel, WormRecording, compute_derivative
+from wormgnn.models import rollout_batch
 from wormgnn.synth import SynthConfig, generate_worm, mixing_matrix
-from wormgnn.training import TrainConfig, mse_loss, prepare_worm
+from wormgnn.training import mse_loss
 
 from model_stubs import ConstantResidualModel
 
@@ -148,22 +141,6 @@ def test_per_step_mse_oracle_model_zero():
     model = ConstantResidualModel(2, residual=np.full((2, 2), c))
     res = ev.per_step_mse(model, [rec], steps=8, window_len=8)
     assert np.allclose(res.per_step, 0.0, atol=1e-18)
-
-
-def test_per_step_mse_static_edges_match_training_harness():
-    # static edges come from the frames windowing covers, not from the rollout
-    # windows, so the recording path agrees with the PreparedWorm path
-    raw = generate_worm(SynthConfig(n_neurons=4, n_timesteps=203, n_states=2, noise_std=0.05,
-                                    mixing_seed=3), worm_id="w0")
-    model = NeuralModel(ModelConfig(module_kind=ModuleKind.GNN, task=Task.PREDICT, n_neurons=4,
-                                    hidden_dim=8, edge_mode=EdgeMode.STATIC), master_seed=1)
-    cfg = TrainConfig(window_len=8, fold_count=5)
-    worm = prepare_worm(raw, "predict", cfg, master_seed=0)  # normalizes the recording itself
-    for steps in (4, 16):
-        direct = ev.per_step_mse(model, [normalize_recording(raw)], steps=steps,
-                                 window_len=8).per_step
-        prepared = ev.per_step_mse_prepared(model, [worm], steps=steps)
-        np.testing.assert_allclose(direct, prepared, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("window_len,t,steps,match", [

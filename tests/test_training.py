@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormgnn import autodiff as ad
+from wormgnn import evaluation as ev
 from wormgnn import models as m
 from wormgnn import training as tr
 from wormgnn.autodiff import Parameter, Tensor
@@ -24,6 +25,7 @@ from wormgnn.data import (
     WormRecording,
     compute_derivative,
     normalize_recording,
+    windowize,
 )
 from wormgnn.synth import SynthConfig, generate_worm
 
@@ -402,7 +404,8 @@ def test_prepare_worm_pins_starts_folds_and_targets():
                         labels=labels)
     worm = tr.prepare_worm(rec, "classify4", tr.TrainConfig(window_len=6, fold_count=3),
                            master_seed=11)
-    assert worm.window_starts.tolist() == [36, 30, 48, 54, 0, 18, 6, 12, 24, 42]
+    starts = windowize(rec, 6, seed=11)
+    assert starts.tolist() == [36, 30, 48, 54, 0, 18, 6, 12, 24, 42]
     assert worm.folds.tolist() == [0, 2, 0, 0, 1, 0, 1, 1, 2, 2]
     assert worm.targets.tolist() == [
         [1, 1, 1, 2, 2, 2], [1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1],
@@ -411,8 +414,8 @@ def test_prepare_worm_pins_starts_folds_and_targets():
     # neuron-major within each window: sums over the stack keep their order
     assert worm.features.transpose(0, 2, 1, 3).flags.c_contiguous
     full = normalize_recording(rec).features
-    assert np.array_equal(worm.full_features, full)
-    for start, window in zip(worm.window_starts, worm.features):
+    assert np.array_equal(worm.recording.features, full)
+    for start, window in zip(starts, worm.features):
         assert np.array_equal(window, full[start : start + 6])
 
 
@@ -423,8 +426,7 @@ def separable_worm(n_windows=40, window_len=4, fold_count=5) -> tr.PreparedWorm:
     feats = rng.normal(scale=0.5, size=(n_windows, window_len, 2, 2))
     feats += np.where(targets == 1, 2.0, -2.0)[..., None, None]
     targets[0, 0] = -1
-    return tr.PreparedWorm("sep", feats, targets, np.arange(n_windows) % fold_count,
-                           np.arange(n_windows) * window_len, feats.reshape(-1, 2, 2))
+    return tr.PreparedWorm("sep", feats, targets, np.arange(n_windows) % fold_count, None)
 
 
 def test_linear_train_separable_and_hinge_objective():
@@ -466,6 +468,19 @@ def test_plan_validation():
         tr.ExperimentPlan(task="classify9", train_worm_ids=["a"])
 
 
+@pytest.mark.parametrize("lists,message", [
+    ({"extended_eval_ids": ["w1"]}, "worm 'w1' named in both train and extended lists"),
+    ({"held_out_worm_ids": ["w2"], "extended_eval_ids": ["w2"]},
+     "worm 'w2' named in both held-out and extended lists"),
+    ({"train_worm_ids": ["w0", "w0", "w1"]}, "worm 'w0' named twice in the train lists"),
+], ids=["extended_is_trained_on", "held_out_and_extended", "twice_in_train"])
+def test_plan_rejects_a_worm_named_twice(lists, message):
+    # scored on a training worm, counted twice in the confusion support, or
+    # given two optimizer steps per epoch: each is refused by name
+    with pytest.raises(ValueError, match=message):
+        tr.ExperimentPlan(task="classify2", **{"train_worm_ids": ["w0", "w1"], **lists})
+
+
 def test_cross_validate_run_count_and_aggregation():
     recs = small_worms(5, t=120)
     cfg = tr.TrainConfig(fold_count=10, window_len=8, max_epochs=1, seed=1)
@@ -494,6 +509,56 @@ def test_multistate_tasks_train(task, k):
                                         n_neurons=4, n_states=k, hidden_dim=8), master_seed=0)
     _, metrics = tr.train(model, plan, cfg, prepared, test_fold=0, val_fold=1)
     assert metrics.confusion.shape == (k, k)
+
+
+def test_cross_validate_runs_only_cells_without_a_saved_record(monkeypatch):
+    recs = small_worms(3, t=120)
+    cfg = tr.TrainConfig(fold_count=4, window_len=8, max_epochs=1, seed=1)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=sorted(recs))
+    model_cfg = m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                              n_neurons=4, n_states=2, hidden_dim=4)
+    full, full_summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2)
+    kept = {(0, 1), (1, 0), (2, 3)}
+    cells = [(pi, fold) for pi in range(3) for fold in range(4)]
+    ran, run_cell = [], tr.run_cell
+
+    def counted(prepared, plan_template, cfg, model_config, perm, perm_index, fold, **kw):
+        ran.append((perm_index, fold))
+        return run_cell(prepared, plan_template, cfg, model_config, perm, perm_index, fold, **kw)
+
+    def saved(pi, perm, fold):
+        record = full[cells.index((pi, fold))]
+        assert tuple(record.permutation) == perm and record.fold == fold
+        return record if (pi, fold) in kept else None
+
+    monkeypatch.setattr(tr, "run_cell", counted)
+    records, summary = tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=2,
+                                         saved=saved)
+    assert ran == [cell for cell in cells if cell not in kept]
+    assert all(records[cells.index(cell)] is full[cells.index(cell)] for cell in kept)
+
+    def result(record):
+        return {k: v for k, v in record.to_dict().items() if k != "wall_time_s"}
+
+    assert [result(r) for r in records] == [result(r) for r in full]
+    assert summary == full_summary
+
+
+def test_train_rejects_fewer_windows_than_folds(monkeypatch):
+    # folds are read only in training, so train checks them before epoch 0
+    recs = small_worms(2, t=40)  # 5 windows per worm
+    cfg = tr.TrainConfig(fold_count=10, window_len=8, max_epochs=1)
+    plan = tr.ExperimentPlan(task="classify2", train_worm_ids=["w0"], held_out_worm_ids=["w1"])
+    prepared = tr.prepare_worms(recs, "classify2", cfg, 0)  # assigning the folds is fine
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
+                                        n_neurons=4, n_states=2, hidden_dim=4), master_seed=0)
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(tr, "_worm_loss", no_epoch)
+    with pytest.raises(ValueError, match="train: worm 'w0' has 5 windows for 10 folds"):
+        tr.train(model, plan, cfg, prepared)
 
 
 def test_cross_validate_rejects_excess_folds():
@@ -713,6 +778,29 @@ def test_small_cell_matches_recorded_metrics(kind):
             assert result[name] == pytest.approx(value, rel=1e-9, abs=0), name
         else:
             assert result[name] == value, name
+
+
+@pytest.mark.parametrize("model_kw", [
+    {"module_kind": "mlp"},
+    {"module_kind": "gnn", "edge_mode": "static"},
+    {"module_kind": "gnn", "edge_mode": "dynamic"},
+], ids=["mlp", "gnn_static", "gnn_dynamic"])
+def test_run_per_step_mse_is_per_step_mse_of_held_out_recordings(model_kw):
+    # a predict run's rollout metric is evaluation.per_step_mse of its held-out
+    # and extended worms' normalized recordings, bit for bit; 163 frames leave
+    # a remainder that static edges must not see
+    recs = small_worms(3, t=163)
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, max_epochs=2, seed=3, eval_rollout=4)
+    plan = tr.ExperimentPlan(task="predict", train_worm_ids=["w0"], held_out_worm_ids=["w2"],
+                             extended_eval_ids=["w1"])
+    prepared = tr.prepare_worms(recs, "predict", cfg, cfg.seed)
+    model = m.NeuralModel(m.ModelConfig(task="predict", n_neurons=4, hidden_dim=6, **model_kw),
+                          master_seed=5)
+    _, metrics = tr.train(model, plan, cfg, prepared)
+    held_out = [normalize_recording(recs[wid]) for wid in ("w1", "w2")]
+    expected = ev.per_step_mse(model, held_out, steps=cfg.eval_rollout, window_len=cfg.window_len,
+                               burn_in=cfg.burn_in).per_step
+    assert metrics.per_step_mse.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
