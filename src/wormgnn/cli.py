@@ -127,8 +127,18 @@ def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
 # commands
 # ---------------------------------------------------------------------------
 
+# every key gen-synth reads, in the README's order; any other key is an error
+GEN_SYNTH_KEYS = ("n_worms", "n_neurons", "n_timesteps", "n_states", "latent_dim", "noise_std",
+                  "angular_velocity_jitter", "seed")
+
+
 def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
+    unknown = sorted(set(config) - set(GEN_SYNTH_KEYS))
+    if unknown:
+        raise ConfigError(f"gen-synth: unknown config field {unknown[0]!r}")
     n_worms = int(_require(config, "n_worms", "gen-synth"))
+    if n_worms < 1:
+        raise ConfigError(f"gen-synth: n_worms must be >= 1, got {n_worms}")
     # validate every worm's config before writing anything
     synth_cfgs = []
     for i in range(n_worms):
@@ -155,14 +165,17 @@ def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
 
 def _resolve_plan(config: dict, recs: dict, context: str) -> tr.ExperimentPlan:
     task = _require(config, "task", context)
-    train_worms = config.get("train_worms") or sorted(recs)
-    held_out = config.get("heldout_worms", [])
-    extended = config.get("extended_worms", [])
-    for key, ids in (("train_worms", train_worms), ("heldout_worms", held_out),
-                     ("extended_worms", extended)):
-        missing = [w for w in ids if w not in recs]
+    ids = {}
+    for key in ("train_worms", "heldout_worms", "extended_worms"):
+        ids[key] = config.get(key) or []
+        if not isinstance(ids[key], list):
+            raise ConfigError(f"{context}: {key} must be a list of worm ids, got {ids[key]!r}")
+        missing = [w for w in ids[key] if w not in recs]
         if missing:
             raise ConfigError(f"{context}: {key} not found in data: {missing}")
+    held_out, extended = ids["heldout_worms"], ids["extended_worms"]
+    # by default every recording not held out or extended is trained on
+    train_worms = ids["train_worms"] or [w for w in sorted(recs) if w not in held_out + extended]
     return tr.ExperimentPlan(task=task, train_worm_ids=list(train_worms),
                              held_out_worm_ids=list(held_out), extended_eval_ids=list(extended))
 
@@ -176,7 +189,7 @@ def _resolve_run(config: dict, seed: int, context: str):
     model_spec.setdefault("module_kind", "mlp")
     model_spec["task"] = "predict" if plan.task == "predict" else "classify"
     model_spec["n_neurons"] = first.n_neurons
-    model_spec["n_states"] = tr.TASK_CLASS_COUNTS.get(plan.task, 2)
+    model_spec["n_states"] = tr.TASKS[plan.task][1] or 2  # a predictor has no classes
     model_cfg = _build_section(m.ModelConfig, model_spec, "model", context)
     connectome = None
     if config.get("connectome"):
@@ -290,7 +303,7 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> None:
     if model.config.task is not m.Task.CLASSIFY:
         raise ConfigError("eval: checkpoint was trained for prediction; use rollout")
     k = model.config.n_states
-    if tr.TASK_CLASS_COUNTS.get(task) != k:
+    if task not in tr.TASKS or tr.TASKS[task][1] != k:
         raise ConfigError(f"eval: task {task!r} does not match the checkpoint's {k} classes")
     train_cfg = _train_config(config, seed, "eval")
     prepared = tr.prepare_worms(recs, task, train_cfg, train_cfg.seed)
@@ -369,14 +382,13 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
     def write_matrix(path, matrix):
         ev.export_confusion(path, matrix, rec.neuron_names, corner="source\\target")
 
-    if model.config.edge_mode is m.EdgeMode.DYNAMIC:
-        stack = m.encode_edges(rec.features, model)
-        inferred_mean = stack.mean(axis=0)
+    edges = m.encode_edges(rec.features, model)  # one matrix per frame, or one fixed matrix
+    inferred_mean = edges.mean(axis=0) if edges.ndim == 3 else edges
+    if edges.ndim == 3:
         write_matrix(out_dir / "edges_mean.tsv", inferred_mean)
-        write_matrix(out_dir / "edges_std.tsv", stack.std(axis=0))
-    else:  # the adjacency messages pass over: inferred, or the connectome as the model uses it
-        inferred_mean = m.encode_edges(rec.features, model)
-        write_matrix(out_dir / "edges.tsv", inferred_mean)
+        write_matrix(out_dir / "edges_std.tsv", edges.std(axis=0))
+    else:  # inferred, or the connectome as the model uses it
+        write_matrix(out_dir / "edges.tsv", edges)
 
     report = {"edge_mode": model.config.edge_mode.value}
     connectome_path = config.get("connectome")

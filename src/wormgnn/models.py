@@ -3,12 +3,13 @@ the linear baseline (one affine map, which ``training.train`` fits with a
 one-vs-rest hinge loss), with the two task heads (state classification and
 Markovian trajectory prediction).
 
-A NeuralModel runs three stages in a fixed order: an edge source (none,
-inferred, or a loaded connectome), an optional gated recurrent stage, and a
-decoder, either pooled (the aggregated neurons through a trunk MLP and head,
-or the linear map) or per-node (one decoder over the neuron axis, with
-weights of its own per neuron for node_mlp and shared by every node for the
-predicting GNN).  The graph network encodes
+A NeuralModel runs three stages in a fixed order, on one path for both
+tasks: an edge source (none, inferred, or a loaded connectome), an optional
+gated recurrent stage, and a decoder: ``body`` then ``head``.  The body is
+the trunk MLP over the aggregated neurons (pooled layouts) or one decoder
+over the neuron axis (per-node layouts), with weights of its own per neuron
+for node_mlp and shared by every node for the predicting GNN; the linear
+baseline has no body, and its head is the linear map.  The graph network encodes
 node features, scores every ordered neuron pair with two logits whose
 temperature softmax's second component is the edge weight (``ad.softmax_gate``
 computes it from the logit difference, bit-equal to the softmax), and
@@ -23,7 +24,8 @@ pairs.  Edges are inferred per timestep
 (dynamic), once for all frames supplied (static; node embeddings averaged
 over the whole stack before pairing, so a worm's recording yields one fixed
 matrix), or saturated toward {0,1} with a small softmax temperature
-(one-hot).
+(one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
+are fixed (connectome, static, one-hot) or re-inferred per frame.
 ModelConfig rejects the linear baseline for prediction and recurrent linear
 or node_mlp classifiers.
 
@@ -291,23 +293,22 @@ class NeuralModel:
             self.lstm = block(LstmUnit("lstm", width, hidden, rng))
             width = hidden
 
-        # decoder; no batch norm in the autoregressive path: rollout steps have
-        # no stable batch distribution, and the train/eval statistics gap
-        # would dominate the residual scale
+        # body and head; no batch norm in the autoregressive path: rollout
+        # steps have no stable batch distribution, and the train/eval
+        # statistics gap would dominate the residual scale
+        self.body = None  # the linear baseline is its head alone
         if kind is ModuleKind.LINEAR:
-            self.linear = block(Linear("linear", width, config.n_states, rng))
+            self.head = block(Linear("linear", width, config.n_states, rng))
         elif self._per_node:
             # one decoder per node: own weights per neuron in node_mlp, one set
             # shared by every node in the predicting GNN
             own = n if kind is ModuleKind.NODE_MLP else None
-            self.decoder = block(TwoLayerMlp("node" if own else "dec", width, hidden, rng,
-                                             batchnorm=classify, n_neurons=own))
-            if classify:
-                self.head = block(Linear("head", n * hidden, config.n_states, rng))
-            else:
-                self.dec_head = block(Linear("node.head" if own else "dec_head", hidden, 2, rng, own))
+            self.body = block(TwoLayerMlp("node" if own else "dec", width, hidden, rng,
+                                          batchnorm=classify, n_neurons=own))
+            self.head = block(Linear("head", n * hidden, config.n_states, rng) if classify
+                              else Linear("node.head" if own else "dec_head", hidden, 2, rng, own))
         else:
-            self.trunk = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
+            self.body = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
             self.head = block(Linear("head", hidden, config.n_states if classify else 2 * n, rng))
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -420,55 +421,49 @@ class NeuralModel:
         a = self.connectome
         return Tensor(a if cfg.include_self_edges else a * _offdiag_mask(cfg.n_neurons))
 
+    def fixed_adjacency(self, frames: Tensor, training: bool) -> Tensor | None:
+        """The one owner of the fixed-edge decision: the adjacency every frame
+        of a worm shares, the connectome or static or one-hot edges inferred
+        from ``frames`` (…, N, 2); None when edges are inferred per frame
+        (dynamic) or the model passes no messages."""
+        cfg = self.config
+        if cfg.module_kind is not ModuleKind.GNN or cfg.edge_mode is EdgeMode.DYNAMIC:
+            return None
+        return self.adjacency(frames, training)
+
     # -- batched forward passes -------------------------------------------------
 
-    def _edge_stage(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
-                    edge_feats: Tensor | None = None) -> Tensor:
-        """Edge source for a (B, W, N, 2) stack or (B, N, 2) frame: H = A X for
-        the GNN, with A given, loaded, or inferred from ``edge_feats`` (static
-        modes) or ``x`` itself; x unchanged for the other kinds."""
-        if self.config.module_kind is not ModuleKind.GNN:
-            return x
-        if adjacency is None:
-            if self.config.edge_mode is EdgeMode.DYNAMIC or edge_feats is None:
-                edge_feats = x
-            adjacency = self.adjacency(edge_feats, training)
-        return message_pass(adjacency, x)
-
-    def _aggregate(self, feats: Tensor) -> Tensor:
-        """(…, N, 2) -> (…, 2N) in fixed neuron order, or (…, 2) when summing."""
-        if self.config.aggregation is Aggregation.CONCATENATE:
-            return ad.reshape(feats, feats.shape[:-2] + (2 * self.config.n_neurons,))
-        return feats.sum(axis=-2)
-
-    def _recurrent_step(self, x: Tensor, state=None):
-        """One gated-cell step over pooled (B, F) or per-node (B, N, F) input."""
-        flat = x if x.ndim == 2 else ad.reshape(x, (x.shape[0] * x.shape[1], x.shape[2]))
-        if state is None:
-            state = self.lstm.initial_state(flat.shape[0])
-        out, state = self.lstm.forward(flat, state)
-        if x.ndim == 3:
-            out = ad.reshape(out, x.shape[:2] + (self.lstm.hidden_dim,))
-        return out, state
-
-    def _pooled_hidden(self, x: Tensor, training: bool) -> Tensor:
-        """Aggregate a (B, W, N, F) stack, run the recurrent stage across the
-        window and the trunk; (B, W, hidden)."""
-        x = self._aggregate(x)
-        if self.config.recurrent:
-            batch, width = x.shape[0], x.shape[1]
-            outputs, rec_state = [], None
-            for frame in ad.split(x, [1] * width, axis=1):
-                out, rec_state = self._recurrent_step(frame.reshape((batch, x.shape[2])), rec_state)
-                outputs.append(ad.reshape(out, (batch, 1, self.lstm.hidden_dim)))
-            x = ad.concat(outputs, axis=1)
-        return self.trunk.forward(x, training)
+    def _stages(self, x: Tensor, training: bool, adjacency: Tensor | None, rec_state):
+        """The stages both tasks share, for a (B, W, N, 2) stack or a (B, N, 2)
+        frame: message passing over ``adjacency`` (by default ``adjacency(x)``)
+        for the GNN, aggregation over neurons for pooled layouts, the recurrent
+        stage and the body.  A classifier's recurrent stage steps through the
+        stack's frames; a predictor's takes one step over the frame's rows.
+        Returns (the body's output, rec_state)."""
+        cfg = self.config
+        if cfg.module_kind is ModuleKind.GNN:
+            x = message_pass(self.adjacency(x, training) if adjacency is None else adjacency, x)
+        if not self._per_node:  # (…, N, 2) -> (…, 2N) in neuron order, or (…, 2) when summing
+            x = (ad.reshape(x, x.shape[:-2] + (2 * cfg.n_neurons,))
+                 if cfg.aggregation is Aggregation.CONCATENATE else x.sum(axis=-2))
+        if cfg.recurrent:
+            classify = cfg.task is Task.CLASSIFY
+            outputs = []
+            for rows in ad.split(x, [1] * x.shape[1], axis=1) if classify else [x]:
+                lead = rows.shape[:-1]
+                flat = rows if rows.ndim == 2 else ad.reshape(rows, (math.prod(lead), rows.shape[-1]))
+                if rec_state is None:
+                    rec_state = self.lstm.initial_state(flat.shape[0])
+                out, rec_state = self.lstm.forward(flat, rec_state)
+                outputs.append(out if rows.ndim == 2 else ad.reshape(out, lead + out.shape[-1:]))
+            x = ad.concat(outputs, axis=1) if classify else outputs[0]
+        return (x if self.body is None else self.body.forward(x, training)), rec_state
 
     def classify_logits(self, feats: Tensor, training: bool,
                         edge_feats: Tensor | None = None) -> Tensor:
         """Per-timestep class logits for a (B, W, N, 2) feature stack.
 
-        ``edge_feats`` optionally supplies the frames static edges are
+        ``edge_feats`` optionally supplies the frames fixed edges are
         inferred from (one individual's whole recording); by default the
         classified stack itself is used.
         """
@@ -479,13 +474,11 @@ class NeuralModel:
             raise ValueError(
                 f"classify_logits: expected (B, W, {cfg.n_neurons}, 2), got {feats.shape}"
             )
-        x = self._edge_stage(feats, training, edge_feats=edge_feats)
-        if cfg.module_kind is ModuleKind.LINEAR:
-            return self.linear.forward(self._aggregate(x))
+        fixed = None if edge_feats is None else self.fixed_adjacency(edge_feats, training)
+        h, _ = self._stages(feats, training, fixed, None)
         if self._per_node:  # the per-node hidden vectors, concatenated in neuron order
-            h = self.decoder.forward(x, training)
-            return self.head.forward(ad.reshape(h, h.shape[:-2] + (h.shape[-2] * h.shape[-1],)))
-        return self.head.forward(self._pooled_hidden(x, training))
+            h = ad.reshape(h, h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
+        return self.head.forward(h)
 
     def predict_residual(self, x: Tensor, training: bool, adjacency: Tensor | None = None,
                          rec_state=None):
@@ -495,18 +488,9 @@ class NeuralModel:
             raise ValueError("predict_residual: model was built for the Classify task")
         if x.ndim != 3 or x.shape[1] != cfg.n_neurons or x.shape[2] != 2:
             raise ValueError(f"predict_residual: expected (B, {cfg.n_neurons}, 2), got {x.shape}")
-        return self._predict_decode(self._edge_stage(x, training, adjacency), training, rec_state)
-
-    def _predict_decode(self, x: Tensor, training: bool, rec_state=None):
-        """Recurrent stage and decoder for one (B, N, F) frame of messages or features."""
-        if not self._per_node:
-            x = self._aggregate(x)
-        if self.config.recurrent:
-            x, rec_state = self._recurrent_step(x, rec_state)
-        if self._per_node:
-            return self.dec_head.forward(self.decoder.forward(x, training)), rec_state
-        out = self.head.forward(self.trunk.forward(x, training))
-        return ad.reshape(out, (x.shape[0], self.config.n_neurons, 2)), rec_state
+        h, rec_state = self._stages(x, training, adjacency, rec_state)
+        out = self.head.forward(h)
+        return (out if self._per_node else ad.reshape(out, x.shape)), rec_state
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +511,9 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
     if frames.ndim == 2:
         frames = frames[None]
     with ad.no_grad():
-        if model.config.edge_mode is not EdgeMode.DYNAMIC:
-            adjacency = model.adjacency(Tensor(frames[None]), training=False).data
-            return adjacency.reshape(adjacency.shape[-2:])
+        fixed = model.fixed_adjacency(Tensor(frames[None]), training=False)
+        if fixed is not None:
+            return fixed.data.reshape(fixed.shape[-2:])
         starts = range(0, len(frames), EDGE_CHUNK_FRAMES)
         return np.concatenate([model.edge_weights(Tensor(frames[None, t : t + EDGE_CHUNK_FRAMES]),
                                                   training=False).data[0] for t in starts])
@@ -576,9 +560,9 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     ``teacher`` holds aligned ground truth (B, L, N, 2) with frame 0 as the
     start; each step's input is the true frame with probability
     ``sampling_prob`` (coin per window per step), otherwise the model's own
-    prediction.  Static/one-hot/connectome edges are fixed from
-    ``edge_feats`` (falling back to the teacher stack); dynamic edges are
-    re-inferred from each input frame.  Returns the predictions as a
+    prediction.  Fixed edges (``fixed_adjacency``) come from ``edge_feats``
+    (falling back to the teacher stack); dynamic edges are re-inferred
+    from each input frame.  Returns the predictions as a
     (B, steps, N, 2) tensor in the gradient graph.
     """
     if steps < 1:
@@ -598,11 +582,7 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     if sampling_prob > 0 and rng is None:
         raise ValueError("rollout: sampling_prob > 0 requires an rng")
 
-    adjacency = None
-    cfg = model.config
-    if cfg.module_kind is ModuleKind.GNN and cfg.edge_mode is not EdgeMode.DYNAMIC:
-        source = teacher if edge_feats is None else edge_feats
-        adjacency = model.adjacency(Tensor(source), training)
+    adjacency = model.fixed_adjacency(Tensor(teacher if edge_feats is None else edge_feats), training)
 
     state = None
     for k in range(burn_in):
@@ -620,7 +600,7 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
             )
         residual, state = model.predict_residual(x_in, training, adjacency, state)
         x = ad.add(x_in, residual)
-        outs.append(ad.reshape(x, (batch, 1, cfg.n_neurons, 2)))
+        outs.append(ad.reshape(x, (batch, 1) + x.shape[1:]))
     return ad.concat(outs, axis=1)
 
 

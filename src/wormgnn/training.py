@@ -36,12 +36,9 @@ from .data import (
 from .models import ModelConfig, ModuleKind, NeuralModel, rollout_batch
 from .rng import derive_entropy, derive_rng
 
-TASK_SCHEMES = {
-    "classify2": "binary",
-    "classify7": "fine7",
-    "classify4": "coarse4",
-}
-TASK_CLASS_COUNTS = {"classify2": 2, "classify7": 7, "classify4": 4}
+# task -> (label scheme, class count); predict has neither
+TASKS = {"classify2": ("binary", 2), "classify7": ("fine7", 7), "classify4": ("coarse4", 4),
+         "predict": (None, None)}
 HINGE_L2 = 1e-3  # weight penalty of the linear baseline's hinge objective
 RECURRENT_BURN_IN = 4  # teacher frames a recurrent model warms up on when burn_in is not given
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -73,13 +70,13 @@ class TrainConfig:
 
 @dataclass
 class ExperimentPlan:
-    task: str  # classify2 | classify7 | classify4 | predict
+    task: str  # a TASKS key: classify2 | classify7 | classify4 | predict
     train_worm_ids: list[str]
     held_out_worm_ids: list[str] = field(default_factory=list)
     extended_eval_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.task not in ("classify2", "classify7", "classify4", "predict"):
+        if self.task not in TASKS:
             raise ValueError(f"ExperimentPlan: unknown task {self.task!r}")
         seen = {}  # worm id -> the list that named it first
         for name, ids in (("train", self.train_worm_ids), ("held-out", self.held_out_worm_ids),
@@ -199,12 +196,11 @@ class AdamState:
 
 @dataclass
 class TrainState:
-    lr: float = 1e-3
+    adam: AdamState  # its lr is the one learning rate, which lr_on_plateau decays
     best_val_loss: float = np.inf
     epochs_since_improvement: int = 0
     best_state: tuple = ()  # NeuralModel.state() at the best validation loss
     val_history: list = field(default_factory=list)
-    adam: AdamState | None = None
 
 
 PLATEAU_EPS = 1e-12
@@ -222,9 +218,7 @@ def lr_on_plateau(state: TrainState, val_loss: float, patience: int, factor: flo
         return True
     state.epochs_since_improvement += 1
     if state.epochs_since_improvement >= patience:
-        state.lr *= factor
-        if state.adam is not None:
-            state.adam.lr = state.lr
+        state.adam.lr *= factor
         state.epochs_since_improvement = 0
     return False
 
@@ -263,7 +257,7 @@ def prepare_worm(rec: WormRecording, task: str, cfg: TrainConfig, master_seed: i
     if task == "predict":
         targets = np.empty((len(starts), 0), dtype=np.intp)
     else:
-        targets = class_targets(rec.labels, TASK_SCHEMES[task])[steps]
+        targets = class_targets(rec.labels, TASKS[task][0])[steps]
     return PreparedWorm(rec.worm_id, feats, targets, folds, rec)
 
 
@@ -289,7 +283,7 @@ def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: Tr
         return mse_loss(preds, feats[:, cfg.burn_in + 1 : cfg.burn_in + 1 + steps])
     logits = model.classify_logits(Tensor(feats), training=training, edge_feats=Tensor(edge_feats))
     if model.config.module_kind is ModuleKind.LINEAR:
-        weight = model.linear.weight.tensor
+        weight = model.head.weight.tensor
         return ad.add(hinge_loss(logits, worm.targets[mask]),
                       ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
     return nll_loss(logits, worm.targets[mask])
@@ -314,7 +308,7 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
         raise ValueError(f"train: test_fold {test_fold} and val_fold {val_fold} must be distinct "
                          f"folds in [0, {cfg.fold_count})")
 
-    state = TrainState(lr=cfg.learning_rate, adam=AdamState(model.parameters(), cfg.learning_rate))
+    state = TrainState(AdamState(model.parameters(), cfg.learning_rate))
     train_ids = sorted(plan.train_worm_ids)
     is_predict = plan.task == "predict"
     train_steps = cfg.window_len - 1 - cfg.burn_in

@@ -20,5 +20,8 @@ class ConstantResidualModel:
     def parameters(self):
         return []
 
+    def fixed_adjacency(self, frames, training):
+        return None
+
     def predict_residual(self, x, training, adjacency=None, rec_state=None):
         return Tensor(np.broadcast_to(self._residual, x.shape).copy()), rec_state

@@ -84,6 +84,24 @@ def test_gen_synth_refuses_overwrite(tmp_path, capsys):
                  "--force"]) == 0
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"n_worms": -1}, "gen-synth: n_worms must be >= 1, got -1"),
+    ({"n_worms": 0}, "gen-synth: n_worms must be >= 1, got 0"),
+    ({"latent_dimm": 5}, "gen-synth: unknown config field 'latent_dimm'"),
+    ({"seed": 4}, None),
+], ids=["negative_worms", "no_worms", "misspelt_key", "seed_allowed"])
+def test_gen_synth_checks_its_keys(tmp_path, capsys, change, message):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path / "synth.json", {
+        "n_worms": 2, "n_neurons": 5, "n_timesteps": 100, "n_states": 2, **change})
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(out)]) == (0 if message is None else 1)
+    if message is None:
+        assert len(list(out.glob("worm_*.json"))) == 2
+    else:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------------
 
 def train_config(data_dir: Path, **overrides) -> dict:
@@ -170,6 +188,28 @@ def test_unknown_heldout_worms_rejected(tmp_path, capsys, key):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert f"{key} not found in data: ['worm_0002']" in capsys.readouterr().err
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("key", ["heldout_worms", "extended_worms"])
+def test_default_train_worms_leave_out_held_out_and_extended_worms(tmp_path, key):
+    # without train_worms, every recording not named held out or extended is trained on
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "cv.json", train_config(data, permutation_size=2,
+                                                          **{key: ["worm_001"]}))
+    assert main(["cross-validate", "--config", str(cfg), "--out", str(tmp_path / "cv")]) == 0
+    records = [json.loads(line) for line in (tmp_path / "cv" / "records.jsonl").read_text().splitlines()]
+    assert records and all(sorted(r["permutation"]) == ["worm_000", "worm_002"] for r in records)
+    assert all(r["accuracy_generalization"] is not None for r in records)
+    cfg = write_config(tmp_path / "train.json", train_config(data, **{key: ["worm_001"]}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "metrics.json").read_text())["accuracy_generalization"]
+
+
+def test_worm_list_that_is_not_a_list_rejected(tmp_path, capsys):
+    data = gen_synth(tmp_path)
+    cfg = write_config(tmp_path / "train.json", train_config(data, heldout_worms="worm_002"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "train: heldout_worms must be a list of worm ids, got 'worm_002'" in capsys.readouterr().err
 
 
 def test_manifest_command_mismatch(tmp_path, capsys):

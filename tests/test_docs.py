@@ -1,7 +1,8 @@
 """Docs drift: the README's CLI walkthrough configs and the example recording
 still load, its config-key table has one row per command, and its `model`
-and `train` key lists name exactly the config fields, so a removed, renamed
-or added command or option fails here, not in a reader's run."""
+and `train` key lists and `gen-synth` row name exactly the keys the code
+reads, so a removed, renamed or added command or option fails here, not in
+a reader's run."""
 
 import dataclasses
 import json
@@ -60,6 +61,13 @@ def test_readme_command_table_has_one_row_per_command():
     table = readme[readme.index("| command | keys |"):].split("\n\n", 1)[0]
     rows = re.findall(r"^\| `([\w-]+)` \|", table, re.M)
     assert rows == list(cli.COMMANDS)
+
+
+def test_readme_gen_synth_row_lists_the_keys_it_accepts():
+    readme = (ROOT / "README.md").read_text()
+    row = re.search(r"^\| `gen-synth` \| (.*) \|$", readme, re.M).group(1)
+    # parentheses hold values and defaults
+    assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row)) == list(cli.GEN_SYNTH_KEYS)
 
 
 def test_example_recording_loads():

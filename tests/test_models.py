@@ -454,8 +454,8 @@ def linear_classifier(bias, weight=None, n=2):
     """A LINEAR classifier with the given head; its logits are x @ weight + bias."""
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.LINEAR, task=m.Task.CLASSIFY,
                                         n_neurons=n, n_states=len(bias)), master_seed=0)
-    model.linear.weight.data = np.zeros((2 * n, len(bias))) if weight is None else weight
-    model.linear.bias.data = np.asarray(bias, dtype=np.float64)
+    model.head.weight.data = np.zeros((2 * n, len(bias))) if weight is None else weight
+    model.head.bias.data = np.asarray(bias, dtype=np.float64)
     return model
 
 
@@ -767,7 +767,7 @@ def test_linear_classifier_is_affine():
     feats = np.random.default_rng(1).normal(size=(5, 3, 2, 2))
     logits = model.classify_logits(Tensor(feats), training=False).data
     shifted = model.classify_logits(Tensor(feats + 3.0), training=False).data
-    expected = logits + 3.0 * model.linear.weight.data.sum(axis=0)
+    expected = logits + 3.0 * model.head.weight.data.sum(axis=0)
     assert np.allclose(shifted, expected, atol=1e-9)
 
 
@@ -823,7 +823,7 @@ def test_full_model_grad_check(kind, task, edge_mode):
 
 @pytest.mark.parametrize("kind", [m.ModuleKind.MLP, m.ModuleKind.GNN])
 def test_recurrent_classifier_grad_check_and_determinism(kind):
-    # the recurrent loop of _pooled_hidden: one gated-cell step per window frame
+    # the recurrent stage of a classifier in _stages: one gated-cell step per window frame
     cfg = m.ModelConfig(module_kind=kind, task=m.Task.CLASSIFY, n_neurons=3, n_states=2,
                         hidden_dim=4, recurrent=True)
     rng = np.random.default_rng(0)
