@@ -2,8 +2,8 @@
 
 The op set is exactly what the models in this package need: matmul,
 ``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
-an optional fused ReLU), ``pair_relu`` (relu(src + dst + b) as one node, for
-the pairwise edge layer), elementwise add/sub/mul, scalar scale, ReLU, axis
+an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
+layer and head as one node), elementwise add/sub/mul, scalar scale, ReLU, axis
 softmax with an optional temperature divisor, natural log, concatenation,
 sum/mean reductions, batch normalization with running statistics, and a
 gated recurrent cell.  A fused ReLU rectifies its node's own output buffer
@@ -23,7 +23,14 @@ reductions over a length-2 axis.  ``softmax_nll`` is the masked mean
 negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it takes
 logits, not probabilities, and stays finite when logits saturate.
 
-The backward of add, sub, mul, matmul, linear and pair_relu computes no
+``edge_block`` scores every ordered pair of node embeddings with its first
+layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j] W = x_i W_top +
+x_j W_bot.  Its two (…, N * N, h) activations live inside the node, not as
+graph tensors, and its backward writes each gradient into the buffer of the
+activation it replaces: a dynamic-edge training step peaks near three
+pair-sized arrays where the composed ops held nearly six.
+
+The backward of add, sub, mul, matmul, linear and edge_block computes no
 gradient for an operand that does not require one (inputs, masks, targets).
 ReLU, fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
 input stays NaN, so a NaN pre-activation reaches the loss instead of being
@@ -57,7 +64,7 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
-    "pair_relu",
+    "edge_block",
     "relu",
     "softmax",
     "softmax_gate",
@@ -336,24 +343,82 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-def pair_relu(src: Tensor, dst: Tensor, b: Tensor) -> Tensor:
-    """``relu(src + dst + b)`` as one node; values and gradients are bit-equal
-    to ``relu(add(add(src, dst), b))``.  ``src`` and ``dst`` broadcast against
-    each other (one row per source and per target node gives every pair), and
-    ``b`` must broadcast to their sum's shape."""
-    _check_broadcast("pair_relu", src, dst)
-    out = src.data + dst.data
-    try:
-        out += b.data
-    except ValueError:
-        raise ValueError(f"pair_relu: bias {b.shape} does not broadcast to {out.shape}") from None
-    np.maximum(out, 0.0, out=out)
+def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               w_head: Tensor, b_head: Tensor) -> Tensor:
+    """The pair MLP and its head for node embeddings ``x`` (…, N, d) as one
+    node: logits (…, N * N, k), pair (i, j) at i * N + j.
+
+    The first layer acts on [x_i, x_j] through the (2d, h) weight ``w1``:
+    ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 +
+    b2)`` and ``a2 w_head + b_head``.  Values and gradients are bit-equal to
+    ``split``, ``matmul``, ``add``, ``add``, ``relu``, ``linear(relu=True)``
+    and ``linear``.  Backward overwrites ``a1`` and ``a2`` with their
+    gradients, so a graph through this node is differentiated once.
+    """
+    if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
+            and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
+            and w_head.shape[0] == w2.shape[1]
+            and [b1.shape, b2.shape, b_head.shape] == [w.shape[1:] for w in (w1, w2, w_head)]):
+        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2, w_head, b_head))
+        raise ValueError(f"edge_block: shapes {shapes} do not chain as "
+                         "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, k), (k,)")
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    w_src, w_dst = w1.data[:d], w1.data[d:]
+    width = w1.shape[1]
+    a1 = np.matmul(x.data, w_src).reshape(lead + (n, 1, width)) \
+        + np.matmul(x.data, w_dst).reshape(lead + (1, n, width))
+    a1 += b1.data
+    np.maximum(a1, 0.0, out=a1)
+    a1 = a1.reshape(lead + (n * n, width))
+    a2 = np.matmul(a1, w2.data)
+    a2 += b2.data
+    np.maximum(a2, 0.0, out=a2)
+    out = np.matmul(a2, w_head.data)
+    out += b_head.data
+    pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def bwd(g):
-        g = g * (out > 0)
-        return tuple(_unbroadcast(g, t.shape) if t.requires_grad else None for t in (src, dst, b))
+        nonlocal a1, a2
+        if a2 is None:
+            raise RuntimeError("edge_block: backward already ran; rebuild the graph")
+        g_x = g_w1 = g_b1 = g_w2 = g_b2 = g_wh = g_bh = None
+        if w_head.requires_grad:
+            g_wh = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), w_head.shape)
+        if b_head.requires_grad:
+            g_bh = _unbroadcast(g, b_head.shape)
+        g2, a2 = a2, None  # each activation's buffer takes its gradient
+        if pair_grad or w2.requires_grad or b2.requires_grad:
+            mask = g2 > 0
+            g2 = np.matmul(g, np.swapaxes(w_head.data, -1, -2), out=g2)
+            g2 *= mask
+            if w2.requires_grad:
+                g_w2 = _unbroadcast(np.matmul(np.swapaxes(a1, -1, -2), g2), w2.shape)
+            if b2.requires_grad:
+                g_b2 = _unbroadcast(g2, b2.shape)
+        g1, a1 = a1, None
+        if pair_grad:
+            mask = np.greater(g1, 0.0, out=mask if mask.shape == g1.shape else None)
+            g1 = np.matmul(g2, np.swapaxes(w2.data, -1, -2), out=g1)
+            g2 = None
+            g1 *= mask
+            mask = None
+            g1 = g1.reshape(lead + (n, n, width))
+            if b1.requires_grad:
+                g_b1 = _unbroadcast(g1, b1.shape)
+            g_src = _unbroadcast(g1, lead + (n, 1, width)).reshape(lead + (n, width))
+            g_dst = _unbroadcast(g1, lead + (1, n, width)).reshape(lead + (n, width))
+            g1 = None
+            if x.requires_grad:
+                g_x = (np.matmul(g_src, np.swapaxes(w_src, -1, -2))
+                       + np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)))
+            if w1.requires_grad:
+                x_t = np.swapaxes(x.data, -1, -2)
+                g_w1 = np.empty(w1.shape)
+                g_w1[:d] = _unbroadcast(np.matmul(x_t, g_src), w_src.shape)
+                g_w1[d:] = _unbroadcast(np.matmul(x_t, g_dst), w_dst.shape)
+        return g_x, g_w1, g_b1, g_w2, g_b2, g_wh, g_bh
 
-    return _make(out, (src, dst, b), bwd)
+    return _make(out, (x, w1, b1, w2, b2, w_head, b_head), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

@@ -43,6 +43,16 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
+def _integer(config: dict, key: str, context: str, default: int | None = None) -> int:
+    """``config[key]`` (``default`` when it is absent and a default is given;
+    required otherwise), checked to be an integer: a bool, float or string is
+    a ConfigError naming the key."""
+    value = _require(config, key, context) if default is None else config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_config(path) -> tuple[dict, int | None, str | None]:
     """Read a config or manifest file; returns (config, seed, command)."""
     path = Path(path)
@@ -54,9 +64,10 @@ def _load_config(path) -> tuple[dict, int | None, str | None]:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    seed = None if raw.get("seed") is None else _integer(raw, "seed", str(path))
     if "config" in raw and "command" in raw:  # manifest
-        return raw["config"], raw.get("seed"), raw.get("command")
-    return raw, raw.get("seed"), None
+        return raw["config"], seed, raw.get("command")
+    return raw, seed, None
 
 
 def _write_json(path, payload) -> None:
@@ -136,21 +147,21 @@ def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
     unknown = sorted(set(config) - set(GEN_SYNTH_KEYS))
     if unknown:
         raise ConfigError(f"gen-synth: unknown config field {unknown[0]!r}")
-    n_worms = int(_require(config, "n_worms", "gen-synth"))
+    n_worms = _integer(config, "n_worms", "gen-synth")
     if n_worms < 1:
         raise ConfigError(f"gen-synth: n_worms must be >= 1, got {n_worms}")
     # validate every worm's config before writing anything
     synth_cfgs = []
     for i in range(n_worms):
         synth_cfgs.append(SynthConfig(
-            n_neurons=int(_require(config, "n_neurons", "gen-synth")),
-            n_timesteps=int(_require(config, "n_timesteps", "gen-synth")),
-            n_states=int(_require(config, "n_states", "gen-synth")),
-            latent_dim=int(config.get("latent_dim", 3)),
-            noise_std=float(config.get("noise_std", 0.0)),
+            n_neurons=_integer(config, "n_neurons", "gen-synth"),
+            n_timesteps=_integer(config, "n_timesteps", "gen-synth"),
+            n_states=_integer(config, "n_states", "gen-synth"),
+            latent_dim=_integer(config, "latent_dim", "gen-synth", 3),
+            noise_std=config.get("noise_std", 0.0),  # SynthConfig checks the floats
             mixing_seed=derive_entropy(seed, "worm", i)[0],
             latent_seed=seed,
-            angular_velocity_jitter=float(config.get("angular_velocity_jitter", 0.0)),
+            angular_velocity_jitter=config.get("angular_velocity_jitter", 0.0),
         ))
     targets = [out_dir / f"worm_{i:03d}.json" for i in range(n_worms)]
     if not force:
@@ -207,8 +218,8 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> None:
     prepared = tr.prepare_worms(recs, plan.task, train_cfg, train_cfg.seed)
     state, metrics = tr.train(
         model, plan, train_cfg, prepared,
-        test_fold=int(config.get("test_fold", 0)),
-        val_fold=int(config.get("val_fold", 1)),
+        test_fold=_integer(config, "test_fold", "train", 0),
+        val_fold=_integer(config, "val_fold", "train", 1),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     m.save_checkpoint(model, out_dir / "model.ckpt")
@@ -245,7 +256,7 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     their summary.
     """
     recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "cross-validate")
-    permutation_size = int(_require(config, "permutation_size", "cross-validate"))
+    permutation_size = _integer(config, "permutation_size", "cross-validate")
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
@@ -337,9 +348,9 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> None:
     model = _load_model_for_data(config, recs, "rollout")
     if model.config.task is not m.Task.PREDICT:
         raise ConfigError("rollout: checkpoint was trained for classification; use eval")
-    steps = int(config.get("steps", 16))
-    window_len = int(config.get("window_len", 8))
-    burn_in = int(config.get("burn_in", tr.RECURRENT_BURN_IN if model.config.recurrent else 0))
+    steps = _integer(config, "steps", "rollout", 16)
+    window_len = _integer(config, "window_len", "rollout", 8)
+    burn_in = _integer(config, "burn_in", "rollout", tr.RECURRENT_BURN_IN if model.config.recurrent else 0)
     normalized = [normalize_recording(rec) for _, rec in sorted(recs.items())]
     result = ev.per_step_mse(model, normalized, steps=steps, window_len=window_len,
                              burn_in=burn_in)
@@ -356,7 +367,7 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> None:
 
 def cmd_pca(config: dict, out_dir: Path, seed: int) -> None:
     rec = normalize_recording(load_recording(_require(config, "recording", "pca")))
-    components = int(config.get("components", 3))
+    components = _integer(config, "components", "pca", 3)
     result = ev.pca_project(rec.derivatives, components=components)
     out_dir.mkdir(parents=True, exist_ok=True)
     ev.export_pca_trajectory(out_dir / "pca.tsv", result.projection, rec.labels)
@@ -451,7 +462,6 @@ def main(argv=None) -> int:
                 f"not {args.command!r}"
             )
         seed = args.seed if args.seed is not None else (config_seed if config_seed is not None else 0)
-        seed = int(seed)
         out_dir = Path(args.out)
         command(config, out_dir, seed, **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
         _write_json(out_dir / "manifest.json", {"command": args.command, "seed": seed, "config": config})

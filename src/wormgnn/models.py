@@ -16,15 +16,13 @@ computes it from the logit difference, bit-equal to the softmax), and
 performs exactly one message-passing step H = A X (message_pass) over
 NeuralModel.adjacency, the one edge source: the loaded connectome or the
 inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
-a (B, N, 2) frame.  The
-pair MLP's first layer acts on the concatenation [h_i, h_j], so it is
-factored per node (NRI, Kipf et al. 2018): [h_i, h_j] W = h_i W_top +
-h_j W_bot, projected once per neuron and broadcast-added over all ordered
-pairs.  Edges are inferred per timestep
-(dynamic), once for all frames supplied (static; node embeddings averaged
-over the whole stack before pairing, so a worm's recording yields one fixed
-matrix), or saturated toward {0,1} with a small softmax temperature
-(one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
+a (B, N, 2) frame.  The pair MLP and the edge head run as one autodiff node,
+``ad.edge_block``: its first layer acts on [h_i, h_j] factored per node (NRI,
+Kipf et al. 2018), and its pair-sized activations never enter the graph.
+Edges are inferred per timestep (dynamic), once for all frames supplied
+(static; node embeddings averaged over the whole stack before pairing, so a
+worm's recording yields one fixed matrix), or saturated toward {0,1} with a
+small softmax temperature (one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
 are fixed (connectome, static, one-hot) or re-inferred per frame.
 ModelConfig rejects the linear baseline for prediction and recurrent linear
 or node_mlp classifiers.
@@ -52,6 +50,7 @@ from . import autodiff as ad
 from .autodiff import BatchNorm, Parameter, Tensor
 from .data import load_connectome_triples
 from .rng import derive_rng
+from .schema import check_field_types
 
 ONE_HOT_TEMPERATURE = 0.05
 EDGE_CHUNK_FRAMES = 256  # dynamic edges of a long recording are inferred in chunks this long
@@ -97,9 +96,7 @@ class ModelConfig:
     include_self_edges: bool = True
 
     def __post_init__(self):
-        for name, enum in (("module_kind", ModuleKind), ("task", Task), ("edge_mode", EdgeMode),
-                           ("aggregation", Aggregation)):
-            setattr(self, name, enum(getattr(self, name)))
+        check_field_types(self)
         if self.hidden_dim is None:
             self.hidden_dim = 16 if self.task is Task.CLASSIFY else 256
         if self.hidden_dim <= 0:
@@ -160,20 +157,18 @@ class TwoLayerMlp:
     neuron, as in ``Linear``; neuron i's fc1 weight is drawn, then its fc2
     weight, then neuron i + 1's, as if each neuron had a block of its own.
 
-    Each ReLU is fused into the node of its layer (``linear(relu=True)``,
-    ``pair_relu``), so each layer keeps one activation array in the graph.
+    Each ReLU is fused into the node of its layer (``linear(relu=True)``),
+    so each layer keeps one activation array in the graph.
 
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
-    the module trunks keep it.  A ``pairwise`` block (the edge MLP) maps
-    node embeddings (…, N, d) to one output per ordered pair (…, N * N, h),
-    pair (i, j) at i * N + j, as if it ran on [x_i, x_j]; its first layer
-    keeps the (2d, h) weight of that concatenation but applies each half
-    once per node.
+    the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
+    of the pair concatenation [x_i, x_j]; ``NeuralModel.edge_weights`` runs
+    its layers with the edge head as one ``ad.edge_block``, not ``forward``.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
-                 pairwise: bool = False, n_neurons: int | None = None):
+                 n_neurons: int | None = None):
         lead = () if n_neurons is None else (n_neurons,)
         draws = [(ad.uniform_init(rng, in_dim, (in_dim, hidden_dim)),
                   ad.uniform_init(rng, hidden_dim, (hidden_dim, hidden_dim)))
@@ -182,7 +177,6 @@ class TwoLayerMlp:
         self.fc1 = Linear(f"{name}.fc1", in_dim, hidden_dim, rng, n_neurons, weight=w1)
         self.fc2 = Linear(f"{name}.fc2", hidden_dim, hidden_dim, rng, n_neurons, weight=w2)
         self.bn = BatchNorm(lead + (hidden_dim,), name=f"{name}.bn") if batchnorm else None
-        self.pairwise = pairwise
 
     def parameters(self):
         params = self.fc1.parameters() + self.fc2.parameters()
@@ -191,19 +185,8 @@ class TwoLayerMlp:
         return params
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = self._pair_fc1(x) if self.pairwise else self.fc1.forward(x, relu=True)
-        h = self.fc2.forward(h, relu=True)
+        h = self.fc2.forward(self.fc1.forward(x, relu=True), relu=True)
         return h if self.bn is None else self.bn.forward(h, training)
-
-    def _pair_fc1(self, x: Tensor) -> Tensor:
-        """ReLU'd fc1 of [x_i, x_j] for every ordered pair: relu(x_i W_top + x_j W_bot + b)."""
-        lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
-        w_src, w_dst = ad.split(self.fc1.weight.tensor, [d, d], axis=0)
-        width = w_src.shape[-1]
-        src = ad.reshape(ad.matmul(x, w_src), lead + (n, 1, width))
-        dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
-        h = ad.pair_relu(src, dst, self.fc1.bias.tensor)  # (…, N, N, h)
-        return ad.reshape(h, lead + (n * n, width))
 
 
 class LstmUnit:
@@ -284,8 +267,8 @@ class NeuralModel:
         # edge source; connectome mode uses a fixed structural matrix instead
         if kind is ModuleKind.GNN and config.edge_mode is not EdgeMode.CONNECTOME:
             self.encoder = block(TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False))
-            self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False,
-                                              pairwise=True))
+            # the pair MLP's weights; edge_weights runs them with the head as one ad.edge_block
+            self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False))
             self.edge_head = block(Linear("edge_head", hidden, 2, rng))
 
         width = 2 if self._per_node or config.aggregation is Aggregation.SUM else 2 * n
@@ -398,7 +381,8 @@ class NeuralModel:
         if cfg.edge_mode in (EdgeMode.STATIC, EdgeMode.ONE_HOT):
             lead = tuple(range(hidden.ndim - 2))
             hidden = ad.reshape(hidden.mean(axis=lead), (1, n, hidden.shape[-1]))
-        logits = self.edge_head.forward(self.edge_mlp.forward(hidden, training))  # (…, N * N, 2)
+        weights = self.edge_mlp.parameters() + self.edge_head.parameters()
+        logits = ad.edge_block(hidden, *(p.tensor for p in weights))  # (…, N * N, 2)
         # the edge weight is the second softmax component, from the logit difference
         w = ad.softmax_gate(logits, self.edge_temperature())
         w = ad.reshape(w, hidden.shape[:-2] + (n, n))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import StateLabel, WormRecording, compute_derivative, normalize_recording
 from .rng import derive_rng
+from .schema import check_field_types
 
 # timesteps per revolution of the latent cycle
 CYCLE_PERIOD = 64.0
@@ -45,6 +46,7 @@ class SynthConfig:
     angular_velocity_jitter: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_states not in (2, 4):
             raise ValueError(f"SynthConfig: n_states must be 2 or 4, got {self.n_states}")
         if self.latent_dim < 2:

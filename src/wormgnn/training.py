@@ -35,6 +35,7 @@ from .data import (
 )
 from .models import ModelConfig, ModuleKind, NeuralModel, rollout_batch
 from .rng import derive_entropy, derive_rng
+from .schema import check_field_types
 
 # task -> (label scheme, class count); predict has neither
 TASKS = {"classify2": ("binary", 2), "classify7": ("fine7", 7), "classify4": ("coarse4", 4),
@@ -58,6 +59,7 @@ class TrainConfig:
     burn_in: int = 0  # the CLI defaults it to RECURRENT_BURN_IN for recurrent models
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.lr_decay_factor < 1:
             raise ValueError(f"TrainConfig: lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         for name in ("max_epochs", "plateau_patience", "sampling_decay_epochs",

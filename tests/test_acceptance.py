@@ -169,7 +169,8 @@ def test_criterion_3_edge_weight_normalization():
         feats = Tensor(rng.uniform(size=(100, 1, 4, 2)))
         hidden = model.encoder.forward(feats, training=False)
         # the pair MLP scores all 16 ordered pairs of the 4 node embeddings
-        logits = model.edge_head.forward(model.edge_mlp.forward(hidden, False))
+        weights = model.edge_mlp.parameters() + model.edge_head.parameters()
+        logits = ad.edge_block(hidden, *(p.tensor for p in weights))
         assert logits.shape == (100, 1, 16, 2)
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-9)

@@ -118,14 +118,14 @@ OPS = {
     "linear_relu_b": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 3, 5)),
                                          ad.Tensor(np.cos(np.arange(20.0)).reshape(5, 4)), x,
                                          relu=True),
-    "pair_relu_src": lambda x: ad.pair_relu(ad.reshape(x, (3, 1, 4)),
-                                            ad.Tensor(np.sin(np.arange(20.0)).reshape(1, 5, 4)),
-                                            ad.Tensor(np.linspace(0.3, -0.3, 4))),
-    "pair_relu_dst": lambda x: ad.pair_relu(ad.Tensor(np.cos(np.arange(8.0)).reshape(2, 1, 4)),
-                                            ad.reshape(x, (1, 3, 4)),
-                                            ad.Tensor(np.linspace(0.3, -0.3, 4))),
-    "pair_relu_b": lambda x: ad.pair_relu(ad.Tensor(np.cos(np.arange(8.0)).reshape(2, 1, 4)),
-                                          ad.Tensor(np.sin(np.arange(12.0)).reshape(1, 3, 4)), x),
+    # x as each operand of edge_block in turn, sized so that it has 12 entries
+    "edge_block_x": lambda x: edge_block_with("x", x),
+    "edge_block_w1": lambda x: edge_block_with("w1", x),
+    "edge_block_b1": lambda x: edge_block_with("b1", x, h=12),
+    "edge_block_w2": lambda x: edge_block_with("w2", x),
+    "edge_block_b2": lambda x: edge_block_with("b2", x, h2=12),
+    "edge_block_w_head": lambda x: edge_block_with("w_head", x, k=3),
+    "edge_block_b_head": lambda x: edge_block_with("b_head", x, k=12),
     "relu": lambda x: ad.relu(x),
     "softmax": lambda x: ad.softmax(x, axis=-1, temperature=0.7),
     "log": lambda x: ad.log(ad.add(ad.mul(x, x), ad.Tensor(np.full(x.shape, 0.5)))),
@@ -146,6 +146,34 @@ OPS = {
     # rows 0 and 2 target classes 2 and 0; row 1 is masked
     "softmax_nll": lambda x: ad.softmax_nll(x, np.array([2, -1, 0])),
 }
+
+
+EDGE_BLOCK_OPERANDS = ("x", "w1", "b1", "w2", "b2", "w_head", "b_head")
+
+
+def edge_block_shapes(lead=(2,), n=3, d=2, h=3, h2=4, k=2):
+    """Operand shapes of edge_block, in argument order."""
+    return [lead + (n, d), (2 * d, h), (h,), (h, h2), (h2,), (h2, k), (k,)]
+
+
+def edge_block_with(operand, x, **dims):
+    """edge_block with ``x``, reshaped, as ``operand`` and fixed values of both
+    signs for the others."""
+    args = [ad.reshape(x, shape) if name == operand
+            else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
+            for i, (name, shape) in enumerate(zip(EDGE_BLOCK_OPERANDS, edge_block_shapes(**dims)))]
+    return ad.edge_block(*args)
+
+
+def composed_edge_block(x, w1, b1, w2, b2, w_head, b_head):
+    """edge_block from the composed ops: the reference it is bit-equal to."""
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    w_src, w_dst = ad.split(w1, [d, d], axis=0)
+    width = w1.shape[-1]
+    src = ad.reshape(ad.matmul(x, w_src), lead + (n, 1, width))
+    dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
+    pairs = ad.reshape(ad.relu(ad.add(ad.add(src, dst), b1)), lead + (n * n, width))
+    return ad.linear(ad.linear(pairs, w2, b2, relu=True), w_head, b_head)
 
 
 def split_two_outputs(x):
@@ -199,8 +227,6 @@ FUSED_RELU = {
     "linear": (lambda r, c, w: [(r, c, w), (w, 3), (3,)],
                lambda x, w, b: ad.linear(x, w, b, relu=True),
                lambda x, w, b: ad.relu(ad.linear(x, w, b))),
-    "pair_relu": (lambda r, c, w: [(r, 1, w), (1, c, w), (w,)], ad.pair_relu,
-                  lambda src, dst, b: ad.relu(ad.add(ad.add(src, dst), b))),
 }
 
 
@@ -313,12 +339,63 @@ def test_softmax_nll_shape_error_names_the_op():
         ad.softmax_nll(ad.tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
 
 
-def test_pair_relu_shape_errors_name_the_op():
-    src, dst = ad.tensor(np.zeros((2, 1, 4))), ad.tensor(np.zeros((1, 3, 4)))
-    with pytest.raises(ValueError, match=r"pair_relu: shapes \(2, 1, 4\) and \(1, 3, 5\)"):
-        ad.pair_relu(src, ad.tensor(np.zeros((1, 3, 5))), ad.tensor(np.zeros(4)))
-    with pytest.raises(ValueError, match=r"pair_relu: bias \(2, 2, 3, 4\) does not broadcast"):
-        ad.pair_relu(src, dst, ad.tensor(np.zeros((2, 2, 3, 4))))
+EDGE_LAYOUTS = {
+    # node embeddings (…, N, d) of static edges (one pooled frame), dynamic
+    # edges (every frame of a window stack) and prediction (one frame per row)
+    "static": lambda batch, width: (1,),
+    "dynamic": lambda batch, width: (batch, width),
+    "predict": lambda batch, width: (batch,),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(EDGE_LAYOUTS)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 3),
+       st.lists(st.booleans(), min_size=7, max_size=7), st.integers(0, 2**32 - 1))
+def test_edge_block_is_bit_equal_to_composed_ops(layout, batch, width, n, d, h, h2, k, needs_grad,
+                                                 seed):
+    # logits and every operand's gradient, byte for byte, with signed zeros in
+    # every operand; an operand that requires no gradient gets none
+    rng = np.random.default_rng(seed)
+    shapes = edge_block_shapes(EDGE_LAYOUTS[layout](batch, width), n, d, h, h2, k)
+    values = [signed_zero_heavy(rng, shape) for shape in shapes]
+    upstream = ad.Tensor(signed_zero_heavy(rng, shapes[0][:-2] + (n * n, k)))
+
+    def run(fn):
+        operands = [ad.tensor(v, requires_grad=grad) for v, grad in zip(values, needs_grad)]
+        out = fn(*operands)
+        if out.requires_grad:
+            ad.mul(out, upstream).sum().backward()
+        return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in operands]
+
+    fused = run(ad.edge_block)
+    assert fused == run(composed_edge_block)
+    assert [grad is not None for grad in fused[1:]] == needs_grad
+
+
+def test_edge_block_keeps_its_activations_out_of_the_graph():
+    # the graph holds the logits and the operands, no pair-sized activation;
+    # backward overwrites the activations, so a second one is refused
+    rng = np.random.default_rng(3)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in edge_block_shapes((2,), n=4, d=3, h=5, h2=5, k=2)]
+    out = ad.edge_block(*operands)
+    assert out.shape == (2, 16, 2)
+    assert {node.data.size for node in ad._topo_order(out)} <= {t.data.size for t in operands + [out]}
+    first, second = out.sum(), ad.mul(out, out).sum()
+    first.backward()
+    with pytest.raises(RuntimeError, match="edge_block: backward already ran"):
+        second.backward()
+
+
+def test_edge_block_shape_errors_name_the_op():
+    good = [ad.tensor(np.zeros(shape)) for shape in edge_block_shapes()]
+    for i, shape in enumerate([(3, 2, 3), (5, 3), (4,), (4, 4), (3,), (4, 2, 1), (3,)]):
+        operands = good[:i] + [ad.tensor(np.zeros(shape))] + good[i + 1:]
+        with pytest.raises(ValueError, match=r"edge_block: shapes .* do not chain"):
+            ad.edge_block(*operands)
+    with pytest.raises(ValueError, match=r"edge_block: shapes \(2,\), \(4, 3\)"):
+        ad.edge_block(ad.tensor(np.zeros(2)), *good[1:])
 
 
 def test_linear_shape_errors_name_the_op():
@@ -337,10 +414,23 @@ BINARY_BACKWARD = {
     "matmul": (ad.matmul, ((3, 4), (4, 2)), lambda g, a, b: (g @ b.T, a.T @ g)),
     "linear": (lambda a, b: ad.linear(a, b, ad.tensor(np.ones(2))), ((3, 4), (4, 2)),
                lambda g, a, b: (g @ b.T, a.T @ g)),
-    "pair_relu": (lambda a, b: ad.pair_relu(a, b, ad.tensor(np.zeros(4))), ((3, 1, 4), (1, 2, 4)),
-                  lambda g, a, b: ((g * (a + b > 0)).sum(axis=1, keepdims=True),
-                                   (g * (a + b > 0)).sum(axis=0, keepdims=True))),
+    # x and w1 of edge_block, its other operands constant
+    "edge_block": (lambda a, b: edge_block_with_constants(ad.edge_block, a, b),
+                   ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_block_grads(g, a, b)),
 }
+
+
+def edge_block_with_constants(op, x, w1):
+    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
+                 for i, shape in enumerate(edge_block_shapes()[2:])]
+    return op(x, w1, *map(ad.tensor, constants))
+
+
+def composed_edge_block_grads(g, x, w1):
+    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
+    out = edge_block_with_constants(composed_edge_block, *leaves)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [leaf.grad for leaf in leaves]
 
 
 @pytest.mark.parametrize("name", sorted(BINARY_BACKWARD))
@@ -356,8 +446,7 @@ def test_backward_skips_constant_operands(name, constant):
     assert grads[constant] is None
     live = 1 - constant
     assert grads[live].tobytes() == expected(g, *values)[live].tobytes()
-    if name in ("linear", "pair_relu"):  # the bias is a constant too
-        assert grads[2] is None
+    assert all(grad is None for grad in grads[2:])  # biases and further operands are constants
 
 
 def test_grad_check_lstm_cell():

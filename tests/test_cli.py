@@ -766,6 +766,60 @@ def test_edges_rejects_mlp(tmp_path, capsys):
     assert "no edges" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def predict_run(tmp_path_factory):
+    """Synthetic data and a predict MLP trained on it for one epoch: (data dir, checkpoint)."""
+    root = tmp_path_factory.mktemp("predict_run")
+    data = gen_synth(root)
+    cfg = write_config(root / "train.json", train_config(
+        data, task="predict", model={"module_kind": "mlp", "hidden_dim": 4},
+        train={"max_epochs": 1, "fold_count": 5, "window_len": 8}))
+    assert main(["train", "--config", str(cfg), "--out", str(root / "run"), "--seed", "3"]) == 0
+    return data, root / "run" / "model.ckpt"
+
+
+INTEGER_KEYS = {
+    # command -> (a config it accepts, built from a data dir and a checkpoint; its integer keys)
+    "gen-synth": (lambda data, ckpt: {"n_worms": 2, "n_neurons": 5, "n_timesteps": 100, "n_states": 2},
+                  ["n_worms", "n_neurons", "n_timesteps", "n_states", "latent_dim", "seed"]),
+    "train": (lambda data, ckpt: train_config(data), ["test_fold", "val_fold"]),
+    "cross-validate": (lambda data, ckpt: train_config(data, permutation_size=2), ["permutation_size"]),
+    "rollout": (lambda data, ckpt: {"data_dir": str(data), "checkpoint": str(ckpt)},
+                ["steps", "window_len", "burn_in"]),
+    "pca": (lambda data, ckpt: {"recording": str(sorted(data.glob("worm_*.json"))[0])}, ["components"]),
+}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    (command, key, value) for command, (_, keys) in INTEGER_KEYS.items() for key in keys
+    for value in (2.7, 3.0, "three", True, None) if (key, value) != ("seed", None)])  # null: the default
+def test_integer_config_keys_reject_other_values(tmp_path, capsys, predict_run, command, key, value):
+    # at the parent, "n_worms": 2.7 wrote 2 recordings and "three" named no key
+    config = {**INTEGER_KEYS[command][0](*predict_run), key: value}
+    path = write_config(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    where = str(path) if key == "seed" else command
+    assert err == f"error: {where}: {key} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("model", "hidden_dim", 2.5, "ModelConfig: hidden_dim must be an integer or null, got 2.5"),
+    ("model", "recurrent", "false", "ModelConfig: recurrent must be true or false, got 'false'"),
+    ("train", "max_epochs", 2.5, "TrainConfig: max_epochs must be an integer, got 2.5"),
+    ("train", "learning_rate", "0.1", "TrainConfig: learning_rate must be a number, got '0.1'"),
+], ids=["hidden_dim", "recurrent", "max_epochs", "learning_rate"])
+def test_wrong_typed_section_field_is_one_error_line(tmp_path, capsys, predict_run, section, key,
+                                                     value, message):
+    config = train_config(predict_run[0])
+    config[section] = {**config[section], key: value}
+    path = write_config(tmp_path / "train.json", config)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")]) == 1

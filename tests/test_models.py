@@ -1,6 +1,7 @@
 """Model zoo tests: edge inference, message passing, task heads, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ def test_factored_pair_mlp_matches_concat_reference(mode):
             assert np.allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12), name
 
 
+def edge_logits(model, hidden: Tensor) -> Tensor:
+    """The edge head's logits (…, N * N, 2) for node embeddings, as
+    NeuralModel.edge_weights computes them."""
+    weights = model.edge_mlp.parameters() + model.edge_head.parameters()
+    return ad.edge_block(hidden, *(p.tensor for p in weights))
+
+
 def softmax_edge_weights(model, feats: Tensor) -> Tensor:
     """NeuralModel.edge_weights with each edge read as the second piece of the
     edge head's full temperature softmax: the reference for the gate."""
@@ -157,7 +165,7 @@ def softmax_edge_weights(model, feats: Tensor) -> Tensor:
     n = hidden.shape[-2]
     if model.config.edge_mode is not m.EdgeMode.DYNAMIC:
         hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
-    logits = model.edge_head.forward(model.edge_mlp.forward(hidden, True))
+    logits = edge_logits(model, hidden)
     probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature())
     w = ad.reshape(ad.split(probs, [1, 1], axis=-1)[1], hidden.shape[:-2] + (n, n))
     return ad.add(ad.mul(w, Tensor(1.0 - np.eye(n))), Tensor(np.eye(n)))
@@ -194,16 +202,46 @@ def test_edge_gate_equals_second_softmax_component(mode, head_scale):
 @pytest.mark.parametrize("pairwise", [False, True], ids=["plain", "pairwise"])
 def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
     # each ReLU is part of its layer's node: the graph has no relu node and
-    # owns one activation array per layer (fc1, fc2); reshapes are views
+    # owns one activation array per layer (fc1, fc2); reshapes are views.  The
+    # pairwise layers run with the edge head as one ad.edge_block, whose two
+    # (…, N * N, h) activations stay inside the node: the graph owns none
     rng = np.random.default_rng(0)
-    mlp = m.TwoLayerMlp("edge", 6 if pairwise else 3, 7, rng, batchnorm=False, pairwise=pairwise)
-    out = mlp.forward(Tensor(rng.normal(size=(2, 5, 3))), training=True)
-    assert out.shape == ((2, 25, 7) if pairwise else (2, 5, 7))
+    mlp = m.TwoLayerMlp("edge", 6 if pairwise else 3, 7, rng, batchnorm=False)
+    x = Tensor(rng.normal(size=(2, 5, 3)))
+    if pairwise:
+        head = m.Linear("edge_head", 7, 2, rng)
+        out = ad.edge_block(x, *(p.tensor for p in mlp.parameters() + head.parameters()))
+        assert out.shape == (2, 25, 2)
+    else:
+        out = mlp.forward(x, training=True)
+        assert out.shape == (2, 5, 7)
     nodes = ad._topo_order(out)
     ops = {node._backward_fn.__qualname__.split(".")[0] for node in nodes if node._backward_fn}
     assert "relu" not in ops
-    owned = [node for node in nodes if node.data.base is None and node.data.size == out.data.size]
-    assert len(owned) == 2
+    activation = (2, 25, 7) if pairwise else out.shape
+    owned = [node for node in nodes if node.data.base is None and node.data.size == np.prod(activation)]
+    assert len(owned) == (0 if pairwise else 2)
+
+
+def test_dynamic_edge_training_step_peak_memory():
+    # one dynamic-GNN classify step, forward and backward, over 80 windows x 8
+    # frames of 15 neurons at hidden 16: the edge block's two activations and
+    # the gradients written into them peak near three (frames, N * N, h)
+    # arrays; the composed ops peaked at 5.76
+    cfg = gnn_config(n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC)
+    model = m.NeuralModel(cfg, master_seed=0)
+    rng = np.random.default_rng(0)
+    feats = Tensor(rng.normal(size=(80, 8, 15, 2)))
+    targets = rng.integers(0, 2, size=(80, 8))
+    pair_array = 80 * 8 * 15 * 15 * 16 * 8  # bytes
+    tracemalloc.start()
+    try:
+        tr.nll_loss(model.classify_logits(feats, training=True), targets).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.named_parameters()["edge.fc1.weight"].tensor.grad is not None
+    assert peak <= 3.25 * pair_array, f"peak {peak / pair_array:.2f} pair arrays"
 
 
 def test_edge_weights_in_unit_interval_and_normalized():
