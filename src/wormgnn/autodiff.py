@@ -3,17 +3,27 @@
 The op set is exactly what the models in this package need: matmul,
 ``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
 an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
-layer and head as one node), elementwise add/sub/mul, scalar scale, ReLU, axis
-softmax with an optional temperature divisor, natural log, concatenation,
-sum/mean reductions, batch normalization with running statistics, and a
-gated recurrent cell.  A fused ReLU rectifies its node's own output buffer
-in place, so an activated layer keeps one array in the graph, not two; its
-values and gradients are bit-equal to the composed ops.  A few
-shape-plumbing primitives (reshape, swapaxes, index_select, split,
-sigmoid/tanh/power) exist because batched model forwards cannot be expressed
-without them; ``swapaxes`` returns a view, and ``split`` cuts a tensor into
-contiguous views along one axis, whose backward writes every slice's
-gradient into one buffer.
+layer and head as one node), ``batch_norm`` and ``lstm_cell`` (one node
+each, below), elementwise add/sub/mul, scalar scale, ReLU, axis softmax with
+an optional temperature divisor, natural log, concatenation and sum/mean
+reductions.  A fused ReLU rectifies its node's own output buffer in place,
+so an activated layer keeps one array in the graph, not two; its values
+and gradients are bit-equal to the composed ops.  A few shape-plumbing
+primitives (reshape, swapaxes, index_select, split) exist because batched
+model forwards cannot be expressed without them; ``swapaxes`` returns a
+view, and ``split`` cuts a tensor into contiguous views along one axis,
+whose backward writes every slice's gradient into one buffer.
+
+``batch_norm`` normalizes over the leading axes in one node in both modes
+and returns the batch statistics that ``BatchNorm`` keeps running averages
+of; besides its output it keeps only the centered input.  ``lstm_cell`` is
+the gated recurrent cell as one node with a hand-written backward over the
+four gates; its two outputs, the next hidden and cell states, are views of
+the node's output.  Both replay the rounding of the composed ops they
+replace, so values and gradients are bit-equal to them.  No model calls
+``sigmoid``, ``tanh`` or ``power``: they stay as parts of that composed
+reference, which the tests check both nodes against, and the benchmark's
+tracer (``wormbench/tracing.py``) counts them by name.
 
 Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
 logits to the second component of their temperature softmax (the inferred
@@ -30,11 +40,11 @@ graph tensors, and its backward writes each gradient into the buffer of the
 activation it replaces: a dynamic-edge training step peaks near three
 pair-sized arrays where the composed ops held nearly six.
 
-The backward of add, sub, mul, matmul, linear and edge_block computes no
-gradient for an operand that does not require one (inputs, masks, targets).
-ReLU, fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
-input stays NaN, so a NaN pre-activation reaches the loss instead of being
-zeroed.
+The backward of add, sub, mul, matmul, linear, edge_block, batch_norm and
+lstm_cell computes no gradient for an operand that does not require one
+(inputs, masks, targets).  ReLU, fused or not, is ``max(a, 0)``: +0.0 for
+either signed zero, and a NaN input stays NaN, so a NaN pre-activation
+reaches the loss instead of being zeroed.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -48,6 +58,7 @@ The ``no_grad`` flag is per thread too.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -80,6 +91,7 @@ __all__ = [
     "swapaxes",
     "index_select",
     "split",
+    "batch_norm",
     "lstm_cell",
     "no_grad",
     "backward",
@@ -700,39 +712,140 @@ class BatchNorm:
             raise ValueError(
                 f"batchnorm {self.name}: expected {self.features} features, got shape {x.shape}"
             )
-        batch_axes = tuple(range(batch_ndim))
-        if training:
-            mu = x.mean(axis=batch_axes)
-            centered = sub(x, mu)
-            var = mul(centered, centered).mean(axis=batch_axes)
-            m = BATCHNORM_MOMENTUM
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-            self.running_var = (1.0 - m) * self.running_var + m * var.data
-            inv_std = power(add(var, Tensor(np.full(self.features, BATCHNORM_EPS))), -0.5)
-            normed = mul(centered, inv_std)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + BATCHNORM_EPS)
-            normed = mul(sub(x, Tensor(self.running_mean)), Tensor(inv))
-        return add(mul(normed, self.gamma.tensor), self.beta.tensor)
+        if not training:
+            return batch_norm(x, self.gamma.tensor, self.beta.tensor,
+                              (self.running_mean, self.running_var))[0]
+        out, mean, var = batch_norm(x, self.gamma.tensor, self.beta.tensor)
+        m = BATCHNORM_MOMENTUM
+        self.running_mean = (1.0 - m) * self.running_mean + m * mean
+        self.running_var = (1.0 - m) * self.running_var + m * var
+        return out
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
+    """Batch normalization of ``x`` (…, *F) over its leading axes, with scale
+    ``gamma`` and shift ``beta`` of the feature shape F, as one node.
+
+    With ``stats`` None it normalizes with the batch's own statistics,
+    ``(x - mean) * (var + eps) ** -0.5 * gamma + beta``; with ``stats`` a
+    (mean, var) pair of running statistics it is the affine map ``(x - mean)
+    * (1 / sqrt(var + eps)) * gamma + beta``.  Returns (output, mean, var).
+    Values and gradients are bit-equal to the composed ops (two means,
+    ``sub``, ``mul``, ``add``, ``power``, ``mul``, then the affine ``mul`` and
+    ``add``); the node keeps the centered input and recomputes the rest.
+    """
+    features = gamma.shape
+    batch_ndim = x.ndim - len(features)
+    if batch_ndim < 0 or x.shape[batch_ndim:] != features or beta.shape != features:
+        raise ValueError(f"batch_norm: x {x.shape} does not end in the feature shape of "
+                         f"gamma {gamma.shape} and beta {beta.shape}")
+    axes = tuple(range(batch_ndim))
+    count = math.prod(x.shape[:batch_ndim])
+    if stats is None:
+        mean = x.data.mean(axis=axes)
+        centered = x.data - mean
+        out = centered * centered  # the squares' buffer becomes the output's
+        var = out.mean(axis=axes)
+        inv = (var + BATCHNORM_EPS) ** -0.5
+    else:
+        mean, var = stats
+        centered = x.data - mean
+        out = np.empty(x.shape)
+        inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
+    np.multiply(centered, inv, out=out)
+    out *= gamma.data
+    out += beta.data
+
+    def bwd(g):
+        g_x = g_gamma = g_beta = None
+        scratch = None  # one x-sized buffer for the terms no caller keeps
+        if x.requires_grad:
+            scratch = g * gamma.data  # the normalized input's gradient
+            g_x = scratch * inv
+            if stats is None:  # through the batch statistics, summed in the composed ops' order
+                g_inv = _unbroadcast(np.multiply(scratch, centered, out=scratch), features)
+                g_var = (g_inv * -0.5) * (var + BATCHNORM_EPS) ** -1.5
+                t = np.multiply(g_var / count, centered, out=scratch)
+                g_x += t
+                g_x += t
+                g_x += _unbroadcast(np.negative(g_x, out=scratch), features) / count
+        if beta.requires_grad:
+            g_beta = _unbroadcast(g, features)
+        if gamma.requires_grad:
+            normed = np.multiply(centered, inv, out=scratch)
+            g_gamma = _unbroadcast(np.multiply(g, normed, out=normed), features)
+        return g_x, g_gamma, g_beta
+
+    return _make(out, (x, gamma, beta), bwd), mean, var
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor):
-    """One gated-cell update: input/forget/output gates plus tanh candidate.
+    """One gated-cell update as one node: input, forget and output gates plus
+    a tanh candidate.
 
     ``x`` is (batch, in_dim); ``h`` and ``c`` are (batch, H); ``w_x`` is
-    (in_dim, 4H), ``w_h`` (H, 4H), ``b`` (4H,).  Returns (h_next, c_next).
+    (in_dim, 4H), ``w_h`` (H, 4H), ``b`` (4H,).  Returns (h_next, c_next), two
+    views of the node's output.  Values and gradients are bit-equal to the
+    composed ops: ``z = x w_x + h w_h + b`` split in four, ``sigmoid`` gates
+    i, f, o, a ``tanh`` candidate, ``c_next = f c + i cand`` and ``h_next =
+    o tanh(c_next)``.
     """
     hidden = h.shape[-1]
     if w_x.shape[-1] != 4 * hidden or w_h.shape[-1] != 4 * hidden:
         raise ValueError(
             f"lstm_cell: projection widths {w_x.shape} / {w_h.shape} do not match hidden {hidden}"
         )
-    z = add(add(matmul(x, w_x), matmul(h, w_h)), b)
-    z_i, z_f, z_o, z_c = split(z, [hidden] * 4, axis=-1)
-    gate_i, gate_f, gate_o, candidate = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o), tanh(z_c)
-    c_next = add(mul(gate_f, c), mul(gate_i, candidate))
-    h_next = mul(gate_o, tanh(c_next))
-    return h_next, c_next
+    z = _matmul_data("lstm_cell", x, w_x) + _matmul_data("lstm_cell", h, w_h)
+    z += b.data
+    gates = 1.0 / (1.0 + np.exp(-z[..., :3 * hidden]))
+    gate_i, gate_f, gate_o = gates[..., :hidden], gates[..., hidden:2 * hidden], gates[..., 2 * hidden:]
+    candidate = np.tanh(z[..., 3 * hidden:])
+    c_next = gate_f * c.data
+    c_next += gate_i * candidate
+    both = np.empty((2,) + c_next.shape)  # h_next, c_next
+    both[1] = c_next
+    tanh_c = np.tanh(c_next)
+    np.multiply(gate_o, tanh_c, out=both[0])
+    received = [None, None]  # the gradients reaching h_next and c_next in this backward
+
+    def bwd(_):
+        g_h, g_c = received
+        received[:] = [None, None]
+        g_cn = g_c  # c_next's gradient: the caller's plus the one through h_next
+        if g_h is not None:
+            through_h = (g_h * gate_o) * (1.0 - tanh_c * tanh_c)
+            g_cn = through_h if g_c is None else through_h + g_c
+        g_z = np.empty(z.shape)
+        np.multiply(g_cn, candidate, out=g_z[..., :hidden])
+        np.multiply(g_cn, c.data, out=g_z[..., hidden:2 * hidden])
+        live = 2 * hidden  # the gates a gradient reached
+        if g_h is not None:
+            live = 3 * hidden
+            np.multiply(g_h, tanh_c, out=g_z[..., 2 * hidden:live])
+        else:  # zeros for the output gate, as the composed ops' split leaves them
+            g_z[..., 2 * hidden:3 * hidden] = 0.0
+        g_gates, live_gates = g_z[..., :live], gates[..., :live]
+        g_gates *= live_gates
+        g_gates *= 1.0 - live_gates
+        g_cand = np.multiply(g_cn, gate_i, out=g_z[..., 3 * hidden:])
+        g_cand *= 1.0 - candidate * candidate
+        g_x, g_wx = _matmul_grads(g_z, x, w_x)
+        g_hid, g_wh = _matmul_grads(g_z, h, w_h)
+        g_b = _unbroadcast(g_z, b.shape) if b.requires_grad else None
+        g_cell = _unbroadcast(g_cn * gate_f, c.shape) if c.requires_grad else None
+        return g_x, g_hid, g_cell, g_wx, g_wh, g_b
+
+    cell = _make(both, (x, h, c, w_x, w_h, b), bwd)
+
+    def output(i):
+        def out_bwd(g):
+            first = received[0] is None and received[1] is None
+            received[i] = g
+            return (g if first else None,)  # any array: the cell's backward reads `received`
+
+        return _make(both[i], (cell,), out_bwd)
+
+    return output(0), output(1)
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,6 @@ def _build_section(cls, spec: dict, section: str, context: str):
 
 
 def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
-    if "max_epochs_override" in config:
-        raise ConfigError(f"{context}: max_epochs_override is not supported; set train.max_epochs")
     spec = dict(config.get("train", {}))
     spec["seed"] = seed
     if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
@@ -138,15 +136,7 @@ def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-# every key gen-synth reads, in the README's order; any other key is an error
-GEN_SYNTH_KEYS = ("n_worms", "n_neurons", "n_timesteps", "n_states", "latent_dim", "noise_std",
-                  "angular_velocity_jitter", "seed")
-
-
 def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
-    unknown = sorted(set(config) - set(GEN_SYNTH_KEYS))
-    if unknown:
-        raise ConfigError(f"gen-synth: unknown config field {unknown[0]!r}")
     n_worms = _integer(config, "n_worms", "gen-synth")
     if n_worms < 1:
         raise ConfigError(f"gen-synth: n_worms must be >= 1, got {n_worms}")
@@ -422,17 +412,29 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# name -> (command, its own flags); every command also takes --config, --out and --seed
+# the top-level config keys of a training run; the recordings are a data
+# directory or a list of files, narrowed by neuron names
+RECORDING_KEYS = ("data_dir", "recordings", "neurons", "exclude_neurons")
+RUN_KEYS = ("task",) + RECORDING_KEYS + ("train_worms", "heldout_worms", "extended_worms", "model",
+                                         "train", "connectome", "seed")
+
+# name -> (command, its own flags, every top-level config key it reads); every
+# command also takes --config, --out and --seed, and main rejects any other key
 COMMANDS = {
-    "gen-synth": (cmd_gen_synth, {"--force": dict(action="store_true", help="allow overwriting outputs")}),
-    "train": (cmd_train, {}),
+    "gen-synth": (cmd_gen_synth, {"--force": dict(action="store_true", help="allow overwriting outputs")},
+                  ("n_worms", "n_neurons", "n_timesteps", "n_states", "latent_dim", "noise_std",
+                   "angular_velocity_jitter", "seed")),
+    "train": (cmd_train, {}, RUN_KEYS + ("test_fold", "val_fold")),
     "cross-validate": (cmd_cross_validate, {"--workers": dict(type=int, default=1, help="parallel cells"),
-                                            "--resume": dict(action="store_true", help="skip completed cells")}),
-    "eval": (cmd_eval, {}),
-    "rollout": (cmd_rollout, {}),
-    "pca": (cmd_pca, {}),
-    "edges": (cmd_edges, {}),
+                                            "--resume": dict(action="store_true", help="skip completed cells")},
+                       RUN_KEYS + ("permutation_size",)),
+    "eval": (cmd_eval, {}, ("task", "checkpoint") + RECORDING_KEYS + ("train", "seed")),
+    "rollout": (cmd_rollout, {}, ("checkpoint",) + RECORDING_KEYS + ("steps", "window_len", "burn_in", "seed")),
+    "pca": (cmd_pca, {}, ("recording", "components", "seed")),
+    "edges": (cmd_edges, {}, ("recording", "checkpoint", "neurons", "connectome", "seed")),
 }
+# keys that older configs may hold, with what replaced them
+RETIRED_KEYS = {"max_epochs_override": "set train.max_epochs"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph networks and baselines for multi-neuron calcium-imaging time series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name, (_, flags, _) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config or manifest file")
         p.add_argument("--out", required=True, help="output directory")
@@ -453,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, flags = COMMANDS[args.command]
+    command, flags, keys = COMMANDS[args.command]
     try:
         config, config_seed, manifest_command = _load_config(args.config)
         if manifest_command is not None and manifest_command != args.command:
@@ -461,6 +463,10 @@ def main(argv=None) -> int:
                 f"{args.config}: manifest was written by {manifest_command!r}, "
                 f"not {args.command!r}"
             )
+        unknown = [key for key in config if key not in keys]
+        if unknown:
+            hint = f"; {RETIRED_KEYS[unknown[0]]}" if unknown[0] in RETIRED_KEYS else ""
+            raise ConfigError(f"{args.command}: unknown config field {unknown[0]!r}{hint}")
         seed = args.seed if args.seed is not None else (config_seed if config_seed is not None else 0)
         out_dir = Path(args.out)
         command(config, out_dir, seed, **{flag[2:]: getattr(args, flag[2:]) for flag in flags})

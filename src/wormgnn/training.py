@@ -167,33 +167,53 @@ def mse_loss(predicted: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """First/second-moment optimizer with bias correction."""
+    """First/second-moment optimizer with bias correction.
+
+    One step runs the update once over a flat vector of every gradient,
+    against flat moment buffers of which ``m`` and ``v`` hold per-name views,
+    then subtracts each parameter's piece of the flat update from its current
+    value (so a ``load_state`` between steps holds) into a new array.  Each
+    entry rounds as in a per-parameter update.
+    """
 
     def __init__(self, params: list[Parameter], learning_rate: float):
         self.params = params
         self.lr = learning_rate
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        bounds = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        self._pieces = [(lo, hi, p.data.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
+        self._m, self._v = np.zeros((2, bounds[-1]))
+        self.m = {p.name: view for p, view in zip(params, self._views(self._m))}
+        self.v = {p.name: view for p, view in zip(params, self._views(self._v))}
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of ``flat`` shaped as each parameter, in order."""
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._pieces]
 
     def step(self) -> None:
         """One update of every parameter; a missing or non-finite gradient
         raises, naming its parameter, before any parameter moves."""
-        for p in self.params:
-            g = p.tensor.grad
-            if g is None:
-                raise ValueError(f"AdamState.step: parameter {p.name} has no gradient")
-            if not np.isfinite(g).all():
-                raise ValueError(f"AdamState.step: gradient of {p.name} is NaN or infinite")
+        grads = [p.tensor.grad for p in self.params]
+        g = None if any(grad is None for grad in grads) else np.concatenate([grad.ravel() for grad in grads])
+        if g is None or not np.isfinite(g).all():
+            for p, grad in zip(self.params, grads):  # name the first parameter at fault
+                if grad is None:
+                    raise ValueError(f"AdamState.step: parameter {p.name} has no gradient")
+                if not np.isfinite(grad).all():
+                    raise ValueError(f"AdamState.step: gradient of {p.name} is NaN or infinite")
         self.step_count += 1
         t = self.step_count
-        for p in self.params:
-            g = p.tensor.grad
-            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
-            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1**t)
-            v_hat = v / (1 - ADAM_BETA2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self._m, self._v  # b1 * m + (1 - b1) * g rounds as m *= b1; m += (1 - b1) * g
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # a new array per parameter: views of one shared buffer made training measurably slower
+        for p, piece in zip(self.params, self._views(update)):
+            p.data = p.data - piece
 
 
 @dataclass

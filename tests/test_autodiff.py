@@ -1,6 +1,7 @@
 """Gradient engine tests: every op against central finite differences."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,21 @@ OPS = {
     "edge_block_b2": lambda x: edge_block_with("b2", x, h2=12),
     "edge_block_w_head": lambda x: edge_block_with("w_head", x, k=3),
     "edge_block_b_head": lambda x: edge_block_with("b_head", x, k=12),
+    # x as the input (training and inference), as input of a (2, 2) feature
+    # shape, and as gamma and beta of 12 features over a fixed batch
+    "batch_norm_x": lambda x: ad.batch_norm(x, *bn_affine((4,)))[0],
+    "batch_norm_x_eval": lambda x: ad.batch_norm(x, *bn_affine((4,)),
+                                                 (np.linspace(-1, 1, 4), np.linspace(0.5, 2, 4)))[0],
+    "batch_norm_features": lambda x: ad.batch_norm(ad.reshape(x, (3, 2, 2)), *bn_affine((2, 2)))[0],
+    "batch_norm_gamma": lambda x: ad.batch_norm(BN_BATCH, ad.reshape(x, (12,)), bn_affine((12,))[1])[0],
+    "batch_norm_beta": lambda x: ad.batch_norm(BN_BATCH, bn_affine((12,))[0], ad.reshape(x, (12,)))[0],
+    # x as each operand of lstm_cell in turn; both outputs reach the root
+    "lstm_cell_x": lambda x: lstm_cell_with("x", x),
+    "lstm_cell_h": lambda x: lstm_cell_with("h", x),
+    "lstm_cell_c": lambda x: lstm_cell_with("c", x),
+    "lstm_cell_w_x": lambda x: lstm_cell_with("w_x", x),
+    "lstm_cell_w_h": lambda x: lstm_cell_with("w_h", x),
+    "lstm_cell_b": lambda x: lstm_cell_with("b", x),
     "relu": lambda x: ad.relu(x),
     "softmax": lambda x: ad.softmax(x, axis=-1, temperature=0.7),
     "log": lambda x: ad.log(ad.add(ad.mul(x, x), ad.Tensor(np.full(x.shape, 0.5)))),
@@ -174,6 +190,35 @@ def composed_edge_block(x, w1, b1, w2, b2, w_head, b_head):
     dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
     pairs = ad.reshape(ad.relu(ad.add(ad.add(src, dst), b1)), lead + (n * n, width))
     return ad.linear(ad.linear(pairs, w2, b2, relu=True), w_head, b_head)
+
+
+BN_BATCH = ad.Tensor(np.sin(np.arange(60.0)).reshape(5, 12))
+
+
+def bn_affine(features):
+    """Fixed gamma and beta of both signs for a feature shape."""
+    size = int(np.prod(features))
+    return (ad.Tensor(np.linspace(-1.5, 1.5, size).reshape(features)),
+            ad.Tensor(np.cos(np.arange(size)).reshape(features)))
+
+
+LSTM_OPERANDS = ("x", "h", "c", "w_x", "w_h", "b")
+
+
+def lstm_cell_with(operand, x):
+    """Both lstm_cell outputs side by side at hidden 3, with the 12 entries of
+    ``x`` as ``operand`` (the first row of w_h) and fixed values of both signs
+    for the others."""
+    batch, in_dim = (4, 4) if operand in ("h", "c") else (3, 1 if operand == "w_x" else 4)
+    shapes = {"x": (batch, in_dim), "h": (batch, 3), "c": (batch, 3), "w_x": (in_dim, 12),
+              "w_h": (3, 12), "b": (12,)}
+    args = {name: ad.Tensor(0.5 * np.sin(np.arange(np.prod(shape)) + i).reshape(shape))
+            for i, (name, shape) in enumerate(shapes.items())}
+    if operand == "w_h":
+        args["w_h"] = ad.concat([ad.reshape(x, (1, 12)), ad.Tensor(args["w_h"].data[1:])], axis=0)
+    else:
+        args[operand] = ad.reshape(x, shapes[operand])
+    return ad.concat(list(ad.lstm_cell(*args.values())), axis=1)
 
 
 def split_two_outputs(x):
@@ -398,6 +443,129 @@ def test_edge_block_shape_errors_name_the_op():
         ad.edge_block(ad.tensor(np.zeros(2)), *good[1:])
 
 
+def composed_batch_norm(x, gamma, beta, stats=None):
+    """batch_norm from the composed ops: the reference it is bit-equal to."""
+    features = gamma.shape
+    axes = tuple(range(x.ndim - len(features)))
+    if stats is None:
+        mean = x.mean(axis=axes)
+        centered = ad.sub(x, mean)
+        var = ad.mul(centered, centered).mean(axis=axes)
+        inv = ad.power(ad.add(var, ad.Tensor(np.full(features, ad.BATCHNORM_EPS))), -0.5)
+        normed = ad.mul(centered, inv)
+        stats = (mean.data, var.data)
+    else:
+        inv = ad.Tensor(1.0 / np.sqrt(stats[1] + ad.BATCHNORM_EPS))
+        normed = ad.mul(ad.sub(x, ad.Tensor(stats[0])), inv)
+    return (ad.add(ad.mul(normed, gamma), beta),) + tuple(stats)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.sampled_from([(5,), (3, 4), (3,)]), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_batch_norm_is_bit_equal_to_composed_ops(training, features, batch, needs_grad, with_nan, seed):
+    # output, statistics and every operand's gradient, byte for byte, in both
+    # modes, with signed zeros in every operand and optionally a NaN input; an
+    # operand that requires no gradient gets none
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + features
+    x = signed_zero_heavy(rng, shape)
+    if with_nan:
+        x.flat[rng.integers(x.size)] = np.nan
+    gamma, beta = signed_zero_heavy(rng, features), signed_zero_heavy(rng, features)
+    stats = None if training else (signed_zero_heavy(rng, features), rng.uniform(0.0, 2.0, features))
+    upstream = ad.Tensor(signed_zero_heavy(rng, shape))
+
+    def run(fn):
+        operands = [ad.tensor(v, requires_grad=grad) for v, grad in zip((x, gamma, beta), needs_grad)]
+        out, mean, var = fn(*operands, stats)
+        if out.requires_grad:
+            ad.mul(out, upstream).sum().backward()
+        return ([out.data.tobytes(), mean.tobytes(), var.tobytes()]
+                + [None if t.grad is None else t.grad.tobytes() for t in operands])
+
+    fused = run(ad.batch_norm)
+    assert fused == run(composed_batch_norm)
+    assert [grad is not None for grad in fused[3:]] == needs_grad
+
+
+def test_training_batch_norm_graph_owns_two_input_sized_arrays():
+    # a training forward leaves the output and the centered input that its
+    # backward needs; the composed ops kept five arrays the size of x
+    rng = np.random.default_rng(2)
+    bn = ad.BatchNorm((3, 4), name="bn")
+    x = ad.tensor(rng.normal(size=(60, 5, 3, 4)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = bn.forward(x, training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and held < 2.5 * x.data.nbytes
+    with pytest.raises(ValueError, match=r"batch_norm: x \(6, 5\) does not end in the feature shape"):
+        ad.batch_norm(ad.tensor(np.ones((6, 5))), bn.gamma.tensor, bn.beta.tensor)
+
+
+def composed_lstm_cell(x, h, c, w_x, w_h, b):
+    """lstm_cell from the composed ops: the reference it is bit-equal to."""
+    hidden = h.shape[-1]
+    z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), b)
+    z_i, z_f, z_o, z_c = ad.split(z, [hidden] * 4, axis=-1)
+    c_next = ad.add(ad.mul(ad.sigmoid(z_f), c), ad.mul(ad.sigmoid(z_i), ad.tanh(z_c)))
+    return ad.mul(ad.sigmoid(z_o), ad.tanh(c_next)), c_next
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["both", "h", "c", "none"]), st.lists(st.booleans(), min_size=6, max_size=6),
+       st.integers(0, 2**32 - 1))
+@example(1, 3, 2, 2, "c", [True] * 6, 0)  # no gradient reaches the output gate
+@example(2, 3, 2, 2, "h", [True] * 6, 0)
+def test_lstm_cell_is_bit_equal_to_composed_ops(steps, batch, in_dim, hidden, last, needs_grad, seed):
+    # a chain of cells sharing weights, as a recurrent layer runs them: every
+    # output and every gradient, byte for byte.  Each earlier h_next feeds the
+    # loss and the next cell; the last cell's h_next and c_next feed the loss
+    # both, one or neither.  An operand (the frames, h0, c0, w_x, w_h, b) that
+    # requires no gradient gets none
+    rng = np.random.default_rng(seed)
+    frames = [signed_zero_heavy(rng, (batch, in_dim)) for _ in range(steps)]
+    values = [signed_zero_heavy(rng, shape) for shape in
+              [(batch, hidden), (batch, hidden), (in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)]]
+    upstream = [ad.Tensor(signed_zero_heavy(rng, (batch, hidden))) for _ in range(steps + 1)]
+
+    def run(cell):
+        xs = [ad.tensor(v, requires_grad=needs_grad[0]) for v in frames]
+        leaves = [ad.tensor(v, requires_grad=grad) for v, grad in zip(values, needs_grad[1:])]
+        h, c, w_x, w_h, b = leaves
+        terms, outputs = [], []
+        for t, x in enumerate(xs):
+            h, c = cell(x, h, c, w_x, w_h, b)
+            outputs += [h.data.tobytes(), c.data.tobytes()]
+            if t < steps - 1 or last in ("both", "h"):
+                terms.append(ad.mul(h, upstream[t]).sum())
+        if last in ("both", "c"):
+            terms.append(ad.mul(c, upstream[steps]).sum())
+        if terms and any(term.requires_grad for term in terms):
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+            loss.backward()
+        return outputs + [None if t.grad is None else t.grad.tobytes() for t in xs + leaves]
+
+    assert run(ad.lstm_cell) == run(composed_lstm_cell)
+
+
+def test_lstm_cell_is_one_node_with_two_outputs():
+    rng = np.random.default_rng(6)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in [(2, 3), (2, 4), (2, 4), (3, 16), (4, 16), (16,)]]
+    h, c = ad.lstm_cell(*operands)
+    assert h.shape == c.shape == (2, 4)
+    assert h._parents == c._parents and len(ad._topo_order(ad.add(h, c))) == len(operands) + 4
+    with pytest.raises(ValueError, match=r"lstm_cell: projection widths \(3, 12\)"):
+        ad.lstm_cell(*operands[:3], ad.tensor(np.zeros((3, 12))), *operands[4:])
+
+
 def test_linear_shape_errors_name_the_op():
     x, w = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 4)))
     with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(4, 5\)"):
@@ -414,10 +582,20 @@ BINARY_BACKWARD = {
     "matmul": (ad.matmul, ((3, 4), (4, 2)), lambda g, a, b: (g @ b.T, a.T @ g)),
     "linear": (lambda a, b: ad.linear(a, b, ad.tensor(np.ones(2))), ((3, 4), (4, 2)),
                lambda g, a, b: (g @ b.T, a.T @ g)),
+    # x and gamma of a training batch_norm, beta constant
+    "batch_norm": (lambda a, b: ad.batch_norm(a, b, bn_affine((3,))[1])[0], ((5, 3), (3,)),
+                   lambda g, a, b: composed_batch_norm_grads(g, a, b)),
     # x and w1 of edge_block, its other operands constant
     "edge_block": (lambda a, b: edge_block_with_constants(ad.edge_block, a, b),
                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_block_grads(g, a, b)),
 }
+
+
+def composed_batch_norm_grads(g, x, gamma):
+    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(gamma, requires_grad=True)]
+    out = composed_batch_norm(*leaves, bn_affine((3,))[1])[0]
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [leaf.grad for leaf in leaves]
 
 
 def edge_block_with_constants(op, x, w1):
@@ -447,6 +625,25 @@ def test_backward_skips_constant_operands(name, constant):
     live = 1 - constant
     assert grads[live].tobytes() == expected(g, *values)[live].tobytes()
     assert all(grad is None for grad in grads[2:])  # biases and further operands are constants
+
+
+@pytest.mark.parametrize("constant", range(6), ids=LSTM_OPERANDS)
+def test_lstm_cell_backward_skips_constant_operands(constant):
+    # the cell's backward, run by hand after its two outputs', computes no
+    # gradient for the constant operand and the composed ops' for the others
+    rng = np.random.default_rng(8)
+    values = [rng.normal(size=shape) for shape in [(3, 2), (3, 4), (3, 4), (2, 16), (4, 16), (16,)]]
+    h, c = ad.lstm_cell(*[ad.tensor(v, requires_grad=i != constant) for i, v in enumerate(values)])
+    g_h, g_c = rng.normal(size=h.shape), rng.normal(size=c.shape)
+    h._backward_fn(g_h)
+    c._backward_fn(g_c)
+    grads = h._parents[0]._backward_fn(None)
+    leaves = [ad.tensor(v, requires_grad=True) for v in values]
+    ref_h, ref_c = composed_lstm_cell(*leaves)
+    ad.add(ad.mul(ref_h, ad.Tensor(g_h)).sum(), ad.mul(ref_c, ad.Tensor(g_c)).sum()).backward()
+    assert grads[constant] is None
+    assert all(grad.tobytes() == leaf.grad.tobytes()
+               for i, (grad, leaf) in enumerate(zip(grads, leaves)) if i != constant)
 
 
 def test_grad_check_lstm_cell():

@@ -820,6 +820,50 @@ def test_wrong_typed_section_field_is_one_error_line(tmp_path, capsys, predict_r
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.fixture(scope="module")
+def classify_gnn_checkpoint(predict_run, tmp_path_factory):
+    """A static-edge GNN classifier trained for one epoch on the predict run's data."""
+    root = tmp_path_factory.mktemp("classify_gnn_run")
+    cfg = write_config(root / "train.json", train_config(
+        predict_run[0], model={"module_kind": "gnn", "edge_mode": "static", "hidden_dim": 4},
+        train={"max_epochs": 1, "fold_count": 5, "window_len": 8}))
+    assert main(["train", "--config", str(cfg), "--out", str(root / "run"), "--seed", "3"]) == 0
+    return root / "run" / "model.ckpt"
+
+
+def accepted_configs(data: Path, classify_ckpt: Path, predict_ckpt: Path) -> dict:
+    """A config each command runs, with an optional key of each where it has one."""
+    recording = str(sorted(data.glob("worm_*.json"))[0])
+    one_epoch = {"max_epochs": 1, "fold_count": 5, "window_len": 8}
+    return {
+        "gen-synth": {"n_worms": 2, "n_neurons": 5, "n_timesteps": 100, "n_states": 2, "seed": 1},
+        "train": train_config(data, train=one_epoch, test_fold=2),
+        "cross-validate": train_config(data, train=one_epoch, permutation_size=3),
+        "eval": {"task": "classify2", "data_dir": str(data), "checkpoint": str(classify_ckpt),
+                 "train": {"window_len": 8}},
+        "rollout": {"data_dir": str(data), "checkpoint": str(predict_ckpt), "steps": 4},
+        "pca": {"recording": recording, "components": 2},
+        "edges": {"recording": recording, "checkpoint": str(classify_ckpt)},
+    }
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_reruns_its_manifest_and_rejects_an_unknown_key(tmp_path, capsys, predict_run,
+                                                                       classify_gnn_checkpoint, command):
+    # a misspelt top-level key is an error, not ignored: "tset_fold": 3 would
+    # otherwise train on test fold 0 and exit 0
+    config = accepted_configs(predict_run[0], classify_gnn_checkpoint, predict_run[1])[command]
+    first = tmp_path / "first"
+    assert main([command, "--config", str(write_config(tmp_path / "config.json", config)),
+                 "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    capsys.readouterr()
+    misspelt = write_config(tmp_path / "misspelt.json", {**config, "tset_fold": 3})
+    assert main([command, "--config", str(misspelt), "--out", str(tmp_path / "misspelt")]) == 1
+    assert capsys.readouterr().err == f"error: {command}: unknown config field 'tset_fold'\n"
+    assert not (tmp_path / "misspelt").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -1,8 +1,9 @@
-"""Docs drift: the README's CLI walkthrough configs and the example recording
-still load, its config-key table has one row per command, and its `model`
-and `train` key lists and `gen-synth` row name exactly the keys the code
-reads, so a removed, renamed or added command or option fails here, not in
-a reader's run."""
+"""Docs drift: the README's CLI walkthrough configs (and the checked-in configs
+it runs) and the example recording still load and hold only keys their
+command reads, its config-key table has one row per command naming only keys
+that command reads, and its `model` and `train` key lists and `gen-synth` row
+name exactly the keys the code reads, so a removed, renamed or added command
+or option fails here, not in a reader's run."""
 
 import dataclasses
 import json
@@ -21,8 +22,18 @@ HEREDOC = re.compile(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n", re.S)
 
 
 def walkthrough_configs() -> dict:
-    configs = dict(HEREDOC.findall((ROOT / "README.md").read_text()))
-    return {name: json.loads(text) for name, text in configs.items()}
+    """Every config the README runs: its heredocs and the checked-in files it names."""
+    readme = (ROOT / "README.md").read_text()
+    configs = {name: json.loads(text) for name, text in HEREDOC.findall(readme)}
+    for name in re.findall(r"--config (\S+\.json)", readme):
+        if name not in configs and (ROOT / name).is_file():
+            configs[name] = json.loads((ROOT / name).read_text())
+    return configs
+
+
+def walkthrough_runs() -> list:
+    """(command, config) of every command line in the README."""
+    return re.findall(r"wormgnn ([\w-]+) --config (\S+\.json)", (ROOT / "README.md").read_text())
 
 
 def test_walkthrough_defines_every_config_it_runs():
@@ -63,11 +74,25 @@ def test_readme_command_table_has_one_row_per_command():
     assert rows == list(cli.COMMANDS)
 
 
+def readme_row_keys(command: str) -> list:
+    """The keys the README's key table names for ``command``; parentheses hold
+    values and defaults."""
+    row = re.search(rf"^\| `{command}` \| (.*) \|$", (ROOT / "README.md").read_text(), re.M).group(1)
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row))
+
+
 def test_readme_gen_synth_row_lists_the_keys_it_accepts():
-    readme = (ROOT / "README.md").read_text()
-    row = re.search(r"^\| `gen-synth` \| (.*) \|$", readme, re.M).group(1)
-    # parentheses hold values and defaults
-    assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row)) == list(cli.GEN_SYNTH_KEYS)
+    assert readme_row_keys("gen-synth") == list(cli.COMMANDS["gen-synth"][2])
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_readme_key_rows_name_only_keys_their_command_reads(command):
+    assert set(readme_row_keys(command)) <= set(cli.COMMANDS[command][2])
+
+
+@pytest.mark.parametrize("command,name", walkthrough_runs())
+def test_walkthrough_configs_hold_only_keys_their_command_reads(command, name):
+    assert set(walkthrough_configs()[name]) <= set(cli.COMMANDS[command][2])
 
 
 def test_example_recording_loads():

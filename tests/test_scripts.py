@@ -1,12 +1,15 @@
-"""Smoke tests for the experiment scripts: tiny sizes, exit code and output shape only."""
+"""Smoke tests for the experiment scripts and the sweep configs: tiny sizes,
+exit code and output shape only."""
 
+import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from wormgnn.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,17 +25,33 @@ def test_script_runs_and_writes_table(tmp_path, script, args, table, header):
     assert (tmp_path / table).read_text().splitlines()[0] == header
 
 
-def test_crossval_sweep_script_prints_summaries(tmp_path):
-    # permutation size 5 of 5 worms: one permutation x 10 folds per model, no held-out worm
-    stdout = run_script("run_crossval_sweep.py",
-                        ["--epochs", "1", "--timesteps", "160", "--permutation-size", "5"],
-                        tmp_path)
-    lines = stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["mlp", "gnn"]
-    for line in lines:
-        assert re.fullmatch(r"\w+: 10 runs, test [01]\.\d{3} \+- \d\.\d{3}, "
-                            r"held-out nan \+- 0\.000", line), line
-    assert len((tmp_path / "gnn_records.jsonl").read_text().splitlines()) == 10
+def test_sweep_configs_run_through_the_cli(tmp_path):
+    # the README's sweep configs at tiny size: 160 frames, one epoch, and all
+    # five worms in one permutation, so 10 cells per model and no held-out worm
+    sweep = REPO / "scripts" / "sweep"
+    data = tmp_path / "data"
+    synth = write_config(tmp_path / "synth.json", {**read_config(sweep / "synth.json"), "n_timesteps": 160})
+    assert main(["gen-synth", "--config", str(synth), "--out", str(data)]) == 0
+    for kind in ("mlp", "gnn"):
+        config = read_config(sweep / f"cv_{kind}.json")
+        assert config["model"]["module_kind"] == kind
+        config.update(data_dir=str(data), permutation_size=5, train={**config["train"], "max_epochs": 1})
+        out = tmp_path / kind
+        assert main(["cross-validate", "--config", str(write_config(tmp_path / f"cv_{kind}.json", config)),
+                     "--out", str(out)]) == 0
+        summary = read_config(out / "summary.json")
+        assert summary["runs"] == 10 and 0.0 <= summary["accuracy_test"]["mean"] <= 1.0
+        assert "accuracy_generalization" not in summary
+        assert len((out / "records.jsonl").read_text().splitlines()) == 10
+
+
+def read_config(path: Path) -> dict:
+    return json.loads(path.read_text())
+
+
+def write_config(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload))
+    return path
 
 
 def run_script(script: str, args: list[str], out) -> str:

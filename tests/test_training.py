@@ -167,6 +167,71 @@ def test_adam_bit_identical_runs():
     assert np.array_equal(run(), run())
 
 
+class PerParameterAdam:
+    """Adam one parameter at a time: the reference the flat update is bit-equal to."""
+
+    def __init__(self, params, learning_rate):
+        self.params, self.lr, self.t = params, learning_rate, 0
+        self.m = {p.name: np.zeros_like(p.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.data) for p in params}
+
+    def step(self):
+        self.t += 1
+        for p in self.params:
+            g = p.tensor.grad
+            m = self.m[p.name] = tr.ADAM_BETA1 * self.m[p.name] + (1 - tr.ADAM_BETA1) * g
+            v = self.v[p.name] = tr.ADAM_BETA2 * self.v[p.name] + (1 - tr.ADAM_BETA2) * g * g
+            m_hat = m / (1 - tr.ADAM_BETA1**self.t)
+            v_hat = v / (1 - tr.ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 4), min_size=0, max_size=3), min_size=1, max_size=5),
+       st.integers(1, 6), st.integers(0, 6), st.sampled_from([1e-3, 0.1, 2.5e-4]), st.floats(1e-3, 1e3),
+       st.integers(0, 2**32 - 1))
+def test_flat_adam_is_bit_equal_to_per_parameter_updates(shapes, steps, load_at, lr, scale, seed):
+    # parameters, m and v byte for byte after every step, with gradients of
+    # any size and sign (signed zeros among them), and new parameter values
+    # loaded between two steps (as load_state does), which the next step uses
+    rng = np.random.default_rng(seed)
+    initial = [rng.normal(size=shape) for shape in shapes]
+    grads = [[scale * rng.normal(size=shape) * (rng.random(shape) < 0.8) for shape in shapes]
+             for _ in range(steps)]
+    loaded = [rng.normal(size=shape) for shape in shapes]
+
+    def run(optimizer):
+        params = [Parameter(f"p{i}", v) for i, v in enumerate(initial)]
+        adam = optimizer(params, lr)
+        trace = []
+        for step in range(steps):
+            if step == load_at:
+                for p, v in zip(params, loaded):
+                    p.data = v.copy()
+            for p, g in zip(params, grads[step]):
+                p.tensor.grad = g
+            adam.step()
+            trace.append([(p.data.shape, p.data.tobytes(), adam.m[p.name].tobytes(),
+                           adam.v[p.name].tobytes()) for p in params])
+        return trace
+
+    assert run(tr.AdamState) == run(PerParameterAdam)
+
+
+def test_flat_adam_gives_each_parameter_a_new_array():
+    # a step leaves arrays taken from parameters before it unchanged, and no
+    # parameter's values live in a buffer shared with another
+    params = [Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(4))]
+    adam = tr.AdamState(params, learning_rate=0.1)
+    before = [p.data for p in params]
+    for p in params:
+        p.tensor.grad = np.ones(p.data.shape)
+    adam.step()
+    assert all(np.array_equal(old, np.ones(old.shape)) for old in before)
+    assert [p.data.shape for p in params] == [(2, 3), (4,)] and (params[0].data < 1).all()
+    assert all(p.data.base is None for p in params)
+
+
 # -- schedules --------------------------------------------------------------------
 
 def test_plateau_single_decay():
