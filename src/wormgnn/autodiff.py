@@ -623,8 +623,13 @@ def split(a: Tensor, sizes, axis: int = 0) -> tuple[Tensor, ...]:
     sizes = [int(size) for size in sizes]
     if min(sizes, default=0) < 1 or sum(sizes) != a.shape[axis]:
         raise ValueError(f"split: sizes {sizes} do not partition axis {axis} of {a.shape}")
-    whole = _make(a.data, (a,), lambda g: (g,))
     buffer: list[np.ndarray] = []
+
+    def pass_on(g):
+        buffer.clear()  # a later backward through these pieces starts a fresh buffer
+        return (g,)
+
+    whole = _make(a.data, (a,), pass_on)
 
     def piece(index):
         def bwd(g):

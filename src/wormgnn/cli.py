@@ -30,27 +30,12 @@ from .data import (
     select_neurons,
 )
 from .rng import derive_entropy
+from .schema import check_value
 from .synth import SynthConfig, generate_worm
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration; message names the file and field."""
-
-
-def _require(config: dict, key: str, context: str):
-    if key not in config:
-        raise ConfigError(f"{context}: missing config field {key!r}")
-    return config[key]
-
-
-def _integer(config: dict, key: str, context: str, default: int | None = None) -> int:
-    """``config[key]`` (``default`` when it is absent and a default is given;
-    required otherwise), checked to be an integer: a bool, float or string is
-    a ConfigError naming the key."""
-    value = _require(config, key, context) if default is None else config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
-    return value
 
 
 def _load_config(path) -> tuple[dict, int | None, str | None]:
@@ -64,9 +49,9 @@ def _load_config(path) -> tuple[dict, int | None, str | None]:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    seed = None if raw.get("seed") is None else _integer(raw, "seed", str(path))
+    seed = None if raw.get("seed") is None else check_value(str(path), "seed", int, raw["seed"])
     if "config" in raw and "command" in raw:  # manifest
-        return raw["config"], seed, raw.get("command")
+        return check_value(str(path), "config", dict, raw["config"]), seed, raw.get("command")
     return raw, seed, None
 
 
@@ -79,15 +64,22 @@ def _write_json(path, payload) -> None:
 
 
 def _load_recordings(config: dict, context: str) -> dict:
-    """Recordings from data_dir or an explicit path list, with neuron selection."""
-    if "data_dir" in config and config["data_dir"]:
-        data_dir = Path(config["data_dir"])
+    """Recordings from data_dir or an explicit path list (exactly one of the
+    two, naming at least one recording), with neuron selection."""
+    data_dir, listed = config.get("data_dir"), config.get("recordings")
+    if data_dir is not None and listed is not None:
+        raise ConfigError(f"{context}: give 'data_dir' or 'recordings', not both")
+    if data_dir is not None:
+        data_dir = Path(data_dir)
         if not data_dir.is_dir():
             raise ConfigError(f"{context}: data_dir {data_dir} is not a directory")
-        paths = sorted(data_dir.glob("*.json"))
-        paths = [p for p in paths if p.name != "manifest.json"]
-    elif "recordings" in config and config["recordings"]:
-        paths = [Path(p) for p in config["recordings"]]
+        paths = [p for p in sorted(data_dir.glob("*.json")) if p.name != "manifest.json"]
+        if not paths:
+            raise ConfigError(f"{context}: data_dir {data_dir} holds no recording (*.json)")
+    elif listed is not None:
+        paths = [Path(p) for p in listed]
+        if not paths:
+            raise ConfigError(f"{context}: recordings lists no recording")
     else:
         raise ConfigError(f"{context}: need 'data_dir' or 'recordings'")
     recs = {}
@@ -125,9 +117,9 @@ def _build_section(cls, spec: dict, section: str, context: str):
 
 
 def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
-    spec = dict(config.get("train", {}))
+    spec = dict(config.get("train") or {})
     spec["seed"] = seed
-    if "burn_in" not in spec and config.get("model", {}).get("recurrent"):
+    if "burn_in" not in spec and (config.get("model") or {}).get("recurrent"):
         spec["burn_in"] = tr.RECURRENT_BURN_IN
     return _build_section(tr.TrainConfig, spec, "train", context)
 
@@ -137,22 +129,14 @@ def _train_config(config: dict, seed: int, context: str) -> tr.TrainConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
-    n_worms = _integer(config, "n_worms", "gen-synth")
+    n_worms = config["n_worms"]
     if n_worms < 1:
         raise ConfigError(f"gen-synth: n_worms must be >= 1, got {n_worms}")
     # validate every worm's config before writing anything
-    synth_cfgs = []
-    for i in range(n_worms):
-        synth_cfgs.append(SynthConfig(
-            n_neurons=_integer(config, "n_neurons", "gen-synth"),
-            n_timesteps=_integer(config, "n_timesteps", "gen-synth"),
-            n_states=_integer(config, "n_states", "gen-synth"),
-            latent_dim=_integer(config, "latent_dim", "gen-synth", 3),
-            noise_std=config.get("noise_std", 0.0),  # SynthConfig checks the floats
-            mixing_seed=derive_entropy(seed, "worm", i)[0],
-            latent_seed=seed,
-            angular_velocity_jitter=config.get("angular_velocity_jitter", 0.0),
-        ))
+    shared = {key: config[key] for key in ("n_neurons", "n_timesteps", "n_states", "latent_dim",
+                                           "noise_std", "angular_velocity_jitter")}
+    synth_cfgs = [SynthConfig(**shared, mixing_seed=derive_entropy(seed, "worm", i)[0], latent_seed=seed)
+                  for i in range(n_worms)]
     targets = [out_dir / f"worm_{i:03d}.json" for i in range(n_worms)]
     if not force:
         existing = [str(p) for p in targets if p.exists()]
@@ -165,19 +149,14 @@ def cmd_gen_synth(config: dict, out_dir: Path, seed: int, force: bool) -> None:
 
 
 def _resolve_plan(config: dict, recs: dict, context: str) -> tr.ExperimentPlan:
-    task = _require(config, "task", context)
-    ids = {}
     for key in ("train_worms", "heldout_worms", "extended_worms"):
-        ids[key] = config.get(key) or []
-        if not isinstance(ids[key], list):
-            raise ConfigError(f"{context}: {key} must be a list of worm ids, got {ids[key]!r}")
-        missing = [w for w in ids[key] if w not in recs]
+        missing = [w for w in config[key] or [] if w not in recs]
         if missing:
             raise ConfigError(f"{context}: {key} not found in data: {missing}")
-    held_out, extended = ids["heldout_worms"], ids["extended_worms"]
+    held_out, extended = config["heldout_worms"] or [], config["extended_worms"] or []
     # by default every recording not held out or extended is trained on
-    train_worms = ids["train_worms"] or [w for w in sorted(recs) if w not in held_out + extended]
-    return tr.ExperimentPlan(task=task, train_worm_ids=list(train_worms),
+    train_worms = config["train_worms"] or [w for w in sorted(recs) if w not in held_out + extended]
+    return tr.ExperimentPlan(task=config["task"], train_worm_ids=list(train_worms),
                              held_out_worm_ids=list(held_out), extended_eval_ids=list(extended))
 
 
@@ -186,14 +165,14 @@ def _resolve_run(config: dict, seed: int, context: str):
     recs = _load_recordings(config, context)
     plan = _resolve_plan(config, recs, context)
     first = next(iter(recs.values()))
-    model_spec = dict(config.get("model", {}))
+    model_spec = dict(config["model"] or {})
     model_spec.setdefault("module_kind", "mlp")
     model_spec["task"] = "predict" if plan.task == "predict" else "classify"
     model_spec["n_neurons"] = first.n_neurons
     model_spec["n_states"] = tr.TASKS[plan.task][1] or 2  # a predictor has no classes
     model_cfg = _build_section(m.ModelConfig, model_spec, "model", context)
     connectome = None
-    if config.get("connectome"):
+    if config["connectome"]:
         connectome = m.load_connectome_edges(config["connectome"], first.neuron_names,
                                              include_self_edges=model_cfg.include_self_edges)
     return recs, plan, _train_config(config, seed, context), model_cfg, connectome
@@ -208,8 +187,7 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> None:
     prepared = tr.prepare_worms(recs, plan.task, train_cfg, train_cfg.seed)
     state, metrics = tr.train(
         model, plan, train_cfg, prepared,
-        test_fold=_integer(config, "test_fold", "train", 0),
-        val_fold=_integer(config, "val_fold", "train", 1),
+        test_fold=config["test_fold"], val_fold=config["val_fold"],
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     m.save_checkpoint(model, out_dir / "model.ckpt")
@@ -246,7 +224,6 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     their summary.
     """
     recs, plan, train_cfg, model_cfg, connectome = _resolve_run(config, seed, "cross-validate")
-    permutation_size = _integer(config, "permutation_size", "cross-validate")
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
@@ -266,7 +243,7 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
     def saved(pi, perm, fold) -> ev.RunMetrics | None:
         return _saved_cell(cell_path(pi, fold), perm, fold)
 
-    records, summary = tr.cross_validate(recs, plan, train_cfg, model_cfg, permutation_size,
+    records, summary = tr.cross_validate(recs, plan, train_cfg, model_cfg, config["permutation_size"],
                                          saved=saved if resume else None, progress=save,
                                          connectome=connectome, workers=workers)
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
@@ -283,7 +260,7 @@ def cmd_cross_validate(config: dict, out_dir: Path, seed: int, workers: int, res
 
 
 def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralModel:
-    model = m.load_checkpoint(_require(config, "checkpoint", context))
+    model = m.load_checkpoint(config["checkpoint"])
     for wid, rec in recs.items():
         if rec.n_neurons != model.config.n_neurons:
             raise ConfigError(
@@ -297,7 +274,7 @@ def _load_model_for_data(config: dict, recs: dict, context: str) -> m.NeuralMode
 
 def cmd_eval(config: dict, out_dir: Path, seed: int) -> None:
     recs = _load_recordings(config, "eval")
-    task = _require(config, "task", "eval")
+    task = config["task"]
     if task == "predict":
         raise ConfigError("eval: use the rollout command for prediction checkpoints")
     model = _load_model_for_data(config, recs, "eval")
@@ -338,11 +315,11 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> None:
     model = _load_model_for_data(config, recs, "rollout")
     if model.config.task is not m.Task.PREDICT:
         raise ConfigError("rollout: checkpoint was trained for classification; use eval")
-    steps = _integer(config, "steps", "rollout", 16)
-    window_len = _integer(config, "window_len", "rollout", 8)
-    burn_in = _integer(config, "burn_in", "rollout", tr.RECURRENT_BURN_IN if model.config.recurrent else 0)
+    steps, burn_in = config["steps"], config["burn_in"]
+    if burn_in is None:  # the default depends on the model
+        burn_in = tr.RECURRENT_BURN_IN if model.config.recurrent else 0
     normalized = [normalize_recording(rec) for _, rec in sorted(recs.items())]
-    result = ev.per_step_mse(model, normalized, steps=steps, window_len=window_len,
+    result = ev.per_step_mse(model, normalized, steps=steps, window_len=config["window_len"],
                              burn_in=burn_in)
     out_dir.mkdir(parents=True, exist_ok=True)
     ev.export_mse_curves(out_dir / "rollout_mse.tsv", {"mse": result.per_step})
@@ -356,8 +333,8 @@ def cmd_rollout(config: dict, out_dir: Path, seed: int) -> None:
 
 
 def cmd_pca(config: dict, out_dir: Path, seed: int) -> None:
-    rec = normalize_recording(load_recording(_require(config, "recording", "pca")))
-    components = _integer(config, "components", "pca", 3)
+    rec = normalize_recording(load_recording(config["recording"]))
+    components = config["components"]
     result = ev.pca_project(rec.derivatives, components=components)
     out_dir.mkdir(parents=True, exist_ok=True)
     ev.export_pca_trajectory(out_dir / "pca.tsv", result.projection, rec.labels)
@@ -370,8 +347,8 @@ def cmd_pca(config: dict, out_dir: Path, seed: int) -> None:
 
 
 def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
-    rec = load_recording(_require(config, "recording", "edges"))
-    names = config.get("neurons")
+    rec = load_recording(config["recording"])
+    names = config["neurons"]
     if names:
         rec = select_neurons(rec, names)
     model = _load_model_for_data(config, {rec.worm_id: rec}, "edges")
@@ -392,7 +369,7 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
         write_matrix(out_dir / "edges.tsv", edges)
 
     report = {"edge_mode": model.config.edge_mode.value}
-    connectome_path = config.get("connectome")
+    connectome_path = config["connectome"]
     if connectome_path:
         structural = m.load_connectome_edges(
             connectome_path, rec.neuron_names,
@@ -412,29 +389,53 @@ def cmd_edges(config: dict, out_dir: Path, seed: int) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# the top-level config keys of a training run; the recordings are a data
-# directory or a list of files, narrowed by neuron names
-RECORDING_KEYS = ("data_dir", "recordings", "neurons", "exclude_neurons")
-RUN_KEYS = ("task",) + RECORDING_KEYS + ("train_worms", "heldout_worms", "extended_worms", "model",
-                                         "train", "connectome", "seed")
+# a command's top-level config keys: key -> (type, default).  REQUIRED marks a
+# key a config must give; an optional key typed `X | None` is absent by
+# default, and null means absent.  _load_config checks a config's seed
+REQUIRED = object()
+PATH, NAMES, SECTION = (str | None, None), (list[str] | None, None), (dict | None, None)
+SEED = {"seed": (int | None, None)}  # --seed, else this, else 0
+# the recordings: a data directory or a list of files, narrowed by neuron names
+RECORDING_KEYS = {"data_dir": PATH, "recordings": NAMES, "neurons": NAMES, "exclude_neurons": NAMES}
+RUN_KEYS = {"task": (str, REQUIRED), **RECORDING_KEYS, "train_worms": NAMES, "heldout_worms": NAMES,
+            "extended_worms": NAMES, "model": SECTION, "train": SECTION, "connectome": PATH, **SEED}
 
 # name -> (command, its own flags, every top-level config key it reads); every
-# command also takes --config, --out and --seed, and main rejects any other key
+# command also takes --config, --out and --seed
 COMMANDS = {
     "gen-synth": (cmd_gen_synth, {"--force": dict(action="store_true", help="allow overwriting outputs")},
-                  ("n_worms", "n_neurons", "n_timesteps", "n_states", "latent_dim", "noise_std",
-                   "angular_velocity_jitter", "seed")),
-    "train": (cmd_train, {}, RUN_KEYS + ("test_fold", "val_fold")),
+                  {"n_worms": (int, REQUIRED), "n_neurons": (int, REQUIRED), "n_timesteps": (int, REQUIRED),
+                   "n_states": (int, REQUIRED), "latent_dim": (int, 3), "noise_std": (float, 0.0),
+                   "angular_velocity_jitter": (float, 0.0), **SEED}),
+    "train": (cmd_train, {}, {**RUN_KEYS, "test_fold": (int, 0), "val_fold": (int, 1)}),
     "cross-validate": (cmd_cross_validate, {"--workers": dict(type=int, default=1, help="parallel cells"),
                                             "--resume": dict(action="store_true", help="skip completed cells")},
-                       RUN_KEYS + ("permutation_size",)),
-    "eval": (cmd_eval, {}, ("task", "checkpoint") + RECORDING_KEYS + ("train", "seed")),
-    "rollout": (cmd_rollout, {}, ("checkpoint",) + RECORDING_KEYS + ("steps", "window_len", "burn_in", "seed")),
-    "pca": (cmd_pca, {}, ("recording", "components", "seed")),
-    "edges": (cmd_edges, {}, ("recording", "checkpoint", "neurons", "connectome", "seed")),
+                       {**RUN_KEYS, "permutation_size": (int, REQUIRED)}),
+    "eval": (cmd_eval, {}, {"task": (str, REQUIRED), "checkpoint": (str, REQUIRED), **RECORDING_KEYS,
+                            "train": SECTION, **SEED}),
+    "rollout": (cmd_rollout, {}, {"checkpoint": (str, REQUIRED), **RECORDING_KEYS, "steps": (int, 16),
+                                  "window_len": (int, 8), "burn_in": (int, None), **SEED}),
+    "pca": (cmd_pca, {}, {"recording": (str, REQUIRED), "components": (int, 3), **SEED}),
+    "edges": (cmd_edges, {}, {"recording": (str, REQUIRED), "checkpoint": (str, REQUIRED), "neurons": NAMES,
+                              "connectome": PATH, **SEED}),
 }
 # keys that older configs may hold, with what replaced them
 RETIRED_KEYS = {"max_epochs_override": "set train.max_epochs"}
+
+
+def _checked(command: str, config: dict, keys: dict) -> dict:
+    """Every key of ``keys`` at its checked value in ``config``, else at its
+    default; an unknown key, then a missing required one, then a wrong type
+    is an error naming the first such key."""
+    unknown = [key for key in config if key not in keys]
+    if unknown:
+        hint = f"; {RETIRED_KEYS[unknown[0]]}" if unknown[0] in RETIRED_KEYS else ""
+        raise ConfigError(f"{command}: unknown config field {unknown[0]!r}{hint}")
+    missing = [key for key, (_, default) in keys.items() if default is REQUIRED and key not in config]
+    if missing:
+        raise ConfigError(f"{command}: missing config field {missing[0]!r}")
+    return {key: check_value(command, key, kind, config[key]) if key in config else default
+            for key, (kind, default) in keys.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,13 +464,10 @@ def main(argv=None) -> int:
                 f"{args.config}: manifest was written by {manifest_command!r}, "
                 f"not {args.command!r}"
             )
-        unknown = [key for key in config if key not in keys]
-        if unknown:
-            hint = f"; {RETIRED_KEYS[unknown[0]]}" if unknown[0] in RETIRED_KEYS else ""
-            raise ConfigError(f"{args.command}: unknown config field {unknown[0]!r}{hint}")
         seed = args.seed if args.seed is not None else (config_seed if config_seed is not None else 0)
         out_dir = Path(args.out)
-        command(config, out_dir, seed, **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
+        command(_checked(args.command, config, keys), out_dir, seed,
+                **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
         _write_json(out_dir / "manifest.json", {"command": args.command, "seed": seed, "config": config})
         return 0
     except (ConfigError, RecordingFormatError, ValueError, FileNotFoundError) as exc:

@@ -1,43 +1,52 @@
-"""Field types of the config dataclasses, checked against their own annotations."""
+"""One rule for config values: ``check_value``, which the config dataclasses
+apply to each field's annotation and the CLI to each top-level key's type."""
 
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
-from enum import Enum
 
 import numpy as np
+
+EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+            list[str]: "a list of strings", dict: "an object"}
+
+
+def check_value(owner: str, name: str, annotation, value):
+    """``value``, checked against ``annotation``; a numpy integer comes back
+    as an int and an enum value as its member.
+
+    An int takes an int or a numpy integer, not a bool, float or str; a float
+    also takes those integers; a bool, str or dict only its own kind; a
+    ``list[str]`` a list of strings; an enum its members and their values; an
+    ``X | None`` also None.  Anything else raises a ValueError naming
+    ``owner`` and ``name``.
+    """
+    union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(annotation) if union else (annotation,)
+    kind = kinds[0]
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if kind is int and integer:
+        return int(value)
+    if ((value is None and type(None) in kinds)
+            or (kind is float and (integer or isinstance(value, (float, np.floating))))
+            or (kind in (bool, str, dict) and isinstance(value, kind))
+            or (kind == list[str] and isinstance(value, list) and all(isinstance(v, str) for v in value))):
+        return value
+    if kind not in EXPECTED:  # an enum
+        for member in kind:
+            if value is member or value == member.value:
+                return member
+    expected = EXPECTED.get(kind) or f"one of {[member.value for member in kind]}"
+    none = " or null" if type(None) in kinds else ""
+    raise ValueError(f"{owner}: {name} must be {expected}{none}, got {value!r}")
 
 
 def check_field_types(config) -> None:
     """Check every field of the dataclass instance ``config`` against its
-    annotation; numpy integers become ints and enum values their members.
-
-    An int field takes an int or a numpy integer, not a bool, float or str; a
-    float field takes a float or one of those integers; a bool field only a
-    bool; an enum field its members and their values; an ``X | None`` field
-    also None.  Anything else raises a ValueError naming the class and the
-    field.
-    """
-    cls = type(config)
-    hints = typing.get_type_hints(cls)
-    for field in dataclasses.fields(cls):
+    annotation, keeping the value ``check_value`` returns."""
+    hints = typing.get_type_hints(type(config))
+    for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        kinds = typing.get_args(hints[field.name]) or (hints[field.name],)
-        if value is None and type(None) in kinds:
-            continue
-        kind = kinds[0]
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if kind is int and integer:
-            setattr(config, field.name, int(value))
-        elif (kind is float and (integer or isinstance(value, (float, np.floating)))) or (
-                kind is bool and isinstance(value, bool)):
-            pass
-        elif isinstance(kind, type) and issubclass(kind, Enum) and any(
-                value is member or value == member.value for member in kind):
-            setattr(config, field.name, kind(value))
-        else:
-            expected = ({int: "an integer", float: "a number", bool: "true or false"}.get(kind)
-                        or f"one of {[member.value for member in kind]}")
-            none = " or null" if type(None) in kinds else ""
-            raise ValueError(f"{cls.__name__}: {field.name} must be {expected}{none}, got {value!r}")
+        setattr(config, field.name, check_value(type(config).__name__, field.name, hints[field.name], value))

@@ -504,7 +504,9 @@ def _worker_cell(cell: tuple[int, int]) -> ev.RunMetrics:
 
 
 def _finished_cells(run, perms, cells, workers: int):
-    """Yield (cell, metrics) as each cell finishes: in order, or from a pool."""
+    """Yield (cell, metrics) as each cell finishes: in order, or from a pool
+    of at most one worker per cell (a forked pool starts all its workers)."""
+    workers = min(workers, len(cells))
     if workers <= 1:
         for cell in cells:
             yield cell, run(perms[cell[0]], *cell)

@@ -849,6 +849,18 @@ def test_split_pieces_are_views_and_sizes_checked():
             ad.split(x, sizes, axis=0)
 
 
+def test_split_pieces_take_a_fresh_gradient_in_each_backward():
+    # two backward passes through different pieces of one split: the second
+    # once found the first's buffer, wrote into it and passed nothing on
+    x = ad.tensor([1.0, 2.0], requires_grad=True)
+    a, b = ad.split(x, [1, 1])
+    ad.backward(a.sum())
+    assert np.array_equal(x.grad, [1.0, 0.0])
+    x.grad = None
+    ad.backward(ad.scale(b.sum(), 4.0))
+    assert np.array_equal(x.grad, [0.0, 4.0])
+
+
 # -- graph recording: no_grad and leaf-only gradients ------------------------------
 
 def composite(x, w):

@@ -6,6 +6,8 @@ import io
 import json
 import shutil
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +211,7 @@ def test_worm_list_that_is_not_a_list_rejected(tmp_path, capsys):
     data = gen_synth(tmp_path)
     cfg = write_config(tmp_path / "train.json", train_config(data, heldout_worms="worm_002"))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-    assert "train: heldout_worms must be a list of worm ids, got 'worm_002'" in capsys.readouterr().err
+    assert "train: heldout_worms must be a list of strings or null, got 'worm_002'" in capsys.readouterr().err
 
 
 def test_manifest_command_mismatch(tmp_path, capsys):
@@ -217,6 +219,13 @@ def test_manifest_command_mismatch(tmp_path, capsys):
     assert main(["train", "--config", str(data / "manifest.json"), "--out",
                  str(tmp_path / "x")]) == 1
     assert "gen-synth" in capsys.readouterr().err
+
+
+def test_manifest_whose_config_is_not_an_object_rejected(tmp_path, capsys):
+    # at the parent, listing the keys of a config 5 raised a TypeError
+    path = write_config(tmp_path / "manifest.json", {"command": "train", "seed": 0, "config": 5})
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: config must be an object, got 5\n"
 
 
 def test_load_recordings_from_paths_with_neuron_selection(tmp_path):
@@ -868,3 +877,72 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "rollout"])
+def test_recordings_from_both_keys_or_an_empty_source_rejected(tmp_path, capsys, predict_run,
+                                                               classify_gnn_checkpoint, command):
+    # at the parent, data_dir won over recordings, and an empty data_dir
+    # failed later with a message about arrays or rollout windows
+    config = accepted_configs(predict_run[0], classify_gnn_checkpoint, predict_run[1])[command]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    listed = {key: value for key, value in config.items() if key != "data_dir"}
+    for source, message in [
+        ({**config, "recordings": [str(sorted(predict_run[0].glob("worm_*.json"))[0])]},
+         "give 'data_dir' or 'recordings', not both"),
+        ({**config, "data_dir": str(empty)}, f"data_dir {empty} holds no recording (*.json)"),
+        ({**listed, "recordings": []}, "recordings lists no recording"),
+    ]:
+        path = write_config(tmp_path / "config.json", source)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {command}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+# a strategy for each kind of JSON value
+JSON_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+    "list of strings": st.lists(st.text(max_size=4), max_size=3),
+    "list of numbers": st.lists(st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=1, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    "null": st.none(),
+}
+# the kinds of JSON value a key of each type takes (null: an `X | None` key)
+TAKES = {int: {"int"}, float: {"int", "float"}, str: {"string"}, list[str]: {"list of strings"},
+         dict: {"object"}, type(None): {"null"}}
+
+
+def json_kinds(annotation) -> set:
+    parts = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    return set().union(*(TAKES[part] for part in parts))
+
+
+WRONG_TYPED = [(command, key, kind) for command, (_, _, keys) in cli.COMMANDS.items()
+               for key, (annotation, _) in keys.items() for kind in JSON_VALUES
+               if kind not in json_kinds(annotation)]
+
+
+@pytest.mark.parametrize("command,key,kind", WRONG_TYPED,
+                         ids=[f"{command}-{key}-{kind}" for command, key, kind in WRONG_TYPED])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_key_is_one_error_line_and_writes_nothing(predict_run, classify_gnn_checkpoint,
+                                                              command, key, kind, data):
+    # at the parent, "train": 5, "checkpoint": 3 or "recording": null ended
+    # in a traceback, and "neurons": "SN01" selected neurons 'S', 'N', '0', '1'
+    config = accepted_configs(predict_run[0], classify_gnn_checkpoint, predict_run[1])[command]
+    value = data.draw(JSON_VALUES[kind])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "config.json", {**config, key: value})
+        out, err = Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        owner = path if key == "seed" else command  # _load_config checks the seed
+        assert err.getvalue().startswith(f"error: {owner}: {key} must be ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not out.exists()

@@ -1,9 +1,10 @@
 """Docs drift: the README's CLI walkthrough configs (and the checked-in configs
-it runs) and the example recording still load and hold only keys their
-command reads, its config-key table has one row per command naming only keys
-that command reads, and its `model` and `train` key lists and `gen-synth` row
-name exactly the keys the code reads, so a removed, renamed or added command
-or option fails here, not in a reader's run."""
+it runs) and the example recording still load, and each config holds only
+keys its command reads, with the key table's types; its config-key table has
+one row per command naming only keys that command reads, with the table's
+defaults; and its `model` and `train` key lists and `gen-synth` row name
+exactly the keys the code reads, so a removed, renamed or added command or
+option fails here, not in a reader's run."""
 
 import dataclasses
 import json
@@ -74,11 +75,15 @@ def test_readme_command_table_has_one_row_per_command():
     assert rows == list(cli.COMMANDS)
 
 
+def readme_row(command: str) -> str:
+    """The README's key table row for ``command``."""
+    return re.search(rf"^\| `{command}` \| (.*) \|$", (ROOT / "README.md").read_text(), re.M).group(1)
+
+
 def readme_row_keys(command: str) -> list:
     """The keys the README's key table names for ``command``; parentheses hold
     values and defaults."""
-    row = re.search(rf"^\| `{command}` \| (.*) \|$", (ROOT / "README.md").read_text(), re.M).group(1)
-    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row))
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", readme_row(command)))
 
 
 def test_readme_gen_synth_row_lists_the_keys_it_accepts():
@@ -93,6 +98,16 @@ def test_readme_key_rows_name_only_keys_their_command_reads(command):
 @pytest.mark.parametrize("command,name", walkthrough_runs())
 def test_walkthrough_configs_hold_only_keys_their_command_reads(command, name):
     assert set(walkthrough_configs()[name]) <= set(cli.COMMANDS[command][2])
+    cli._checked(command, walkthrough_configs()[name], cli.COMMANDS[command][2])  # and of their types
+
+
+def test_readme_key_row_defaults_are_the_key_table_defaults():
+    # a default is the number that opens a key's parentheses: `steps` (16)
+    stated = {(command, key): float(number) for command in cli.COMMANDS
+              for key, number in re.findall(r"`(\w+)` \((-?\d+(?:\.\d+)?)[;)]", readme_row(command))}
+    del stated["gen-synth", "seed"]  # main's fallback after --seed; the table's default is None
+    assert {("gen-synth", "latent_dim"), ("rollout", "steps"), ("pca", "components")} <= set(stated)
+    assert stated == {(command, key): cli.COMMANDS[command][2][key][1] for command, key in stated}
 
 
 def test_example_recording_loads():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -634,6 +635,34 @@ def test_cross_validate_rejects_excess_folds():
                               n_neurons=4, n_states=2, hidden_dim=4)
     with pytest.raises(ValueError, match="windows"):
         tr.cross_validate(recs, plan, cfg, model_cfg, permutation_size=1)
+
+
+@pytest.mark.parametrize("n_cells,pools", [(1, []), (2, [2]), (5, [3])])
+def test_sweep_pool_starts_no_more_workers_than_cells_to_run(monkeypatch, n_cells, pools):
+    # a forked pool starts every worker at its first submit: at the parent one
+    # cell left at 3 workers forked 3 processes, each holding the prepared worms
+    sizes = []
+
+    class InlinePool:  # records its size and runs each cell in this process
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+
+        def submit(self, fn, cell):
+            future = Future()
+            future.set_result(run(perms[cell[0]], *cell))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    def run(perm, perm_index, fold):
+        return (perm, fold)
+
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", InlinePool)
+    perms, cells = [("w0",)], [(0, fold) for fold in range(n_cells)]
+    finished = dict(tr._finished_cells(run, perms, cells, workers=3))
+    assert finished == {cell: (("w0",), cell[1]) for cell in cells}
+    assert sizes == pools
 
 
 # A sweep that never ends on its own: it prints its two pool workers' PIDs
