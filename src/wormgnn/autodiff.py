@@ -35,10 +35,14 @@ logits, not probabilities, and stays finite when logits saturate.
 
 ``edge_block`` scores every ordered pair of node embeddings with its first
 layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j] W = x_i W_top +
-x_j W_bot.  Its two (…, N * N, h) activations live inside the node, not as
-graph tensors, and its backward writes each gradient into the buffer of the
-activation it replaces: a dynamic-edge training step peaks near three
-pair-sized arrays where the composed ops held nearly six.
+x_j W_bot.  Its forward runs the pair layers over frame chunks of about
+EDGE_CHUNK_ENTRIES entries through two reused buffers, so the node keeps no
+(…, N * N, h) activation, only its operands and logits; its backward
+recomputes the two activations for all frames at once (gradient
+checkpointing, Chen et al. 2016) and writes each gradient into the buffer of
+the activation it replaces.  A dynamic-edge training step peaks near three
+pair-sized arrays where the composed ops held nearly six, and a rollout's
+graph holds none, whatever its length.
 
 The backward of add, sub, mul, matmul, linear, edge_block, batch_norm and
 lstm_cell computes no gradient for an operand that does not require one
@@ -355,6 +359,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
+EDGE_CHUNK_ENTRIES = 2**16  # pair-activation entries per chunk of edge_block's forward
+
+
+def _edge_pairs(src: np.ndarray, dst: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                b2: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
+    """edge_block's pair layer and second layer for the node projections
+    ``src`` and ``dst`` (F, N, h) of F frames: writes ``a1 = relu(src_i +
+    dst_j + b1)`` into ``a1`` (F, N * N, h) and ``a2 = relu(a1 w2 + b2)``
+    into ``a2`` (F, N * N, h2)."""
+    frames, n, width = src.shape
+    np.add(src.reshape(frames, n, 1, width), dst.reshape(frames, 1, n, width),
+           out=a1.reshape(frames, n, n, width))
+    a1 += b1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, w2, out=a2)
+    a2 += b2
+    np.maximum(a2, 0.0, out=a2)
+
+
 def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                w_head: Tensor, b_head: Tensor) -> Tensor:
     """The pair MLP and its head for node embeddings ``x`` (…, N, d) as one
@@ -364,8 +387,12 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 +
     b2)`` and ``a2 w_head + b_head``.  Values and gradients are bit-equal to
     ``split``, ``matmul``, ``add``, ``add``, ``relu``, ``linear(relu=True)``
-    and ``linear``.  Backward overwrites ``a1`` and ``a2`` with their
-    gradients, so a graph through this node is differentiated once.
+    and ``linear``.  The forward runs the pair layers over the frames (the
+    lead axes, flattened) in chunks of about EDGE_CHUNK_ENTRIES activation
+    entries, through two reused buffers; the node keeps only its operands'
+    arrays and the logits.  Backward recomputes ``a1`` and ``a2`` for all
+    frames at once and overwrites each with its gradient, so every backward
+    through the node, not only the first, gets the composed ops' gradients.
     """
     if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
             and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
@@ -375,24 +402,35 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         raise ValueError(f"edge_block: shapes {shapes} do not chain as "
                          "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, k), (k,)")
     lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    frames = math.prod(lead)
+    # the arrays as they are now: backward differentiates at these values
+    x_data, b1_data, w2_data, b2_data, w_head_data = (t.data for t in (x, b1, w2, b2, w_head))
     w_src, w_dst = w1.data[:d], w1.data[d:]
-    width = w1.shape[1]
-    a1 = np.matmul(x.data, w_src).reshape(lead + (n, 1, width)) \
-        + np.matmul(x.data, w_dst).reshape(lead + (1, n, width))
-    a1 += b1.data
-    np.maximum(a1, 0.0, out=a1)
-    a1 = a1.reshape(lead + (n * n, width))
-    a2 = np.matmul(a1, w2.data)
-    a2 += b2.data
-    np.maximum(a2, 0.0, out=a2)
-    out = np.matmul(a2, w_head.data)
+    width, width2 = w1.shape[1], w2.shape[1]
+
+    def projections():  # (F, N, h) each
+        return (np.matmul(x_data, w_src).reshape(frames, n, width),
+                np.matmul(x_data, w_dst).reshape(frames, n, width))
+
+    src, dst = projections()
+    chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
+    a1 = np.empty((min(chunk, frames), n * n, width))
+    a2 = np.empty((min(chunk, frames), n * n, width2))
+    out = np.empty((frames, n * n, w_head.shape[1]))
+    for first in range(0, frames, chunk):
+        stop = min(first + chunk, frames)
+        _edge_pairs(src[first:stop], dst[first:stop], b1_data, w2_data, b2_data,
+                    a1[: stop - first], a2[: stop - first])
+        np.matmul(a2[: stop - first], w_head_data, out=out[first:stop])
     out += b_head.data
+    out = out.reshape(lead + out.shape[1:])
+    src = dst = a1 = a2 = None
     pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def bwd(g):
-        nonlocal a1, a2
-        if a2 is None:
-            raise RuntimeError("edge_block: backward already ran; rebuild the graph")
+        a1, a2 = np.empty((frames, n * n, width)), np.empty((frames, n * n, width2))
+        _edge_pairs(*projections(), b1_data, w2_data, b2_data, a1, a2)
+        a1, a2 = a1.reshape(lead + a1.shape[1:]), a2.reshape(lead + a2.shape[1:])
         g_x = g_w1 = g_b1 = g_w2 = g_b2 = g_wh = g_bh = None
         if w_head.requires_grad:
             g_wh = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), w_head.shape)
@@ -401,7 +439,7 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         g2, a2 = a2, None  # each activation's buffer takes its gradient
         if pair_grad or w2.requires_grad or b2.requires_grad:
             mask = g2 > 0
-            g2 = np.matmul(g, np.swapaxes(w_head.data, -1, -2), out=g2)
+            g2 = np.matmul(g, np.swapaxes(w_head_data, -1, -2), out=g2)
             g2 *= mask
             if w2.requires_grad:
                 g_w2 = _unbroadcast(np.matmul(np.swapaxes(a1, -1, -2), g2), w2.shape)
@@ -410,7 +448,7 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         g1, a1 = a1, None
         if pair_grad:
             mask = np.greater(g1, 0.0, out=mask if mask.shape == g1.shape else None)
-            g1 = np.matmul(g2, np.swapaxes(w2.data, -1, -2), out=g1)
+            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=g1)
             g2 = None
             g1 *= mask
             mask = None
@@ -424,7 +462,7 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                 g_x = (np.matmul(g_src, np.swapaxes(w_src, -1, -2))
                        + np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)))
             if w1.requires_grad:
-                x_t = np.swapaxes(x.data, -1, -2)
+                x_t = np.swapaxes(x_data, -1, -2)
                 g_w1 = np.empty(w1.shape)
                 g_w1[:d] = _unbroadcast(np.matmul(x_t, g_src), w_src.shape)
                 g_w1[d:] = _unbroadcast(np.matmul(x_t, g_dst), w_dst.shape)

@@ -69,6 +69,8 @@ def _load_recordings(config: dict, context: str) -> dict:
     data_dir, listed = config.get("data_dir"), config.get("recordings")
     if data_dir is not None and listed is not None:
         raise ConfigError(f"{context}: give 'data_dir' or 'recordings', not both")
+    if data_dir == "":  # Path("") is the working directory
+        raise ConfigError(f"{context}: data_dir must not be empty")
     if data_dir is not None:
         data_dir = Path(data_dir)
         if not data_dir.is_dir():

@@ -18,7 +18,8 @@ NeuralModel.adjacency, the one edge source: the loaded connectome or the
 inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
 a (B, N, 2) frame.  The pair MLP and the edge head run as one autodiff node,
 ``ad.edge_block``: its first layer acts on [h_i, h_j] factored per node (NRI,
-Kipf et al. 2018), and its pair-sized activations never enter the graph.
+Kipf et al. 2018), and it keeps no pair-sized activation between forward and
+backward, so a rollout's graph does not grow by one per step.
 Edges are inferred per timestep (dynamic), once for all frames supplied
 (static; node embeddings averaged over the whole stack before pairing, so a
 worm's recording yields one fixed matrix), or saturated toward {0,1} with a

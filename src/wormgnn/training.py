@@ -292,12 +292,25 @@ def prepare_worms(recordings: dict[str, WormRecording], task: str, cfg: TrainCon
 # training
 # ---------------------------------------------------------------------------
 
-def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: TrainConfig,
-               predict: bool, training: bool, sampling: float = 0.0, rng=None) -> Tensor:
-    """Loss of one worm's windows under ``mask``, with static edges from its
-    whole recording: rollout MSE to predict, hinge + L2 for the linear
-    baseline, NLL otherwise."""
-    feats, edge_feats = worm.features[mask], worm.features
+def _fold_windows(prepared: dict[str, PreparedWorm], worm_ids, folds) -> list[tuple]:
+    """(worm id, worm, features, targets) of each listed worm's windows in
+    ``folds``, cut out once; a worm with no such window is left out."""
+    cut = []
+    for wid in sorted(worm_ids):
+        worm = prepared[wid]
+        mask = np.isin(worm.folds, folds)
+        if mask.any():
+            cut.append((wid, worm, worm.features[mask], worm.targets[mask]))
+    return cut
+
+
+def _worm_loss(model: NeuralModel, worm: PreparedWorm, feats: np.ndarray, targets: np.ndarray,
+               cfg: TrainConfig, predict: bool, training: bool, sampling: float = 0.0,
+               rng=None) -> Tensor:
+    """Loss of windows ``feats`` of ``worm`` with their ``targets``, static
+    edges from its whole recording: rollout MSE to predict, hinge + L2 for
+    the linear baseline, NLL otherwise."""
+    edge_feats = worm.features
     if predict:
         steps = cfg.window_len - 1 - cfg.burn_in
         preds = rollout_batch(model, feats, steps, sampling_prob=sampling, rng=rng,
@@ -306,9 +319,8 @@ def _worm_loss(model: NeuralModel, worm: PreparedWorm, mask: np.ndarray, cfg: Tr
     logits = model.classify_logits(Tensor(feats), training=training, edge_feats=Tensor(edge_feats))
     if model.config.module_kind is ModuleKind.LINEAR:
         weight = model.head.weight.tensor
-        return ad.add(hinge_loss(logits, worm.targets[mask]),
-                      ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
-    return nll_loss(logits, worm.targets[mask])
+        return ad.add(hinge_loss(logits, targets), ad.scale(ad.mul(weight, weight).sum(), HINGE_L2))
+    return nll_loss(logits, targets)
 
 
 def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
@@ -349,15 +361,13 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
         ev.check_rollout_windows(holdout, steps=cfg.eval_rollout, window_len=cfg.window_len,
                                  burn_in=cfg.burn_in)
 
+    train_windows = _fold_windows(prepared, train_ids, train_folds)
+    val_windows = _fold_windows(prepared, train_ids, [val_fold])
     for epoch in range(cfg.max_epochs):
-        for wid in train_ids:
-            worm = prepared[wid]
-            mask = np.isin(worm.folds, train_folds)
-            if not mask.any():
-                continue
+        for wid, worm, feats, targets in train_windows:
             model.zero_grad()
             rng = derive_rng(cfg.seed, "scheduled-sampling", wid, epoch) if is_predict else None
-            loss = _worm_loss(model, worm, mask, cfg, is_predict, training=True,
+            loss = _worm_loss(model, worm, feats, targets, cfg, is_predict, training=True,
                               sampling=sampling_prob(epoch, cfg), rng=rng)
             value = loss.item()
             if not np.isfinite(value):  # an Adam step would spread it to every parameter
@@ -367,7 +377,7 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
             state.adam.step()
 
         # validation at the epoch boundary; keep the best-validation checkpoint
-        val_loss = _validation_loss(model, plan, cfg, prepared, val_fold)
+        val_loss = _validation_loss(model, cfg, is_predict, val_windows)
         if not np.isfinite(val_loss):
             raise ValueError(f"train: validation loss is {val_loss} at epoch {epoch}")
         state.val_history.append(val_loss)
@@ -381,18 +391,14 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
     return state, metrics
 
 
-def _validation_loss(model, plan, cfg, prepared, val_fold) -> float:
+def _validation_loss(model, cfg, predict: bool, windows) -> float:
+    """Window-weighted mean loss over ``_fold_windows``' validation windows."""
     total, weight = 0.0, 0
-    for wid in sorted(plan.train_worm_ids):
-        worm = prepared[wid]
-        mask = worm.folds == val_fold
-        count = int(mask.sum())
-        if not count:
-            continue
-        predict = plan.task == "predict"
+    for _, worm, feats, targets in windows:
         with ad.no_grad():
-            total += _worm_loss(model, worm, mask, cfg, predict, training=False).item() * count
-        weight += count
+            loss = _worm_loss(model, worm, feats, targets, cfg, predict, training=False)
+        total += loss.item() * len(feats)
+        weight += len(feats)
     return total / weight if weight else np.inf
 
 

@@ -420,17 +420,45 @@ def test_edge_block_is_bit_equal_to_composed_ops(layout, batch, width, n, d, h, 
 
 def test_edge_block_keeps_its_activations_out_of_the_graph():
     # the graph holds the logits and the operands, no pair-sized activation;
-    # backward overwrites the activations, so a second one is refused
+    # backward recomputes the activations, so a second root's backward through
+    # the same node gets the composed ops' gradients byte for byte
     rng = np.random.default_rng(3)
-    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in edge_block_shapes((2,), n=4, d=3, h=5, h2=5, k=2)]
-    out = ad.edge_block(*operands)
+    values = [rng.normal(size=shape) for shape in edge_block_shapes((2,), n=4, d=3, h=5, h2=5, k=2)]
+
+    def second_backward(fn):
+        operands = [ad.tensor(v, requires_grad=True) for v in values]
+        out = fn(*operands)
+        first, second = out.sum(), ad.mul(out, out).sum()
+        first.backward()
+        for t in operands:
+            t.zero_grad()
+        second.backward()
+        return out, operands, [t.grad.tobytes() for t in operands]
+
+    out, operands, grads = second_backward(ad.edge_block)
     assert out.shape == (2, 16, 2)
     assert {node.data.size for node in ad._topo_order(out)} <= {t.data.size for t in operands + [out]}
-    first, second = out.sum(), ad.mul(out, out).sum()
-    first.backward()
-    with pytest.raises(RuntimeError, match="edge_block: backward already ran"):
-        second.backward()
+    assert grads == second_backward(composed_edge_block)[2]
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 15 * 15 * 16, ad.EDGE_CHUNK_ENTRIES],
+                         ids=["one-frame", "seven-frames", "default"])
+def test_edge_block_chunked_forward_is_bit_equal_to_composed_ops(monkeypatch, budget):
+    # 40 frames of 15 nodes at h = 16 run in chunks of 1, 7 (the last one 5)
+    # and 18 frames (the last one 4): logits and every gradient, byte for byte
+    monkeypatch.setattr(ad, "EDGE_CHUNK_ENTRIES", budget)
+    rng = np.random.default_rng(5)
+    values = [signed_zero_heavy(rng, shape)
+              for shape in edge_block_shapes((5, 8), n=15, d=16, h=16, h2=16, k=2)]
+    upstream = ad.Tensor(rng.normal(size=(5, 8, 225, 2)))
+
+    def run(fn):
+        operands = [ad.tensor(v, requires_grad=True) for v in values]
+        out = fn(*operands)
+        ad.mul(out, upstream).sum().backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in operands]
+
+    assert run(ad.edge_block) == run(composed_edge_block)
 
 
 def test_edge_block_shape_errors_name_the_op():

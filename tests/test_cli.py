@@ -900,6 +900,19 @@ def test_recordings_from_both_keys_or_an_empty_source_rejected(tmp_path, capsys,
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cross-validate"])
+def test_empty_data_dir_rejected(tmp_path, capsys, monkeypatch, predict_run, classify_gnn_checkpoint,
+                                 command):
+    # Path("") is the working directory: at the parent, an empty data_dir
+    # loaded every *.json there, this config among them
+    config = accepted_configs(predict_run[0], classify_gnn_checkpoint, predict_run[1])[command]
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "config.json", {**config, "data_dir": ""})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {command}: data_dir must not be empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 # a strategy for each kind of JSON value
 JSON_VALUES = {
     "bool": st.booleans(),

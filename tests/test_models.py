@@ -244,6 +244,50 @@ def test_dynamic_edge_training_step_peak_memory():
     assert peak <= 3.25 * pair_array, f"peak {peak / pair_array:.2f} pair arrays"
 
 
+def predict_step_peak(steps: int) -> int:
+    """Traced peak bytes of one dynamic-GNN predict training step (a
+    scheduled-sampling rollout of ``steps`` steps over 80 windows of 15
+    neurons at hidden 16, its loss and backward)."""
+    model = m.NeuralModel(gnn_config(m.Task.PREDICT, n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC),
+                          master_seed=0)
+    rng = np.random.default_rng(0)
+    teacher = rng.normal(size=(80, steps + 1, 15, 2))
+    tracemalloc.start()
+    try:
+        preds = m.rollout_batch(model, teacher, steps, sampling_prob=0.5, rng=rng, training=True)
+        tr.mse_loss(preds, teacher[:, 1:]).backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_rollout_peak_memory_grows_by_less_than_a_pair_array_per_step():
+    # each rollout step infers its edges with one edge_block, which keeps no
+    # (windows, N * N, h) activation until backward: a step adds its
+    # node-sized activations and its (windows, N, N) edges to the graph, under
+    # one pair array; a node holding its two activations added nearly three
+    pair_array = 80 * 15 * 15 * 16 * 8  # bytes
+    growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
+    assert growth < pair_array, f"{growth / pair_array:.2f} pair arrays per step"
+
+
+def test_no_grad_edge_weights_peak_under_one_pair_array():
+    # the forward runs the pair layers in chunks: inferring the edges of 100
+    # windows x 8 frames of 15 neurons at hidden 16 allocates no pair array
+    model = m.NeuralModel(gnn_config(n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
+    feats = Tensor(np.random.default_rng(0).normal(size=(100, 8, 15, 2)))
+    pair_array = 100 * 8 * 15 * 15 * 16 * 8  # bytes
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            w = model.edge_weights(feats, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (100, 8, 15, 15)
+    assert peak < pair_array, f"peak {peak / pair_array:.2f} pair arrays"
+
+
 def test_edge_weights_in_unit_interval_and_normalized():
     model = m.NeuralModel(gnn_config(), master_seed=3)
     rng = np.random.default_rng(0)

@@ -345,7 +345,7 @@ def test_train_deterministic_and_checkpoint_val_loss():
     # reloading the checkpoint reproduces the recorded validation loss
     import wormgnn.models as mm
 
-    path_val = tr._validation_loss(model_a, plan, cfg, prepared, 1)
+    path_val = tr._validation_loss(model_a, cfg, False, tr._fold_windows(prepared, plan.train_worm_ids, [1]))
     assert path_val == pytest.approx(min(state_a.val_history), abs=1e-9)
 
 
@@ -357,12 +357,13 @@ def test_checkpoint_file_roundtrip_val_loss(tmp_path):
     model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY,
                                         n_neurons=4, n_states=2, hidden_dim=8), master_seed=0)
     state, _ = tr.train(model, plan, cfg, prepared, test_fold=0, val_fold=1)
-    before = tr._validation_loss(model, plan, cfg, prepared, 1)
+    val_windows = tr._fold_windows(prepared, plan.train_worm_ids, [1])
+    before = tr._validation_loss(model, cfg, False, val_windows)
 
     path = tmp_path / "best.ckpt"
     m.save_checkpoint(model, path)
     reloaded = m.load_checkpoint(path)
-    after = tr._validation_loss(reloaded, plan, cfg, prepared, 1)
+    after = tr._validation_loss(reloaded, cfg, False, val_windows)
     assert after == pytest.approx(before, abs=1e-9)
 
 
