@@ -3,7 +3,8 @@
 The op set is exactly what the models in this package need: matmul,
 ``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
 an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
-layer and head as one node), ``batch_norm`` and ``lstm_cell`` (one node
+layer and head as one node), ``encoder_mean`` (two such layers averaged
+over every frame, as one node), ``batch_norm`` and ``lstm_cell`` (one node
 each, below), elementwise add/sub/mul, scalar scale, ReLU, axis softmax with
 an optional temperature divisor, natural log, concatenation and sum/mean
 reductions.  A fused ReLU rectifies its node's own output buffer in place,
@@ -29,26 +30,32 @@ Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
 logits to the second component of their temperature softmax (the inferred
 edge weight) through the logit difference, overflow-free; values and
 gradients are bit-equal to softmax then split, without softmax's slow
-reductions over a length-2 axis.  ``softmax_nll`` is the masked mean
-negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it takes
-logits, not probabilities, and stays finite when logits saturate.
+reductions over a length-2 axis.  Given a self-edge weight, it returns the
+(…, N, N) edge matrix with that weight on the diagonal, bit-equal to the
+gate times the off-diagonal mask plus the identity, in one array.
+``softmax_nll`` is the masked mean negative log-likelihood of logits,
+``logsumexp(z) - z[target]``: it takes logits, not probabilities, and stays
+finite when logits saturate.
 
 ``edge_block`` scores every ordered pair of node embeddings with its first
 layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j] W = x_i W_top +
-x_j W_bot.  Its forward runs the pair layers over frame chunks of about
+x_j W_bot.  Both passes run the pair layers over frame chunks of about
 EDGE_CHUNK_ENTRIES entries through two reused buffers, so the node keeps no
-(…, N * N, h) activation, only its operands and logits; its backward
-recomputes the two activations for all frames at once (gradient
-checkpointing, Chen et al. 2016) and writes each gradient into the buffer of
-the activation it replaces.  A dynamic-edge training step peaks near three
-pair-sized arrays where the composed ops held nearly six, and a rollout's
-graph holds none, whatever its length.
+(…, N * N, h) activation, only its operands and logits, and its backward
+allocates none: it recomputes each chunk's two activations (gradient
+checkpointing, Chen et al. 2016), writes each gradient into the buffer of
+the activation it replaces, and sums the weights' per-frame gradients over
+the frames through ``_LeadSum``, in numpy's order.  A dynamic-edge training
+step peaks under one pair-sized array where the composed ops held nearly
+six, and a rollout's graph holds none, whatever its length.
+``encoder_mean`` runs the static edges' encoder over a whole recording the
+same way and keeps only its (N, h) mean.
 
-The backward of add, sub, mul, matmul, linear, edge_block, batch_norm and
-lstm_cell computes no gradient for an operand that does not require one
-(inputs, masks, targets).  ReLU, fused or not, is ``max(a, 0)``: +0.0 for
-either signed zero, and a NaN input stays NaN, so a NaN pre-activation
-reaches the loss instead of being zeroed.
+The backward of add, sub, mul, matmul, linear, edge_block, encoder_mean,
+batch_norm and lstm_cell computes no gradient for an operand that does not
+require one (inputs, masks, targets).  ReLU, fused or not, is ``max(a, 0)``:
++0.0 for either signed zero, and a NaN input stays NaN, so a NaN
+pre-activation reaches the loss instead of being zeroed.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -80,6 +87,7 @@ __all__ = [
     "matmul",
     "linear",
     "edge_block",
+    "encoder_mean",
     "relu",
     "softmax",
     "softmax_gate",
@@ -359,7 +367,69 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-EDGE_CHUNK_ENTRIES = 2**16  # pair-activation entries per chunk of edge_block's forward
+EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of edge_block and encoder_mean
+
+
+class _LeadSum:
+    """``_unbroadcast(term, shape)`` of a per-frame term (*lead, *tail) fed
+    in chunks of whole slices of its first lead axis, in order, so that the
+    whole term is never held; bit-equal to summing it whole.
+
+    numpy sums a first axis one slice at a time, starting from +0.0.  The
+    running sum sits in row 0 of the buffer, ahead of a chunk's slices, so
+    each chunk's ``sum(axis=0)`` continues that order, and ``_unbroadcast``
+    then sums the other axes as it would have.  Two terms are kept whole, as
+    they are small: a lone frame (no lead axis), which ``_unbroadcast`` leaves
+    unsummed, and one whose slices hold one entry each, which numpy sums
+    pairwise, not in order.
+    """
+
+    def __init__(self, lead: tuple[int, ...], tail: tuple[int, ...], slices: int):
+        per = math.prod(lead[1:])
+        self.lead, self.tail = lead, tail
+        self.whole = not lead or per * math.prod(tail) == 1
+        rows = (lead[0] if lead else 1) if self.whole else slices
+        self.rows = np.zeros((rows + 1, per) + tail)
+        self.stop = 1  # the end of the latest chunk's rows
+
+    def chunk(self, slices: int) -> np.ndarray:
+        """The buffer for the next ``slices`` slices, as (frames, *tail)."""
+        start = self.stop if self.whole else 1
+        self.stop = start + slices
+        return self.rows[start:self.stop].reshape((-1,) + self.tail)
+
+    def fold(self) -> None:
+        """Add the latest chunk, once it is written, to the running sum."""
+        if not self.whole:
+            self.rows[0] = self.rows[:self.stop].sum(axis=0)
+
+    def total(self, shape: tuple[int, ...], tail: tuple[int, ...] | None = None) -> np.ndarray:
+        """The sum, with each slice read as ``tail`` (default: as fed)."""
+        summed, lead = (self.rows[1:], self.lead) if self.whole else (self.rows[0], self.lead[1:])
+        return _unbroadcast(summed.reshape(lead + (tail or self.tail)), shape)
+
+
+def _slice_chunks(lead: tuple[int, ...], chunk: int):
+    """A backward's chunks of about ``chunk`` frames, each of whole slices of
+    the first lead axis, as (first frame, stop frame, slices), and a maker
+    of the ``_LeadSum`` of a (*lead, *tail) term over them (None if not
+    ``needed``)."""
+    per, frames = max(math.prod(lead[1:]), 1), math.prod(lead)
+    slices = max(1, min(chunk // per, lead[0] if lead else 1))
+    step = slices * per
+
+    def sums(tail, needed=True):
+        return _LeadSum(lead, tail, slices) if needed else None
+
+    return [(first, min(first + step, frames), min(step, frames - first) // per)
+            for first in range(0, frames, step)], sums
+
+
+def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``relu(a w + b)`` into ``out``, in ``linear(relu=True)``'s rounding."""
+    np.matmul(a, w, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
 
 
 def _edge_pairs(src: np.ndarray, dst: np.ndarray, b1: np.ndarray, w2: np.ndarray,
@@ -373,9 +443,7 @@ def _edge_pairs(src: np.ndarray, dst: np.ndarray, b1: np.ndarray, w2: np.ndarray
            out=a1.reshape(frames, n, n, width))
     a1 += b1
     np.maximum(a1, 0.0, out=a1)
-    np.matmul(a1, w2, out=a2)
-    a2 += b2
-    np.maximum(a2, 0.0, out=a2)
+    _dense_relu(a1, w2, b2, a2)
 
 
 def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -390,9 +458,12 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     and ``linear``.  The forward runs the pair layers over the frames (the
     lead axes, flattened) in chunks of about EDGE_CHUNK_ENTRIES activation
     entries, through two reused buffers; the node keeps only its operands'
-    arrays and the logits.  Backward recomputes ``a1`` and ``a2`` for all
-    frames at once and overwrites each with its gradient, so every backward
-    through the node, not only the first, gets the composed ops' gradients.
+    arrays and the logits.  Backward runs in chunks too, each of whole slices
+    of the first lead axis: it recomputes the chunk's ``a1`` and ``a2`` and
+    overwrites each with its gradient, writes the per-frame gradients of
+    ``x`` into their output and adds each weight's and bias's per-frame terms
+    to a ``_LeadSum``.  Every backward through the node, not only the first,
+    gets the composed ops' gradients.
     """
     if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
             and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
@@ -428,47 +499,133 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def bwd(g):
-        a1, a2 = np.empty((frames, n * n, width)), np.empty((frames, n * n, width2))
-        _edge_pairs(*projections(), b1_data, w2_data, b2_data, a1, a2)
-        a1, a2 = a1.reshape(lead + a1.shape[1:]), a2.reshape(lead + a2.shape[1:])
-        g_x = g_w1 = g_b1 = g_w2 = g_b2 = g_wh = g_bh = None
-        if w_head.requires_grad:
-            g_wh = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), w_head.shape)
-        if b_head.requires_grad:
-            g_bh = _unbroadcast(g, b_head.shape)
-        g2, a2 = a2, None  # each activation's buffer takes its gradient
-        if pair_grad or w2.requires_grad or b2.requires_grad:
-            mask = g2 > 0
-            g2 = np.matmul(g, np.swapaxes(w_head_data, -1, -2), out=g2)
+        src, dst = projections()
+        x_frames, g_frames = x_data.reshape(frames, n, d), g.reshape((frames, n * n, g.shape[-1]))
+        chunks, sums = _slice_chunks(lead, chunk)
+        # the activations' buffers take their gradients and sum the biases'
+        pairs1, pairs2 = sums((n * n, width)), sums((n * n, width2))
+        head, fc2 = sums(w_head.shape, w_head.requires_grad), sums(w2.shape, w2.requires_grad)
+        from_src, from_dst = sums(w_src.shape, w1.requires_grad), sums(w_dst.shape, w1.requires_grad)
+        g_x = np.empty((frames, n, d)) if x.requires_grad else None
+        for first, stop, count in chunks:
+            g_chunk = g_frames[first:stop]
+            a1, a2 = pairs1.chunk(count), pairs2.chunk(count)
+            _edge_pairs(src[first:stop], dst[first:stop], b1_data, w2_data, b2_data, a1, a2)
+            if head:
+                np.matmul(np.swapaxes(a2, -1, -2), g_chunk, out=head.chunk(count))
+                head.fold()
+            if not (pair_grad or w2.requires_grad or b2.requires_grad):
+                continue
+            mask = a2 > 0
+            g2 = np.matmul(g_chunk, np.swapaxes(w_head_data, -1, -2), out=a2)
             g2 *= mask
-            if w2.requires_grad:
-                g_w2 = _unbroadcast(np.matmul(np.swapaxes(a1, -1, -2), g2), w2.shape)
+            if fc2:
+                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2.chunk(count))
+                fc2.fold()
             if b2.requires_grad:
-                g_b2 = _unbroadcast(g2, b2.shape)
-        g1, a1 = a1, None
-        if pair_grad:
-            mask = np.greater(g1, 0.0, out=mask if mask.shape == g1.shape else None)
-            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=g1)
-            g2 = None
+                pairs2.fold()
+            if not pair_grad:
+                continue
+            mask = np.greater(a1, 0.0, out=mask if mask.shape == a1.shape else None)
+            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
             g1 *= mask
-            mask = None
-            g1 = g1.reshape(lead + (n, n, width))
             if b1.requires_grad:
-                g_b1 = _unbroadcast(g1, b1.shape)
-            g_src = _unbroadcast(g1, lead + (n, 1, width)).reshape(lead + (n, width))
-            g_dst = _unbroadcast(g1, lead + (1, n, width)).reshape(lead + (n, width))
-            g1 = None
-            if x.requires_grad:
-                g_x = (np.matmul(g_src, np.swapaxes(w_src, -1, -2))
-                       + np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)))
-            if w1.requires_grad:
-                x_t = np.swapaxes(x_data, -1, -2)
-                g_w1 = np.empty(w1.shape)
-                g_w1[:d] = _unbroadcast(np.matmul(x_t, g_src), w_src.shape)
-                g_w1[d:] = _unbroadcast(np.matmul(x_t, g_dst), w_dst.shape)
-        return g_x, g_w1, g_b1, g_w2, g_b2, g_wh, g_bh
+                pairs1.fold()
+            g1 = g1.reshape(-1, n, n, width)
+            g_src = _unbroadcast(g1, (stop - first, n, 1, width)).reshape(-1, n, width)
+            g_dst = _unbroadcast(g1, (stop - first, 1, n, width)).reshape(-1, n, width)
+            if g_x is not None:
+                np.add(np.matmul(g_src, np.swapaxes(w_src, -1, -2)),
+                       np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)), out=g_x[first:stop])
+            if from_src:
+                x_t = np.swapaxes(x_frames[first:stop], -1, -2)
+                np.matmul(x_t, g_src, out=from_src.chunk(count))
+                np.matmul(x_t, g_dst, out=from_dst.chunk(count))
+                from_src.fold()
+                from_dst.fold()
+        g_w1 = None
+        if from_src:
+            g_w1 = np.empty(w1.shape)
+            g_w1[:d], g_w1[d:] = from_src.total(w_src.shape), from_dst.total(w_dst.shape)
+        return (None if g_x is None else g_x.reshape(x.shape), g_w1,
+                pairs1.total(b1.shape, (n, n, width)) if b1.requires_grad else None,
+                fc2.total(w2.shape) if fc2 else None,
+                pairs2.total(b2.shape) if b2.requires_grad else None,
+                head.total(w_head.shape) if head else None,
+                _unbroadcast(g, b_head.shape) if b_head.requires_grad else None)
 
     return _make(out, (x, w1, b1, w2, b2, w_head, b_head), bwd)
+
+
+def encoder_mean(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(relu(x w1 + b1) w2 + b2)`` for node features ``x`` (…, N, d),
+    averaged over every lead axis, as one node: (N, h2).
+
+    Values and gradients are bit-equal to ``linear(relu=True)`` twice, then
+    ``tensor_mean`` over the lead axes.  The forward runs both layers over the
+    frames (the lead axes, flattened) in chunks of about EDGE_CHUNK_ENTRIES
+    activation entries and sums each chunk through a ``_LeadSum`` over the
+    frames, as numpy sums the contiguous lead axes of the mean; the node keeps
+    only its operands' arrays and the mean.  Backward recomputes both layers a
+    chunk of whole first-axis slices at a time, like ``edge_block``.
+    """
+    if not (x.ndim >= 2 and w1.ndim == w2.ndim == 2 and w1.shape[0] == x.shape[-1]
+            and w2.shape[0] == w1.shape[1] and [b1.shape, b2.shape] == [w1.shape[1:], w2.shape[1:]]):
+        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
+        raise ValueError(f"encoder_mean: shapes {shapes} do not chain as (…, N, d), (d, h), (h,), (h, h2), (h2,)")
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    frames = math.prod(lead)
+    # the arrays as they are now: backward differentiates at these values
+    x_data, w1_data, b1_data, w2_data, b2_data = (t.data for t in (x, w1, b1, w2, b2))
+    x_frames = x_data.reshape(frames, n, d)
+    width, width2 = w1.shape[1], w2.shape[1]
+    chunk = max(1, EDGE_CHUNK_ENTRIES // (n * max(width, width2)))
+    a1 = np.empty((min(chunk, frames), n, width))
+    total = _LeadSum((frames,), (n, width2), max(1, min(chunk, frames)))
+    for first in range(0, frames, chunk):
+        stop = min(first + chunk, frames)
+        _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1[: stop - first]),
+                    w2_data, b2_data, total.chunk(stop - first))
+        total.fold()
+    out = total.total((n, width2)) / frames
+    a1 = total = None
+
+    def bwd(g):
+        g = g / frames  # each frame's share, as tensor_mean hands it back
+        chunks, sums = _slice_chunks(lead, chunk)
+        # the activations' buffers take their gradients and sum the biases'
+        layer1, layer2 = sums((n, width)), sums((n, width2))
+        fc1, fc2 = sums(w1.shape, w1.requires_grad), sums(w2.shape, w2.requires_grad)
+        first_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
+        g_x = np.empty((frames, n, d)) if x.requires_grad else None
+        for first, stop, count in chunks:
+            a1, a2 = layer1.chunk(count), layer2.chunk(count)
+            _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1), w2_data, b2_data, a2)
+            g2 = np.multiply(g, a2 > 0, out=a2)
+            if fc2:
+                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2.chunk(count))
+                fc2.fold()
+            if b2.requires_grad:
+                layer2.fold()
+            if not first_grad:
+                continue
+            mask = a1 > 0
+            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
+            g1 *= mask
+            if fc1:
+                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1.chunk(count))
+                fc1.fold()
+            if b1.requires_grad:
+                layer1.fold()
+            if g_x is not None:
+                np.matmul(g1, np.swapaxes(w1_data, -1, -2), out=g_x[first:stop])
+        return (None if g_x is None else g_x.reshape(x.shape),
+                fc1.total(w1.shape) if fc1 else None,
+                layer1.total(b1.shape) if b1.requires_grad else None,
+                fc2.total(w2.shape) if fc2 else None,
+                layer2.total(b2.shape) if b2.requires_grad else None)
+
+    return _make(out, (x, w1, b1, w2, b2), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
@@ -488,7 +645,16 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def softmax_gate(a: Tensor, temperature: float = 1.0) -> Tensor:
+def _gate(logits: np.ndarray, temperature: float):
+    """softmax_gate's weights of ``(..., 2)`` logits, with the comparison and
+    the smaller softmax numerator they come from."""
+    d = logits[..., 1:] / temperature - logits[..., :1] / temperature
+    ahead = d >= 0
+    e = np.exp(-np.abs(d))  # the smaller softmax numerator, over the larger one's 1
+    return ahead, e, np.where(ahead, 1.0, e) / (1.0 + e)
+
+
+def softmax_gate(a: Tensor, temperature: float = 1.0, self_weight: float | None = None) -> Tensor:
     """Second component of ``softmax(a, axis=-1, temperature)`` for ``(..., 2)``
     logits, shape ``(..., 1)``, as one node.
 
@@ -496,26 +662,43 @@ def softmax_gate(a: Tensor, temperature: float = 1.0) -> Tensor:
     ``1 / (1 + exp(-|d|))`` or ``exp(-|d|) / (1 + exp(-|d|))``; values and
     gradients, ``(-g w (1 - w) / T, g w (1 - w) / T)``, are bit-equal to
     softmax then the second split piece.
+
+    With ``self_weight`` (1.0 or 0.0), ``a`` holds the logits of the N * N
+    ordered pairs of N nodes, (..., N * N, 2) with pair (i, j) at i * N + j,
+    and the node is the (..., N, N) edge matrix: pairs i != j keep their
+    weight and each self edge is ``w * 0.0 + self_weight``, so a NaN weight
+    stays NaN.  Values and gradients are bit-equal to the gate reshaped,
+    times the off-diagonal mask, plus the identity when ``self_weight`` is 1.
+    The node keeps only its output; backward recomputes the weights.
     """
     temperature = float(temperature)
     if temperature <= 0.0:
         raise ValueError(f"softmax_gate: temperature must be > 0, got {temperature}")
     if a.ndim < 1 or a.shape[-1] != 2:
         raise ValueError(f"softmax_gate: expected (..., 2) logits, got shape {a.shape}")
-    d = a.data[..., 1:] / temperature - a.data[..., :1] / temperature
-    ahead = d >= 0
-    e = np.exp(-np.abs(d))  # the smaller softmax numerator, over the larger one's 1
-    out = np.where(ahead, 1.0, e) / (1.0 + e)
+    logits = a.data  # as it is now: backward differentiates at these values
+    out = _gate(logits, temperature)[2]
+    n = math.isqrt(a.shape[-2]) if a.ndim >= 2 else 0  # nodes, if a holds N * N pairs
+    if self_weight is not None:
+        if not n or n * n != a.shape[-2]:
+            raise ValueError(f"softmax_gate: self edges need (..., N * N, 2) logits, got shape {a.shape}")
+        out = out.reshape(a.shape[:-2] + (n, n))
+        diagonal = out.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
+        diagonal *= 0.0
+        diagonal += float(self_weight)
 
     def bwd(g):
+        ahead, e, w = _gate(logits, temperature)
+        if self_weight is not None:  # through the off-diagonal mask: g * 1.0 and g * 0.0
+            g = (g * (1.0 - np.eye(n))).reshape(w.shape)
         # softmax's rounding order: the first component (1 - w) is computed
         # directly, not as one minus the second, and `+ 0.0` gives the signed
         # zero of softmax's sum over (0 * (1 - w), g * w)
-        inner = g * out + 0.0
+        inner = g * w + 0.0
         first = np.where(ahead, e, 1.0) / (1.0 + e)
         grad = np.empty(a.shape)
         grad[..., :1] = first * (0.0 - inner) / temperature
-        grad[..., 1:] = out * (g - inner) / temperature
+        grad[..., 1:] = w * (g - inner) / temperature
         return (grad,)
 
     return _make(out, (a,), bwd)

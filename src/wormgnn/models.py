@@ -18,11 +18,14 @@ NeuralModel.adjacency, the one edge source: the loaded connectome or the
 inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
 a (B, N, 2) frame.  The pair MLP and the edge head run as one autodiff node,
 ``ad.edge_block``: its first layer acts on [h_i, h_j] factored per node (NRI,
-Kipf et al. 2018), and it keeps no pair-sized activation between forward and
-backward, so a rollout's graph does not grow by one per step.
+Kipf et al. 2018), and it runs forward and backward in frame chunks, keeping
+no pair-sized activation, so neither a training step nor a rollout's graph
+holds one.  The gate, the off-diagonal mask and the self edges are one node
+with one (…, N, N) output.
 Edges are inferred per timestep (dynamic), once for all frames supplied
 (static; node embeddings averaged over the whole stack before pairing, so a
-worm's recording yields one fixed matrix), or saturated toward {0,1} with a
+worm's recording yields one fixed matrix; ``ad.encoder_mean`` runs the
+encoder and the average as one chunked node), or saturated toward {0,1} with a
 small softmax temperature (one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
 are fixed (connectome, static, one-hot) or re-inferred per frame.
 ModelConfig rejects the linear baseline for prediction and recurrent linear
@@ -165,7 +168,8 @@ class TwoLayerMlp:
     are a deterministic function of parameters and features in both modes;
     the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
     of the pair concatenation [x_i, x_j]; ``NeuralModel.edge_weights`` runs
-    its layers with the edge head as one ``ad.edge_block``, not ``forward``.
+    its layers with the edge head as one ``ad.edge_block``, not ``forward``,
+    and the encoder of static and one-hot edges as one ``ad.encoder_mean``.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
@@ -368,7 +372,8 @@ class NeuralModel:
 
         Each ordered pair's weight is ``ad.softmax_gate`` of the edge head's two
         logits: the second component of their temperature softmax, computed
-        from the logit difference and bit-equal to that softmax.
+        from the logit difference and bit-equal to that softmax; the same node
+        sets the self edges.
         """
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN:
@@ -378,21 +383,18 @@ class NeuralModel:
         n = cfg.n_neurons
         if feats.shape[-2] != n or feats.shape[-1] != 2:
             raise ValueError(f"edge_weights: expected (..., {n}, 2) features, got {feats.shape}")
-        hidden = self.encoder.forward(feats, training)  # (…, N, h)
-        if cfg.edge_mode in (EdgeMode.STATIC, EdgeMode.ONE_HOT):
-            lead = tuple(range(hidden.ndim - 2))
-            hidden = ad.reshape(hidden.mean(axis=lead), (1, n, hidden.shape[-1]))
+        if cfg.edge_mode is EdgeMode.DYNAMIC:
+            hidden = self.encoder.forward(feats, training)  # (…, N, h)
+        else:  # one embedding per node, averaged over every frame, as one node
+            mean = ad.encoder_mean(feats, *(p.tensor for p in self.encoder.parameters()))
+            hidden = ad.reshape(mean, (1,) + mean.shape)
         weights = self.edge_mlp.parameters() + self.edge_head.parameters()
         logits = ad.edge_block(hidden, *(p.tensor for p in weights))  # (…, N * N, 2)
-        # the edge weight is the second softmax component, from the logit difference
-        w = ad.softmax_gate(logits, self.edge_temperature())
-        w = ad.reshape(w, hidden.shape[:-2] + (n, n))
-        # self edges follow the connectome convention: weight 1 when enabled,
-        # 0 when disabled; ordered pairs i != j keep their inferred weight
-        w = ad.mul(w, Tensor(_offdiag_mask(n)))
-        if cfg.include_self_edges:
-            w = ad.add(w, Tensor(np.eye(n)))
-        return w
+        # the edge weight is the second softmax component, from the logit
+        # difference; self edges follow the connectome convention: weight 1
+        # when enabled, 0 when disabled
+        return ad.softmax_gate(logits, self.edge_temperature(),
+                               self_weight=1.0 if cfg.include_self_edges else 0.0)
 
     def adjacency(self, feats: Tensor, training: bool) -> Tensor:
         """The adjacency a GNN passes messages over, for features (…, N, 2);

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wormgnn import autodiff as ad
+from wormgnn.models import TwoLayerMlp
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -127,6 +128,12 @@ OPS = {
     "edge_block_b2": lambda x: edge_block_with("b2", x, h2=12),
     "edge_block_w_head": lambda x: edge_block_with("w_head", x, k=3),
     "edge_block_b_head": lambda x: edge_block_with("b_head", x, k=12),
+    # x as each operand of encoder_mean in turn, sized so that it has 12 entries
+    "encoder_mean_x": lambda x: encoder_mean_with("x", x),
+    "encoder_mean_w1": lambda x: encoder_mean_with("w1", x, d=4),
+    "encoder_mean_b1": lambda x: encoder_mean_with("b1", x, h=12),
+    "encoder_mean_w2": lambda x: encoder_mean_with("w2", x),
+    "encoder_mean_b2": lambda x: encoder_mean_with("b2", x, h2=12),
     # x as the input (training and inference), as input of a (2, 2) feature
     # shape, and as gamma and beta of 12 features over a fixed batch
     "batch_norm_x": lambda x: ad.batch_norm(x, *bn_affine((4,)))[0],
@@ -159,6 +166,10 @@ OPS = {
     # x as (3, 2, 2): six pairs of logits, at the default and a cold temperature
     "softmax_gate": lambda x: ad.softmax_gate(ad.reshape(x, (3, 2, 2))),
     "softmax_gate_cold": lambda x: ad.softmax_gate(ad.reshape(x, (3, 2, 2)), temperature=0.3),
+    # x twice over as the logits of three 2-node edge matrices: every entry
+    # reaches a self edge and an edge between the two nodes
+    "softmax_gate_self_edges": lambda x: ad.softmax_gate(
+        ad.concat([ad.reshape(x, (3, 2, 2))] * 2, axis=1), temperature=0.7, self_weight=1.0),
     # rows 0 and 2 target classes 2 and 0; row 1 is masked
     "softmax_nll": lambda x: ad.softmax_nll(x, np.array([2, -1, 0])),
 }
@@ -179,6 +190,23 @@ def edge_block_with(operand, x, **dims):
             else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
             for i, (name, shape) in enumerate(zip(EDGE_BLOCK_OPERANDS, edge_block_shapes(**dims)))]
     return ad.edge_block(*args)
+
+
+ENCODER_OPERANDS = ("x", "w1", "b1", "w2", "b2")
+
+
+def encoder_mean_shapes(lead=(2,), n=3, d=2, h=3, h2=4):
+    """Operand shapes of encoder_mean, in argument order."""
+    return [lead + (n, d), (d, h), (h,), (h, h2), (h2,)]
+
+
+def encoder_mean_with(operand, x, **dims):
+    """encoder_mean with ``x``, reshaped, as ``operand`` and fixed values of
+    both signs for the others."""
+    args = [ad.reshape(x, shape) if name == operand
+            else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
+            for i, (name, shape) in enumerate(zip(ENCODER_OPERANDS, encoder_mean_shapes(**dims)))]
+    return ad.encoder_mean(*args)
 
 
 def composed_edge_block(x, w1, b1, w2, b2, w_head, b_head):
@@ -461,6 +489,136 @@ def test_edge_block_chunked_forward_is_bit_equal_to_composed_ops(monkeypatch, bu
     assert run(ad.edge_block) == run(composed_edge_block)
 
 
+def nan_in_one(rng, values):
+    """``values`` with one entry of one array, drawn at random, set to NaN."""
+    chosen = values[rng.integers(len(values))]
+    chosen.flat[rng.integers(chosen.size)] = np.nan
+    return values
+
+
+# lead axes of the chunked-backward tests: none, one frame, a batch of frames
+# (one-entry slices above 8 are summed pairwise by numpy), windows and three axes
+CHUNK_LEADS = st.one_of(st.just(()), st.just((1,)), st.tuples(st.integers(2, 12)),
+                        st.tuples(st.integers(1, 4), st.integers(1, 5)), st.just((2, 3, 4)))
+
+
+def chunk_budget(frames, n, widths):
+    """An EDGE_CHUNK_ENTRIES budget that makes chunks of ``frames`` frames."""
+    return frames * n * max(widths)
+
+
+def leaf_grads(fn, values, needs_grad, upstreams):
+    """``fn``'s output and, for each upstream, the leaves' gradients of a new
+    root ``sum(out * upstream)`` through the same output: bytes, or None."""
+    leaves = [ad.tensor(v, requires_grad=grad) for v, grad in zip(values, needs_grad)]
+    out = fn(*leaves)
+    results = [out.data.tobytes()]
+    for upstream in upstreams:
+        for leaf in leaves:
+            leaf.zero_grad()
+        root = ad.mul(out, ad.Tensor(upstream)).sum()
+        if root.requires_grad:
+            root.backward()
+        results += [None if t.grad is None else t.grad.tobytes() for t in leaves]
+    return results
+
+
+@settings(max_examples=80, deadline=None)
+@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
+       st.sampled_from([1, 2, 5, 16]), st.integers(1, 3), st.sampled_from([1, 7, 18]),
+       st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2),
+       st.integers(0, 2**32 - 1))
+def test_edge_block_chunked_backward_is_bit_equal_to_composed_ops(lead, n, d, h, h2, k, frames, needs_grad,
+                                                                  with_nan, roots, seed):
+    # logits and every operand's gradient, byte for byte, in chunks of 1, 7
+    # and 18 frames, with signed zeros in every operand, optionally a NaN in
+    # one, and a second root through the same node; an operand that requires
+    # no gradient gets none
+    rng = np.random.default_rng(seed)
+    shapes = edge_block_shapes(lead, n, d, h, h2, k)
+    values = [signed_zero_heavy(rng, shape) for shape in shapes]
+    if with_nan:
+        nan_in_one(rng, values)
+    upstreams = [signed_zero_heavy(rng, lead + (n * n, k)) for _ in range(roots)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_budget(frames, n, (h, h2)))
+        fused = leaf_grads(ad.edge_block, values, needs_grad, upstreams)
+    assert fused == leaf_grads(composed_edge_block, values, needs_grad, upstreams)
+    assert [grad is not None for grad in fused[1:8]] == needs_grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
+       st.sampled_from([1, 7, 18]), st.lists(st.booleans(), min_size=5, max_size=5), st.booleans(),
+       st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_encoder_mean_is_bit_equal_to_two_layer_mlp_then_mean(lead, n, d, h, frames, needs_grad, with_nan,
+                                                               roots, seed):
+    # the mean over the lead axes and every operand's gradient, byte for
+    # byte, against the encoder's own forward, in chunks of 1, 7 and 18
+    # frames, with signed zeros, optionally a NaN and a second root
+    rng = np.random.default_rng(seed)
+    mlp = TwoLayerMlp("enc", d, h, rng, batchnorm=False)
+    values = [signed_zero_heavy(rng, shape) for shape in [lead + (n, d)] + [p.data.shape for p in mlp.parameters()]]
+    if with_nan:
+        nan_in_one(rng, values)
+    upstreams = [signed_zero_heavy(rng, (n, h)) for _ in range(roots)]
+
+    def mlp_then_mean(x, *weights):
+        for p, w in zip(mlp.parameters(), weights):
+            p.tensor = w
+        return mlp.forward(x, training=True).mean(axis=tuple(range(len(lead))))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_budget(frames, n, (h,)))
+        fused = leaf_grads(ad.encoder_mean, values, needs_grad, upstreams)
+    assert fused == leaf_grads(mlp_then_mean, values, needs_grad, upstreams)
+    assert [grad is not None for grad in fused[1:6]] == needs_grad
+
+
+def test_encoder_mean_is_one_node_keeping_no_activation():
+    # a static edge step's encoder over every frame: the graph holds the
+    # operands and the (N, h) mean, no (frames, N, h) activation
+    rng = np.random.default_rng(4)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in encoder_mean_shapes((40, 8), n=15, d=2, h=16, h2=16)]
+    out = ad.encoder_mean(*operands)
+    assert out.shape == (15, 16)
+    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
+    with pytest.raises(ValueError, match=r"encoder_mean: shapes \(40, 8, 15, 2\), \(2, 16\), \(16,\), "
+                                         r"\(16, 16\), \(15,\) do not chain"):
+        ad.encoder_mean(*operands[:4], ad.tensor(np.zeros(15)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=0, max_size=2), st.integers(1, 4), st.sampled_from([0.0, 1.0]),
+       st.sampled_from([1.0, 0.7, 0.05]), st.floats(0.01, 1000.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_softmax_gate_with_self_edges_is_bit_equal_to_masked_gate(lead, n, self_weight, temperature, spread,
+                                                                  with_nan, seed):
+    # the (…, N, N) edge matrix and the logits' gradient, byte for byte,
+    # against the gate reshaped, times the off-diagonal mask, plus the
+    # identity for self edges; a NaN logit stays NaN on the diagonal too
+    rng = np.random.default_rng(seed)
+    lead = tuple(lead)
+    values = [signed_zero_heavy(rng, lead + (n * n, 2)) * spread]
+    if with_nan:
+        nan_in_one(rng, values)
+    upstreams = [signed_zero_heavy(rng, lead + (n, n))]
+
+    def masked_gate(z):
+        w = ad.reshape(ad.softmax_gate(z, temperature), lead + (n, n))
+        w = ad.mul(w, ad.Tensor(1.0 - np.eye(n)))
+        return ad.add(w, ad.Tensor(np.eye(n))) if self_weight else w
+
+    fused = leaf_grads(lambda z: ad.softmax_gate(z, temperature, self_weight=self_weight),
+                       values, [True], upstreams)
+    assert fused == leaf_grads(masked_gate, values, [True], upstreams)
+    diagonal = np.frombuffer(fused[0]).reshape(lead + (n, n))[..., range(n), range(n)]
+    assert np.array_equal(diagonal, np.full(diagonal.shape, self_weight)) or with_nan
+    with pytest.raises(ValueError, match=r"softmax_gate: self edges need \(\.\.\., N \* N, 2\) logits, "
+                                         r"got shape \(3, 2\)"):
+        ad.softmax_gate(ad.tensor(np.zeros((3, 2))), self_weight=1.0)
+
+
 def test_edge_block_shape_errors_name_the_op():
     good = [ad.tensor(np.zeros(shape)) for shape in edge_block_shapes()]
     for i, shape in enumerate([(3, 2, 3), (5, 3), (4,), (4, 4), (3,), (4, 2, 1), (3,)]):
@@ -616,6 +774,9 @@ BINARY_BACKWARD = {
     # x and w1 of edge_block, its other operands constant
     "edge_block": (lambda a, b: edge_block_with_constants(ad.edge_block, a, b),
                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_block_grads(g, a, b)),
+    # x and w1 of encoder_mean, its other operands constant
+    "encoder_mean": (lambda a, b: encoder_mean_with_constants(ad.encoder_mean, a, b),
+                     ((2, 3, 2), (2, 3)), lambda g, a, b: composed_encoder_mean_grads(g, a, b)),
 }
 
 
@@ -635,6 +796,25 @@ def edge_block_with_constants(op, x, w1):
 def composed_edge_block_grads(g, x, w1):
     leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
     out = edge_block_with_constants(composed_edge_block, *leaves)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def encoder_mean_with_constants(op, x, w1):
+    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
+                 for i, shape in enumerate(encoder_mean_shapes()[2:])]
+    return op(x, w1, *map(ad.tensor, constants))
+
+
+def composed_encoder_mean(x, w1, b1, w2, b2):
+    """encoder_mean from the composed ops: the reference it is bit-equal to."""
+    h = ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True)
+    return h.mean(axis=tuple(range(h.ndim - 2)))
+
+
+def composed_encoder_mean_grads(g, x, w1):
+    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
+    out = encoder_mean_with_constants(composed_encoder_mean, *leaves)
     ad.mul(out, ad.Tensor(g)).sum().backward()
     return [leaf.grad for leaf in leaves]
 
