@@ -3,11 +3,12 @@
 The op set is exactly what the models in this package need: matmul,
 ``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
 an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
-layer and head as one node), ``encoder_mean`` (two such layers averaged
-over every frame, as one node), ``batch_norm`` and ``lstm_cell`` (one node
-each, below), elementwise add/sub/mul, scalar scale, ReLU, axis softmax with
-an optional temperature divisor, natural log, concatenation and sum/mean
-reductions.  A fused ReLU rectifies its node's own output buffer in place,
+layer and head as one node), ``edge_message`` (the edge block, the gate and
+the message pass over its edges as one node), ``encoder_mean`` (two such
+layers averaged over every frame, as one node), ``batch_norm`` and
+``lstm_cell`` (one node each, below), elementwise add/sub/mul, scalar
+scale, ReLU, axis softmax with an optional temperature divisor, natural
+log, concatenation and sum/mean reductions.  A fused ReLU rectifies its node's own output buffer in place,
 so an activated layer keeps one array in the graph, not two; its values
 and gradients are bit-equal to the composed ops.  A few shape-plumbing
 primitives (reshape, swapaxes, index_select, split) exist because batched
@@ -45,17 +46,18 @@ EDGE_CHUNK_ENTRIES entries through two reused buffers, so the node keeps no
 allocates none: it recomputes each chunk's two activations (gradient
 checkpointing, Chen et al. 2016), writes each gradient into the buffer of
 the activation it replaces, and sums the weights' per-frame gradients over
-the frames through ``_LeadSum``, in numpy's order.  A dynamic-edge training
-step peaks under one pair-sized array where the composed ops held nearly
-six, and a rollout's graph holds none, whatever its length.
-``encoder_mean`` runs the static edges' encoder over a whole recording the
-same way and keeps only its (N, h) mean.
+the frames through ``_LeadSum``, in numpy's order.  ``edge_message`` adds
+the gate and the message pass ``A X`` on each chunk's logits and keeps only
+its operands and output, so a dynamic-edge training step or rollout holds
+no (…, N, N) array.  ``encoder_mean`` runs the static edges' encoder over a
+whole recording the same way and keeps only its (N, h) mean.  The three
+nodes walk their chunks and fold their sums through one function, ``_chunked``.
 
-The backward of add, sub, mul, matmul, linear, edge_block, encoder_mean,
-batch_norm and lstm_cell computes no gradient for an operand that does not
-require one (inputs, masks, targets).  ReLU, fused or not, is ``max(a, 0)``:
-+0.0 for either signed zero, and a NaN input stays NaN, so a NaN
-pre-activation reaches the loss instead of being zeroed.
+The backward of add, sub, mul, matmul, linear, edge_block, edge_message,
+encoder_mean, batch_norm and lstm_cell computes no gradient for an operand
+that does not require one (inputs, masks, targets).  ReLU, fused or not, is
+``max(a, 0)``: +0.0 for either signed zero, and a NaN input stays NaN, so a
+NaN pre-activation reaches the loss instead of being zeroed.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -87,6 +89,7 @@ __all__ = [
     "matmul",
     "linear",
     "edge_block",
+    "edge_message",
     "encoder_mean",
     "relu",
     "softmax",
@@ -367,7 +370,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of edge_block and encoder_mean
+EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of the chunked nodes below
 
 
 class _LeadSum:
@@ -409,20 +412,26 @@ class _LeadSum:
         return _unbroadcast(summed.reshape(lead + (tail or self.tail)), shape)
 
 
-def _slice_chunks(lead: tuple[int, ...], chunk: int):
-    """A backward's chunks of about ``chunk`` frames, each of whole slices of
-    the first lead axis, as (first frame, stop frame, slices), and a maker
-    of the ``_LeadSum`` of a (*lead, *tail) term over them (None if not
-    ``needed``)."""
+def _chunked(lead: tuple[int, ...], chunk: int, *terms):
+    """A walk over the frames of ``lead`` (flattened) in chunks of about
+    ``chunk`` frames of whole first-axis slices, yielding (first, stop,
+    buffers), and the list of its sums.  Each term is (tail, need): need None
+    gives no buffer, False a buffer, True a buffer whose ``_LeadSum`` folds
+    it in after the loop body ran (the sum, else None, is in the list)."""
     per, frames = max(math.prod(lead[1:]), 1), math.prod(lead)
     slices = max(1, min(chunk // per, lead[0] if lead else 1))
-    step = slices * per
+    parts = [None if need is None else _LeadSum(lead, tail, slices) for tail, need in terms]
+    sums = [part if need else None for part, (_, need) in zip(parts, terms)]
 
-    def sums(tail, needed=True):
-        return _LeadSum(lead, tail, slices) if needed else None
+    def walk():
+        for first in range(0, frames, slices * per):
+            stop = min(first + slices * per, frames)
+            yield first, stop, [part and part.chunk((stop - first) // per) for part in parts]
+            for part in sums:
+                if part:
+                    part.fold()
 
-    return [(first, min(first + step, frames), min(step, frames - first) // per)
-            for first in range(0, frames, step)], sums
+    return walk(), sums
 
 
 def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -430,20 +439,6 @@ def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     np.matmul(a, w, out=out)
     out += b
     return np.maximum(out, 0.0, out=out)
-
-
-def _edge_pairs(src: np.ndarray, dst: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                b2: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
-    """edge_block's pair layer and second layer for the node projections
-    ``src`` and ``dst`` (F, N, h) of F frames: writes ``a1 = relu(src_i +
-    dst_j + b1)`` into ``a1`` (F, N * N, h) and ``a2 = relu(a1 w2 + b2)``
-    into ``a2`` (F, N * N, h2)."""
-    frames, n, width = src.shape
-    np.add(src.reshape(frames, n, 1, width), dst.reshape(frames, 1, n, width),
-           out=a1.reshape(frames, n, n, width))
-    a1 += b1
-    np.maximum(a1, 0.0, out=a1)
-    _dense_relu(a1, w2, b2, a2)
 
 
 def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -465,96 +460,143 @@ def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     to a ``_LeadSum``.  Every backward through the node, not only the first,
     gets the composed ops' gradients.
     """
+    return _edge_node("edge_block", x, None, (w1, b1, w2, b2, w_head, b_head))
+
+
+def edge_message(hidden: Tensor, feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 w_head: Tensor, b_head: Tensor, temperature: float, self_weight: float) -> Tensor:
+    """``matmul(A, feats)`` (…, N, F) for the edges ``A = softmax_gate(
+    edge_block(hidden, …), temperature, self_weight)`` of node embeddings
+    ``hidden`` (…, N, d), as one node; values and gradients are bit-equal to
+    those three nodes.  Both passes run ``edge_block``'s frame chunks, and no
+    pass holds a (…, N, N) array: backward recomputes each chunk's edges,
+    then forms ``Aᵀ g``, ``g featsᵀ`` off the diagonal, the gate's gradient
+    and the edge block's, summing ``b_head``'s terms in a ``_LeadSum`` too."""
+    return _edge_node("edge_message", hidden, feats, (w1, b1, w2, b2, w_head, b_head),
+                      float(temperature), float(self_weight))
+
+
+def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: float = 1.0,
+               self_weight: float = 1.0) -> Tensor:
+    """``edge_block`` for ``feats`` None, else ``edge_message``."""
+    w1, b1, w2, b2, w_head, b_head = weights
     if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
             and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
             and w_head.shape[0] == w2.shape[1]
             and [b1.shape, b2.shape, b_head.shape] == [w.shape[1:] for w in (w1, w2, w_head)]):
-        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2, w_head, b_head))
-        raise ValueError(f"edge_block: shapes {shapes} do not chain as "
+        shapes = ", ".join(str(t.shape) for t in (x,) + tuple(weights))
+        raise ValueError(f"{op}: shapes {shapes} do not chain as "
                          "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, k), (k,)")
+    if feats is not None:
+        if feats.ndim != x.ndim or feats.shape[:-1] != x.shape[:-1] or w_head.shape[1] != 2:
+            raise ValueError(f"{op}: features {feats.shape} and two logits per pair ({w_head.shape}) "
+                             f"must match node embeddings {x.shape}")
+        if temperature <= 0.0:
+            raise ValueError(f"{op}: temperature must be > 0, got {temperature}")
     lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
     frames = math.prod(lead)
     # the arrays as they are now: backward differentiates at these values
-    x_data, b1_data, w2_data, b2_data, w_head_data = (t.data for t in (x, b1, w2, b2, w_head))
+    x_data, b1_data, w2_data, b2_data, w_head_data, b_head_data = (
+        t.data for t in (x, b1, w2, b2, w_head, b_head))
     w_src, w_dst = w1.data[:d], w1.data[d:]
-    width, width2 = w1.shape[1], w2.shape[1]
+    width, width2, k = w1.shape[1], w2.shape[1], w_head.shape[1]
+    x_frames = x_data.reshape(frames, n, d)
+    feats_data = None if feats is None else feats.data.reshape(frames, n, feats.shape[-1])
 
-    def projections():  # (F, N, h) each
-        return (np.matmul(x_data, w_src).reshape(frames, n, width),
-                np.matmul(x_data, w_dst).reshape(frames, n, width))
+    def pairs(first, stop, a1, a2):
+        """The pair layer and second layer of frames [first, stop): ``a1 =
+        relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1`` (F, N * N, h) and
+        ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2)."""
+        x_chunk = x_frames[first:stop]
+        np.add(np.matmul(x_chunk, w_src).reshape(-1, n, 1, width),
+               np.matmul(x_chunk, w_dst).reshape(-1, 1, n, width), out=a1.reshape(-1, n, n, width))
+        a1 += b1_data
+        np.maximum(a1, 0.0, out=a1)
+        _dense_relu(a1, w2_data, b2_data, a2)
 
-    src, dst = projections()
+    def logits(first, stop, a1, a2, out):
+        """The logits of frames [first, stop) into ``out``, as ``pairs``."""
+        pairs(first, stop, a1, a2)
+        np.matmul(a2, w_head_data, out=out)
+        out += b_head_data
+        return out
+
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
-    a1 = np.empty((min(chunk, frames), n * n, width))
-    a2 = np.empty((min(chunk, frames), n * n, width2))
-    out = np.empty((frames, n * n, w_head.shape[1]))
-    for first in range(0, frames, chunk):
-        stop = min(first + chunk, frames)
-        _edge_pairs(src[first:stop], dst[first:stop], b1_data, w2_data, b2_data,
-                    a1[: stop - first], a2[: stop - first])
-        np.matmul(a2[: stop - first], w_head_data, out=out[first:stop])
-    out += b_head.data
+    walk, _ = _chunked((frames,), chunk, ((n * n, width), False), ((n * n, width2), False),
+                       ((n * n, k), None if feats is None else False))
+    out = np.empty((frames, n * n, k) if feats is None else feats_data.shape)
+    for first, stop, (a1, a2, z) in walk:
+        if feats is None:
+            logits(first, stop, a1, a2, out[first:stop])
+        else:
+            edges = _self_edges(_gate(logits(first, stop, a1, a2, z), temperature)[2], n, self_weight)
+            np.matmul(edges, feats_data[first:stop], out=out[first:stop])
     out = out.reshape(lead + out.shape[1:])
-    src = dst = a1 = a2 = None
     pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
+    edge_grad = pair_grad or any(t.requires_grad for t in weights)
 
     def bwd(g):
-        src, dst = projections()
-        x_frames, g_frames = x_data.reshape(frames, n, d), g.reshape((frames, n * n, g.shape[-1]))
-        chunks, sums = _slice_chunks(lead, chunk)
-        # the activations' buffers take their gradients and sum the biases'
-        pairs1, pairs2 = sums((n * n, width)), sums((n * n, width2))
-        head, fc2 = sums(w_head.shape, w_head.requires_grad), sums(w2.shape, w2.requires_grad)
-        from_src, from_dst = sums(w_src.shape, w1.requires_grad), sums(w_dst.shape, w1.requires_grad)
+        g_frames = g.reshape((frames,) + g.shape[len(lead):])
+        # the activations' and logits' buffers take their gradients and sum the biases'
+        walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst) = _chunked(
+            lead, chunk, ((n * n, width), b1.requires_grad), ((n * n, width2), b2.requires_grad),
+            ((n * n, k), b_head.requires_grad), (w_head.shape, w_head.requires_grad or None),
+            (w2.shape, w2.requires_grad or None), *[(w_src.shape, w1.requires_grad or None)] * 2)
         g_x = np.empty((frames, n, d)) if x.requires_grad else None
-        for first, stop, count in chunks:
-            g_chunk = g_frames[first:stop]
-            a1, a2 = pairs1.chunk(count), pairs2.chunk(count)
-            _edge_pairs(src[first:stop], dst[first:stop], b1_data, w2_data, b2_data, a1, a2)
-            if head:
-                np.matmul(np.swapaxes(a2, -1, -2), g_chunk, out=head.chunk(count))
-                head.fold()
+        g_feats = np.empty(feats_data.shape) if feats is not None and feats.requires_grad else None
+        off_diagonal = 1.0 - np.eye(n)
+        for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk) in walk:
+            if feats is None:
+                pairs(first, stop, a1, a2)
+                g_z[...] = g_frames[first:stop]
+            else:
+                g_chunk = g_frames[first:stop]
+                ahead, e, w = _gate(logits(first, stop, a1, a2, g_z), temperature)
+                if edge_grad:  # the edges' gradient, through the mask and the gate
+                    g_edges = np.matmul(g_chunk, np.swapaxes(feats_data[first:stop], -1, -2))
+                    g_edges *= off_diagonal
+                    _gate_grad(g_edges.reshape(w.shape), ahead, e, w, temperature, g_z)
+                if g_feats is not None:
+                    np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk,
+                              out=g_feats[first:stop])
+                if not edge_grad:
+                    continue
+            if head_chunk is not None:
+                np.matmul(np.swapaxes(a2, -1, -2), g_z, out=head_chunk)
             if not (pair_grad or w2.requires_grad or b2.requires_grad):
                 continue
             mask = a2 > 0
-            g2 = np.matmul(g_chunk, np.swapaxes(w_head_data, -1, -2), out=a2)
+            g2 = np.matmul(g_z, np.swapaxes(w_head_data, -1, -2), out=a2)
             g2 *= mask
-            if fc2:
-                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2.chunk(count))
-                fc2.fold()
-            if b2.requires_grad:
-                pairs2.fold()
+            if fc2_chunk is not None:
+                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2_chunk)
             if not pair_grad:
                 continue
             mask = np.greater(a1, 0.0, out=mask if mask.shape == a1.shape else None)
             g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
             g1 *= mask
-            if b1.requires_grad:
-                pairs1.fold()
             g1 = g1.reshape(-1, n, n, width)
             g_src = _unbroadcast(g1, (stop - first, n, 1, width)).reshape(-1, n, width)
             g_dst = _unbroadcast(g1, (stop - first, 1, n, width)).reshape(-1, n, width)
             if g_x is not None:
                 np.add(np.matmul(g_src, np.swapaxes(w_src, -1, -2)),
                        np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)), out=g_x[first:stop])
-            if from_src:
+            if src_chunk is not None:
                 x_t = np.swapaxes(x_frames[first:stop], -1, -2)
-                np.matmul(x_t, g_src, out=from_src.chunk(count))
-                np.matmul(x_t, g_dst, out=from_dst.chunk(count))
-                from_src.fold()
-                from_dst.fold()
+                np.matmul(x_t, g_src, out=src_chunk)
+                np.matmul(x_t, g_dst, out=dst_chunk)
         g_w1 = None
         if from_src:
             g_w1 = np.empty(w1.shape)
             g_w1[:d], g_w1[d:] = from_src.total(w_src.shape), from_dst.total(w_dst.shape)
-        return (None if g_x is None else g_x.reshape(x.shape), g_w1,
-                pairs1.total(b1.shape, (n, n, width)) if b1.requires_grad else None,
-                fc2.total(w2.shape) if fc2 else None,
-                pairs2.total(b2.shape) if b2.requires_grad else None,
-                head.total(w_head.shape) if head else None,
-                _unbroadcast(g, b_head.shape) if b_head.requires_grad else None)
+        grads = (None if g_x is None else g_x.reshape(x.shape),
+                 None if g_feats is None else g_feats.reshape(feats.shape), g_w1,
+                 layer1 and layer1.total(b1.shape, (n, n, width)), fc2 and fc2.total(w2.shape),
+                 layer2 and layer2.total(b2.shape), head and head.total(w_head.shape),
+                 head_bias and head_bias.total(b_head.shape))
+        return grads if feats is not None else grads[:1] + grads[2:]
 
-    return _make(out, (x, w1, b1, w2, b2, w_head, b_head), bwd)
+    return _make(out, (x,) + (() if feats is None else (feats,)) + tuple(weights), bwd)
 
 
 def encoder_mean(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -580,50 +622,36 @@ def encoder_mean(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     x_frames = x_data.reshape(frames, n, d)
     width, width2 = w1.shape[1], w2.shape[1]
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * max(width, width2)))
-    a1 = np.empty((min(chunk, frames), n, width))
-    total = _LeadSum((frames,), (n, width2), max(1, min(chunk, frames)))
-    for first in range(0, frames, chunk):
-        stop = min(first + chunk, frames)
-        _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1[: stop - first]),
-                    w2_data, b2_data, total.chunk(stop - first))
-        total.fold()
+    walk, (total, _) = _chunked((frames,), chunk, ((n, width2), True), ((n, width), False))
+    for first, stop, (a2, a1) in walk:
+        _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1), w2_data, b2_data, a2)
     out = total.total((n, width2)) / frames
-    a1 = total = None
 
     def bwd(g):
         g = g / frames  # each frame's share, as tensor_mean hands it back
-        chunks, sums = _slice_chunks(lead, chunk)
         # the activations' buffers take their gradients and sum the biases'
-        layer1, layer2 = sums((n, width)), sums((n, width2))
-        fc1, fc2 = sums(w1.shape, w1.requires_grad), sums(w2.shape, w2.requires_grad)
+        walk, (layer1, layer2, fc1, fc2) = _chunked(
+            lead, chunk, ((n, width), b1.requires_grad), ((n, width2), b2.requires_grad),
+            (w1.shape, w1.requires_grad or None), (w2.shape, w2.requires_grad or None))
         first_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
         g_x = np.empty((frames, n, d)) if x.requires_grad else None
-        for first, stop, count in chunks:
-            a1, a2 = layer1.chunk(count), layer2.chunk(count)
+        for first, stop, (a1, a2, fc1_chunk, fc2_chunk) in walk:
             _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1), w2_data, b2_data, a2)
             g2 = np.multiply(g, a2 > 0, out=a2)
-            if fc2:
-                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2.chunk(count))
-                fc2.fold()
-            if b2.requires_grad:
-                layer2.fold()
+            if fc2_chunk is not None:
+                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2_chunk)
             if not first_grad:
                 continue
             mask = a1 > 0
             g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
             g1 *= mask
-            if fc1:
-                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1.chunk(count))
-                fc1.fold()
-            if b1.requires_grad:
-                layer1.fold()
+            if fc1_chunk is not None:
+                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1_chunk)
             if g_x is not None:
                 np.matmul(g1, np.swapaxes(w1_data, -1, -2), out=g_x[first:stop])
-        return (None if g_x is None else g_x.reshape(x.shape),
-                fc1.total(w1.shape) if fc1 else None,
-                layer1.total(b1.shape) if b1.requires_grad else None,
-                fc2.total(w2.shape) if fc2 else None,
-                layer2.total(b2.shape) if b2.requires_grad else None)
+        return (None if g_x is None else g_x.reshape(x.shape), fc1 and fc1.total(w1.shape),
+                layer1 and layer1.total(b1.shape), fc2 and fc2.total(w2.shape),
+                layer2 and layer2.total(b2.shape))
 
     return _make(out, (x, w1, b1, w2, b2), bwd)
 
@@ -654,6 +682,30 @@ def _gate(logits: np.ndarray, temperature: float):
     return ahead, e, np.where(ahead, 1.0, e) / (1.0 + e)
 
 
+def _self_edges(w: np.ndarray, n: int, self_weight: float) -> np.ndarray:
+    """The gate weights ``w`` (…, N * N, 1) of N nodes' ordered pairs as the
+    (…, N, N) edge matrix, each self edge set to ``w * 0.0 + self_weight`` in
+    place (a NaN weight stays NaN)."""
+    diagonal = w.reshape(w.shape[:-2] + (n * n,))[..., :: n + 1]
+    diagonal *= 0.0
+    diagonal += self_weight
+    return w.reshape(w.shape[:-2] + (n, n))
+
+
+def _gate_grad(g: np.ndarray, ahead: np.ndarray, e: np.ndarray, w: np.ndarray, temperature: float,
+               out: np.ndarray) -> np.ndarray:
+    """The gradient of the logits behind ``_gate``'s weights ``w`` (…, 1) for
+    the weights' gradient ``g``, written into ``out`` (…, 2)."""
+    # softmax's rounding order: the first component (1 - w) is computed
+    # directly, not as one minus the second, and `+ 0.0` gives the signed
+    # zero of softmax's sum over (0 * (1 - w), g * w)
+    inner = g * w + 0.0
+    first = np.where(ahead, e, 1.0) / (1.0 + e)
+    out[..., :1] = first * (0.0 - inner) / temperature
+    out[..., 1:] = w * (g - inner) / temperature
+    return out
+
+
 def softmax_gate(a: Tensor, temperature: float = 1.0, self_weight: float | None = None) -> Tensor:
     """Second component of ``softmax(a, axis=-1, temperature)`` for ``(..., 2)``
     logits, shape ``(..., 1)``, as one node.
@@ -682,24 +734,13 @@ def softmax_gate(a: Tensor, temperature: float = 1.0, self_weight: float | None 
     if self_weight is not None:
         if not n or n * n != a.shape[-2]:
             raise ValueError(f"softmax_gate: self edges need (..., N * N, 2) logits, got shape {a.shape}")
-        out = out.reshape(a.shape[:-2] + (n, n))
-        diagonal = out.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
-        diagonal *= 0.0
-        diagonal += float(self_weight)
+        out = _self_edges(out, n, float(self_weight))
 
     def bwd(g):
         ahead, e, w = _gate(logits, temperature)
         if self_weight is not None:  # through the off-diagonal mask: g * 1.0 and g * 0.0
             g = (g * (1.0 - np.eye(n))).reshape(w.shape)
-        # softmax's rounding order: the first component (1 - w) is computed
-        # directly, not as one minus the second, and `+ 0.0` gives the signed
-        # zero of softmax's sum over (0 * (1 - w), g * w)
-        inner = g * w + 0.0
-        first = np.where(ahead, e, 1.0) / (1.0 + e)
-        grad = np.empty(a.shape)
-        grad[..., :1] = first * (0.0 - inner) / temperature
-        grad[..., 1:] = w * (g - inner) / temperature
-        return (grad,)
+        return (_gate_grad(g, ahead, e, w, temperature, np.empty(a.shape)),)
 
     return _make(out, (a,), bwd)
 

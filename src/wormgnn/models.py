@@ -19,9 +19,10 @@ inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
 a (B, N, 2) frame.  The pair MLP and the edge head run as one autodiff node,
 ``ad.edge_block``: its first layer acts on [h_i, h_j] factored per node (NRI,
 Kipf et al. 2018), and it runs forward and backward in frame chunks, keeping
-no pair-sized activation, so neither a training step nor a rollout's graph
-holds one.  The gate, the off-diagonal mask and the self edges are one node
-with one (…, N, N) output.
+no pair-sized activation.  The gate, the off-diagonal mask and the self
+edges are one node with one (…, N, N) output.  For dynamic edges ``_stages``
+runs the edge block, the gate and the message pass as one chunked node,
+``ad.edge_message``, so no training step or rollout holds a (…, N, N) array.
 Edges are inferred per timestep (dynamic), once for all frames supplied
 (static; node embeddings averaged over the whole stack before pairing, so a
 worm's recording yields one fixed matrix; ``ad.encoder_mean`` runs the
@@ -167,9 +168,10 @@ class TwoLayerMlp:
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
     the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
-    of the pair concatenation [x_i, x_j]; ``NeuralModel.edge_weights`` runs
-    its layers with the edge head as one ``ad.edge_block``, not ``forward``,
-    and the encoder of static and one-hot edges as one ``ad.encoder_mean``.
+    of the pair concatenation [x_i, x_j]; its layers run with the edge head
+    as one ``ad.edge_block`` (``NeuralModel.edge_weights``) or, for dynamic
+    edges in training and rollouts, with the gate and the message pass too
+    as one ``ad.edge_message``; the static encoder as one ``ad.encoder_mean``.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
@@ -388,13 +390,14 @@ class NeuralModel:
         else:  # one embedding per node, averaged over every frame, as one node
             mean = ad.encoder_mean(feats, *(p.tensor for p in self.encoder.parameters()))
             hidden = ad.reshape(mean, (1,) + mean.shape)
+        *weights, temperature, self_weight = self._edge_args()
+        return ad.softmax_gate(ad.edge_block(hidden, *weights), temperature, self_weight=self_weight)
+
+    def _edge_args(self) -> list:
+        """The edge block's weights, the gate's temperature, and the self-edge
+        weight of the connectome convention: 1 when enabled, 0 when disabled."""
         weights = self.edge_mlp.parameters() + self.edge_head.parameters()
-        logits = ad.edge_block(hidden, *(p.tensor for p in weights))  # (…, N * N, 2)
-        # the edge weight is the second softmax component, from the logit
-        # difference; self edges follow the connectome convention: weight 1
-        # when enabled, 0 when disabled
-        return ad.softmax_gate(logits, self.edge_temperature(),
-                               self_weight=1.0 if cfg.include_self_edges else 0.0)
+        return [p.tensor for p in weights] + [self.edge_temperature(), float(self.config.include_self_edges)]
 
     def adjacency(self, feats: Tensor, training: bool) -> Tensor:
         """The adjacency a GNN passes messages over, for features (…, N, 2);
@@ -428,7 +431,10 @@ class NeuralModel:
         stack's frames; a predictor's takes one step over the frame's rows.
         Returns (the body's output, rec_state)."""
         cfg = self.config
-        if cfg.module_kind is ModuleKind.GNN:
+        if cfg.module_kind is ModuleKind.GNN and adjacency is None and cfg.edge_mode is EdgeMode.DYNAMIC:
+            # edges inferred per frame, the gate and the message pass as one chunked node
+            x = ad.edge_message(self.encoder.forward(x, training), x, *self._edge_args())
+        elif cfg.module_kind is ModuleKind.GNN:
             x = message_pass(self.adjacency(x, training) if adjacency is None else adjacency, x)
         if not self._per_node:  # (…, N, 2) -> (…, 2N) in neuron order, or (…, 2) when summing
             x = (ad.reshape(x, x.shape[:-2] + (2 * cfg.n_neurons,))
@@ -495,6 +501,8 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
     frames = np.asarray(features, dtype=np.float64)
     if frames.ndim not in (2, 3):
         raise ValueError(f"features: expected (N, 2) or (T, N, 2), got shape {frames.shape}")
+    if frames.ndim == 3 and not len(frames):  # no edges to infer, nor any to average
+        raise ValueError(f"features: expected at least one frame, got shape {frames.shape}")
     if frames.ndim == 2:
         frames = frames[None]
     with ad.no_grad():

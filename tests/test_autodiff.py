@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
+from model_stubs import composed_edge_message
+
 GRAD_TOL = 1e-4
 STEP = 1e-6
 
@@ -128,6 +130,16 @@ OPS = {
     "edge_block_b2": lambda x: edge_block_with("b2", x, h2=12),
     "edge_block_w_head": lambda x: edge_block_with("w_head", x, k=3),
     "edge_block_b_head": lambda x: edge_block_with("b_head", x, k=12),
+    # x as each operand of edge_message in turn, sized so that it has 12
+    # entries; b_head is the sum of x's rows
+    "edge_message_hidden": lambda x: edge_message_with("hidden", x),
+    "edge_message_feats": lambda x: edge_message_with("feats", x),
+    "edge_message_w1": lambda x: edge_message_with("w1", x),
+    "edge_message_b1": lambda x: edge_message_with("b1", x, h=12),
+    "edge_message_w2": lambda x: edge_message_with("w2", x),
+    "edge_message_b2": lambda x: edge_message_with("b2", x, h2=12),
+    "edge_message_w_head": lambda x: edge_message_with("w_head", x, d=3, h2=6),
+    "edge_message_b_head": lambda x: edge_message_with("b_head", x),
     # x as each operand of encoder_mean in turn, sized so that it has 12 entries
     "encoder_mean_x": lambda x: encoder_mean_with("x", x),
     "encoder_mean_w1": lambda x: encoder_mean_with("w1", x, d=4),
@@ -190,6 +202,24 @@ def edge_block_with(operand, x, **dims):
             else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
             for i, (name, shape) in enumerate(zip(EDGE_BLOCK_OPERANDS, edge_block_shapes(**dims)))]
     return ad.edge_block(*args)
+
+
+EDGE_MESSAGE_OPERANDS = ("hidden", "feats") + EDGE_BLOCK_OPERANDS[1:]
+
+
+def edge_message_shapes(lead=(2,), n=3, d=2, h=3, h2=4, f=2):
+    """Operand shapes of edge_message, in argument order."""
+    return [lead + (n, d), lead + (n, f)] + edge_block_shapes(lead, n, d, h, h2, 2)[1:]
+
+
+def edge_message_with(operand, x, **dims):
+    """edge_message at temperature 0.7 with self edges, with ``x``, reshaped,
+    as ``operand`` (as ``b_head``, its rows summed) and fixed values of both
+    signs for the others."""
+    args = [(ad.reshape(x, (-1, 2)).sum(axis=0) if name == "b_head" else ad.reshape(x, shape))
+            if name == operand else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
+            for i, (name, shape) in enumerate(zip(EDGE_MESSAGE_OPERANDS, edge_message_shapes(**dims)))]
+    return ad.edge_message(*args, 0.7, 1.0)
 
 
 ENCODER_OPERANDS = ("x", "w1", "b1", "w2", "b2")
@@ -619,6 +649,48 @@ def test_softmax_gate_with_self_edges_is_bit_equal_to_masked_gate(lead, n, self_
         ad.softmax_gate(ad.tensor(np.zeros((3, 2))), self_weight=1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
+       st.sampled_from([1, 2, 5, 16]), st.integers(1, 3), st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
+       st.sampled_from([1.0, 0.7, 0.05]), st.lists(st.booleans(), min_size=8, max_size=8), st.booleans(),
+       st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_edge_message_is_bit_equal_to_edge_block_gate_and_matmul(lead, n, d, h, h2, f, frames, self_weight,
+                                                                 temperature, needs_grad, with_nan, roots, seed):
+    # the messages and every operand's gradient, byte for byte, in chunks of
+    # 1, 7 and 18 frames, with signed zeros in every operand, optionally a NaN
+    # in one, self edges on and off, and a second root through the same node;
+    # an operand that requires no gradient gets none
+    rng = np.random.default_rng(seed)
+    values = [signed_zero_heavy(rng, shape) for shape in edge_message_shapes(lead, n, d, h, h2, f)]
+    if with_nan:
+        nan_in_one(rng, values)
+    upstreams = [signed_zero_heavy(rng, lead + (n, f)) for _ in range(roots)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", frames * n * n * max(h, h2))
+        fused = leaf_grads(lambda *operands: ad.edge_message(*operands, temperature, self_weight),
+                           values, needs_grad, upstreams)
+    assert fused == leaf_grads(lambda *operands: composed_edge_message(*operands, temperature, self_weight),
+                               values, needs_grad, upstreams)
+    assert [grad is not None for grad in fused[1:9]] == needs_grad
+
+
+def test_edge_message_is_one_node_keeping_only_its_operands():
+    # a dynamic classify step's edges and messages: the graph holds the
+    # operands and the (…, N, 2) messages, no (…, N, N) or pair-sized array
+    rng = np.random.default_rng(9)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in edge_message_shapes((4, 5), n=15, d=16, h=16, h2=16)]
+    out = ad.edge_message(*operands, 1.0, 1.0)
+    assert out.shape == (4, 5, 15, 2)
+    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
+    for i, shape in [(1, (4, 5, 14, 2)), (6, (16, 3)), (7, (3,))]:
+        wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
+        with pytest.raises(ValueError, match=r"edge_message: (features|shapes) "):
+            ad.edge_message(*wrong, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"edge_message: temperature must be > 0, got 0.0"):
+        ad.edge_message(*operands, 0.0, 1.0)
+
+
 def test_edge_block_shape_errors_name_the_op():
     good = [ad.tensor(np.zeros(shape)) for shape in edge_block_shapes()]
     for i, shape in enumerate([(3, 2, 3), (5, 3), (4,), (4, 4), (3,), (4, 2, 1), (3,)]):
@@ -774,6 +846,9 @@ BINARY_BACKWARD = {
     # x and w1 of edge_block, its other operands constant
     "edge_block": (lambda a, b: edge_block_with_constants(ad.edge_block, a, b),
                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_block_grads(g, a, b)),
+    # hidden and feats of edge_message, its weights constant
+    "edge_message": (lambda a, b: edge_message_with_constants(ad.edge_message, a, b),
+                     ((2, 3, 2), (2, 3, 2)), lambda g, a, b: composed_edge_message_grads(g, a, b)),
     # x and w1 of encoder_mean, its other operands constant
     "encoder_mean": (lambda a, b: encoder_mean_with_constants(ad.encoder_mean, a, b),
                      ((2, 3, 2), (2, 3)), lambda g, a, b: composed_encoder_mean_grads(g, a, b)),
@@ -796,6 +871,19 @@ def edge_block_with_constants(op, x, w1):
 def composed_edge_block_grads(g, x, w1):
     leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
     out = edge_block_with_constants(composed_edge_block, *leaves)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def edge_message_with_constants(op, hidden, feats):
+    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
+                 for i, shape in enumerate(edge_message_shapes()[2:])]
+    return op(hidden, feats, *map(ad.tensor, constants), 0.7, 1.0)
+
+
+def composed_edge_message_grads(g, hidden, feats):
+    leaves = [ad.tensor(hidden, requires_grad=True), ad.tensor(feats, requires_grad=True)]
+    out = edge_message_with_constants(composed_edge_message, *leaves)
     ad.mul(out, ad.Tensor(g)).sum().backward()
     return [leaf.grad for leaf in leaves]
 

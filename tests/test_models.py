@@ -14,7 +14,7 @@ from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
 from wormgnn.rng import derive_rng
 
-from model_stubs import ConstantResidualModel
+from model_stubs import ConstantResidualModel, composed_edge_message
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -223,18 +223,14 @@ def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
     assert len(owned) == (0 if pairwise else 2)
 
 
-def test_dynamic_edge_training_step_peak_memory():
-    # one dynamic-GNN classify step, forward and backward, over 80 windows x 8
-    # frames of 15 neurons at hidden 16: the edge block runs both passes in
-    # frame chunks, so the step peaks under one (frames, N * N, h) array
-    # (0.92); a backward over all frames at once peaked at 2.87, the composed
-    # ops at 5.76
-    cfg = gnn_config(n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC)
-    model = m.NeuralModel(cfg, master_seed=0)
+def dynamic_classify_step_peak(n: int, windows: int, frames: int, hidden: int) -> float:
+    """Traced peak of one dynamic-GNN classify step, forward and backward,
+    over ``windows`` x ``frames`` frames of ``n`` neurons, in (frames, N, N)
+    arrays."""
+    model = m.NeuralModel(gnn_config(n=n, hidden=hidden, edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
     rng = np.random.default_rng(0)
-    feats = Tensor(rng.normal(size=(80, 8, 15, 2)))
-    targets = rng.integers(0, 2, size=(80, 8))
-    pair_array = 80 * 8 * 15 * 15 * 16 * 8  # bytes
+    feats = Tensor(rng.normal(size=(windows, frames, n, 2)))
+    targets = rng.integers(0, 2, size=(windows, frames))
     tracemalloc.start()
     try:
         tr.nll_loss(model.classify_logits(feats, training=True), targets).backward()
@@ -242,7 +238,68 @@ def test_dynamic_edge_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert model.named_parameters()["edge.fc1.weight"].tensor.grad is not None
-    assert peak <= 1.0 * pair_array, f"peak {peak / pair_array:.2f} pair arrays"
+    return peak / (windows * frames * n * n * 8)
+
+
+def test_dynamic_edge_training_step_peak_memory():
+    # one dynamic-GNN classify step over 80 windows x 8 frames of 15 neurons
+    # at hidden 16: ad.edge_message runs the edge block, the gate and the
+    # message pass in frame chunks and keeps no (frames, N, N) array, so the
+    # step peaks at 6.96 (frames, N, N) arrays, most of them the encoder's
+    # (frames, N, h) activations and gradients; the edges and messages as
+    # three nodes peaked at 14.7, the composed edge ops at 92
+    peak = dynamic_classify_step_peak(15, 80, 8, 16)
+    assert peak <= 7.5, f"peak {peak:.2f} (frames, N, N) arrays"
+
+
+def test_large_n_dynamic_edge_training_step_peak_memory():
+    # at 120 neurons a (frames, N, N) array outweighs every (frames, N, h)
+    # one: a classify step over 40 windows x 2 frames at hidden 8 peaks at
+    # 1.46 such arrays, about half of them the reused chunk buffers of the
+    # pair activations; the edges and messages as three nodes peaked at 12.3
+    peak = dynamic_classify_step_peak(120, 40, 2, 8)
+    assert peak <= 2.0, f"peak {peak:.2f} (frames, N, N) arrays"
+
+
+@pytest.mark.parametrize("task, recurrent", [(m.Task.PREDICT, False), (m.Task.PREDICT, True),
+                                             (m.Task.CLASSIFY, False)],
+                         ids=["predict", "predict-recurrent", "classify"])
+def test_dynamic_training_step_is_bit_equal_to_composed_edges(monkeypatch, task, recurrent):
+    # _stages runs dynamic edges as one ad.edge_message node where the edge
+    # block, the gate and a matmul were three.  In a predict step each input
+    # frame has three consumers (the encoder, the message pass and the
+    # residual add), whose gradients backward sums in reverse topological
+    # order: the loss and every parameter gradient of a scheduled-sampling
+    # step are byte-equal to the composed path's
+    cfg = gnn_config(task, n=5, hidden=6, edge_mode=m.EdgeMode.DYNAMIC, recurrent=recurrent,
+                     include_self_edges=False, softmax_temperature=0.7)
+
+    def step():
+        model = m.NeuralModel(cfg, master_seed=4)
+        rng = np.random.default_rng(11)
+        if task is m.Task.PREDICT:
+            teacher = rng.normal(size=(12, 6, 5, 2))
+            preds = m.rollout_batch(model, teacher, 5, sampling_prob=0.5, rng=rng, training=True)
+            loss = tr.mse_loss(preds, teacher[:, 1:])
+        else:
+            feats = Tensor(rng.normal(size=(12, 6, 5, 2)))
+            loss = tr.nll_loss(model.classify_logits(feats, training=True), rng.integers(0, 2, size=(12, 6)))
+        loss.backward()
+        return [loss.data.tobytes()] + [p.tensor.grad.tobytes() for p in model.parameters()]
+
+    fused = step()
+    calls = []
+    monkeypatch.setattr(ad, "edge_message", lambda *args: calls.append(1) or composed_edge_message(*args))
+    assert step() == fused
+    assert calls
+
+
+def test_encode_edges_of_no_frames_is_an_error():
+    # no frame gives no dynamic edges and nothing to average static ones over
+    for mode in INFERRED_MODES:
+        model = m.NeuralModel(gnn_config(n=3, edge_mode=mode), master_seed=0)
+        with pytest.raises(ValueError, match=r"features: expected at least one frame, got shape \(0, 3, 2\)"):
+            m.encode_edges(np.zeros((0, 3, 2)), model)
 
 
 def test_static_edge_training_step_peak_memory():
@@ -267,17 +324,19 @@ def test_static_edge_training_step_peak_memory():
     assert peak <= 2.0 * activation, f"peak {peak / activation:.2f} encoder activations"
 
 
-def test_dynamic_rollout_step_graph_owns_one_edge_array():
-    # the gate, the off-diagonal mask and the self edges are one node: a
-    # predict step's graph owns one (B, N, N) edge array; gate, mask and
-    # self edges as three nodes owned three
+def test_dynamic_rollout_step_graph_owns_no_edge_array():
+    # the edge block, the gate and the message pass are one ad.edge_message
+    # node, which keeps only its operands and its (B, N, 2) output: a predict
+    # step's graph owns no (B, N, N) edge array; gate and message pass as two
+    # nodes owned one, and gate, mask and self edges as three nodes owned three
     model = m.NeuralModel(gnn_config(m.Task.PREDICT, n=5, hidden=8, edge_mode=m.EdgeMode.DYNAMIC),
                           master_seed=0)
     teacher = np.random.default_rng(1).normal(size=(6, 2, 5, 2))
     preds = m.rollout_batch(model, teacher, 1, training=True)
-    owners = {id(node.data if node.data.base is None else node.data.base): node.shape
-              for node in ad._topo_order(preds) if node.data.size == 6 * 5 * 5}
-    assert list(owners.values()) == [(6, 5, 5)]
+    nodes = ad._topo_order(preds)
+    assert [node.shape for node in nodes if node.data.size == 6 * 5 * 5] == []
+    assert any(node._backward_fn is not None and node._backward_fn.__qualname__.startswith("_edge_node")
+               for node in nodes)
 
 
 def predict_step_peak(steps: int) -> int:
@@ -298,13 +357,15 @@ def predict_step_peak(steps: int) -> int:
 
 
 def test_predict_rollout_peak_memory_grows_by_less_than_a_pair_array_per_step():
-    # each rollout step infers its edges with one edge_block, which keeps no
-    # (windows, N * N, h) activation until backward: a step adds its
-    # node-sized activations and its (windows, N, N) edges to the graph, under
-    # one pair array; a node holding its two activations added nearly three
+    # each rollout step passes its messages over its edges with one
+    # edge_message, which keeps no (windows, N * N, h) activation and no
+    # (windows, N, N) edges until backward: a step adds only its node-sized
+    # activations to the graph, 0.35 pair arrays; its (windows, N, N) edges
+    # in the graph added 0.54, and an edge block holding its two activations
+    # nearly three
     pair_array = 80 * 15 * 15 * 16 * 8  # bytes
     growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
-    assert growth < pair_array, f"{growth / pair_array:.2f} pair arrays per step"
+    assert growth < 0.45 * pair_array, f"{growth / pair_array:.2f} pair arrays per step"
 
 
 def test_no_grad_edge_weights_peak_under_one_pair_array():
