@@ -5,27 +5,34 @@ The op set is exactly what the models in this package need: matmul,
 an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
 layer and head as one node), ``edge_message`` (the edge block, the gate and
 the message pass over its edges as one node), ``encoder_mean`` (two such
-layers averaged over every frame, as one node), ``batch_norm`` and
-``lstm_cell`` (one node each, below), elementwise add/sub/mul, scalar
-scale, ReLU, axis softmax with an optional temperature divisor, natural
-log, concatenation and sum/mean reductions.  A fused ReLU rectifies its node's own output buffer in place,
-so an activated layer keeps one array in the graph, not two; its values
-and gradients are bit-equal to the composed ops.  A few shape-plumbing
+layers averaged over every frame, as one node), ``batch_norm``,
+``neuron_mlp`` and ``lstm_cell`` (one node each, below), elementwise
+add/sub/mul, scalar scale, ReLU, axis softmax with an optional temperature
+divisor, natural log, concatenation and sum/mean reductions.  A fused ReLU
+rectifies its node's own output buffer in place, so an activated layer
+keeps one array in the graph, not two; its values and gradients are
+bit-equal to the composed ops.  A few shape-plumbing
 primitives (reshape, swapaxes, index_select, split) exist because batched
 model forwards cannot be expressed without them; ``swapaxes`` returns a
 view, and ``split`` cuts a tensor into contiguous views along one axis,
 whose backward writes every slice's gradient into one buffer.
 
 ``batch_norm`` normalizes over the leading axes in one node in both modes
-and returns the batch statistics that ``BatchNorm`` keeps running averages
-of; besides its output it keeps only the centered input.  ``lstm_cell`` is
-the gated recurrent cell as one node with a hand-written backward over the
-four gates; its two outputs, the next hidden and cell states, are views of
-the node's output.  Both replay the rounding of the composed ops they
-replace, so values and gradients are bit-equal to them.  No model calls
-``sigmoid``, ``tanh`` or ``power``: they stay as parts of that composed
-reference, which the tests check both nodes against, and the benchmark's
-tracer (``wormbench/tracing.py``) counts them by name.
+and returns the batch statistics that ``BatchNorm.apply`` keeps running
+averages of; besides its output it keeps only the centered input.
+``neuron_mlp`` is node_mlp's per-neuron body: each neuron's own two layers
+and batch norm, run a group of neurons at a time through reused buffers on
+batch norm's own arithmetic (``_normalize``, ``_normalize_grads``); it
+writes a C-ordered (…, N, h) output and keeps no (…, N, h) activation, and
+its backward recomputes each group's.  ``lstm_cell`` is the gated
+recurrent cell as one node with a hand-written backward over the four
+gates; its two outputs, the next hidden and cell states, are views of the
+node's output.  The three replay the rounding of the composed ops they
+replace, so values and gradients are bit-equal to them (``neuron_mlp``'s
+up to which of two meeting NaNs it keeps).  No model calls ``sigmoid``,
+``tanh`` or ``power``: they stay as parts of that composed reference,
+which the tests check the nodes against, and the benchmark's tracer
+(``wormbench/tracing.py``) counts them by name.
 
 Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
 logits to the second component of their temperature softmax (the inferred
@@ -54,10 +61,10 @@ whole recording the same way and keeps only its (N, h) mean.  The three
 nodes walk their chunks and fold their sums through one function, ``_chunked``.
 
 The backward of add, sub, mul, matmul, linear, edge_block, edge_message,
-encoder_mean, batch_norm and lstm_cell computes no gradient for an operand
-that does not require one (inputs, masks, targets).  ReLU, fused or not, is
-``max(a, 0)``: +0.0 for either signed zero, and a NaN input stays NaN, so a
-NaN pre-activation reaches the loss instead of being zeroed.
+encoder_mean, batch_norm, neuron_mlp and lstm_cell computes no gradient
+for an operand that does not require one (inputs, masks, targets).  ReLU,
+fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
+input stays NaN, so a NaN pre-activation reaches the loss.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -107,6 +114,7 @@ __all__ = [
     "index_select",
     "split",
     "batch_norm",
+    "neuron_mlp",
     "lstm_cell",
     "no_grad",
     "backward",
@@ -979,14 +987,59 @@ class BatchNorm:
             raise ValueError(
                 f"batchnorm {self.name}: expected {self.features} features, got shape {x.shape}"
             )
-        if not training:
-            return batch_norm(x, self.gamma.tensor, self.beta.tensor,
-                              (self.running_mean, self.running_var))[0]
-        out, mean, var = batch_norm(x, self.gamma.tensor, self.beta.tensor)
-        m = BATCHNORM_MOMENTUM
-        self.running_mean = (1.0 - m) * self.running_mean + m * mean
-        self.running_var = (1.0 - m) * self.running_var + m * var
+        return self.apply(batch_norm, training, x)
+
+    def apply(self, node, training: bool, *operands) -> Tensor:
+        """The output of ``node(*operands, gamma, beta, stats)``, ``batch_norm``
+        or ``neuron_mlp``: in training it normalizes with the batch's mean and
+        var, which then move the running averages, else with the running ones."""
+        out, mean, var = node(*operands, self.gamma.tensor, self.beta.tensor,
+                              None if training else (self.running_mean, self.running_var))
+        if training:
+            m = BATCHNORM_MOMENTUM
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_var = (1.0 - m) * self.running_var + m * var
         return out
+
+
+def _normalize(x: np.ndarray, gamma, beta, axes: tuple, stats, out: np.ndarray, centered: np.ndarray):
+    """``batch_norm``'s forward arithmetic over ``axes`` of ``x``, into ``out``
+    and, for ``x - mean``, ``centered`` (which may be ``x``): (mean, var, inv)."""
+    mean = x.mean(axis=axes) if stats is None else stats[0]
+    np.subtract(x, mean, out=centered)
+    if stats is None:  # the squares go into the output's buffer
+        var = np.multiply(centered, centered, out=out).mean(axis=axes)
+        inv = (var + BATCHNORM_EPS) ** -0.5
+    else:
+        var, inv = stats[1], 1.0 / np.sqrt(stats[1] + BATCHNORM_EPS)
+    np.multiply(centered, inv, out=out)
+    out *= gamma
+    out += beta
+    return mean, var, inv
+
+
+def _normalize_grads(g: np.ndarray, gamma, centered, var, inv, training: bool, need, total, scratch, g_x):
+    """``batch_norm``'s backward arithmetic: the gradients of (x, gamma, beta),
+    None where ``need`` is false, with x's written into ``g_x`` and the terms no
+    caller keeps into ``scratch``; ``total`` sums a term over the batch axes."""
+    count = g.size // max(gamma.size, 1)
+    g_gamma = g_beta = None
+    if need[0]:
+        np.multiply(g, gamma, out=scratch)  # the normalized input's gradient
+        np.multiply(scratch, inv, out=g_x)
+        if training:  # through the batch statistics, summed in the composed ops' order
+            g_inv = total(np.multiply(scratch, centered, out=scratch))
+            g_var = (g_inv * -0.5) * (var + BATCHNORM_EPS) ** -1.5
+            t = np.multiply(g_var / count, centered, out=scratch)
+            g_x += t
+            g_x += t
+            g_x += total(np.negative(g_x, out=scratch)) / count
+    if need[2]:
+        g_beta = total(g)
+    if need[1]:
+        normed = np.multiply(centered, inv, out=scratch)
+        g_gamma = total(np.multiply(g, normed, out=normed))
+    return (g_x if need[0] else None), g_gamma, g_beta
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
@@ -1006,44 +1059,145 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
     if batch_ndim < 0 or x.shape[batch_ndim:] != features or beta.shape != features:
         raise ValueError(f"batch_norm: x {x.shape} does not end in the feature shape of "
                          f"gamma {gamma.shape} and beta {beta.shape}")
-    axes = tuple(range(batch_ndim))
-    count = math.prod(x.shape[:batch_ndim])
-    if stats is None:
-        mean = x.data.mean(axis=axes)
-        centered = x.data - mean
-        out = centered * centered  # the squares' buffer becomes the output's
-        var = out.mean(axis=axes)
-        inv = (var + BATCHNORM_EPS) ** -0.5
-    else:
-        mean, var = stats
-        centered = x.data - mean
-        out = np.empty(x.shape)
-        inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
-    np.multiply(centered, inv, out=out)
-    out *= gamma.data
-    out += beta.data
+    out, centered = np.empty_like(x.data), np.empty_like(x.data)
+    mean, var, inv = _normalize(x.data, gamma.data, beta.data, tuple(range(batch_ndim)), stats, out, centered)
 
     def bwd(g):
-        g_x = g_gamma = g_beta = None
-        scratch = None  # one x-sized buffer for the terms no caller keeps
-        if x.requires_grad:
-            scratch = g * gamma.data  # the normalized input's gradient
-            g_x = scratch * inv
-            if stats is None:  # through the batch statistics, summed in the composed ops' order
-                g_inv = _unbroadcast(np.multiply(scratch, centered, out=scratch), features)
-                g_var = (g_inv * -0.5) * (var + BATCHNORM_EPS) ** -1.5
-                t = np.multiply(g_var / count, centered, out=scratch)
-                g_x += t
-                g_x += t
-                g_x += _unbroadcast(np.negative(g_x, out=scratch), features) / count
-        if beta.requires_grad:
-            g_beta = _unbroadcast(g, features)
-        if gamma.requires_grad:
-            normed = np.multiply(centered, inv, out=scratch)
-            g_gamma = _unbroadcast(np.multiply(g, normed, out=normed), features)
-        return g_x, g_gamma, g_beta
+        return _normalize_grads(g, gamma.data, centered, var, inv, stats is None,
+                                [t.requires_grad for t in (x, gamma, beta)],
+                                lambda term: _unbroadcast(term, features), np.empty_like(g), np.empty_like(g))
 
     return _make(out, (x, gamma, beta), bwd), mean, var
+
+
+NEURON_PASS_ROWS = 512  # rows per pass of neuron_mlp, summed over its neurons
+
+
+def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor | None = None,
+               beta: Tensor | None = None, stats=None):
+    """Each neuron's own ``relu(relu(x_i w1[i] + b1[i]) w2[i] + b2[i])`` for
+    node features ``x`` (…, N, d), and with ``gamma`` and ``beta`` (N, h2) a
+    batch norm per neuron and feature, as one node.  Returns (output, mean,
+    var): the C-ordered (…, N, h2) output and ``batch_norm``'s statistics
+    (None without batch norm).
+
+    Values and gradients are bit-equal to ``models.Linear``'s per-neuron
+    ``linear(relu=True)`` twice, then ``batch_norm`` with features (N, h2);
+    only where two NaNs meet may the one kept differ (numpy's vector loops
+    and their scalar tails keep different ones).
+    Both passes walk the neurons in groups of k through reused (k, M, h)
+    buffers, M the rows of the lead axes, and run the composed ops'
+    arithmetic, ``batch_norm``'s included, on arrays laid out as theirs.  A
+    pass costs some fifty numpy calls however few its rows, so it takes about
+    NEURON_PASS_ROWS rows (one neuron at least); a node that records no graph
+    keeps nothing, and over no more rows than that takes every neuron in one
+    pass, as the composed ops.  The node keeps only its operands, output and
+    statistics, and its backward recomputes each group's activations, as
+    ``edge_block``.
+    """
+    weights = (w1, b1, w2, b2) + (() if gamma is None else (gamma, beta))
+    n, d, h = w1.shape if w1.ndim == 3 else (0, 0, 0)
+    h2 = w2.shape[-1]
+    if not (x.ndim >= 2 and x.shape[-2:] == (n, d) and [t.shape for t in weights]
+            == [(n, d, h), (n, 1, h), (n, h, h2), (n, 1, h2), (n, h2), (n, h2)][:len(weights)]):
+        raise ValueError(f"neuron_mlp: shapes {', '.join(str(t.shape) for t in (x,) + weights)} do not chain "
+                         "as (…, N, d), (N, d, h), (N, 1, h), (N, h, h2), (N, 1, h2) and (N, h2) twice")
+    lead, rows, axes = x.shape[:-2], math.prod(x.shape[:-2]), tuple(range(x.ndim - 2))
+    recording = _grad_mode.enabled and any(t.requires_grad for t in (x,) + weights)
+    per = n if rows <= NEURON_PASS_ROWS and not recording else max(1, min(n, NEURON_PASS_ROWS // max(rows, 1)))
+    groups = [slice(i, min(i + per, n)) for i in range(0, n, per)]
+    # the arrays as they are now (backward differentiates at these values),
+    # neuron-major (N, M, ·) views as Linear.forward's
+    x_n = x.data.reshape(rows, n, d).swapaxes(0, 1)
+    w1_data, b1_data, w2_data, b2_data, *affine = (t.data for t in weights)
+    out = np.empty(lead + (n, h2))
+
+    def buffers(count):
+        return [np.empty(per * rows * max(h, h2)) for _ in range(count)]
+
+    def taken(buffer, s, width):
+        """The (k, M, width) start of a flat buffer for group ``s``."""
+        return buffer[:(s.stop - s.start) * rows * width].reshape(-1, rows, width)
+
+    def features(a):
+        """A group's (k, M, h2) array as (…, k, h2), as batch_norm sees it."""
+        return a.swapaxes(0, 1).reshape(lead + a.shape[::2])
+
+    def layers(s, a1, a2):
+        """Group s's two activations, into ``a1`` (k, M, h) and ``a2`` (k, M, h2)."""
+        return _dense_relu(_dense_relu(x_n[s], w1_data[s], b1_data[s], a1), w2_data[s], b2_data[s], a2)
+
+    moments = np.empty((3, n, h2))  # each neuron's mean, var and inv
+    a1, a2, normed = buffers(3) if affine else buffers(1) + [None, None]
+    for s in groups:
+        if not affine:
+            layers(s, taken(a1, s, h), out.reshape(rows, n, h2).swapaxes(0, 1)[s])
+            continue
+        act = features(layers(s, taken(a1, s, h), taken(a2, s, h2)))
+        moments[:, s] = _normalize(act, affine[0][s], affine[1][s], axes, stats and (stats[0][s], stats[1][s]),
+                                   features(taken(normed, s, h2)), act)
+        out[..., s, :] = features(taken(normed, s, h2))
+    mean, var, inv = moments if affine else (None,) * 3
+
+    def bwd(g):
+        first = x.requires_grad or w1.requires_grad or b1.requires_grad
+        need = [first or w2.requires_grad or b2.requires_grad] + [t.requires_grad for t in weights[4:]]
+        g_rows = g.reshape(rows, n, h2)
+        row_major = abs(g_rows.strides[1]) < abs(g_rows.strides[0])
+        g_x = np.empty((rows, n, d)) if x.requires_grad else None
+        grads = [np.empty(t.shape) if t.requires_grad else None for t in weights]
+        g_w1, g_b1, g_w2, g_b2 = grads[:4]
+        a1, a2, *g_sized = buffers(4 if affine else 2)
+
+        def like_g(buffer, k):
+            """A (…, k, h2) buffer laid out as g, as batch_norm's empty_like(g)."""
+            return (buffer[:k * rows * h2].reshape(lead + (k, h2)) if row_major
+                    else features(buffer[:k * rows * h2].reshape(k, rows, h2)))
+
+        for s in groups:
+            k = s.stop - s.start
+            act = layers(s, taken(a1, s, h), taken(a2, s, h2))
+            mask = act > 0
+            if affine:
+                # numpy sums one neuron's one-wide slice of a gradient stored
+                # row after row pairwise, and the whole gradient row by row:
+                # so such a slice is summed beside a copy of itself
+                wide = h2 == k == 1 and n > 1 and rows > 1 and row_major
+
+                def total(term):
+                    return (_unbroadcast(np.concatenate((term, term), -1), (k, 2))[:, :1] if wide
+                            else _unbroadcast(term, (k, h2)))
+                g_s = g[..., s, :]
+                centered = np.subtract(features(act), mean[s], out=features(act))
+                g_norm, *g_affine = _normalize_grads(g_s, affine[0][s], centered, var[s], inv[s], stats is None,
+                                                     need, total, *(like_g(b, k) for b in g_sized))
+                for grad, g_i in zip(grads[4:], g_affine):
+                    if grad is not None:
+                        grad[s] = g_i
+                if not need[0]:
+                    continue
+                g_s = g_norm.reshape(rows, k, h2).swapaxes(0, 1)  # a view when g is row-major
+            else:
+                g_s = g_rows.swapaxes(0, 1)[s]
+            g_out = np.multiply(g_s, mask, out=taken(a2, s, h2))
+            if g_w2 is not None:
+                np.matmul(np.swapaxes(taken(a1, s, h), -1, -2), g_out, out=g_w2[s])
+            if g_b2 is not None:
+                g_b2[s] = _unbroadcast(g_out, (k, 1, h2))
+            if not first:
+                continue
+            mask = taken(a1, s, h) > 0
+            g1 = np.matmul(g_out, np.swapaxes(w2_data[s], -1, -2), out=taken(a1, s, h))
+            g1 *= mask
+            if g_w1 is not None:
+                np.matmul(np.swapaxes(x_n[s], -1, -2), g1, out=g_w1[s])
+            if g_b1 is not None:
+                g_b1[s] = _unbroadcast(g1, (k, 1, h))
+            if g_x is not None:
+                np.matmul(g1, np.swapaxes(w1_data[s], -1, -2), out=g_x.swapaxes(0, 1)[s])
+        return (None if g_x is None else g_x.reshape(x.shape),) + tuple(grads)
+
+    return _make(out, (x,) + weights, bwd), *((mean, var) if stats is None else stats)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor):

@@ -131,7 +131,8 @@ class ModelConfig:
 class Linear:
     """``x @ w + b`` over the last axis.  With ``n_neurons`` N, every neuron
     has its own weights: the weight is (N, in, out), the bias (N, 1, out),
-    and the input (…, N, in) runs as one product batched over neurons.
+    and the input (…, N, in) runs as one product batched over neurons, read
+    back through views (node_mlp's predicting head).
     ``weight`` gives initial weights instead of drawing them from ``rng``."""
 
     def __init__(self, name: str, in_dim: int, out_dim: int, rng, n_neurons: int | None = None,
@@ -161,9 +162,9 @@ class TwoLayerMlp:
     With ``n_neurons`` both layers (and the batch norm's statistics) are per
     neuron, as in ``Linear``; neuron i's fc1 weight is drawn, then its fc2
     weight, then neuron i + 1's, as if each neuron had a block of its own.
-
-    Each ReLU is fused into the node of its layer (``linear(relu=True)``),
-    so each layer keeps one activation array in the graph.
+    Such a block runs as one ``ad.neuron_mlp`` node, which keeps no (…, N, h)
+    activation; otherwise each ReLU is fused into the node of its layer
+    (``linear(relu=True)``), so each layer keeps one activation array.
 
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
@@ -192,6 +193,10 @@ class TwoLayerMlp:
         return params
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
+        if self.fc1.per_neuron:  # every neuron's layers and batch norm as one node
+            layers = [p.tensor for p in self.fc1.parameters() + self.fc2.parameters()]
+            return (ad.neuron_mlp(x, *layers)[0] if self.bn is None
+                    else self.bn.apply(ad.neuron_mlp, training, x, *layers))
         h = self.fc2.forward(self.fc1.forward(x, relu=True), relu=True)
         return h if self.bn is None else self.bn.forward(h, training)
 

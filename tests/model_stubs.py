@@ -1,11 +1,11 @@
 """Stand-in models for tests of the rollout and evaluation code, and the
-composed reference of the fused dynamic-edge node."""
+composed references of the fused dynamic-edge node and the per-neuron body."""
 
 import numpy as np
 
 from wormgnn import autodiff as ad
 from wormgnn.autodiff import Tensor
-from wormgnn.models import ModelConfig, ModuleKind, Task
+from wormgnn.models import Linear, ModelConfig, ModuleKind, Task
 
 
 class ConstantResidualModel:
@@ -34,3 +34,14 @@ def composed_edge_message(hidden, feats, w1, b1, w2, b2, w_head, b_head, tempera
     a matmul, three nodes: the reference it is bit-equal to."""
     logits = ad.edge_block(hidden, w1, b1, w2, b2, w_head, b_head)
     return ad.matmul(ad.softmax_gate(logits, temperature, self_weight=self_weight), feats)
+
+
+def composed_neuron_mlp(x, w1, b1, w2, b2, gamma=None, beta=None, stats=None):
+    """``ad.neuron_mlp`` as ``models.Linear``'s per-neuron layers twice, then
+    ``ad.batch_norm`` over the (N, h2) features: the reference it is
+    bit-equal to."""
+    for w, b in ((w1, b1), (w2, b2)):
+        layer = Linear("node", *w.shape[1:], None, n_neurons=w.shape[0], weight=w.data)
+        layer.weight.tensor, layer.bias.tensor = w, b
+        x = layer.forward(x, relu=True)
+    return (x, None, None) if gamma is None else ad.batch_norm(x, gamma, beta, stats)

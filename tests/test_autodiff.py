@@ -1,5 +1,6 @@
 """Gradient engine tests: every op against central finite differences."""
 
+import math
 import threading
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
-from model_stubs import composed_edge_message
+from model_stubs import composed_edge_message, composed_neuron_mlp
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -154,6 +155,20 @@ OPS = {
     "batch_norm_features": lambda x: ad.batch_norm(ad.reshape(x, (3, 2, 2)), *bn_affine((2, 2)))[0],
     "batch_norm_gamma": lambda x: ad.batch_norm(BN_BATCH, ad.reshape(x, (12,)), bn_affine((12,))[1])[0],
     "batch_norm_beta": lambda x: ad.batch_norm(BN_BATCH, bn_affine((12,))[0], ad.reshape(x, (12,)))[0],
+    # x as each operand of neuron_mlp in turn, sized so that it has 12
+    # entries; the input with its batch norm in training (over six rows), in
+    # inference and left out.  Training batch norm cancels a bias's shift up
+    # to the ReLU's kinks, leaving near-zero gradients no central difference
+    # resolves, so the biases run in inference and without it
+    "neuron_mlp_x": lambda x: neuron_mlp_with("x", x, lead=(6,), n=2, d=1),
+    "neuron_mlp_x_eval": lambda x: neuron_mlp_with("x", x, "eval", lead=(2,), n=3),
+    "neuron_mlp_x_plain": lambda x: neuron_mlp_with("x", x, "plain", lead=(2,), n=3),
+    "neuron_mlp_w1": lambda x: neuron_mlp_with("w1", x),
+    "neuron_mlp_b1": lambda x: neuron_mlp_with("b1", x, "eval", h=4),
+    "neuron_mlp_w2": lambda x: neuron_mlp_with("w2", x, h2=2),
+    "neuron_mlp_b2": lambda x: neuron_mlp_with("b2", x, "plain"),
+    "neuron_mlp_gamma": lambda x: neuron_mlp_with("gamma", x),
+    "neuron_mlp_beta": lambda x: neuron_mlp_with("beta", x),
     # x as each operand of lstm_cell in turn; both outputs reach the root
     "lstm_cell_x": lambda x: lstm_cell_with("x", x),
     "lstm_cell_h": lambda x: lstm_cell_with("h", x),
@@ -258,6 +273,29 @@ def bn_affine(features):
     size = int(np.prod(features))
     return (ad.Tensor(np.linspace(-1.5, 1.5, size).reshape(features)),
             ad.Tensor(np.cos(np.arange(size)).reshape(features)))
+
+
+NEURON_MLP_OPERANDS = ("x", "w1", "b1", "w2", "b2", "gamma", "beta")
+
+
+def neuron_mlp_shapes(lead=(5,), n=3, d=2, h=2, h2=4):
+    """Operand shapes of neuron_mlp with batch norm, in argument order."""
+    return [lead + (n, d), (n, d, h), (n, 1, h), (n, h, h2), (n, 1, h2), (n, h2), (n, h2)]
+
+
+def neuron_mlp_with(operand, x, mode="train", **dims):
+    """neuron_mlp's output with ``x``, reshaped, as ``operand`` and fixed
+    values of both signs for the others; its batch norm in training, in
+    inference (``eval``, fixed running statistics) or left out (``plain``)."""
+    shapes = neuron_mlp_shapes(**dims)[:5 if mode == "plain" else 7]
+    args = [ad.reshape(x, shape) if name == operand
+            else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
+            for i, (name, shape) in enumerate(zip(NEURON_MLP_OPERANDS, shapes))]
+    stats = None
+    if mode == "eval":
+        stats = (np.linspace(-1, 1, np.prod(shapes[-1])).reshape(shapes[-1]),
+                 np.linspace(0.5, 2, np.prod(shapes[-1])).reshape(shapes[-1]))
+    return ad.neuron_mlp(*args, stats=stats)[0]
 
 
 LSTM_OPERANDS = ("x", "h", "c", "w_x", "w_h", "b")
@@ -747,6 +785,107 @@ def test_batch_norm_is_bit_equal_to_composed_ops(training, features, batch, need
     assert [grad is not None for grad in fused[3:]] == needs_grad
 
 
+def nan_blind(results):
+    """Byte strings of float64 arrays (or None) with every NaN made the same
+    NaN.  Where both operands of an elementwise op are NaN, numpy's vector
+    loops and their scalar tails return different ones, so the sign of a NaN
+    depends on where its entry falls in its array, which differs between a
+    neuron's slice and the whole stack; every other entry keeps its bits."""
+    def blind(raw):
+        values = np.frombuffer(raw)
+        return np.where(np.isnan(values), np.nan, values).tobytes()
+
+    return [None if raw is None else blind(raw) for raw in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
+       st.sampled_from([1, 2, 5, 16]), st.sampled_from(["train", "eval", "plain"]),
+       st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2),
+       st.booleans(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+# one-wide batch norm over twelve rows: numpy sums a lone neuron's slice
+# pairwise, and two or more neurons' row by row
+@example((12,), 3, 2, 2, 1, "train", [True] * 7, False, 1, False, 1, 3)
+@example((12,), 3, 2, 2, 1, "eval", [True] * 7, False, 1, False, 1, 3)
+@example((12,), 3, 2, 2, 1, "train", [True] * 7, False, 1, False, 2, 3)
+@example((12,), 3, 2, 2, 1, "train", [True] * 7, False, 1, True, 2, 6)
+@example((12,), 3, 2, 2, 1, "eval", [True] * 7, False, 1, True, 1, 6)
+@example((12,), 3, 2, 2, 1, "plain", [True] * 7, False, 1, False, 2, 3)
+def test_neuron_mlp_is_bit_equal_to_per_neuron_linears_then_batch_norm(lead, n, d, h, h2, mode, needs_grad,
+                                                                       with_nan, roots, swapped, per, seed):
+    # the output, the batch statistics and every operand's gradient, byte for
+    # byte, against models.Linear's per-neuron stacks twice and batch_norm, in
+    # passes of 1 to 4 neurons: batch norm in training, in inference and left
+    # out, one-wide layers, signed zeros in every operand, optionally a NaN in
+    # one (NaNs compared by position, see nan_blind), a second root through
+    # the same node, and roots through swapaxes, which hand the node a
+    # neuron-major gradient; an operand that requires no gradient gets none
+    rng = np.random.default_rng(seed)
+    shapes = neuron_mlp_shapes(lead, n, d, h, h2)[:5 if mode == "plain" else 7]
+    values = [signed_zero_heavy(rng, shape) for shape in shapes]
+    if with_nan:
+        nan_in_one(rng, values)
+    stats = (signed_zero_heavy(rng, (n, h2)), rng.uniform(0.0, 2.0, (n, h2))) if mode == "eval" else None
+    swapped = swapped and bool(lead)
+    upstreams = [signed_zero_heavy(rng, (n,) + lead[1:] + lead[:1] + (h2,) if swapped else lead + (n, h2))
+                 for _ in range(roots)]
+    needs_grad = needs_grad[:len(values)]
+
+    def run(op):
+        statistics = []
+
+        def node(*operands):
+            out, mean, var = op(*operands, stats=stats)
+            statistics.extend([mean, var])
+            return ad.swapaxes(out, 0, -2) if swapped else out
+
+        results = nan_blind(leaf_grads(node, values, needs_grad, upstreams))
+        return results + [None if a is None else a.tobytes() for a in statistics]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "NEURON_PASS_ROWS", per * math.prod(lead))
+        fused = run(ad.neuron_mlp)
+    assert fused == run(composed_neuron_mlp)
+    assert [grad is not None for grad in fused[1:len(values) + 1]] == needs_grad
+    assert (fused[-1] is None) == (mode == "plain")
+
+
+def test_neuron_mlp_is_one_node_keeping_only_its_operands():
+    # a node_mlp body over 40 windows x 8 frames of 15 neurons: the graph holds
+    # the operands and the C-ordered (…, N, h) output, and the node keeps no
+    # (M, h) activation of a neuron, only the (N, h) statistics
+    rng = np.random.default_rng(3)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in neuron_mlp_shapes((40, 8), n=15, d=2, h=16, h2=16)]
+    tracemalloc.start()
+    try:
+        out, mean, var = ad.neuron_mlp(*operands)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (40, 8, 15, 16) and out.data.flags.c_contiguous and mean.shape == var.shape == (15, 16)
+    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
+    assert held < 1.05 * out.data.nbytes
+    for i, shape in [(0, (40, 8, 14, 2)), (2, (15, 16)), (3, (15, 16, 15)), (6, (16,))]:
+        wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
+        with pytest.raises(ValueError, match=r"neuron_mlp: shapes .* do not chain"):
+            ad.neuron_mlp(*wrong)
+
+
+@pytest.mark.parametrize("rows, n, recording, passes", [(640, 15, True, 15), (80, 120, True, 20),
+                                                      (10, 120, True, 3), (80, 120, False, 1), (640, 15, False, 15)])
+def test_neuron_mlp_passes_take_about_neuron_pass_rows_rows(monkeypatch, rows, n, recording, passes):
+    # NEURON_PASS_ROWS // rows neurons a pass (one at least); a node that
+    # records no graph runs every neuron in one pass over no more rows
+    calls = []
+    dense_relu = ad._dense_relu
+    monkeypatch.setattr(ad, "_dense_relu", lambda *args: calls.append(1) or dense_relu(*args))
+    operands = [ad.tensor(np.ones(shape), requires_grad=recording)
+                for shape in neuron_mlp_shapes((rows,), n=n, d=2, h=4, h2=4)]
+    ad.neuron_mlp(*operands)
+    assert ad.NEURON_PASS_ROWS == 512 and len(calls) == 2 * passes
+
+
 def test_training_batch_norm_graph_owns_two_input_sized_arrays():
     # a training forward leaves the output and the centered input that its
     # backward needs; the composed ops kept five arrays the size of x
@@ -852,6 +991,9 @@ BINARY_BACKWARD = {
     # x and w1 of encoder_mean, its other operands constant
     "encoder_mean": (lambda a, b: encoder_mean_with_constants(ad.encoder_mean, a, b),
                      ((2, 3, 2), (2, 3)), lambda g, a, b: composed_encoder_mean_grads(g, a, b)),
+    # x and w1 of neuron_mlp with its batch norm in training, its other operands constant
+    "neuron_mlp": (lambda a, b: neuron_mlp_with_constants(ad.neuron_mlp, a, b),
+                   ((4, 3, 2), (3, 2, 2)), lambda g, a, b: composed_neuron_mlp_grads(g, a, b)),
 }
 
 
@@ -903,6 +1045,19 @@ def composed_encoder_mean(x, w1, b1, w2, b2):
 def composed_encoder_mean_grads(g, x, w1):
     leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
     out = encoder_mean_with_constants(composed_encoder_mean, *leaves)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def neuron_mlp_with_constants(op, x, w1):
+    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
+                 for i, shape in enumerate(neuron_mlp_shapes()[2:])]
+    return op(x, w1, *map(ad.tensor, constants))[0]
+
+
+def composed_neuron_mlp_grads(g, x, w1):
+    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
+    out = neuron_mlp_with_constants(composed_neuron_mlp, *leaves)
     ad.mul(out, ad.Tensor(g)).sum().backward()
     return [leaf.grad for leaf in leaves]
 

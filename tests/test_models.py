@@ -14,7 +14,7 @@ from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
 from wormgnn.rng import derive_rng
 
-from model_stubs import ConstantResidualModel, composed_edge_message
+from model_stubs import ConstantResidualModel, composed_edge_message, composed_neuron_mlp
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -901,6 +901,96 @@ def test_node_mlp_init_equals_per_neuron_draws(task):
             assert np.array_equal(params["node.head.weight"][i], ad.uniform_init(rng, hidden, (hidden, 2)))
     assert all(name.startswith(("node.", "head.")) for name in params)
     assert not any(params[name].any() for name in params if name.endswith(".bias"))
+
+
+@pytest.mark.parametrize("per", [1, 2, 5])
+@pytest.mark.parametrize("task", ["classify", "predict"])
+def test_node_mlp_step_is_bit_equal_to_per_neuron_linears_and_batch_norm(monkeypatch, task, per):
+    # TwoLayerMlp runs the per-neuron body as one ad.neuron_mlp node where two
+    # per-neuron Linear stacks and a BatchNorm were three: two training steps'
+    # losses, every parameter gradient, the input's, the running statistics
+    # and an inference forward are byte-equal to the composed path's, with
+    # training passes of 1, 2 and all 5 neurons
+    monkeypatch.setattr(ad, "NEURON_PASS_ROWS", per * (24 if task == "classify" else 4))
+
+    def steps():
+        model = m.NeuralModel(node_mlp_config(task, n=5, hidden=6), master_seed=3)
+        rng = np.random.default_rng(12)
+        results = []
+        for _ in range(2):
+            model.zero_grad()
+            if task == "classify":
+                feats = Tensor(rng.normal(size=(4, 6, 5, 2)), requires_grad=True)
+                loss = tr.nll_loss(model.classify_logits(feats, training=True), rng.integers(0, 2, size=(4, 6)))
+            else:
+                feats = Tensor(rng.normal(size=(4, 5, 2)), requires_grad=True)
+                loss = tr.mse_loss(model.predict_residual(feats, training=True)[0], rng.normal(size=(4, 5, 2)))
+            loss.backward()
+            results += [loss.data.tobytes(), feats.grad.tobytes()] + [p.tensor.grad.tobytes() for p in model.parameters()]
+        results += [v.tobytes() for bn in model.batchnorms() for v in bn.buffers().values()]
+        with ad.no_grad():
+            frames = rng.normal(size=(3, 6, 5, 2))
+            out = (model.classify_logits(Tensor(frames), False) if task == "classify"
+                   else model.predict_residual(Tensor(frames[:, 0]), False)[0])
+        return results + [out.data.tobytes()]
+
+    fused = steps()
+    calls = []
+    monkeypatch.setattr(ad, "neuron_mlp", lambda *args, **kw: calls.append(1) or composed_neuron_mlp(*args, **kw))
+    assert steps() == fused
+    assert calls
+
+
+def node_mlp_step_peak(n: int, windows: int, frames: int, hidden: int) -> float:
+    """Traced peak of one node_mlp classify step, forward and backward, over
+    ``windows`` x ``frames`` frames of ``n`` neurons, in (M, N, h) arrays."""
+    model = m.NeuralModel(node_mlp_config(n=n, hidden=hidden), master_seed=0)
+    rng = np.random.default_rng(0)
+    feats = Tensor(rng.normal(size=(windows, frames, n, 2)))
+    targets = rng.integers(0, 2, size=(windows, frames))
+    tracemalloc.start()
+    try:
+        tr.nll_loss(model.classify_logits(feats, training=True), targets).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.named_parameters()["node.fc1.weight"].tensor.grad is not None
+    return peak / (windows * frames * n * hidden * 8)
+
+
+def test_node_mlp_training_step_peak_memory():
+    # one node_mlp classify step over 80 windows x 8 frames of 15 neurons at
+    # hidden 16: ad.neuron_mlp runs the neurons' layers and batch norm a few
+    # at a time (here one, 640 rows) through reused buffers and recomputes
+    # them in backward, so the step peaks at 2.53 (M, N, h) arrays (the body's
+    # output, its gradient and the head's); per-neuron Linear stacks and a
+    # BatchNorm peaked at 8.16
+    peak = node_mlp_step_peak(15, 80, 8, 16)
+    assert peak <= 3.0, f"peak {peak:.2f} (M, N, h) arrays"
+
+
+def test_large_n_node_mlp_training_step_peak_memory():
+    # the per-neuron cost stays flat in N: at 120 neurons a step over 10
+    # windows x 8 frames, six neurons a pass, peaks at 2.74 (M, N, h) arrays
+    # (8.3 composed)
+    peak = node_mlp_step_peak(120, 10, 8, 16)
+    assert peak <= 3.0, f"peak {peak:.2f} (M, N, h) arrays"
+
+
+def test_node_mlp_step_graph_owns_only_the_body_output():
+    # the body's C-ordered (…, N, h) output is the only (M, N, h) array the
+    # graph owns, and the head reads it through a view: classify_logits'
+    # reshape to (…, N * h) copies nothing
+    model = m.NeuralModel(node_mlp_config(n=5, hidden=6), master_seed=0)
+    feats = Tensor(np.random.default_rng(2).normal(size=(4, 3, 5, 2)))
+    heads = []
+    head_forward = model.head.forward
+    model.head.forward = lambda h: heads.append(h) or head_forward(h)
+    logits = model.classify_logits(feats, training=True)
+    nodes = ad._topo_order(logits)
+    owned = [node for node in nodes if node.data.base is None and node.data.size == 4 * 3 * 5 * 6]
+    assert len(owned) == 1 and owned[0]._backward_fn.__qualname__.startswith("neuron_mlp")
+    assert heads[0].shape == (4, 3, 30) and heads[0].data.base is owned[0].data
 
 
 def _entry(raw, name, key="parameters"):
