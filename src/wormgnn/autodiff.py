@@ -1,21 +1,28 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is exactly what the models in this package need: matmul,
-``linear`` (x @ w + b as one graph node, bit-equal to matmul then add, with
-an optional fused ReLU), ``edge_block`` (the edge MLP's pair layer, second
-layer and head as one node), ``edge_message`` (the edge block, the gate and
-the message pass over its edges as one node), ``encoder_mean`` (two such
-layers averaged over every frame, as one node), ``batch_norm``,
-``neuron_mlp`` and ``lstm_cell`` (one node each, below), elementwise
-add/sub/mul, scalar scale, ReLU, axis softmax with an optional temperature
-divisor, natural log, concatenation and sum/mean reductions.  A fused ReLU
-rectifies its node's own output buffer in place, so an activated layer
-keeps one array in the graph, not two; its values and gradients are
-bit-equal to the composed ops.  A few shape-plumbing
-primitives (reshape, swapaxes, index_select, split) exist because batched
-model forwards cannot be expressed without them; ``swapaxes`` returns a
-view, and ``split`` cuts a tensor into contiguous views along one axis,
-whose backward writes every slice's gradient into one buffer.
+The op set is what the models in this package need: matmul, ``linear``
+(x @ w + b as one graph node, bit-equal to matmul then add, with an
+optional fused ReLU), ``edge_matrix`` (the edge MLP, its head and the gate
+as one node, below), ``edge_message`` (the edge matrix and the message pass
+over it as one node), ``encoder_mean`` (two such layers averaged over every
+frame, as one node), ``batch_norm``, ``neuron_mlp`` and ``lstm_cell`` (one
+node each, below), ``softmax_nll``, elementwise add/sub/mul, scalar scale,
+ReLU, concatenation and sum/mean reductions.  A fused ReLU rectifies its
+node's own output buffer in place, so an activated layer keeps one array in
+the graph, not two; its values and gradients are bit-equal to the composed
+ops.  A few shape-plumbing primitives (reshape, swapaxes, split) exist
+because batched model forwards cannot be expressed without them;
+``swapaxes`` returns a view, and ``split`` cuts a tensor into contiguous
+views along one axis, whose backward writes every slice's gradient into one
+buffer.
+
+No model calls ``softmax`` (with an optional temperature divisor),
+``log``, ``sigmoid``, ``tanh``, ``power`` or ``index_select``.  Two things
+keep each of them: a test reference, the composed ops that a fused node is
+checked against (the edge gate's softmax, the gated cell's sigmoid and
+tanh, batch norm's power, the unfactored pair MLP's index_select, the NLL's
+log), and the benchmark's tracer (``wormbench/tracing.py``), whose ``OPS``
+counts each by name.
 
 ``batch_norm`` normalizes over the leading axes in one node in both modes
 and returns the batch statistics that ``BatchNorm.apply`` keeps running
@@ -29,38 +36,30 @@ recurrent cell as one node with a hand-written backward over the four
 gates; its two outputs, the next hidden and cell states, are views of the
 node's output.  The three replay the rounding of the composed ops they
 replace, so values and gradients are bit-equal to them (``neuron_mlp``'s
-up to which of two meeting NaNs it keeps).  No model calls ``sigmoid``,
-``tanh`` or ``power``: they stay as parts of that composed reference,
-which the tests check the nodes against, and the benchmark's tracer
-(``wormbench/tracing.py``) counts them by name.
+up to which of two meeting NaNs it keeps).  ``softmax_nll`` is the masked
+mean negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it
+takes logits, not probabilities, and stays finite when logits saturate.
 
-Two two-way heads are one node each.  ``softmax_gate`` maps ``(..., 2)``
-logits to the second component of their temperature softmax (the inferred
-edge weight) through the logit difference, overflow-free; values and
-gradients are bit-equal to softmax then split, without softmax's slow
-reductions over a length-2 axis.  Given a self-edge weight, it returns the
-(…, N, N) edge matrix with that weight on the diagonal, bit-equal to the
-gate times the off-diagonal mask plus the identity, in one array.
-``softmax_nll`` is the masked mean negative log-likelihood of logits,
-``logsumexp(z) - z[target]``: it takes logits, not probabilities, and stays
-finite when logits saturate.
-
-``edge_block`` scores every ordered pair of node embeddings with its first
+``edge_matrix`` scores every ordered pair of node embeddings with its first
 layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j] W = x_i W_top +
-x_j W_bot.  Both passes run the pair layers over frame chunks of about
-EDGE_CHUNK_ENTRIES entries through two reused buffers, so the node keeps no
-(…, N * N, h) activation, only its operands and logits, and its backward
-allocates none: it recomputes each chunk's two activations (gradient
-checkpointing, Chen et al. 2016), writes each gradient into the buffer of
-the activation it replaces, and sums the weights' per-frame gradients over
-the frames through ``_LeadSum``, in numpy's order.  ``edge_message`` adds
-the gate and the message pass ``A X`` on each chunk's logits and keeps only
-its operands and output, so a dynamic-edge training step or rollout holds
-no (…, N, N) array.  ``encoder_mean`` runs the static edges' encoder over a
-whole recording the same way and keeps only its (N, h) mean.  The three
-nodes walk their chunks and fold their sums through one function, ``_chunked``.
+x_j W_bot.  Each pair's edge weight is the second component of the
+temperature softmax of its two logits, computed from their difference,
+overflow-free (``_gate``), and the self edges get a fixed weight; values
+and gradients are bit-equal to the composed ops up to the sign of a NaN.  Both passes run over
+frame chunks of about EDGE_CHUNK_ENTRIES entries through reused buffers, so
+the node keeps no (…, N * N, h) activation, only its operands and the
+(…, N, N) edges, and its backward allocates none: it recomputes each
+chunk's activations and edges (gradient checkpointing, Chen et al. 2016),
+writes each gradient into the buffer of the activation it replaces, and
+sums the weights' per-frame gradients over the frames through
+``_LeadSum``, in numpy's order.  ``edge_message`` adds the message pass
+``A X`` on each chunk's edges and keeps only its operands and output, so a
+dynamic-edge training step or rollout holds no (…, N, N) array.
+``encoder_mean`` runs the static edges' encoder over a whole recording the
+same way and keeps only its (N, h) mean.  The three nodes walk their chunks
+and fold their sums through one function, ``_chunked``.
 
-The backward of add, sub, mul, matmul, linear, edge_block, edge_message,
+The backward of add, sub, mul, matmul, linear, edge_matrix, edge_message,
 encoder_mean, batch_norm, neuron_mlp and lstm_cell computes no gradient
 for an operand that does not require one (inputs, masks, targets).  ReLU,
 fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
@@ -95,12 +94,11 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
-    "edge_block",
+    "edge_matrix",
     "edge_message",
     "encoder_mean",
     "relu",
     "softmax",
-    "softmax_gate",
     "softmax_nll",
     "log",
     "sigmoid",
@@ -449,95 +447,94 @@ def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return np.maximum(out, 0.0, out=out)
 
 
-def edge_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-               w_head: Tensor, b_head: Tensor) -> Tensor:
-    """The pair MLP and its head for node embeddings ``x`` (…, N, d) as one
-    node: logits (…, N * N, k), pair (i, j) at i * N + j.
+def edge_matrix(hidden: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w_head: Tensor,
+                b_head: Tensor, temperature: float, self_weight: float) -> Tensor:
+    """The (…, N, N) edge matrix of node embeddings ``hidden`` (…, N, d) as
+    one node.
 
-    The first layer acts on [x_i, x_j] through the (2d, h) weight ``w1``:
-    ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 +
-    b2)`` and ``a2 w_head + b_head``.  Values and gradients are bit-equal to
-    ``split``, ``matmul``, ``add``, ``add``, ``relu``, ``linear(relu=True)``
-    and ``linear``.  The forward runs the pair layers over the frames (the
-    lead axes, flattened) in chunks of about EDGE_CHUNK_ENTRIES activation
-    entries, through two reused buffers; the node keeps only its operands'
-    arrays and the logits.  Backward runs in chunks too, each of whole slices
-    of the first lead axis: it recomputes the chunk's ``a1`` and ``a2`` and
-    overwrites each with its gradient, writes the per-frame gradients of
-    ``x`` into their output and adds each weight's and bias's per-frame terms
-    to a ``_LeadSum``.  Every backward through the node, not only the first,
-    gets the composed ops' gradients.
+    The pair MLP scores every ordered pair (i, j) with its first layer acting
+    on [x_i, x_j] through the (2d, h) weight ``w1``: ``a1 = relu(x_i w1[:d] +
+    x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 + b2)`` and two logits ``z =
+    a2 w_head + b_head``.  Edge (i, j) is the second component of their
+    temperature softmax, the sigmoid of ``z1 / T - z0 / T`` in an
+    overflow-free form (``_gate``); each self edge is ``w * 0.0 +
+    self_weight``, so a NaN weight stays NaN.  Values and gradients are
+    bit-equal to ``split``, ``matmul``, ``add``, ``add``, ``relu``,
+    ``linear(relu=True)``, ``linear``, ``softmax``, ``split``, the
+    off-diagonal mask and, for ``self_weight`` 1, the identity, up to the
+    sign of a NaN.  The forward
+    runs the frames (the lead axes, flattened) in chunks of about
+    EDGE_CHUNK_ENTRIES activation entries through reused buffers and writes
+    each chunk's edges into the output, the node's one (…, N, N) array.
+    Backward runs in chunks too, each of whole slices of the first lead axis:
+    it recomputes the chunk's ``a1``, ``a2`` and edges, overwrites each
+    activation with its gradient, writes the per-frame gradients of
+    ``hidden`` into their output and adds each weight's and bias's per-frame
+    terms to a ``_LeadSum``.  Every backward through the node, not only the
+    first, gets the composed ops' gradients.
     """
-    return _edge_node("edge_block", x, None, (w1, b1, w2, b2, w_head, b_head))
+    return _edge_node("edge_matrix", hidden, None, (w1, b1, w2, b2, w_head, b_head),
+                      float(temperature), float(self_weight))
 
 
 def edge_message(hidden: Tensor, feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                  w_head: Tensor, b_head: Tensor, temperature: float, self_weight: float) -> Tensor:
-    """``matmul(A, feats)`` (…, N, F) for the edges ``A = softmax_gate(
-    edge_block(hidden, …), temperature, self_weight)`` of node embeddings
-    ``hidden`` (…, N, d), as one node; values and gradients are bit-equal to
-    those three nodes.  Both passes run ``edge_block``'s frame chunks, and no
-    pass holds a (…, N, N) array: backward recomputes each chunk's edges,
-    then forms ``Aᵀ g``, ``g featsᵀ`` off the diagonal, the gate's gradient
-    and the edge block's, summing ``b_head``'s terms in a ``_LeadSum`` too."""
+    """``matmul(edge_matrix(hidden, …), feats)`` (…, N, F) for node
+    embeddings ``hidden`` (…, N, d) as one node; values and gradients are
+    bit-equal to those two nodes.  Both passes run ``edge_matrix``'s frame
+    chunks, and no pass holds a (…, N, N) array: backward recomputes each
+    chunk's edges, then forms ``Aᵀ g`` and ``g featsᵀ``, the edges' gradient."""
     return _edge_node("edge_message", hidden, feats, (w1, b1, w2, b2, w_head, b_head),
                       float(temperature), float(self_weight))
 
 
-def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: float = 1.0,
-               self_weight: float = 1.0) -> Tensor:
-    """``edge_block`` for ``feats`` None, else ``edge_message``."""
+def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: float,
+               self_weight: float) -> Tensor:
+    """``edge_matrix`` for ``feats`` None, else ``edge_message``."""
     w1, b1, w2, b2, w_head, b_head = weights
     if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
             and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
-            and w_head.shape[0] == w2.shape[1]
+            and w_head.shape == (w2.shape[1], 2)
             and [b1.shape, b2.shape, b_head.shape] == [w.shape[1:] for w in (w1, w2, w_head)]):
         shapes = ", ".join(str(t.shape) for t in (x,) + tuple(weights))
         raise ValueError(f"{op}: shapes {shapes} do not chain as "
-                         "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, k), (k,)")
-    if feats is not None:
-        if feats.ndim != x.ndim or feats.shape[:-1] != x.shape[:-1] or w_head.shape[1] != 2:
-            raise ValueError(f"{op}: features {feats.shape} and two logits per pair ({w_head.shape}) "
-                             f"must match node embeddings {x.shape}")
-        if temperature <= 0.0:
-            raise ValueError(f"{op}: temperature must be > 0, got {temperature}")
+                         "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, 2), (2,)")
+    if feats is not None and (feats.ndim != x.ndim or feats.shape[:-1] != x.shape[:-1]):
+        raise ValueError(f"{op}: features {feats.shape} must match node embeddings {x.shape}")
+    if temperature <= 0.0:
+        raise ValueError(f"{op}: temperature must be > 0, got {temperature}")
     lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
     frames = math.prod(lead)
     # the arrays as they are now: backward differentiates at these values
     x_data, b1_data, w2_data, b2_data, w_head_data, b_head_data = (
         t.data for t in (x, b1, w2, b2, w_head, b_head))
     w_src, w_dst = w1.data[:d], w1.data[d:]
-    width, width2, k = w1.shape[1], w2.shape[1], w_head.shape[1]
+    width, width2 = w1.shape[1], w2.shape[1]
     x_frames = x_data.reshape(frames, n, d)
     feats_data = None if feats is None else feats.data.reshape(frames, n, feats.shape[-1])
 
-    def pairs(first, stop, a1, a2):
-        """The pair layer and second layer of frames [first, stop): ``a1 =
-        relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1`` (F, N * N, h) and
-        ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2)."""
+    def logits(first, stop, a1, a2, out):
+        """The logits of frames [first, stop) into ``out`` (F, N * N, 2), the
+        pair layer ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1``
+        (F, N * N, h) and ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2)."""
         x_chunk = x_frames[first:stop]
         np.add(np.matmul(x_chunk, w_src).reshape(-1, n, 1, width),
                np.matmul(x_chunk, w_dst).reshape(-1, 1, n, width), out=a1.reshape(-1, n, n, width))
         a1 += b1_data
         np.maximum(a1, 0.0, out=a1)
-        _dense_relu(a1, w2_data, b2_data, a2)
-
-    def logits(first, stop, a1, a2, out):
-        """The logits of frames [first, stop) into ``out``, as ``pairs``."""
-        pairs(first, stop, a1, a2)
-        np.matmul(a2, w_head_data, out=out)
+        np.matmul(_dense_relu(a1, w2_data, b2_data, a2), w_head_data, out=out)
         out += b_head_data
         return out
 
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
     walk, _ = _chunked((frames,), chunk, ((n * n, width), False), ((n * n, width2), False),
-                       ((n * n, k), None if feats is None else False))
-    out = np.empty((frames, n * n, k) if feats is None else feats_data.shape)
+                       ((n * n, 2), False))
+    out = np.empty((frames, n, n) if feats is None else feats_data.shape)
     for first, stop, (a1, a2, z) in walk:
+        edges = _self_edges(_gate(logits(first, stop, a1, a2, z), temperature)[2], n, self_weight)
         if feats is None:
-            logits(first, stop, a1, a2, out[first:stop])
+            out[first:stop] = edges
         else:
-            edges = _self_edges(_gate(logits(first, stop, a1, a2, z), temperature)[2], n, self_weight)
             np.matmul(edges, feats_data[first:stop], out=out[first:stop])
     out = out.reshape(lead + out.shape[1:])
     pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
@@ -548,27 +545,23 @@ def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: f
         # the activations' and logits' buffers take their gradients and sum the biases'
         walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst) = _chunked(
             lead, chunk, ((n * n, width), b1.requires_grad), ((n * n, width2), b2.requires_grad),
-            ((n * n, k), b_head.requires_grad), (w_head.shape, w_head.requires_grad or None),
+            ((n * n, 2), b_head.requires_grad), (w_head.shape, w_head.requires_grad or None),
             (w2.shape, w2.requires_grad or None), *[(w_src.shape, w1.requires_grad or None)] * 2)
         g_x = np.empty((frames, n, d)) if x.requires_grad else None
         g_feats = np.empty(feats_data.shape) if feats is not None and feats.requires_grad else None
         off_diagonal = 1.0 - np.eye(n)
         for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk) in walk:
-            if feats is None:
-                pairs(first, stop, a1, a2)
-                g_z[...] = g_frames[first:stop]
-            else:
-                g_chunk = g_frames[first:stop]
-                ahead, e, w = _gate(logits(first, stop, a1, a2, g_z), temperature)
-                if edge_grad:  # the edges' gradient, through the mask and the gate
-                    g_edges = np.matmul(g_chunk, np.swapaxes(feats_data[first:stop], -1, -2))
-                    g_edges *= off_diagonal
-                    _gate_grad(g_edges.reshape(w.shape), ahead, e, w, temperature, g_z)
-                if g_feats is not None:
-                    np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk,
-                              out=g_feats[first:stop])
-                if not edge_grad:
-                    continue
+            g_chunk = g_frames[first:stop]
+            ahead, e, w = _gate(logits(first, stop, a1, a2, g_z), temperature)
+            if edge_grad:  # the edges' gradient, through the mask and the gate
+                g_edges = g_chunk if feats is None else np.matmul(
+                    g_chunk, np.swapaxes(feats_data[first:stop], -1, -2))
+                _gate_grad((g_edges * off_diagonal).reshape(w.shape), ahead, e, w, temperature, g_z)
+            if g_feats is not None:
+                np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk,
+                          out=g_feats[first:stop])
+            if not edge_grad:
+                continue
             if head_chunk is not None:
                 np.matmul(np.swapaxes(a2, -1, -2), g_z, out=head_chunk)
             if not (pair_grad or w2.requires_grad or b2.requires_grad):
@@ -617,7 +610,7 @@ def encoder_mean(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     activation entries and sums each chunk through a ``_LeadSum`` over the
     frames, as numpy sums the contiguous lead axes of the mean; the node keeps
     only its operands' arrays and the mean.  Backward recomputes both layers a
-    chunk of whole first-axis slices at a time, like ``edge_block``.
+    chunk of whole first-axis slices at a time, like ``edge_matrix``.
     """
     if not (x.ndim >= 2 and w1.ndim == w2.ndim == 2 and w1.shape[0] == x.shape[-1]
             and w2.shape[0] == w1.shape[1] and [b1.shape, b2.shape] == [w1.shape[1:], w2.shape[1:]]):
@@ -682,8 +675,11 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
 
 
 def _gate(logits: np.ndarray, temperature: float):
-    """softmax_gate's weights of ``(..., 2)`` logits, with the comparison and
-    the smaller softmax numerator they come from."""
+    """The edge weights of ``(..., 2)`` logits, ``(..., 1)``: the second
+    component of their temperature softmax, the sigmoid of ``d = l1 / T - l0
+    / T`` as ``1 / (1 + exp(-|d|))`` or ``exp(-|d|) / (1 + exp(-|d|))``,
+    overflow-free and bit-equal to softmax; with the comparison and the
+    smaller softmax numerator they come from."""
     d = logits[..., 1:] / temperature - logits[..., :1] / temperature
     ahead = d >= 0
     e = np.exp(-np.abs(d))  # the smaller softmax numerator, over the larger one's 1
@@ -712,45 +708,6 @@ def _gate_grad(g: np.ndarray, ahead: np.ndarray, e: np.ndarray, w: np.ndarray, t
     out[..., :1] = first * (0.0 - inner) / temperature
     out[..., 1:] = w * (g - inner) / temperature
     return out
-
-
-def softmax_gate(a: Tensor, temperature: float = 1.0, self_weight: float | None = None) -> Tensor:
-    """Second component of ``softmax(a, axis=-1, temperature)`` for ``(..., 2)``
-    logits, shape ``(..., 1)``, as one node.
-
-    It is the sigmoid of ``d = l1 / T - l0 / T`` in the overflow-free form
-    ``1 / (1 + exp(-|d|))`` or ``exp(-|d|) / (1 + exp(-|d|))``; values and
-    gradients, ``(-g w (1 - w) / T, g w (1 - w) / T)``, are bit-equal to
-    softmax then the second split piece.
-
-    With ``self_weight`` (1.0 or 0.0), ``a`` holds the logits of the N * N
-    ordered pairs of N nodes, (..., N * N, 2) with pair (i, j) at i * N + j,
-    and the node is the (..., N, N) edge matrix: pairs i != j keep their
-    weight and each self edge is ``w * 0.0 + self_weight``, so a NaN weight
-    stays NaN.  Values and gradients are bit-equal to the gate reshaped,
-    times the off-diagonal mask, plus the identity when ``self_weight`` is 1.
-    The node keeps only its output; backward recomputes the weights.
-    """
-    temperature = float(temperature)
-    if temperature <= 0.0:
-        raise ValueError(f"softmax_gate: temperature must be > 0, got {temperature}")
-    if a.ndim < 1 or a.shape[-1] != 2:
-        raise ValueError(f"softmax_gate: expected (..., 2) logits, got shape {a.shape}")
-    logits = a.data  # as it is now: backward differentiates at these values
-    out = _gate(logits, temperature)[2]
-    n = math.isqrt(a.shape[-2]) if a.ndim >= 2 else 0  # nodes, if a holds N * N pairs
-    if self_weight is not None:
-        if not n or n * n != a.shape[-2]:
-            raise ValueError(f"softmax_gate: self edges need (..., N * N, 2) logits, got shape {a.shape}")
-        out = _self_edges(out, n, float(self_weight))
-
-    def bwd(g):
-        ahead, e, w = _gate(logits, temperature)
-        if self_weight is not None:  # through the off-diagonal mask: g * 1.0 and g * 0.0
-            g = (g * (1.0 - np.eye(n))).reshape(w.shape)
-        return (_gate_grad(g, ahead, e, w, temperature, np.empty(a.shape)),)
-
-    return _make(out, (a,), bwd)
 
 
 def softmax_nll(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -1093,7 +1050,7 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
     keeps nothing, and over no more rows than that takes every neuron in one
     pass, as the composed ops.  The node keeps only its operands, output and
     statistics, and its backward recomputes each group's activations, as
-    ``edge_block``.
+    ``edge_matrix``.
     """
     weights = (w1, b1, w2, b2) + (() if gamma is None else (gamma, beta))
     n, d, h = w1.shape if w1.ndim == 3 else (0, 0, 0)

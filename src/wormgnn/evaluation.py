@@ -130,8 +130,9 @@ def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
     and counted; no usable window at all raises.  Static edges come from the
     frames that windowing covers, as in training.
     """
-    if window_len < 1:
-        raise ValueError(f"per_step_mse: window_len must be >= 1, got {window_len}")
+    for name, value in (("steps", steps), ("window_len", window_len)):
+        if value < 1:
+            raise ValueError(f"per_step_mse: {name} must be >= 1, got {value}")
     totals = np.zeros(steps)
     counts = np.zeros(steps)
     used = skipped = 0

@@ -11,18 +11,17 @@ over the neuron axis (per-node layouts), with weights of its own per neuron
 for node_mlp and shared by every node for the predicting GNN; the linear
 baseline has no body, and its head is the linear map.  The graph network encodes
 node features, scores every ordered neuron pair with two logits whose
-temperature softmax's second component is the edge weight (``ad.softmax_gate``
-computes it from the logit difference, bit-equal to the softmax), and
-performs exactly one message-passing step H = A X (message_pass) over
+temperature softmax's second component is the edge weight, and performs
+exactly one message-passing step H = A X (message_pass) over
 NeuralModel.adjacency, the one edge source: the loaded connectome or the
 inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
-a (B, N, 2) frame.  The pair MLP and the edge head run as one autodiff node,
-``ad.edge_block``: its first layer acts on [h_i, h_j] factored per node (NRI,
-Kipf et al. 2018), and it runs forward and backward in frame chunks, keeping
-no pair-sized activation.  The gate, the off-diagonal mask and the self
-edges are one node with one (…, N, N) output.  For dynamic edges ``_stages``
-runs the edge block, the gate and the message pass as one chunked node,
-``ad.edge_message``, so no training step or rollout holds a (…, N, N) array.
+a (B, N, 2) frame.  The pair MLP, the edge head, the gate and the self
+edges run as one autodiff node, ``ad.edge_matrix``: its first layer acts on
+[h_i, h_j] factored per node (NRI, Kipf et al. 2018), and it runs forward
+and backward in frame chunks, keeping no pair-sized activation and one
+(…, N, N) output.  For dynamic edges ``_stages`` runs the edge matrix and
+the message pass as one chunked node, ``ad.edge_message``, so no training
+step or rollout holds a (…, N, N) array.
 Edges are inferred per timestep (dynamic), once for all frames supplied
 (static; node embeddings averaged over the whole stack before pairing, so a
 worm's recording yields one fixed matrix; ``ad.encoder_mean`` runs the
@@ -58,7 +57,6 @@ from .rng import derive_rng
 from .schema import check_field_types
 
 ONE_HOT_TEMPERATURE = 0.05
-EDGE_CHUNK_FRAMES = 256  # dynamic edges of a long recording are inferred in chunks this long
 CHECKPOINT_FORMAT = "wormgnn-checkpoint"
 CHECKPOINT_VERSION = 2  # version 1 held node_mlp weights as one node{i}.* set per neuron
 
@@ -170,9 +168,9 @@ class TwoLayerMlp:
     are a deterministic function of parameters and features in both modes;
     the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
     of the pair concatenation [x_i, x_j]; its layers run with the edge head
-    as one ``ad.edge_block`` (``NeuralModel.edge_weights``) or, for dynamic
-    edges in training and rollouts, with the gate and the message pass too
-    as one ``ad.edge_message``; the static encoder as one ``ad.encoder_mean``.
+    and the gate as one ``ad.edge_matrix`` (``NeuralModel.edge_weights``) or,
+    for dynamic edges in training and rollouts, with the message pass too as
+    one ``ad.edge_message``; the static encoder as one ``ad.encoder_mean``.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
@@ -279,7 +277,7 @@ class NeuralModel:
         # edge source; connectome mode uses a fixed structural matrix instead
         if kind is ModuleKind.GNN and config.edge_mode is not EdgeMode.CONNECTOME:
             self.encoder = block(TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False))
-            # the pair MLP's weights; edge_weights runs them with the head as one ad.edge_block
+            # the pair MLP's weights; edge_weights runs them with the head as one ad.edge_matrix
             self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False))
             self.edge_head = block(Linear("edge_head", hidden, 2, rng))
 
@@ -377,10 +375,10 @@ class NeuralModel:
         fixed for that whole temporal graph) and return (1, N, N); dynamic
         returns one matrix per frame, (…, N, N).
 
-        Each ordered pair's weight is ``ad.softmax_gate`` of the edge head's two
-        logits: the second component of their temperature softmax, computed
-        from the logit difference and bit-equal to that softmax; the same node
-        sets the self edges.
+        The pair MLP, the edge head, the gate and the self edges are one
+        ``ad.edge_matrix`` node: each ordered pair's weight is the second
+        component of the temperature softmax of the edge head's two logits,
+        computed from the logit difference and bit-equal to that softmax.
         """
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN:
@@ -395,12 +393,12 @@ class NeuralModel:
         else:  # one embedding per node, averaged over every frame, as one node
             mean = ad.encoder_mean(feats, *(p.tensor for p in self.encoder.parameters()))
             hidden = ad.reshape(mean, (1,) + mean.shape)
-        *weights, temperature, self_weight = self._edge_args()
-        return ad.softmax_gate(ad.edge_block(hidden, *weights), temperature, self_weight=self_weight)
+        return ad.edge_matrix(hidden, *self._edge_args())
 
     def _edge_args(self) -> list:
-        """The edge block's weights, the gate's temperature, and the self-edge
-        weight of the connectome convention: 1 when enabled, 0 when disabled."""
+        """The edge MLP's and edge head's weights, the gate's temperature, and
+        the self-edge weight of the connectome convention: 1 when enabled, 0
+        when disabled."""
         weights = self.edge_mlp.parameters() + self.edge_head.parameters()
         return [p.tensor for p in weights] + [self.edge_temperature(), float(self.config.include_self_edges)]
 
@@ -500,8 +498,9 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
     for a recording's frames (T, N, 2) or one frame (N, 2).
 
     Static, one-hot and connectome modes return one (N, N) matrix; dynamic
-    returns one per frame, (T, N, N), inferred EDGE_CHUNK_FRAMES frames at a
-    time so that memory stays bounded on long recordings.
+    returns one per frame, (T, N, N), from one ``edge_weights`` call, whose
+    node runs in frame chunks: besides the edges, memory holds the encoder's
+    (T, N, h) activations and one chunk's buffers.
     """
     frames = np.asarray(features, dtype=np.float64)
     if frames.ndim not in (2, 3):
@@ -514,9 +513,7 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
         fixed = model.fixed_adjacency(Tensor(frames[None]), training=False)
         if fixed is not None:
             return fixed.data.reshape(fixed.shape[-2:])
-        starts = range(0, len(frames), EDGE_CHUNK_FRAMES)
-        return np.concatenate([model.edge_weights(Tensor(frames[None, t : t + EDGE_CHUNK_FRAMES]),
-                                                  training=False).data[0] for t in starts])
+        return model.edge_weights(Tensor(frames[None]), training=False).data[0]
 
 
 def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -> np.ndarray:

@@ -60,6 +60,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if not self.learning_rate > 0:
+            raise ValueError(f"TrainConfig: learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay_factor < 1:
             raise ValueError(f"TrainConfig: lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         for name in ("max_epochs", "plateau_patience", "sampling_decay_epochs",

@@ -1,5 +1,7 @@
 """Stand-in models for tests of the rollout and evaluation code, and the
-composed references of the fused dynamic-edge node and the per-neuron body."""
+composed references of the fused edge nodes and the per-neuron body."""
+
+import math
 
 import numpy as np
 
@@ -29,11 +31,40 @@ class ConstantResidualModel:
         return Tensor(np.broadcast_to(self._residual, x.shape).copy()), rec_state
 
 
+def composed_edge_block(x, w1, b1, w2, b2, w_head, b_head):
+    """The edge MLP and its head from the composed ops: the logits (…, N * N,
+    k) of every ordered pair (i, j) of node embeddings ``x`` (…, N, d), at
+    i * N + j, with the first layer factored per node."""
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    w_src, w_dst = ad.split(w1, [d, d], axis=0)
+    width = w1.shape[-1]
+    src = ad.reshape(ad.matmul(x, w_src), lead + (n, 1, width))
+    dst = ad.reshape(ad.matmul(x, w_dst), lead + (1, n, width))
+    pairs = ad.reshape(ad.relu(ad.add(ad.add(src, dst), b1)), lead + (n * n, width))
+    return ad.linear(ad.linear(pairs, w2, b2, relu=True), w_head, b_head)
+
+
+def composed_gate(logits, temperature, self_weight):
+    """The (…, N, N) edge matrix of pair logits (…, N * N, 2): the second
+    piece of their temperature softmax, times the off-diagonal mask, plus the
+    identity for self edges."""
+    lead, n = logits.shape[:-2], math.isqrt(logits.shape[-2])
+    probs = ad.softmax(logits, axis=-1, temperature=temperature)
+    w = ad.mul(ad.reshape(ad.split(probs, [1, 1], axis=-1)[1], lead + (n, n)), Tensor(1.0 - np.eye(n)))
+    return ad.add(w, Tensor(np.eye(n))) if self_weight else w
+
+
+def composed_edge_matrix(hidden, w1, b1, w2, b2, w_head, b_head, temperature, self_weight):
+    """``ad.edge_matrix`` as the composed edge block and gate: the reference
+    it is bit-equal to."""
+    return composed_gate(composed_edge_block(hidden, w1, b1, w2, b2, w_head, b_head), temperature, self_weight)
+
+
 def composed_edge_message(hidden, feats, w1, b1, w2, b2, w_head, b_head, temperature, self_weight):
-    """``ad.edge_message`` as the edge block, the gate with its self edges and
-    a matmul, three nodes: the reference it is bit-equal to."""
-    logits = ad.edge_block(hidden, w1, b1, w2, b2, w_head, b_head)
-    return ad.matmul(ad.softmax_gate(logits, temperature, self_weight=self_weight), feats)
+    """``ad.edge_message`` as the composed edge matrix and a matmul: the
+    reference it is bit-equal to."""
+    edges = composed_edge_matrix(hidden, w1, b1, w2, b2, w_head, b_head, temperature, self_weight)
+    return ad.matmul(edges, feats)
 
 
 def composed_neuron_mlp(x, w1, b1, w2, b2, gamma=None, beta=None, stats=None):

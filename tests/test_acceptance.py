@@ -27,7 +27,7 @@ from wormgnn.data import (
 )
 from wormgnn.synth import SynthConfig, generate_worm, latent_trajectory, mixing_matrix
 
-from model_stubs import ConstantResidualModel
+from model_stubs import ConstantResidualModel, composed_edge_block
 
 GRAD_TOL = 1e-4
 
@@ -170,7 +170,7 @@ def test_criterion_3_edge_weight_normalization():
         hidden = model.encoder.forward(feats, training=False)
         # the pair MLP scores all 16 ordered pairs of the 4 node embeddings
         weights = model.edge_mlp.parameters() + model.edge_head.parameters()
-        logits = ad.edge_block(hidden, *(p.tensor for p in weights))
+        logits = composed_edge_block(hidden, *(p.tensor for p in weights))
         assert logits.shape == (100, 1, 16, 2)
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-9)

@@ -589,7 +589,9 @@ def test_rollout_outputs_table(tmp_path):
     ({"window_len": 0}, "window_len must be >= 1, got 0"),
     ({"window_len": 400}, "no window has the 16 frames"),
     ({"burn_in": -2}, "burn_in must be >= 0, got -2"),
-], ids=["zero_window", "window_too_long", "negative_burn_in"])
+    ({"steps": 0}, "error: per_step_mse: steps must be >= 1, got 0"),
+    ({"steps": -1}, "error: per_step_mse: steps must be >= 1, got -1"),
+], ids=["zero_window", "window_too_long", "negative_burn_in", "zero_steps", "negative_steps"])
 def test_rollout_rejects_unusable_windows(tmp_path, capsys, roll, message):
     data = gen_synth(tmp_path)
     run = tmp_path / "run"
@@ -819,7 +821,8 @@ def test_integer_config_keys_reject_other_values(tmp_path, capsys, predict_run, 
     ("model", "recurrent", "false", "ModelConfig: recurrent must be true or false, got 'false'"),
     ("train", "max_epochs", 2.5, "TrainConfig: max_epochs must be an integer, got 2.5"),
     ("train", "learning_rate", "0.1", "TrainConfig: learning_rate must be a number, got '0.1'"),
-], ids=["hidden_dim", "recurrent", "max_epochs", "learning_rate"])
+    ("train", "learning_rate", -0.1, "TrainConfig: learning_rate must be > 0, got -0.1"),
+], ids=["hidden_dim", "recurrent", "max_epochs", "learning_rate", "negative_learning_rate"])
 def test_wrong_typed_section_field_is_one_error_line(tmp_path, capsys, predict_run, section, key,
                                                      value, message):
     config = train_config(predict_run[0])

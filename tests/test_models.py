@@ -14,7 +14,8 @@ from wormgnn import training as tr
 from wormgnn.autodiff import Tensor
 from wormgnn.rng import derive_rng
 
-from model_stubs import ConstantResidualModel, composed_edge_message, composed_neuron_mlp
+from model_stubs import (ConstantResidualModel, composed_edge_block, composed_edge_message, composed_gate,
+                         composed_neuron_mlp)
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -151,13 +152,6 @@ def test_factored_pair_mlp_matches_concat_reference(mode):
             assert np.allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12), name
 
 
-def edge_logits(model, hidden: Tensor) -> Tensor:
-    """The edge head's logits (…, N * N, 2) for node embeddings, as
-    NeuralModel.edge_weights computes them."""
-    weights = model.edge_mlp.parameters() + model.edge_head.parameters()
-    return ad.edge_block(hidden, *(p.tensor for p in weights))
-
-
 def softmax_edge_weights(model, feats: Tensor) -> Tensor:
     """NeuralModel.edge_weights with each edge read as the second piece of the
     edge head's full temperature softmax: the reference for the gate."""
@@ -165,10 +159,9 @@ def softmax_edge_weights(model, feats: Tensor) -> Tensor:
     n = hidden.shape[-2]
     if model.config.edge_mode is not m.EdgeMode.DYNAMIC:
         hidden = ad.reshape(hidden.mean(axis=(0, 1)), (1, n, hidden.shape[-1]))
-    logits = edge_logits(model, hidden)
-    probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature())
-    w = ad.reshape(ad.split(probs, [1, 1], axis=-1)[1], hidden.shape[:-2] + (n, n))
-    return ad.add(ad.mul(w, Tensor(1.0 - np.eye(n))), Tensor(np.eye(n)))
+    weights = model.edge_mlp.parameters() + model.edge_head.parameters()
+    logits = composed_edge_block(hidden, *(p.tensor for p in weights))
+    return composed_gate(logits, model.edge_temperature(), model.config.include_self_edges)
 
 
 @pytest.mark.parametrize("mode", INFERRED_MODES, ids=lambda mode: mode.value)
@@ -203,15 +196,16 @@ def test_edge_gate_equals_second_softmax_component(mode, head_scale):
 def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
     # each ReLU is part of its layer's node: the graph has no relu node and
     # owns one activation array per layer (fc1, fc2); reshapes are views.  The
-    # pairwise layers run with the edge head as one ad.edge_block, whose two
-    # (…, N * N, h) activations stay inside the node: the graph owns none
+    # pairwise layers run with the edge head and the gate as one
+    # ad.edge_matrix, whose two (…, N * N, h) activations stay inside the
+    # node: the graph owns none
     rng = np.random.default_rng(0)
     mlp = m.TwoLayerMlp("edge", 6 if pairwise else 3, 7, rng, batchnorm=False)
     x = Tensor(rng.normal(size=(2, 5, 3)))
     if pairwise:
         head = m.Linear("edge_head", 7, 2, rng)
-        out = ad.edge_block(x, *(p.tensor for p in mlp.parameters() + head.parameters()))
-        assert out.shape == (2, 25, 2)
+        out = ad.edge_matrix(x, *(p.tensor for p in mlp.parameters() + head.parameters()), 1.0, 1.0)
+        assert out.shape == (2, 5, 5)
     else:
         out = mlp.forward(x, training=True)
         assert out.shape == (2, 5, 7)
@@ -466,16 +460,37 @@ def test_static_mode_single_matrix_dynamic_per_timestep():
     assert not np.allclose(adjs[0], adjs[1])
 
 
-def test_dynamic_edges_chunked_equal_whole_stack():
-    # a recording longer than one chunk: chunked inference equals one pass over every frame
+def test_dynamic_edges_chunked_equal_whole_stack(monkeypatch):
+    # one encode_edges call runs ad.edge_matrix in frame chunks: in chunks of
+    # 7 frames (the last one 3) it equals one chunk over every frame
     model = m.NeuralModel(gnn_config(edge_mode=m.EdgeMode.DYNAMIC), master_seed=2)
-    length = 2 * m.EDGE_CHUNK_FRAMES + 37
-    frames = np.random.default_rng(3).normal(size=(length, 4, 2))
-    with ad.no_grad():
-        whole = model.edge_weights(Tensor(frames[None]), training=False).data[0]
-    chunked = m.encode_edges(frames, model)
-    assert chunked.shape == (length, 4, 4)
+    frames = np.random.default_rng(3).normal(size=(73, 4, 2))
+    edges = []
+    for chunk_frames in (7, 73):
+        monkeypatch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_frames * 4 * 4 * 8)
+        edges.append(m.encode_edges(frames, model))
+    chunked, whole = edges
+    assert chunked.shape == (73, 4, 4)
     assert np.array_equal(chunked, whole)
+    assert np.array_equal(chunked[40], m.encode_edges(frames[40], model)[0])
+
+
+def test_dynamic_edge_dump_peak_memory():
+    # encode_edges of 800 frames of 60 neurons at hidden 16 holds the
+    # returned (T, N, N) edges, the encoder's two (T, N, h) activations and
+    # the edge node's chunk buffers, about 35.7 MiB; inferring 256 frames at
+    # a time and concatenating peaked at 59 MiB
+    model = m.NeuralModel(gnn_config(n=60, hidden=16, edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
+    frames = np.random.default_rng(0).normal(size=(800, 60, 2))
+    bound = (800 * 60 * 60 + 2 * 800 * 60 * 16 + 4 * ad.EDGE_CHUNK_ENTRIES) * 8  # bytes
+    tracemalloc.start()
+    try:
+        edges = m.encode_edges(frames, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.shape == (800, 60, 60)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_one_hot_mode_saturates_more_than_unit_temperature():

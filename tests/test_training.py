@@ -460,6 +460,13 @@ def test_negative_burn_in_rejected():
         tr.TrainConfig(burn_in=-1)
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.1, float("nan")])
+def test_non_positive_learning_rate_rejected(rate):
+    # a negative rate ran gradient ascent, and a zero one never moved
+    with pytest.raises(ValueError, match=rf"TrainConfig: learning_rate must be > 0, got {rate}"):
+        tr.TrainConfig(learning_rate=rate)
+
+
 def test_prepare_worm_pins_starts_folds_and_targets():
     # pinned: any change here moves every fold split and so every recorded result;
     # each window's six labels tie 3-3, so fold grouping goes through the tie rule
