@@ -2,11 +2,11 @@
 
 The op set is what the models in this package need: matmul, ``linear``
 (x @ w + b as one graph node, bit-equal to matmul then add, with an
-optional fused ReLU), ``edge_matrix`` (the edge MLP, its head and the gate
-as one node, below), ``edge_message`` (the edge matrix and the message pass
-over it as one node), ``encoder_mean`` (two such layers averaged over every
-frame, as one node), ``batch_norm``, ``neuron_mlp`` and ``lstm_cell`` (one
-node each, below), ``softmax_nll``, elementwise add/sub/mul, scalar scale,
+optional fused ReLU), ``edge_matrix`` (node features to edges: the
+encoder, the edge MLP, its head and the gate as one node, below),
+``edge_message`` (the edge matrix and the message pass over it as one
+node), ``batch_norm``, ``neuron_mlp`` and ``lstm_cell`` (one node each,
+below), ``softmax_nll``, elementwise add/sub/mul, scalar scale,
 ReLU, concatenation and sum/mean reductions.  A fused ReLU rectifies its
 node's own output buffer in place, so an activated layer keeps one array in
 the graph, not two; its values and gradients are bit-equal to the composed
@@ -40,27 +40,28 @@ up to which of two meeting NaNs it keeps).  ``softmax_nll`` is the masked
 mean negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it
 takes logits, not probabilities, and stays finite when logits saturate.
 
-``edge_matrix`` scores every ordered pair of node embeddings with its first
-layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j] W = x_i W_top +
-x_j W_bot.  Each pair's edge weight is the second component of the
-temperature softmax of its two logits, computed from their difference,
-overflow-free (``_gate``), and the self edges get a fixed weight; values
-and gradients are bit-equal to the composed ops up to the sign of a NaN.  Both passes run over
-frame chunks of about EDGE_CHUNK_ENTRIES entries through reused buffers, so
-the node keeps no (…, N * N, h) activation, only its operands and the
+``edge_matrix`` goes from node features to edges.  Its encoder embeds each
+node with two ReLU layers, averaged over every frame for a fixed matrix
+(static and one-hot edges), and it scores every ordered pair of embeddings
+with its first layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j]
+W = x_i W_top + x_j W_bot.  Each pair's edge weight is the second component
+of the temperature softmax of its two logits, computed from their
+difference, overflow-free (``_gate``), and the self edges get a fixed
+weight; values and gradients are bit-equal to the composed ops up to the
+sign of a NaN.  Both passes run over frame chunks of about
+EDGE_CHUNK_ENTRIES entries through reused buffers, so the node keeps no
+(…, N, d) embedding or (…, N * N, h) activation, only its operands and the
 (…, N, N) edges, and its backward allocates none: it recomputes each
-chunk's activations and edges (gradient checkpointing, Chen et al. 2016),
-writes each gradient into the buffer of the activation it replaces, and
-sums the weights' per-frame gradients over the frames through
+chunk's embeddings, activations and edges (gradient checkpointing, Chen et
+al. 2016), writes each gradient into the buffer of the activation it
+replaces, and sums the weights' per-frame gradients over the frames through
 ``_LeadSum``, in numpy's order.  ``edge_message`` adds the message pass
 ``A X`` on each chunk's edges and keeps only its operands and output, so a
-dynamic-edge training step or rollout holds no (…, N, N) array.
-``encoder_mean`` runs the static edges' encoder over a whole recording the
-same way and keeps only its (N, h) mean.  The three nodes walk their chunks
-and fold their sums through one function, ``_chunked``.
+dynamic-edge training step or rollout holds no (…, N, N) array.  Both walk
+their chunks and fold their sums through one function, ``_chunked``.
 
 The backward of add, sub, mul, matmul, linear, edge_matrix, edge_message,
-encoder_mean, batch_norm, neuron_mlp and lstm_cell computes no gradient
+batch_norm, neuron_mlp and lstm_cell computes no gradient
 for an operand that does not require one (inputs, masks, targets).  ReLU,
 fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
 input stays NaN, so a NaN pre-activation reaches the loss.
@@ -96,7 +97,6 @@ __all__ = [
     "linear",
     "edge_matrix",
     "edge_message",
-    "encoder_mean",
     "relu",
     "softmax",
     "softmax_nll",
@@ -376,7 +376,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of the chunked nodes below
+EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of the edge nodes below
 
 
 class _LeadSum:
@@ -447,11 +447,14 @@ def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return np.maximum(out, 0.0, out=out)
 
 
-def edge_matrix(hidden: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w_head: Tensor,
-                b_head: Tensor, temperature: float, self_weight: float) -> Tensor:
-    """The (…, N, N) edge matrix of node embeddings ``hidden`` (…, N, d) as
-    one node.
+def edge_matrix(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, enc_b2: Tensor, w1: Tensor,
+                b1: Tensor, w2: Tensor, b2: Tensor, w_head: Tensor, b_head: Tensor, temperature: float,
+                self_weight: float, fixed: bool = False) -> Tensor:
+    """The (…, N, N) edge matrix of node features ``feats`` (…, N, c) as one
+    node, or with ``fixed`` one (1, N, N) matrix for every frame.
 
+    The encoder embeds each node, ``x = relu(relu(feats enc_w1 + enc_b1)
+    enc_w2 + enc_b2)`` (…, N, d), averaged over the lead axes with ``fixed``.
     The pair MLP scores every ordered pair (i, j) with its first layer acting
     on [x_i, x_j] through the (2d, h) weight ``w1``: ``a1 = relu(x_i w1[:d] +
     x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 + b2)`` and two logits ``z =
@@ -459,67 +462,87 @@ def edge_matrix(hidden: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, 
     temperature softmax, the sigmoid of ``z1 / T - z0 / T`` in an
     overflow-free form (``_gate``); each self edge is ``w * 0.0 +
     self_weight``, so a NaN weight stays NaN.  Values and gradients are
-    bit-equal to ``split``, ``matmul``, ``add``, ``add``, ``relu``,
-    ``linear(relu=True)``, ``linear``, ``softmax``, ``split``, the
+    bit-equal to ``linear(relu=True)`` twice (with ``fixed``, then
+    ``tensor_mean`` and ``reshape``), ``split``, ``matmul``, ``add``, ``add``,
+    ``relu``, ``linear(relu=True)``, ``linear``, ``softmax``, ``split``, the
     off-diagonal mask and, for ``self_weight`` 1, the identity, up to the
-    sign of a NaN.  The forward
-    runs the frames (the lead axes, flattened) in chunks of about
-    EDGE_CHUNK_ENTRIES activation entries through reused buffers and writes
-    each chunk's edges into the output, the node's one (…, N, N) array.
-    Backward runs in chunks too, each of whole slices of the first lead axis:
-    it recomputes the chunk's ``a1``, ``a2`` and edges, overwrites each
-    activation with its gradient, writes the per-frame gradients of
-    ``hidden`` into their output and adds each weight's and bias's per-frame
-    terms to a ``_LeadSum``.  Every backward through the node, not only the
-    first, gets the composed ops' gradients.
+    sign of a NaN.  The forward runs the frames (the lead axes, flattened) in
+    chunks of about EDGE_CHUNK_ENTRIES activation entries through reused
+    buffers, writing each chunk's edges into the node's one (…, N, N) array;
+    with ``fixed`` a first such pass sums the embeddings, and the pairs are
+    scored once.  Backward runs in chunks of whole slices of the first lead
+    axis: it recomputes the chunk's embeddings, ``a1``, ``a2`` and edges,
+    overwrites each activation with its gradient, writes the features'
+    per-frame gradients into their output and adds each weight's and bias's
+    per-frame terms to a ``_LeadSum``.  Every backward through the node, not
+    only the first, gets the composed ops' gradients.
     """
-    return _edge_node("edge_matrix", hidden, None, (w1, b1, w2, b2, w_head, b_head),
-                      float(temperature), float(self_weight))
+    return _edge_node("edge_matrix", feats, False, (enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head,
+                                                    b_head), float(temperature), float(self_weight), fixed)
 
 
-def edge_message(hidden: Tensor, feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 w_head: Tensor, b_head: Tensor, temperature: float, self_weight: float) -> Tensor:
-    """``matmul(edge_matrix(hidden, …), feats)`` (…, N, F) for node
-    embeddings ``hidden`` (…, N, d) as one node; values and gradients are
-    bit-equal to those two nodes.  Both passes run ``edge_matrix``'s frame
-    chunks, and no pass holds a (…, N, N) array: backward recomputes each
-    chunk's edges, then forms ``Aᵀ g`` and ``g featsᵀ``, the edges' gradient."""
-    return _edge_node("edge_message", hidden, feats, (w1, b1, w2, b2, w_head, b_head),
-                      float(temperature), float(self_weight))
+def edge_message(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, enc_b2: Tensor, w1: Tensor,
+                 b1: Tensor, w2: Tensor, b2: Tensor, w_head: Tensor, b_head: Tensor, temperature: float,
+                 self_weight: float) -> Tensor:
+    """``matmul(edge_matrix(feats, …), feats)`` (…, N, c) as one node; values
+    and gradients are bit-equal to those two nodes.  Both passes run
+    ``edge_matrix``'s frame chunks, and no pass holds a (…, N, N) or
+    (…, N, d) array: backward recomputes each chunk's embeddings and edges,
+    then forms ``Aᵀ g`` and ``g featsᵀ``, the edges' gradient.  The node lists
+    ``feats`` twice among its parents, as the messages and then as the
+    encoder's input, so ``backward`` adds their two gradients in the order
+    the two composed nodes hand them back."""
+    return _edge_node("edge_message", feats, True, (enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head,
+                                                    b_head), float(temperature), float(self_weight), False)
 
 
-def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: float,
-               self_weight: float) -> Tensor:
-    """``edge_matrix`` for ``feats`` None, else ``edge_message``."""
-    w1, b1, w2, b2, w_head, b_head = weights
-    if not (x.ndim >= 2 and w1.ndim == w2.ndim == w_head.ndim == 2
-            and w1.shape[0] == 2 * x.shape[-1] and w2.shape[0] == w1.shape[1]
-            and w_head.shape == (w2.shape[1], 2)
-            and [b1.shape, b2.shape, b_head.shape] == [w.shape[1:] for w in (w1, w2, w_head)]):
-        shapes = ", ".join(str(t.shape) for t in (x,) + tuple(weights))
-        raise ValueError(f"{op}: shapes {shapes} do not chain as "
-                         "(…, N, d), (2d, h), (h,), (h, h2), (h2,), (h2, 2), (2,)")
-    if feats is not None and (feats.ndim != x.ndim or feats.shape[:-1] != x.shape[:-1]):
-        raise ValueError(f"{op}: features {feats.shape} must match node embeddings {x.shape}")
+def _edge_node(op: str, feats: Tensor, message: bool, weights, temperature: float, self_weight: float,
+               fixed: bool) -> Tensor:
+    """``edge_message`` for ``message``, else ``edge_matrix``."""
+    enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head, b_head = weights
+    layers = weights[::2]
+    if not (feats.ndim >= 2 and all(w.ndim == 2 for w in layers)
+            and [w.shape[0] for w in layers] == [feats.shape[-1], enc_w1.shape[1], 2 * enc_w2.shape[1],
+                                                 w1.shape[1], w2.shape[1]]
+            and w_head.shape[1] == 2 and [b.shape for b in weights[1::2]] == [w.shape[1:] for w in layers]):
+        shapes = ", ".join(str(t.shape) for t in (feats,) + tuple(weights))
+        raise ValueError(f"{op}: shapes {shapes} do not chain as (…, N, c), (c, e), (e,), (e, d), (d,), "
+                         "(2d, h), (h,), (h, h2), (h2,), (h2, 2), (2,)")
     if temperature <= 0.0:
         raise ValueError(f"{op}: temperature must be > 0, got {temperature}")
-    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    lead, n, c = feats.shape[:-2], feats.shape[-2], feats.shape[-1]
     frames = math.prod(lead)
     # the arrays as they are now: backward differentiates at these values
-    x_data, b1_data, w2_data, b2_data, w_head_data, b_head_data = (
-        t.data for t in (x, b1, w2, b2, w_head, b_head))
-    w_src, w_dst = w1.data[:d], w1.data[d:]
+    enc_w1_data, enc_b1_data, enc_w2_data, enc_b2_data, w1_data, b1_data, w2_data, b2_data, w_head_data, \
+        b_head_data = (t.data for t in weights)
+    e, d = enc_w1.shape[1], enc_w2.shape[1]
+    w_src, w_dst = w1_data[:d], w1_data[d:]
     width, width2 = w1.shape[1], w2.shape[1]
-    x_frames = x_data.reshape(frames, n, d)
-    feats_data = None if feats is None else feats.data.reshape(frames, n, feats.shape[-1])
+    x_frames = feats.data.reshape(frames, n, c)
+    enc_chunk = max(1, EDGE_CHUNK_ENTRIES // (n * max(e, d)))
 
-    def logits(first, stop, a1, a2, out):
-        """The logits of frames [first, stop) into ``out`` (F, N * N, 2), the
-        pair layer ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1``
+    def encode(first, stop, e1, e2):
+        """Frames [first, stop) embedded into ``e2`` (F, N, d), via ``e1`` (F, N, e)."""
+        return _dense_relu(_dense_relu(x_frames[first:stop], enc_w1_data, enc_b1_data, e1), enc_w2_data,
+                           enc_b2_data, e2)
+
+    hidden = None  # with ``fixed``, the one frame of mean embeddings (1, N, d)
+    if fixed:
+        walk, (total, _) = _chunked((frames,), enc_chunk, ((n, d), True), ((n, e), False))
+        for first, stop, (e2, e1) in walk:
+            encode(first, stop, e1, e2)
+        hidden = (total.total((n, d)) / frames).reshape(1, n, d)
+    pair_lead, pairs = ((1,), 1) if fixed else (lead, frames)
+
+    def embeddings(first, stop, e1=None, e2=None):
+        return hidden[first:stop] if fixed else encode(first, stop, e1, e2)
+
+    def logits(x, a1, a2, out):
+        """The logits of embeddings ``x`` (F, N, d) into ``out`` (F, N * N, 2),
+        the pair layer ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1``
         (F, N * N, h) and ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2)."""
-        x_chunk = x_frames[first:stop]
-        np.add(np.matmul(x_chunk, w_src).reshape(-1, n, 1, width),
-               np.matmul(x_chunk, w_dst).reshape(-1, 1, n, width), out=a1.reshape(-1, n, n, width))
+        np.add(np.matmul(x, w_src).reshape(-1, n, 1, width),
+               np.matmul(x, w_dst).reshape(-1, 1, n, width), out=a1.reshape(-1, n, n, width))
         a1 += b1_data
         np.maximum(a1, 0.0, out=a1)
         np.matmul(_dense_relu(a1, w2_data, b2_data, a2), w_head_data, out=out)
@@ -527,39 +550,62 @@ def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: f
         return out
 
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
-    walk, _ = _chunked((frames,), chunk, ((n * n, width), False), ((n * n, width2), False),
-                       ((n * n, 2), False))
-    out = np.empty((frames, n, n) if feats is None else feats_data.shape)
-    for first, stop, (a1, a2, z) in walk:
-        edges = _self_edges(_gate(logits(first, stop, a1, a2, z), temperature)[2], n, self_weight)
-        if feats is None:
-            out[first:stop] = edges
+    per_frame = None if fixed else False  # the embeddings' buffers, when each frame has its own
+    walk, _ = _chunked((pairs,), chunk, ((n * n, width), False), ((n * n, width2), False),
+                       ((n * n, 2), False), ((n, e), per_frame), ((n, d), per_frame))
+    out = np.empty(x_frames.shape if message else (pairs, n, n))
+    for first, stop, (a1, a2, z, e1, e2) in walk:
+        edges = _self_edges(_gate(logits(embeddings(first, stop, e1, e2), a1, a2, z), temperature)[2], n,
+                            self_weight)
+        if message:
+            np.matmul(edges, x_frames[first:stop], out=out[first:stop])
         else:
-            np.matmul(edges, feats_data[first:stop], out=out[first:stop])
-    out = out.reshape(lead + out.shape[1:])
-    pair_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
-    edge_grad = pair_grad or any(t.requires_grad for t in weights)
+            out[first:stop] = edges
+    out = out.reshape(pair_lead + out.shape[1:])
+    first_grad = feats.requires_grad or enc_w1.requires_grad or enc_b1.requires_grad
+    hidden_grad = first_grad or enc_w2.requires_grad or enc_b2.requires_grad
+    pair_grad = hidden_grad or w1.requires_grad or b1.requires_grad
+    edge_grad = pair_grad or any(t.requires_grad for t in weights[4:])
 
     def bwd(g):
-        g_frames = g.reshape((frames,) + g.shape[len(lead):])
+        g_frames = g.reshape((pairs,) + g.shape[len(pair_lead):])
+        g_msg = np.empty(x_frames.shape) if message and feats.requires_grad else None
+        g_enc = np.empty(x_frames.shape) if feats.requires_grad else None
+
+        def encoder_grads(first, stop, g_x, e1, e2, fc1_chunk, fc2_chunk):
+            """The encoder's backward on frames [first, stop) from the embeddings'
+            gradient ``g_x``; ``e1`` and ``e2`` take their layers' gradients."""
+            g2 = np.multiply(g_x, e2 > 0, out=e2)
+            if fc2_chunk is not None:
+                np.matmul(np.swapaxes(e1, -1, -2), g2, out=fc2_chunk)
+            if not first_grad:
+                return
+            mask = e1 > 0
+            g1 = np.matmul(g2, np.swapaxes(enc_w2_data, -1, -2), out=e1)
+            g1 *= mask
+            if fc1_chunk is not None:
+                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1_chunk)
+            if g_enc is not None:
+                np.matmul(g1, np.swapaxes(enc_w1_data, -1, -2), out=g_enc[first:stop])
+
         # the activations' and logits' buffers take their gradients and sum the biases'
-        walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst) = _chunked(
-            lead, chunk, ((n * n, width), b1.requires_grad), ((n * n, width2), b2.requires_grad),
+        enc_terms = (((n, e), enc_b1.requires_grad), ((n, d), enc_b2.requires_grad),
+                     (enc_w1.shape, enc_w1.requires_grad or None), (enc_w2.shape, enc_w2.requires_grad or None))
+        walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst, _, *enc_sums) = _chunked(
+            pair_lead, chunk, ((n * n, width), b1.requires_grad), ((n * n, width2), b2.requires_grad),
             ((n * n, 2), b_head.requires_grad), (w_head.shape, w_head.requires_grad or None),
-            (w2.shape, w2.requires_grad or None), *[(w_src.shape, w1.requires_grad or None)] * 2)
-        g_x = np.empty((frames, n, d)) if x.requires_grad else None
-        g_feats = np.empty(feats_data.shape) if feats is not None and feats.requires_grad else None
+            (w2.shape, w2.requires_grad or None), *[(w_src.shape, w1.requires_grad or None)] * 2,
+            ((n, d), False if hidden_grad else None), *(() if fixed else enc_terms))
         off_diagonal = 1.0 - np.eye(n)
-        for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk) in walk:
+        for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk, g_x, *enc) in walk:
             g_chunk = g_frames[first:stop]
-            ahead, e, w = _gate(logits(first, stop, a1, a2, g_z), temperature)
+            x = embeddings(first, stop, *enc[:2])
+            ahead, gate_e, w = _gate(logits(x, a1, a2, g_z), temperature)
             if edge_grad:  # the edges' gradient, through the mask and the gate
-                g_edges = g_chunk if feats is None else np.matmul(
-                    g_chunk, np.swapaxes(feats_data[first:stop], -1, -2))
-                _gate_grad((g_edges * off_diagonal).reshape(w.shape), ahead, e, w, temperature, g_z)
-            if g_feats is not None:
-                np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk,
-                          out=g_feats[first:stop])
+                g_edges = np.matmul(g_chunk, np.swapaxes(x_frames[first:stop], -1, -2)) if message else g_chunk
+                _gate_grad((g_edges * off_diagonal).reshape(w.shape), ahead, gate_e, w, temperature, g_z)
+            if g_msg is not None:
+                np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk, out=g_msg[first:stop])
             if not edge_grad:
                 continue
             if head_chunk is not None:
@@ -581,80 +627,33 @@ def _edge_node(op: str, x: Tensor, feats: Tensor | None, weights, temperature: f
             g_dst = _unbroadcast(g1, (stop - first, 1, n, width)).reshape(-1, n, width)
             if g_x is not None:
                 np.add(np.matmul(g_src, np.swapaxes(w_src, -1, -2)),
-                       np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)), out=g_x[first:stop])
-            if src_chunk is not None:
-                x_t = np.swapaxes(x_frames[first:stop], -1, -2)
+                       np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)), out=g_x)
+            if src_chunk is not None:  # before the encoder's backward overwrites the embeddings
+                x_t = np.swapaxes(x, -1, -2)
                 np.matmul(x_t, g_src, out=src_chunk)
                 np.matmul(x_t, g_dst, out=dst_chunk)
+            if enc and hidden_grad:
+                encoder_grads(first, stop, g_x, *enc)
+        if fixed and hidden_grad:  # the mean's gradient, each frame's share, through every frame
+            g_x = g_x.reshape(n, d) / frames  # the one chunk's buffer: the pairs are one frame
+            walk, enc_sums = _chunked(lead, enc_chunk, *enc_terms)
+            for first, stop, enc in walk:
+                encode(first, stop, *enc[:2])
+                encoder_grads(first, stop, g_x, *enc)
+        enc_layer1, enc_layer2, enc_fc1, enc_fc2 = enc_sums or (None,) * 4
         g_w1 = None
         if from_src:
             g_w1 = np.empty(w1.shape)
             g_w1[:d], g_w1[d:] = from_src.total(w_src.shape), from_dst.total(w_dst.shape)
-        grads = (None if g_x is None else g_x.reshape(x.shape),
-                 None if g_feats is None else g_feats.reshape(feats.shape), g_w1,
-                 layer1 and layer1.total(b1.shape, (n, n, width)), fc2 and fc2.total(w2.shape),
-                 layer2 and layer2.total(b2.shape), head and head.total(w_head.shape),
+        grads = (None if g_msg is None else g_msg.reshape(feats.shape),
+                 None if g_enc is None else g_enc.reshape(feats.shape), enc_fc1 and enc_fc1.total(enc_w1.shape),
+                 enc_layer1 and enc_layer1.total(enc_b1.shape), enc_fc2 and enc_fc2.total(enc_w2.shape),
+                 enc_layer2 and enc_layer2.total(enc_b2.shape), g_w1, layer1 and layer1.total(b1.shape, (n, n, width)),
+                 fc2 and fc2.total(w2.shape), layer2 and layer2.total(b2.shape), head and head.total(w_head.shape),
                  head_bias and head_bias.total(b_head.shape))
-        return grads if feats is not None else grads[:1] + grads[2:]
+        return grads if message else grads[1:]
 
-    return _make(out, (x,) + (() if feats is None else (feats,)) + tuple(weights), bwd)
-
-
-def encoder_mean(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``relu(relu(x w1 + b1) w2 + b2)`` for node features ``x`` (…, N, d),
-    averaged over every lead axis, as one node: (N, h2).
-
-    Values and gradients are bit-equal to ``linear(relu=True)`` twice, then
-    ``tensor_mean`` over the lead axes.  The forward runs both layers over the
-    frames (the lead axes, flattened) in chunks of about EDGE_CHUNK_ENTRIES
-    activation entries and sums each chunk through a ``_LeadSum`` over the
-    frames, as numpy sums the contiguous lead axes of the mean; the node keeps
-    only its operands' arrays and the mean.  Backward recomputes both layers a
-    chunk of whole first-axis slices at a time, like ``edge_matrix``.
-    """
-    if not (x.ndim >= 2 and w1.ndim == w2.ndim == 2 and w1.shape[0] == x.shape[-1]
-            and w2.shape[0] == w1.shape[1] and [b1.shape, b2.shape] == [w1.shape[1:], w2.shape[1:]]):
-        shapes = ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2))
-        raise ValueError(f"encoder_mean: shapes {shapes} do not chain as (…, N, d), (d, h), (h,), (h, h2), (h2,)")
-    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
-    frames = math.prod(lead)
-    # the arrays as they are now: backward differentiates at these values
-    x_data, w1_data, b1_data, w2_data, b2_data = (t.data for t in (x, w1, b1, w2, b2))
-    x_frames = x_data.reshape(frames, n, d)
-    width, width2 = w1.shape[1], w2.shape[1]
-    chunk = max(1, EDGE_CHUNK_ENTRIES // (n * max(width, width2)))
-    walk, (total, _) = _chunked((frames,), chunk, ((n, width2), True), ((n, width), False))
-    for first, stop, (a2, a1) in walk:
-        _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1), w2_data, b2_data, a2)
-    out = total.total((n, width2)) / frames
-
-    def bwd(g):
-        g = g / frames  # each frame's share, as tensor_mean hands it back
-        # the activations' buffers take their gradients and sum the biases'
-        walk, (layer1, layer2, fc1, fc2) = _chunked(
-            lead, chunk, ((n, width), b1.requires_grad), ((n, width2), b2.requires_grad),
-            (w1.shape, w1.requires_grad or None), (w2.shape, w2.requires_grad or None))
-        first_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
-        g_x = np.empty((frames, n, d)) if x.requires_grad else None
-        for first, stop, (a1, a2, fc1_chunk, fc2_chunk) in walk:
-            _dense_relu(_dense_relu(x_frames[first:stop], w1_data, b1_data, a1), w2_data, b2_data, a2)
-            g2 = np.multiply(g, a2 > 0, out=a2)
-            if fc2_chunk is not None:
-                np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2_chunk)
-            if not first_grad:
-                continue
-            mask = a1 > 0
-            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
-            g1 *= mask
-            if fc1_chunk is not None:
-                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1_chunk)
-            if g_x is not None:
-                np.matmul(g1, np.swapaxes(w1_data, -1, -2), out=g_x[first:stop])
-        return (None if g_x is None else g_x.reshape(x.shape), fc1 and fc1.total(w1.shape),
-                layer1 and layer1.total(b1.shape), fc2 and fc2.total(w2.shape),
-                layer2 and layer2.total(b2.shape))
-
-    return _make(out, (x, w1, b1, w2, b2), bwd)
+    return _make(out, (feats,) * (1 + message) + tuple(weights), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

@@ -378,8 +378,8 @@ def load_connectome_triples(path) -> list[tuple[str, str, float]]:
             weight = float(parts[2])
         except ValueError:
             raise RecordingFormatError(f"{path}:{lineno}: weight {parts[2]!r} is not a number") from None
-        if weight < 0:
-            raise RecordingFormatError(f"{path}:{lineno}: weight must be >= 0, got {weight}")
+        if not 0 <= weight < np.inf:
+            raise RecordingFormatError(f"{path}:{lineno}: weight must be finite and >= 0, got {parts[2]}")
         triples.append((parts[0], parts[1], weight))
     return triples
 

@@ -15,17 +15,17 @@ temperature softmax's second component is the edge weight, and performs
 exactly one message-passing step H = A X (message_pass) over
 NeuralModel.adjacency, the one edge source: the loaded connectome or the
 inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
-a (B, N, 2) frame.  The pair MLP, the edge head, the gate and the self
-edges run as one autodiff node, ``ad.edge_matrix``: its first layer acts on
-[h_i, h_j] factored per node (NRI, Kipf et al. 2018), and it runs forward
-and backward in frame chunks, keeping no pair-sized activation and one
-(…, N, N) output.  For dynamic edges ``_stages`` runs the edge matrix and
-the message pass as one chunked node, ``ad.edge_message``, so no training
-step or rollout holds a (…, N, N) array.
+a (B, N, 2) frame.  The encoder, the pair MLP, the edge head, the gate and
+the self edges run as one autodiff node from features to edges,
+``ad.edge_matrix``: its pair layer acts on [h_i, h_j] factored per node
+(NRI, Kipf et al. 2018), and it runs forward and backward in frame chunks,
+keeping no embedding or pair-sized activation and one (…, N, N) output.
+For dynamic edges ``_stages`` runs the edge matrix and the message pass as
+one chunked node, ``ad.edge_message``, so no training step or rollout holds
+a (…, N, N) array.
 Edges are inferred per timestep (dynamic), once for all frames supplied
 (static; node embeddings averaged over the whole stack before pairing, so a
-worm's recording yields one fixed matrix; ``ad.encoder_mean`` runs the
-encoder and the average as one chunked node), or saturated toward {0,1} with a
+worm's recording yields one fixed matrix), or saturated toward {0,1} with a
 small softmax temperature (one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
 are fixed (connectome, static, one-hot) or re-inferred per frame.
 ModelConfig rejects the linear baseline for prediction and recurrent linear
@@ -167,10 +167,11 @@ class TwoLayerMlp:
     The edge-inference path runs without batch norm so that inferred edges
     are a deterministic function of parameters and features in both modes;
     the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
-    of the pair concatenation [x_i, x_j]; its layers run with the edge head
-    and the gate as one ``ad.edge_matrix`` (``NeuralModel.edge_weights``) or,
-    for dynamic edges in training and rollouts, with the message pass too as
-    one ``ad.edge_message``; the static encoder as one ``ad.encoder_mean``.
+    of the pair concatenation [x_i, x_j].  The encoder's and the edge MLP's
+    layers run with the edge head and the gate as one ``ad.edge_matrix``
+    (``NeuralModel.edge_weights``) or, for dynamic edges in training and
+    rollouts, with the message pass too as one ``ad.edge_message``; neither
+    block's ``forward`` runs there.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
@@ -277,7 +278,7 @@ class NeuralModel:
         # edge source; connectome mode uses a fixed structural matrix instead
         if kind is ModuleKind.GNN and config.edge_mode is not EdgeMode.CONNECTOME:
             self.encoder = block(TwoLayerMlp("enc", 2, hidden, rng, batchnorm=False))
-            # the pair MLP's weights; edge_weights runs them with the head as one ad.edge_matrix
+            # the pair MLP's weights; the edge nodes run them with the encoder and the head
             self.edge_mlp = block(TwoLayerMlp("edge", 2 * hidden, hidden, rng, batchnorm=False))
             self.edge_head = block(Linear("edge_head", hidden, 2, rng))
 
@@ -375,8 +376,9 @@ class NeuralModel:
         fixed for that whole temporal graph) and return (1, N, N); dynamic
         returns one matrix per frame, (…, N, N).
 
-        The pair MLP, the edge head, the gate and the self edges are one
-        ``ad.edge_matrix`` node: each ordered pair's weight is the second
+        The encoder (and, for fixed edges, the average), the pair MLP, the
+        edge head, the gate and the self edges are one ``ad.edge_matrix`` node
+        from features to edges: each ordered pair's weight is the second
         component of the temperature softmax of the edge head's two logits,
         computed from the logit difference and bit-equal to that softmax.
         """
@@ -388,18 +390,13 @@ class NeuralModel:
         n = cfg.n_neurons
         if feats.shape[-2] != n or feats.shape[-1] != 2:
             raise ValueError(f"edge_weights: expected (..., {n}, 2) features, got {feats.shape}")
-        if cfg.edge_mode is EdgeMode.DYNAMIC:
-            hidden = self.encoder.forward(feats, training)  # (…, N, h)
-        else:  # one embedding per node, averaged over every frame, as one node
-            mean = ad.encoder_mean(feats, *(p.tensor for p in self.encoder.parameters()))
-            hidden = ad.reshape(mean, (1,) + mean.shape)
-        return ad.edge_matrix(hidden, *self._edge_args())
+        return ad.edge_matrix(feats, *self._edge_args(), fixed=cfg.edge_mode is not EdgeMode.DYNAMIC)
 
     def _edge_args(self) -> list:
-        """The edge MLP's and edge head's weights, the gate's temperature, and
-        the self-edge weight of the connectome convention: 1 when enabled, 0
-        when disabled."""
-        weights = self.edge_mlp.parameters() + self.edge_head.parameters()
+        """The encoder's, edge MLP's and edge head's weights, the gate's
+        temperature, and the self-edge weight of the connectome convention: 1
+        when enabled, 0 when disabled."""
+        weights = self.encoder.parameters() + self.edge_mlp.parameters() + self.edge_head.parameters()
         return [p.tensor for p in weights] + [self.edge_temperature(), float(self.config.include_self_edges)]
 
     def adjacency(self, feats: Tensor, training: bool) -> Tensor:
@@ -435,8 +432,8 @@ class NeuralModel:
         Returns (the body's output, rec_state)."""
         cfg = self.config
         if cfg.module_kind is ModuleKind.GNN and adjacency is None and cfg.edge_mode is EdgeMode.DYNAMIC:
-            # edges inferred per frame, the gate and the message pass as one chunked node
-            x = ad.edge_message(self.encoder.forward(x, training), x, *self._edge_args())
+            # edges inferred per frame and the message pass over them as one chunked node
+            x = ad.edge_message(x, *self._edge_args())
         elif cfg.module_kind is ModuleKind.GNN:
             x = message_pass(self.adjacency(x, training) if adjacency is None else adjacency, x)
         if not self._per_node:  # (…, N, 2) -> (…, 2N) in neuron order, or (…, 2) when summing
@@ -499,8 +496,8 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
 
     Static, one-hot and connectome modes return one (N, N) matrix; dynamic
     returns one per frame, (T, N, N), from one ``edge_weights`` call, whose
-    node runs in frame chunks: besides the edges, memory holds the encoder's
-    (T, N, h) activations and one chunk's buffers.
+    node runs the encoder and the pairs in frame chunks: besides the edges,
+    memory holds one chunk's buffers.
     """
     frames = np.asarray(features, dtype=np.float64)
     if frames.ndim not in (2, 3):

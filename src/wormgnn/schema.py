@@ -4,12 +4,13 @@ apply to each field's annotation and the CLI to each top-level key's type."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
 import numpy as np
 
-EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
             list[str]: "a list of strings", dict: "an object"}
 
 
@@ -18,10 +19,10 @@ def check_value(owner: str, name: str, annotation, value):
     as an int and an enum value as its member.
 
     An int takes an int or a numpy integer, not a bool, float or str; a float
-    also takes those integers; a bool, str or dict only its own kind; a
-    ``list[str]`` a list of strings; an enum its members and their values; an
-    ``X | None`` also None.  Anything else raises a ValueError naming
-    ``owner`` and ``name``.
+    those integers or a finite float, not NaN or ±inf; a bool, str or dict
+    only its own kind; a ``list[str]`` a list of strings; an enum its members
+    and their values; an ``X | None`` also None.  Anything else raises a
+    ValueError naming ``owner`` and ``name``.
     """
     union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
     kinds = typing.get_args(annotation) if union else (annotation,)
@@ -30,7 +31,7 @@ def check_value(owner: str, name: str, annotation, value):
     if kind is int and integer:
         return int(value)
     if ((value is None and type(None) in kinds)
-            or (kind is float and (integer or isinstance(value, (float, np.floating))))
+            or (kind is float and (integer or isinstance(value, (float, np.floating)) and math.isfinite(value)))
             or (kind in (bool, str, dict) and isinstance(value, kind))
             or (kind == list[str] and isinstance(value, list) and all(isinstance(v, str) for v in value))):
         return value

@@ -54,17 +54,28 @@ def composed_gate(logits, temperature, self_weight):
     return ad.add(w, Tensor(np.eye(n))) if self_weight else w
 
 
-def composed_edge_matrix(hidden, w1, b1, w2, b2, w_head, b_head, temperature, self_weight):
-    """``ad.edge_matrix`` as the composed edge block and gate: the reference
-    it is bit-equal to."""
+def composed_encoder(feats, enc_w1, enc_b1, enc_w2, enc_b2, fixed=False):
+    """The node embeddings (…, N, d) of features ``feats`` (…, N, c) from two
+    ``linear(relu=True)`` layers; with ``fixed`` their ``tensor_mean`` over
+    the lead axes, as (1, N, d)."""
+    hidden = ad.linear(ad.linear(feats, enc_w1, enc_b1, relu=True), enc_w2, enc_b2, relu=True)
+    if not fixed:
+        return hidden
+    return ad.reshape(hidden.mean(axis=tuple(range(hidden.ndim - 2))), (1,) + hidden.shape[-2:])
+
+
+def composed_edge_matrix(feats, enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head, b_head, temperature,
+                         self_weight, fixed=False):
+    """``ad.edge_matrix`` as the composed encoder, edge block and gate: the
+    reference it is bit-equal to."""
+    hidden = composed_encoder(feats, enc_w1, enc_b1, enc_w2, enc_b2, fixed)
     return composed_gate(composed_edge_block(hidden, w1, b1, w2, b2, w_head, b_head), temperature, self_weight)
 
 
-def composed_edge_message(hidden, feats, w1, b1, w2, b2, w_head, b_head, temperature, self_weight):
+def composed_edge_message(feats, *weights_temperature_self_weight):
     """``ad.edge_message`` as the composed edge matrix and a matmul: the
     reference it is bit-equal to."""
-    edges = composed_edge_matrix(hidden, w1, b1, w2, b2, w_head, b_head, temperature, self_weight)
-    return ad.matmul(edges, feats)
+    return ad.matmul(composed_edge_matrix(feats, *weights_temperature_self_weight), feats)
 
 
 def composed_neuron_mlp(x, w1, b1, w2, b2, gamma=None, beta=None, stats=None):

@@ -123,32 +123,42 @@ OPS = {
     "linear_relu_b": lambda x: ad.linear(ad.Tensor(np.sin(np.arange(30.0)).reshape(2, 3, 5)),
                                          ad.Tensor(np.cos(np.arange(20.0)).reshape(5, 4)), x,
                                          relu=True),
-    # x as each operand of edge_matrix and edge_message in turn, sized so
-    # that it has 12 entries; b_head is the sum of x's rows.  The edge
-    # matrix also at a cold temperature and without self edges
-    "edge_matrix_hidden": lambda x: edge_node_with(ad.edge_matrix, "hidden", x),
+    # x as each operand of edge_matrix and edge_message in turn (the features,
+    # the encoder's weights, then the edge MLP's and its head's), sized so
+    # that it has 12 entries; b_head is the sum of x's rows.  The edge matrix
+    # also at a cold temperature, without self edges, and fixed: its
+    # embeddings averaged over the frames.  Dimensions and temperatures keep
+    # the gates off saturation, where a gradient of 1e-9 is below what a
+    # central difference resolves
+    "edge_matrix_feats": lambda x: edge_node_with(ad.edge_matrix, "feats", x),
+    "edge_matrix_enc_w1": lambda x: edge_node_with(ad.edge_matrix, "enc_w1", x, c=4, d=3),
+    "edge_matrix_enc_b1": lambda x: edge_node_with(ad.edge_matrix, "enc_b1", x, e=12),
+    "edge_matrix_enc_w2": lambda x: edge_node_with(ad.edge_matrix, "enc_w2", x, d=4),
+    "edge_matrix_enc_b2": lambda x: edge_node_with(ad.edge_matrix, "enc_b2", x, d=12),
     "edge_matrix_w1": lambda x: edge_node_with(ad.edge_matrix, "w1", x),
     "edge_matrix_b1": lambda x: edge_node_with(ad.edge_matrix, "b1", x, h=12),
     "edge_matrix_w2": lambda x: edge_node_with(ad.edge_matrix, "w2", x),
     "edge_matrix_b2": lambda x: edge_node_with(ad.edge_matrix, "b2", x, h2=12),
-    "edge_matrix_w_head": lambda x: edge_node_with(ad.edge_matrix, "w_head", x, d=3, h2=6),
+    "edge_matrix_w_head": lambda x: edge_node_with(ad.edge_matrix, "w_head", x, temperature=1.0, h2=6),
     "edge_matrix_b_head": lambda x: edge_node_with(ad.edge_matrix, "b_head", x),
-    "edge_message_hidden": lambda x: edge_node_with(ad.edge_message, "hidden", x),
     "edge_message_feats": lambda x: edge_node_with(ad.edge_message, "feats", x),
+    "edge_message_enc_w1": lambda x: edge_node_with(ad.edge_message, "enc_w1", x, c=4, d=3),
+    "edge_message_enc_b1": lambda x: edge_node_with(ad.edge_message, "enc_b1", x, e=12),
+    "edge_message_enc_w2": lambda x: edge_node_with(ad.edge_message, "enc_w2", x, d=4),
+    "edge_message_enc_b2": lambda x: edge_node_with(ad.edge_message, "enc_b2", x, d=12),
     "edge_message_w1": lambda x: edge_node_with(ad.edge_message, "w1", x),
     "edge_message_b1": lambda x: edge_node_with(ad.edge_message, "b1", x, h=12),
     "edge_message_w2": lambda x: edge_node_with(ad.edge_message, "w2", x),
     "edge_message_b2": lambda x: edge_node_with(ad.edge_message, "b2", x, h2=12),
-    "edge_message_w_head": lambda x: edge_node_with(ad.edge_message, "w_head", x, d=3, h2=6),
+    "edge_message_w_head": lambda x: edge_node_with(ad.edge_message, "w_head", x, temperature=1.0, h2=6),
     "edge_message_b_head": lambda x: edge_node_with(ad.edge_message, "b_head", x),
-    "edge_matrix_cold": lambda x: edge_node_with(ad.edge_matrix, "hidden", x, temperature=0.3),
+    "edge_matrix_cold": lambda x: edge_node_with(ad.edge_matrix, "feats", x, temperature=0.3),
     "edge_matrix_no_self_edges": lambda x: edge_node_with(ad.edge_matrix, "w1", x, self_weight=0.0),
-    # x as each operand of encoder_mean in turn, sized so that it has 12 entries
-    "encoder_mean_x": lambda x: encoder_mean_with("x", x),
-    "encoder_mean_w1": lambda x: encoder_mean_with("w1", x, d=4),
-    "encoder_mean_b1": lambda x: encoder_mean_with("b1", x, h=12),
-    "encoder_mean_w2": lambda x: encoder_mean_with("w2", x),
-    "encoder_mean_b2": lambda x: encoder_mean_with("b2", x, h2=12),
+    "edge_matrix_fixed_feats": lambda x: edge_node_with(fixed_edge_matrix, "feats", x),
+    "edge_matrix_fixed_enc_w1": lambda x: edge_node_with(fixed_edge_matrix, "enc_w1", x, c=4, d=3),
+    "edge_matrix_fixed_enc_b1": lambda x: edge_node_with(fixed_edge_matrix, "enc_b1", x, e=12),
+    "edge_matrix_fixed_enc_w2": lambda x: edge_node_with(fixed_edge_matrix, "enc_w2", x, d=4),
+    "edge_matrix_fixed_enc_b2": lambda x: edge_node_with(fixed_edge_matrix, "enc_b2", x, d=12),
     # x as the input (training and inference), as input of a (2, 2) feature
     # shape, and as gamma and beta of 12 features over a fixed batch
     "batch_norm_x": lambda x: ad.batch_norm(x, *bn_affine((4,)))[0],
@@ -197,18 +207,30 @@ OPS = {
 }
 
 
-EDGE_OPERANDS = ("hidden", "feats", "w1", "b1", "w2", "b2", "w_head", "b_head")
+EDGE_OPERANDS = ("feats", "enc_w1", "enc_b1", "enc_w2", "enc_b2", "w1", "b1", "w2", "b2", "w_head", "b_head")
 
 
-def edge_message_shapes(lead=(2,), n=3, d=2, h=3, h2=4, f=2):
-    """Operand shapes of edge_message, in argument order."""
-    return [lead + (n, d), lead + (n, f), (2 * d, h), (h,), (h, h2), (h2,), (h2, 2), (2,)]
+def edge_shapes(lead=(2,), n=3, c=2, e=3, d=2, h=3, h2=4):
+    """Operand shapes of edge_matrix and edge_message, in argument order: the
+    features (…, N, c), the encoder's layers to e and d, the pair layer from
+    [x_i, x_j] to h, the second layer to h2 and the head."""
+    return [lead + (n, c), (c, e), (e,), (e, d), (d,), (2 * d, h), (h,), (h, h2), (h2,), (h2, 2), (2,)]
 
 
-def edge_matrix_shapes(lead=(2,), n=3, d=2, h=3, h2=4):
-    """Operand shapes of edge_matrix, in argument order: edge_message's but feats."""
-    shapes = edge_message_shapes(lead, n, d, h, h2)
-    return shapes[:1] + shapes[2:]
+def fixed_edge_matrix(*operands):
+    return ad.edge_matrix(*operands, fixed=True)
+
+
+def composed_fixed_edge_matrix(*operands):
+    return composed_edge_matrix(*operands, fixed=True)
+
+
+def edge_constant(i, shape):
+    """Fixed values of both signs for edge operand ``i``: cosines, whose
+    default embeddings are about half positive (sines of the same phases
+    embed every node at 0, which leaves the pair layer's weight check
+    vacuous)."""
+    return ad.Tensor(np.cos(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
 
 
 def edge_node_with(op, operand, x, temperature=0.7, self_weight=1.0, **dims):
@@ -216,27 +238,9 @@ def edge_node_with(op, operand, x, temperature=0.7, self_weight=1.0, **dims):
     reshaped, as ``operand`` (as ``b_head``, its rows summed) and fixed values
     of both signs for the others."""
     args = [(ad.reshape(x, (-1, 2)).sum(axis=0) if name == "b_head" else ad.reshape(x, shape))
-            if name == operand else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
-            for i, (name, shape) in enumerate(zip(EDGE_OPERANDS, edge_message_shapes(**dims)))
-            if name != "feats" or op is ad.edge_message]
+            if name == operand else edge_constant(i, shape)
+            for i, (name, shape) in enumerate(zip(EDGE_OPERANDS, edge_shapes(**dims)))]
     return op(*args, temperature, self_weight)
-
-
-ENCODER_OPERANDS = ("x", "w1", "b1", "w2", "b2")
-
-
-def encoder_mean_shapes(lead=(2,), n=3, d=2, h=3, h2=4):
-    """Operand shapes of encoder_mean, in argument order."""
-    return [lead + (n, d), (d, h), (h,), (h, h2), (h2,)]
-
-
-def encoder_mean_with(operand, x, **dims):
-    """encoder_mean with ``x``, reshaped, as ``operand`` and fixed values of
-    both signs for the others."""
-    args = [ad.reshape(x, shape) if name == operand
-            else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
-            for i, (name, shape) in enumerate(zip(ENCODER_OPERANDS, encoder_mean_shapes(**dims)))]
-    return ad.encoder_mean(*args)
 
 
 BN_BATCH = ad.Tensor(np.sin(np.arange(60.0)).reshape(5, 12))
@@ -411,16 +415,19 @@ def test_softmax_nll_shape_error_names_the_op():
         ad.softmax_nll(ad.tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
 
 
-def test_edge_matrix_keeps_its_activations_out_of_the_graph():
-    # the graph holds the edges and the operands, no pair-sized activation;
-    # backward recomputes the activations, so a second root's backward through
-    # the same node gets the composed ops' gradients byte for byte
+@pytest.mark.parametrize("fixed", [False, True], ids=["per-frame", "fixed"])
+def test_edge_matrix_keeps_its_activations_out_of_the_graph(fixed):
+    # the graph holds the edges and the operands, no embedding or pair-sized
+    # activation; backward recomputes the activations, so a second root's
+    # backward through the same node gets the composed ops' gradients byte
+    # for byte.  Fixed edges come from embeddings averaged over 40 x 8 frames
     rng = np.random.default_rng(3)
-    values = [rng.normal(size=shape) for shape in edge_matrix_shapes((2,), n=4, d=3, h=5, h2=5)]
+    lead = (40, 8) if fixed else (2,)
+    values = [rng.normal(size=shape) for shape in edge_shapes(lead, n=4, c=3, e=5, d=3, h=5, h2=5)]
 
     def second_backward(fn):
         operands = [ad.tensor(v, requires_grad=True) for v in values]
-        out = fn(*operands, 0.7, 1.0)
+        out = fn(*operands, 0.7, 1.0, fixed=fixed)
         first, second = out.sum(), ad.mul(out, out).sum()
         first.backward()
         for t in operands:
@@ -429,24 +436,26 @@ def test_edge_matrix_keeps_its_activations_out_of_the_graph():
         return out, operands, [t.grad.tobytes() for t in operands]
 
     out, operands, grads = second_backward(ad.edge_matrix)
-    assert out.shape == (2, 4, 4)
+    assert out.shape == ((1,) if fixed else lead) + (4, 4)
     assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
     assert grads == second_backward(composed_edge_matrix)[2]
 
 
+@pytest.mark.parametrize("fixed", [False, True], ids=["per-frame", "fixed"])
 @pytest.mark.parametrize("budget", [1, 7 * 15 * 15 * 16, ad.EDGE_CHUNK_ENTRIES],
                          ids=["one-frame", "seven-frames", "default"])
-def test_edge_matrix_chunked_forward_is_bit_equal_to_composed_ops(monkeypatch, budget):
+def test_edge_matrix_chunked_forward_is_bit_equal_to_composed_ops(monkeypatch, budget, fixed):
     # 40 frames of 15 nodes at h = 16 run in chunks of 1, 7 (the last one 5)
-    # and 18 frames (the last one 4): edges and every gradient, byte for byte
+    # and 18 frames (the last one 4), and fixed edges' encoder in chunks of 1,
+    # 40 and 40: edges and every gradient, byte for byte
     monkeypatch.setattr(ad, "EDGE_CHUNK_ENTRIES", budget)
     rng = np.random.default_rng(5)
-    values = [signed_zero_heavy(rng, shape) for shape in edge_matrix_shapes((5, 8), n=15, d=16, h=16, h2=16)]
-    upstream = ad.Tensor(rng.normal(size=(5, 8, 15, 15)))
+    values = [signed_zero_heavy(rng, shape) for shape in edge_shapes((5, 8), n=15, c=2, e=16, d=16, h=16, h2=16)]
+    upstream = ad.Tensor(rng.normal(size=((1,) if fixed else (5, 8)) + (15, 15)))
 
     def run(fn):
         operands = [ad.tensor(v, requires_grad=True) for v in values]
-        out = fn(*operands, 1.0, 1.0)
+        out = fn(*operands, 1.0, 1.0, fixed=fixed)
         ad.mul(out, upstream).sum().backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in operands]
 
@@ -496,35 +505,41 @@ def leaf_grads(fn, values, needs_grad, upstreams):
     return results
 
 
-@settings(max_examples=100, deadline=None)
-@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
-       st.sampled_from([1, 2, 5, 16]), st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
+EDGE_DIMS = (st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]), st.sampled_from([1, 2, 5, 16]),
+             st.sampled_from([1, 2, 5, 16]), st.sampled_from([1, 2, 5, 16]))  # n, c, e, d, h, h2
+
+
+@settings(max_examples=180, deadline=None)
+@given(CHUNK_LEADS, *EDGE_DIMS, st.booleans(), st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
        st.sampled_from([1.0, 0.7, 0.05]), st.sampled_from([1.0, 50.0]),
-       st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2),
+       st.lists(st.booleans(), min_size=11, max_size=11), st.booleans(), st.integers(1, 2),
        st.integers(0, 2**32 - 1))
-def test_edge_matrix_is_bit_equal_to_composed_ops(lead, n, d, h, h2, frames, self_weight, temperature,
+def test_edge_matrix_is_bit_equal_to_composed_ops(lead, n, c, e, d, h, h2, fixed, frames, self_weight, temperature,
                                                   head_scale, needs_grad, with_nan, roots, seed):
     # the edges and every operand's gradient, byte for byte, in chunks of 1,
-    # 7 and 18 frames, with signed zeros in every operand, optionally a NaN
-    # in one, self edges on and off, the edge head scaled x50 so that a cold
-    # temperature saturates edges to exactly 0 or 1, and a second root
-    # through the same node; an operand that requires no gradient gets none,
-    # and a NaN stays NaN on the diagonal too (its sign may differ from the
-    # softmax's)
+    # 7 and 18 frames (of the pairs, or of a fixed matrix's encoder), with
+    # signed zeros in every operand, optionally a NaN in one, self edges on
+    # and off, the edge head scaled x50 so that a cold temperature saturates
+    # edges to exactly 0 or 1, and a second root through the same node; an
+    # operand that requires no gradient gets none, and a NaN stays NaN on the
+    # diagonal too (its sign may differ from the softmax's)
     rng = np.random.default_rng(seed)
-    values = [signed_zero_heavy(rng, shape) for shape in edge_matrix_shapes(lead, n, d, h, h2)]
+    values = [signed_zero_heavy(rng, shape) for shape in edge_shapes(lead, n, c, e, d, h, h2)]
     values[-2:] = [head * head_scale for head in values[-2:]]
     if with_nan:
         nan_in_one(rng, values)
-    upstreams = [signed_zero_heavy(rng, lead + (n, n)) for _ in range(roots)]
+    out_lead = (1,) if fixed else lead
+    upstreams = [signed_zero_heavy(rng, out_lead + (n, n)) for _ in range(roots)]
+    budget = chunk_budget(frames, n, (e, d)) if fixed else chunk_budget(frames, n * n, (h, h2))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_budget(frames, n * n, (h, h2)))
-        fused = leaf_grads(lambda *operands: ad.edge_matrix(*operands, temperature, self_weight),
+        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", budget)
+        fused = leaf_grads(lambda *operands: ad.edge_matrix(*operands, temperature, self_weight, fixed=fixed),
                            values, needs_grad, upstreams)
     assert one_nan(fused) == one_nan(leaf_grads(
-        lambda *operands: composed_edge_matrix(*operands, temperature, self_weight), values, needs_grad, upstreams))
-    assert [grad is not None for grad in fused[1:8]] == needs_grad
-    diagonal = np.frombuffer(fused[0]).reshape(lead + (n, n))[..., range(n), range(n)]
+        lambda *operands: composed_edge_matrix(*operands, temperature, self_weight, fixed=fixed), values,
+        needs_grad, upstreams))
+    assert [grad is not None for grad in fused[1:12]] == needs_grad
+    diagonal = np.frombuffer(fused[0]).reshape(out_lead + (n, n))[..., range(n), range(n)]
     assert np.array_equal(diagonal, np.full(diagonal.shape, self_weight)) or with_nan
 
 
@@ -532,108 +547,71 @@ def test_edge_matrix_saturates_without_overflow():
     # softmax(z / T)[1] for logit differences far past exp's range: with a
     # zero head weight every pair's logits are the head's bias
     rng = np.random.default_rng(2)
-    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True) for shape in edge_matrix_shapes()]
-    operands[5] = ad.tensor(np.zeros((4, 2)), requires_grad=True)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True) for shape in edge_shapes()]
+    operands[9] = ad.tensor(np.zeros((4, 2)), requires_grad=True)
     for bias, weight in [([0.0, 1e6], 1.0), ([1e6, 0.0], 0.0), ([-3e305, 3e305], 1.0)]:
-        operands[6] = ad.tensor(bias, requires_grad=True)
+        operands[10] = ad.tensor(bias, requires_grad=True)
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # exp may underflow to 0
             out = ad.edge_matrix(*operands, 0.05, 1.0)
             out.sum().backward()
         assert np.array_equal(out.data, np.broadcast_to(weight + (1.0 - weight) * np.eye(3), (2, 3, 3)))
-        assert np.array_equal(operands[6].grad, np.zeros(2))
-
-
-@settings(max_examples=80, deadline=None)
-@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
-       st.sampled_from([1, 7, 18]), st.lists(st.booleans(), min_size=5, max_size=5), st.booleans(),
-       st.integers(1, 2), st.integers(0, 2**32 - 1))
-def test_encoder_mean_is_bit_equal_to_two_layer_mlp_then_mean(lead, n, d, h, frames, needs_grad, with_nan,
-                                                               roots, seed):
-    # the mean over the lead axes and every operand's gradient, byte for
-    # byte, against the encoder's own forward, in chunks of 1, 7 and 18
-    # frames, with signed zeros, optionally a NaN and a second root
-    rng = np.random.default_rng(seed)
-    mlp = TwoLayerMlp("enc", d, h, rng, batchnorm=False)
-    values = [signed_zero_heavy(rng, shape) for shape in [lead + (n, d)] + [p.data.shape for p in mlp.parameters()]]
-    if with_nan:
-        nan_in_one(rng, values)
-    upstreams = [signed_zero_heavy(rng, (n, h)) for _ in range(roots)]
-
-    def mlp_then_mean(x, *weights):
-        for p, w in zip(mlp.parameters(), weights):
-            p.tensor = w
-        return mlp.forward(x, training=True).mean(axis=tuple(range(len(lead))))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_budget(frames, n, (h,)))
-        fused = leaf_grads(ad.encoder_mean, values, needs_grad, upstreams)
-    assert fused == leaf_grads(mlp_then_mean, values, needs_grad, upstreams)
-    assert [grad is not None for grad in fused[1:6]] == needs_grad
-
-
-def test_encoder_mean_is_one_node_keeping_no_activation():
-    # a static edge step's encoder over every frame: the graph holds the
-    # operands and the (N, h) mean, no (frames, N, h) activation
-    rng = np.random.default_rng(4)
-    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in encoder_mean_shapes((40, 8), n=15, d=2, h=16, h2=16)]
-    out = ad.encoder_mean(*operands)
-    assert out.shape == (15, 16)
-    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
-    with pytest.raises(ValueError, match=r"encoder_mean: shapes \(40, 8, 15, 2\), \(2, 16\), \(16,\), "
-                                         r"\(16, 16\), \(15,\) do not chain"):
-        ad.encoder_mean(*operands[:4], ad.tensor(np.zeros(15)))
+        assert np.array_equal(operands[10].grad, np.zeros(2))
 
 
 @settings(max_examples=100, deadline=None)
-@given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
-       st.sampled_from([1, 2, 5, 16]), st.integers(1, 3), st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
-       st.sampled_from([1.0, 0.7, 0.05]), st.lists(st.booleans(), min_size=8, max_size=8), st.booleans(),
+@given(CHUNK_LEADS, *EDGE_DIMS, st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
+       st.sampled_from([1.0, 0.7, 0.05]), st.lists(st.booleans(), min_size=11, max_size=11), st.booleans(),
        st.integers(1, 2), st.integers(0, 2**32 - 1))
-def test_edge_message_is_bit_equal_to_edge_matrix_and_matmul(lead, n, d, h, h2, f, frames, self_weight,
+def test_edge_message_is_bit_equal_to_edge_matrix_and_matmul(lead, n, c, e, d, h, h2, frames, self_weight,
                                                             temperature, needs_grad, with_nan, roots, seed):
     # the messages and every operand's gradient, byte for byte, in chunks of
     # 1, 7 and 18 frames, with signed zeros in every operand, optionally a NaN
     # in one, self edges on and off, and a second root through the same node;
-    # an operand that requires no gradient gets none
+    # an operand that requires no gradient gets none, and the features'
+    # gradient sums the messages' and the encoder's in the composed ops' order
     rng = np.random.default_rng(seed)
-    values = [signed_zero_heavy(rng, shape) for shape in edge_message_shapes(lead, n, d, h, h2, f)]
+    values = [signed_zero_heavy(rng, shape) for shape in edge_shapes(lead, n, c, e, d, h, h2)]
     if with_nan:
         nan_in_one(rng, values)
-    upstreams = [signed_zero_heavy(rng, lead + (n, f)) for _ in range(roots)]
+    upstreams = [signed_zero_heavy(rng, lead + (n, c)) for _ in range(roots)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ad, "EDGE_CHUNK_ENTRIES", chunk_budget(frames, n * n, (h, h2)))
         fused = leaf_grads(lambda *operands: ad.edge_message(*operands, temperature, self_weight),
                            values, needs_grad, upstreams)
     assert one_nan(fused) == one_nan(leaf_grads(
         lambda *operands: composed_edge_message(*operands, temperature, self_weight), values, needs_grad, upstreams))
-    assert [grad is not None for grad in fused[1:9]] == needs_grad
+    assert [grad is not None for grad in fused[1:12]] == needs_grad
 
 
 def test_edge_message_is_one_node_keeping_only_its_operands():
     # a dynamic classify step's edges and messages: the graph holds the
-    # operands and the (…, N, 2) messages, no (…, N, N) or pair-sized array
+    # operands and the (…, N, 2) messages, no (…, N, N), (…, N, d) or
+    # pair-sized array; the features are its parent twice, as the messages
+    # and as the encoder's input
     rng = np.random.default_rng(9)
     operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in edge_message_shapes((4, 5), n=15, d=16, h=16, h2=16)]
+                for shape in edge_shapes((4, 5), n=15, c=2, e=16, d=16, h=16, h2=16)]
     out = ad.edge_message(*operands, 1.0, 1.0)
     assert out.shape == (4, 5, 15, 2)
     assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
-    for i, shape in [(1, (4, 5, 14, 2)), (6, (16, 3)), (7, (3,))]:
+    assert out._parents == (operands[0],) + tuple(operands)
+    for i, shape in [(0, (4, 5, 15, 3)), (1, (2, 15)), (9, (16, 3)), (10, (3,))]:
         wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
-        with pytest.raises(ValueError, match=r"edge_message: (features|shapes) "):
+        with pytest.raises(ValueError, match=r"edge_message: shapes .* do not chain"):
             ad.edge_message(*wrong, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"edge_message: temperature must be > 0, got 0.0"):
         ad.edge_message(*operands, 0.0, 1.0)
 
 
 def test_edge_matrix_errors_name_the_op():
-    good = [ad.tensor(np.zeros(shape)) for shape in edge_matrix_shapes()]
-    for i, shape in enumerate([(3, 2, 3), (5, 3), (4,), (4, 4), (3,), (4, 3), (3,)]):
+    good = [ad.tensor(np.zeros(shape)) for shape in edge_shapes()]
+    wrong = [(2, 3, 3), (3, 3), (4,), (4, 2), (3,), (5, 3), (4,), (4, 4), (3,), (4, 3), (3,)]
+    for i, shape in enumerate(wrong):
         operands = good[:i] + [ad.tensor(np.zeros(shape))] + good[i + 1:]
-        with pytest.raises(ValueError, match=r"edge_matrix: shapes .* do not chain"):
-            ad.edge_matrix(*operands, 1.0, 1.0)
-    with pytest.raises(ValueError, match=r"edge_matrix: shapes \(2,\), \(4, 3\)"):
+        for fixed in (False, True):
+            with pytest.raises(ValueError, match=r"edge_matrix: shapes .* do not chain"):
+                ad.edge_matrix(*operands, 1.0, 1.0, fixed=fixed)
+    with pytest.raises(ValueError, match=r"edge_matrix: shapes \(2,\), \(2, 3\)"):
         ad.edge_matrix(ad.tensor(np.zeros(2)), *good[1:], 1.0, 1.0)
     for temperature in (0.0, -1.0):
         with pytest.raises(ValueError, match=rf"edge_matrix: temperature must be > 0, got {temperature}"):
@@ -883,15 +861,18 @@ BINARY_BACKWARD = {
     # x and gamma of a training batch_norm, beta constant
     "batch_norm": (lambda a, b: ad.batch_norm(a, b, bn_affine((3,))[1])[0], ((5, 3), (3,)),
                    lambda g, a, b: composed_batch_norm_grads(g, a, b)),
-    # hidden and w1 of edge_matrix, its other operands constant
-    "edge_matrix": (lambda a, b: edge_matrix_with_constants(ad.edge_matrix, a, b),
-                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_matrix_grads(g, a, b)),
-    # hidden and feats of edge_message, its weights constant
-    "edge_message": (lambda a, b: edge_message_with_constants(ad.edge_message, a, b),
-                     ((2, 3, 2), (2, 3, 2)), lambda g, a, b: composed_edge_message_grads(g, a, b)),
-    # x and w1 of encoder_mean, its other operands constant
-    "encoder_mean": (lambda a, b: encoder_mean_with_constants(ad.encoder_mean, a, b),
-                     ((2, 3, 2), (2, 3)), lambda g, a, b: composed_encoder_mean_grads(g, a, b)),
+    # feats and w1 of edge_matrix, its other operands constant
+    "edge_matrix": (lambda a, b: edge_node_with_constants(ad.edge_matrix, ("feats", "w1"), a, b),
+                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_grads(composed_edge_matrix, ("feats", "w1"),
+                                                                             g, a, b)),
+    # feats (the messages and the encoder's input) and enc_w1 of edge_message
+    "edge_message": (lambda a, b: edge_node_with_constants(ad.edge_message, ("feats", "enc_w1"), a, b),
+                     ((2, 3, 2), (2, 3)), lambda g, a, b: composed_edge_grads(composed_edge_message,
+                                                                              ("feats", "enc_w1"), g, a, b)),
+    # feats and enc_w1 of a fixed edge_matrix
+    "fixed_edge_matrix": (lambda a, b: edge_node_with_constants(fixed_edge_matrix, ("feats", "enc_w1"), a, b),
+                          ((2, 3, 2), (2, 3)), lambda g, a, b: composed_edge_grads(
+                              composed_fixed_edge_matrix, ("feats", "enc_w1"), g, a, b)),
     # x and w1 of neuron_mlp with its batch norm in training, its other operands constant
     "neuron_mlp": (lambda a, b: neuron_mlp_with_constants(ad.neuron_mlp, a, b),
                    ((4, 3, 2), (3, 2, 2)), lambda g, a, b: composed_neuron_mlp_grads(g, a, b)),
@@ -905,47 +886,17 @@ def composed_batch_norm_grads(g, x, gamma):
     return [leaf.grad for leaf in leaves]
 
 
-def edge_matrix_with_constants(op, hidden, w1):
-    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
-                 for i, shape in enumerate(edge_matrix_shapes()[2:])]
-    return op(hidden, w1, *map(ad.tensor, constants), 0.7, 1.0)
+def edge_node_with_constants(op, names, *leaves):
+    """``op`` with ``leaves`` as the operands ``names`` and fixed values of
+    both signs for the others."""
+    given = dict(zip(names, leaves))
+    return op(*[given[name] if name in given else edge_constant(i, shape)
+                for i, (name, shape) in enumerate(zip(EDGE_OPERANDS, edge_shapes()))], 0.7, 1.0)
 
 
-def composed_edge_matrix_grads(g, hidden, w1):
-    leaves = [ad.tensor(hidden, requires_grad=True), ad.tensor(w1, requires_grad=True)]
-    out = edge_matrix_with_constants(composed_edge_matrix, *leaves)
-    ad.mul(out, ad.Tensor(g)).sum().backward()
-    return [leaf.grad for leaf in leaves]
-
-
-def edge_message_with_constants(op, hidden, feats):
-    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
-                 for i, shape in enumerate(edge_message_shapes()[2:])]
-    return op(hidden, feats, *map(ad.tensor, constants), 0.7, 1.0)
-
-
-def composed_edge_message_grads(g, hidden, feats):
-    leaves = [ad.tensor(hidden, requires_grad=True), ad.tensor(feats, requires_grad=True)]
-    out = edge_message_with_constants(composed_edge_message, *leaves)
-    ad.mul(out, ad.Tensor(g)).sum().backward()
-    return [leaf.grad for leaf in leaves]
-
-
-def encoder_mean_with_constants(op, x, w1):
-    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
-                 for i, shape in enumerate(encoder_mean_shapes()[2:])]
-    return op(x, w1, *map(ad.tensor, constants))
-
-
-def composed_encoder_mean(x, w1, b1, w2, b2):
-    """encoder_mean from the composed ops: the reference it is bit-equal to."""
-    h = ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True)
-    return h.mean(axis=tuple(range(h.ndim - 2)))
-
-
-def composed_encoder_mean_grads(g, x, w1):
-    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
-    out = encoder_mean_with_constants(composed_encoder_mean, *leaves)
+def composed_edge_grads(composed, names, g, *values):
+    leaves = [ad.tensor(v, requires_grad=True) for v in values]
+    out = edge_node_with_constants(composed, names, *leaves)
     ad.mul(out, ad.Tensor(g)).sum().backward()
     return [leaf.grad for leaf in leaves]
 
@@ -972,11 +923,14 @@ def test_backward_skips_constant_operands(name, constant):
     operands = [ad.tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
     out = op(*operands)
     g = rng.normal(size=out.shape)
-    grads = out._backward_fn(g)
-    assert grads[constant] is None
+    grads = {}  # by parent, summed in the order backward sums them (edge_message lists feats twice)
+    for parent, grad in zip(out._parents, out._backward_fn(g)):
+        if grad is not None:
+            grads[id(parent)] = grads[id(parent)] + grad if id(parent) in grads else grad
+    assert id(operands[constant]) not in grads
     live = 1 - constant
-    assert grads[live].tobytes() == expected(g, *values)[live].tobytes()
-    assert all(grad is None for grad in grads[2:])  # biases and further operands are constants
+    assert grads.pop(id(operands[live])).tobytes() == expected(g, *values)[live].tobytes()
+    assert not grads  # biases and further operands are constants
 
 
 @pytest.mark.parametrize("constant", range(6), ids=LSTM_OPERANDS)

@@ -820,9 +820,14 @@ def test_integer_config_keys_reject_other_values(tmp_path, capsys, predict_run, 
     ("model", "hidden_dim", 2.5, "ModelConfig: hidden_dim must be an integer or null, got 2.5"),
     ("model", "recurrent", "false", "ModelConfig: recurrent must be true or false, got 'false'"),
     ("train", "max_epochs", 2.5, "TrainConfig: max_epochs must be an integer, got 2.5"),
-    ("train", "learning_rate", "0.1", "TrainConfig: learning_rate must be a number, got '0.1'"),
+    ("train", "learning_rate", "0.1", "TrainConfig: learning_rate must be a finite number, got '0.1'"),
     ("train", "learning_rate", -0.1, "TrainConfig: learning_rate must be > 0, got -0.1"),
-], ids=["hidden_dim", "recurrent", "max_epochs", "learning_rate", "negative_learning_rate"])
+    # a NaN temperature would otherwise train until "validation loss is nan at epoch 0"
+    ("model", "softmax_temperature", np.nan, "ModelConfig: softmax_temperature must be a finite number, got nan"),
+    ("model", "softmax_temperature", np.inf, "ModelConfig: softmax_temperature must be a finite number, got inf"),
+    ("train", "learning_rate", -np.inf, "TrainConfig: learning_rate must be a finite number, got -inf"),
+], ids=["hidden_dim", "recurrent", "max_epochs", "learning_rate", "negative_learning_rate", "nan_temperature",
+        "infinite_temperature", "minus_infinite_learning_rate"])
 def test_wrong_typed_section_field_is_one_error_line(tmp_path, capsys, predict_run, section, key,
                                                      value, message):
     config = train_config(predict_run[0])
@@ -830,6 +835,18 @@ def test_wrong_typed_section_field_is_one_error_line(tmp_path, capsys, predict_r
     path = write_config(tmp_path / "train.json", config)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key,value", [("noise_std", np.nan), ("angular_velocity_jitter", -np.inf)])
+def test_non_finite_gen_synth_number_is_one_error_line(tmp_path, capsys, key, value):
+    # "noise_std": NaN would otherwise write noise-free recordings and exit 0,
+    # and "angular_velocity_jitter": -Infinity fail converting NaN to an integer
+    config = {"n_worms": 1, "n_neurons": 3, "n_timesteps": 20, "n_states": 2, key: value}
+    out = tmp_path / "out"
+    assert main(["gen-synth", "--config", str(write_config(tmp_path / "synth.json", config)),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: gen-synth: {key} must be a finite number, got {value!r}\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -927,6 +944,7 @@ JSON_VALUES = {
                                 min_size=1, max_size=3),
     "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
     "null": st.none(),
+    "non-finite number": st.sampled_from([np.nan, np.inf, -np.inf]),  # JSON's NaN, Infinity, -Infinity
 }
 # the kinds of JSON value a key of each type takes (null: an `X | None` key)
 TAKES = {int: {"int"}, float: {"int", "float"}, str: {"string"}, list[str]: {"list of strings"},

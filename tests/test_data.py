@@ -412,3 +412,14 @@ def test_connectome_negative_weight(tmp_path):
     path.write_text("A B -1.0\n")
     with pytest.raises(dp.RecordingFormatError, match=">= 0"):
         dp.load_connectome_triples(path)
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf"])
+def test_connectome_non_finite_weight_names_file_and_line(tmp_path, spelling):
+    # these would otherwise load, and load_connectome_edges return NaN and inf
+    # entries (a NaN row maximum also skips that row's normalization)
+    path = tmp_path / "conn.txt"
+    path.write_text(f"A B 1.0\nA C {spelling}\n")
+    with pytest.raises(dp.RecordingFormatError) as caught:
+        dp.load_connectome_triples(path)
+    assert str(caught.value) == f"{path}:2: weight must be finite and >= 0, got {spelling}"

@@ -3,8 +3,9 @@ it runs) and the example recording still load, and each config holds only
 keys its command reads, with the key table's types; its config-key table has
 one row per command naming only keys that command reads, with the table's
 defaults; and its `model` and `train` key lists and `gen-synth` row name
-exactly the keys the code reads, so a removed, renamed or added command or
-option fails here, not in a reader's run."""
+exactly the keys the code reads, and its `wormgnn.autodiff` bullet names
+only what the module has, so a removed, renamed or added command, option or
+op fails here, not in a reader's run."""
 
 import dataclasses
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from wormgnn import autodiff as ad
 from wormgnn import cli
 from wormgnn import models as m
 from wormgnn import training as tr
@@ -113,3 +115,16 @@ def test_readme_key_row_defaults_are_the_key_table_defaults():
 def test_example_recording_loads():
     rec = load_recording(ROOT / "docs" / "example_recording.json")
     assert rec.n_neurons == 3 and rec.n_timesteps == 12
+
+
+# backticked names in the autodiff bullet that are not attributes of the module
+NOT_AUTODIFF = {"h_next", "c_next", "train()", "models.Linear", "wormgnn.autodiff"}
+
+
+def test_readme_autodiff_bullet_names_only_what_the_module_has():
+    # every bare identifier backticked in the bullet, `name` or `name()`: a
+    # deleted op still named there fails here
+    bullet = re.search(r"^- `wormgnn\.autodiff` - (.*?)^- ", (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+    names = set(re.findall(r"`([A-Za-z_][\w.]*(?:\(\))?)`", bullet)) - NOT_AUTODIFF
+    assert {"edge_matrix", "edge_message", "no_grad()"} <= names
+    assert sorted(name for name in names if not hasattr(ad, name.removesuffix("()"))) == []

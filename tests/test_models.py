@@ -196,16 +196,18 @@ def test_edge_gate_equals_second_softmax_component(mode, head_scale):
 def test_two_layer_mlp_keeps_one_activation_per_layer(pairwise):
     # each ReLU is part of its layer's node: the graph has no relu node and
     # owns one activation array per layer (fc1, fc2); reshapes are views.  The
-    # pairwise layers run with the edge head and the gate as one
-    # ad.edge_matrix, whose two (…, N * N, h) activations stay inside the
-    # node: the graph owns none
+    # pairwise layers run with the encoder, the edge head and the gate as one
+    # ad.edge_matrix, whose two (…, N, d) and two (…, N * N, h) activations
+    # stay inside the node: the graph owns none
     rng = np.random.default_rng(0)
     mlp = m.TwoLayerMlp("edge", 6 if pairwise else 3, 7, rng, batchnorm=False)
     x = Tensor(rng.normal(size=(2, 5, 3)))
     if pairwise:
-        head = m.Linear("edge_head", 7, 2, rng)
-        out = ad.edge_matrix(x, *(p.tensor for p in mlp.parameters() + head.parameters()), 1.0, 1.0)
+        enc, head = m.TwoLayerMlp("enc", 3, 3, rng, batchnorm=False), m.Linear("edge_head", 7, 2, rng)
+        weights = enc.parameters() + mlp.parameters() + head.parameters()
+        out = ad.edge_matrix(x, *(p.tensor for p in weights), 1.0, 1.0)
         assert out.shape == (2, 5, 5)
+        assert len(ad._topo_order(out)) == 1 + len(weights) + 1  # x, the weights and the node
     else:
         out = mlp.forward(x, training=True)
         assert out.shape == (2, 5, 7)
@@ -237,20 +239,22 @@ def dynamic_classify_step_peak(n: int, windows: int, frames: int, hidden: int) -
 
 def test_dynamic_edge_training_step_peak_memory():
     # one dynamic-GNN classify step over 80 windows x 8 frames of 15 neurons
-    # at hidden 16: ad.edge_message runs the edge block, the gate and the
-    # message pass in frame chunks and keeps no (frames, N, N) array, so the
-    # step peaks at 6.96 (frames, N, N) arrays, most of them the encoder's
-    # (frames, N, h) activations and gradients; the edges and messages as
-    # three nodes peaked at 14.7, the composed edge ops at 92
+    # at hidden 16: ad.edge_message runs the encoder, the edge block, the
+    # gate and the message pass in frame chunks and keeps no (frames, N, N)
+    # or (frames, N, h) array, so the step peaks at 2.57 (frames, N, N)
+    # arrays; with the encoder as two linear nodes outside it the step peaked
+    # at 6.96 (its fc2 backward), the edges and messages as three nodes at
+    # 14.7, the composed edge ops at 92
     peak = dynamic_classify_step_peak(15, 80, 8, 16)
-    assert peak <= 7.5, f"peak {peak:.2f} (frames, N, N) arrays"
+    assert peak <= 3.0, f"peak {peak:.2f} (frames, N, N) arrays"
 
 
 def test_large_n_dynamic_edge_training_step_peak_memory():
     # at 120 neurons a (frames, N, N) array outweighs every (frames, N, h)
     # one: a classify step over 40 windows x 2 frames at hidden 8 peaks at
-    # 1.46 such arrays, about half of them the reused chunk buffers of the
-    # pair activations; the edges and messages as three nodes peaked at 12.3
+    # 1.27 such arrays, most of them the reused chunk buffers of the pair
+    # activations (1.46 with the encoder outside the edge node); the edges
+    # and messages as three nodes peaked at 12.3
     peak = dynamic_classify_step_peak(120, 40, 2, 8)
     assert peak <= 2.0, f"peak {peak:.2f} (frames, N, N) arrays"
 
@@ -259,11 +263,12 @@ def test_large_n_dynamic_edge_training_step_peak_memory():
                                              (m.Task.CLASSIFY, False)],
                          ids=["predict", "predict-recurrent", "classify"])
 def test_dynamic_training_step_is_bit_equal_to_composed_edges(monkeypatch, task, recurrent):
-    # _stages runs dynamic edges as one ad.edge_message node where the edge
-    # block, the gate and a matmul were three.  In a predict step each input
-    # frame has three consumers (the encoder, the message pass and the
-    # residual add), whose gradients backward sums in reverse topological
-    # order: the loss and every parameter gradient of a scheduled-sampling
+    # _stages runs dynamic edges as one ad.edge_message node where the
+    # encoder's two layers, the edge block, the gate and a matmul were five.
+    # In a predict step each input frame has three consumers (the residual
+    # add, the message pass and the encoder), whose gradients backward sums
+    # in reverse topological order, the node's two in the order of its
+    # parents: the loss and every parameter gradient of a scheduled-sampling
     # step are byte-equal to the composed path's
     cfg = gnn_config(task, n=5, hidden=6, edge_mode=m.EdgeMode.DYNAMIC, recurrent=recurrent,
                      include_self_edges=False, softmax_temperature=0.7)
@@ -298,9 +303,11 @@ def test_encode_edges_of_no_frames_is_an_error():
 
 def test_static_edge_training_step_peak_memory():
     # one static-GNN classify step whose edges come from an 800-frame
-    # recording: ad.encoder_mean runs the encoder over it in frame chunks and
-    # keeps only the (N, h) mean, so the step peaks under two (800, N, h)
-    # encoder activations (1.63); the encoder's layers then a mean peaked at 6.43
+    # recording: ad.edge_matrix runs the encoder over it in frame chunks and
+    # pairs the (N, h) mean embeddings once, so the step peaks under two
+    # (800, N, h) encoder activations (1.68; 1.63 with the encoder and its
+    # mean as a node of their own); the encoder's layers then a mean peaked
+    # at 6.43
     cfg = gnn_config(n=15, hidden=16, edge_mode=m.EdgeMode.STATIC)
     model = m.NeuralModel(cfg, master_seed=0)
     rng = np.random.default_rng(0)
@@ -351,15 +358,16 @@ def predict_step_peak(steps: int) -> int:
 
 
 def test_predict_rollout_peak_memory_grows_by_less_than_a_pair_array_per_step():
-    # each rollout step passes its messages over its edges with one
-    # edge_message, which keeps no (windows, N * N, h) activation and no
-    # (windows, N, N) edges until backward: a step adds only its node-sized
-    # activations to the graph, 0.35 pair arrays; its (windows, N, N) edges
-    # in the graph added 0.54, and an edge block holding its two activations
-    # nearly three
+    # each rollout step encodes its frame and passes its messages over its
+    # edges with one edge_message, which keeps no (windows, N, h) embedding,
+    # no (windows, N * N, h) activation and no (windows, N, N) edges until
+    # backward: a step adds only its decoder's node-sized activations to the
+    # graph, 0.22 pair arrays; with the encoder's two activations it added
+    # 0.35, with its (windows, N, N) edges in the graph 0.54, and an edge
+    # block holding its two activations nearly three
     pair_array = 80 * 15 * 15 * 16 * 8  # bytes
     growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
-    assert growth < 0.45 * pair_array, f"{growth / pair_array:.2f} pair arrays per step"
+    assert growth < 0.3 * pair_array, f"{growth / pair_array:.2f} pair arrays per step"
 
 
 def test_no_grad_edge_weights_peak_under_one_pair_array():
@@ -475,21 +483,24 @@ def test_dynamic_edges_chunked_equal_whole_stack(monkeypatch):
     assert np.array_equal(chunked[40], m.encode_edges(frames[40], model)[0])
 
 
-def test_dynamic_edge_dump_peak_memory():
-    # encode_edges of 800 frames of 60 neurons at hidden 16 holds the
-    # returned (T, N, N) edges, the encoder's two (T, N, h) activations and
-    # the edge node's chunk buffers, about 35.7 MiB; inferring 256 frames at
-    # a time and concatenating peaked at 59 MiB
-    model = m.NeuralModel(gnn_config(n=60, hidden=16, edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
-    frames = np.random.default_rng(0).normal(size=(800, 60, 2))
-    bound = (800 * 60 * 60 + 2 * 800 * 60 * 16 + 4 * ad.EDGE_CHUNK_ENTRIES) * 8  # bytes
+@pytest.mark.parametrize("n, frames", [(60, 800), (15, 3200)], ids=["60x800", "15x3200"])
+def test_dynamic_edge_dump_peak_memory(n, frames):
+    # encode_edges at hidden 16 holds the returned (T, N, N) edges and the
+    # edge node's chunk buffers (its two pair activations, each a chunk and a
+    # spare row, and the encoder's), 24.05 MiB at 60 neurons x 800 frames and
+    # 6.89 at 15 x 3200.  With the encoder's two (T, N, h) activations
+    # outside the node they peaked at 29.9 and 12.7 MiB, and inferring 256
+    # frames at a time and concatenating at 59 MiB (60 x 800)
+    model = m.NeuralModel(gnn_config(n=n, hidden=16, edge_mode=m.EdgeMode.DYNAMIC), master_seed=0)
+    recording = np.random.default_rng(0).normal(size=(frames, n, 2))
+    bound = (frames * n * n + 5 * ad.EDGE_CHUNK_ENTRIES) * 8  # bytes
     tracemalloc.start()
     try:
-        edges = m.encode_edges(frames, model)
+        edges = m.encode_edges(recording, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert edges.shape == (800, 60, 60)
+    assert edges.shape == (frames, n, n)
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 

@@ -31,7 +31,7 @@ WRONG = {
     # field kind -> the kinds of value it rejects
     "int": ("bool", "float", "str", "list", "None"),
     "int or None": ("bool", "float", "str", "list"),
-    "float": ("bool", "str", "list", "None"),
+    "float": ("bool", "str", "list", "None", "non-finite"),
     "bool": ("int", "float", "str", "list", "None"),
     "enum": ("bool", "float", "str", "list", "None"),
 }
@@ -39,6 +39,7 @@ WRONG = {
 VALUES = {
     "bool": st.booleans(), "int": st.integers(), "float": st.floats(allow_nan=False),
     "str": st.text(max_size=8), "list": st.lists(st.integers(), max_size=3), "None": st.none(),
+    "non-finite": st.sampled_from([np.nan, np.inf, -np.inf, np.float64(np.nan)]),
 }
 
 CASES = [(cls, name, value_kind) for cls, (_, kinds) in CONFIGS.items() for name, kind in kinds.items()

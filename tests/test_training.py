@@ -460,10 +460,12 @@ def test_negative_burn_in_rejected():
         tr.TrainConfig(burn_in=-1)
 
 
-@pytest.mark.parametrize("rate", [0.0, -0.1, float("nan")])
-def test_non_positive_learning_rate_rejected(rate):
-    # a negative rate ran gradient ascent, and a zero one never moved
-    with pytest.raises(ValueError, match=rf"TrainConfig: learning_rate must be > 0, got {rate}"):
+@pytest.mark.parametrize("rate, rule", [(0.0, "> 0"), (-0.1, "> 0"), (float("nan"), "a finite number")],
+                         ids=["0.0", "-0.1", "nan"])
+def test_non_positive_learning_rate_rejected(rate, rule):
+    # a negative rate ran gradient ascent, and a zero one never moved; NaN
+    # meets the schema's rule for every float field first
+    with pytest.raises(ValueError, match=rf"TrainConfig: learning_rate must be {rule}, got {rate}"):
         tr.TrainConfig(learning_rate=rate)
 
 
