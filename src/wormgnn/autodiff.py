@@ -60,11 +60,13 @@ replaces, and sums the weights' per-frame gradients over the frames through
 dynamic-edge training step or rollout holds no (…, N, N) array.  Both walk
 their chunks and fold their sums through one function, ``_chunked``.
 
-The backward of add, sub, mul, matmul, linear, edge_matrix, edge_message,
-batch_norm, neuron_mlp and lstm_cell computes no gradient
-for an operand that does not require one (inputs, masks, targets).  ReLU,
-fused or not, is ``max(a, 0)``: +0.0 for either signed zero, and a NaN
-input stays NaN, so a NaN pre-activation reaches the loss.
+The backward of add, sub, mul, matmul, linear and lstm_cell computes no
+gradient for an operand that does not require one (inputs, masks, targets).
+The backward of edge_matrix, edge_message and neuron_mlp skips only a
+constant input; they and batch_norm always differentiate their weights,
+which a model always trains.  ReLU, fused or not, is ``max(a, 0)``: +0.0
+for either signed zero, and a NaN input stays NaN, so a NaN pre-activation
+reaches the loss.
 
 Inside ``with no_grad():`` ops compute the same values but build no graph:
 outputs record no parents and no backward closure, so forward-only passes
@@ -421,18 +423,18 @@ class _LeadSum:
 def _chunked(lead: tuple[int, ...], chunk: int, *terms):
     """A walk over the frames of ``lead`` (flattened) in chunks of about
     ``chunk`` frames of whole first-axis slices, yielding (first, stop,
-    buffers), and the list of its sums.  Each term is (tail, need): need None
-    gives no buffer, False a buffer, True a buffer whose ``_LeadSum`` folds
-    it in after the loop body ran (the sum, else None, is in the list)."""
+    buffers), and the list of its sums.  Each term is (tail, summed) and gets
+    a buffer; with ``summed`` its ``_LeadSum`` folds it in after the loop body
+    ran (the sum, else None, is in the list)."""
     per, frames = max(math.prod(lead[1:]), 1), math.prod(lead)
     slices = max(1, min(chunk // per, lead[0] if lead else 1))
-    parts = [None if need is None else _LeadSum(lead, tail, slices) for tail, need in terms]
-    sums = [part if need else None for part, (_, need) in zip(parts, terms)]
+    parts = [_LeadSum(lead, tail, slices) for tail, _ in terms]
+    sums = [part if summed else None for part, (_, summed) in zip(parts, terms)]
 
     def walk():
         for first in range(0, frames, slices * per):
             stop = min(first + slices * per, frames)
-            yield first, stop, [part and part.chunk((stop - first) // per) for part in parts]
+            yield first, stop, [part.chunk((stop - first) // per) for part in parts]
             for part in sums:
                 if part:
                     part.fold()
@@ -550,107 +552,92 @@ def _edge_node(op: str, feats: Tensor, message: bool, weights, temperature: floa
         return out
 
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
-    per_frame = None if fixed else False  # the embeddings' buffers, when each frame has its own
+    per_frame = () if fixed else (((n, e), False), ((n, d), False))  # the embeddings' buffers
     walk, _ = _chunked((pairs,), chunk, ((n * n, width), False), ((n * n, width2), False),
-                       ((n * n, 2), False), ((n, e), per_frame), ((n, d), per_frame))
+                       ((n * n, 2), False), *per_frame)
     out = np.empty(x_frames.shape if message else (pairs, n, n))
-    for first, stop, (a1, a2, z, e1, e2) in walk:
-        edges = _self_edges(_gate(logits(embeddings(first, stop, e1, e2), a1, a2, z), temperature)[2], n,
+    for first, stop, (a1, a2, z, *enc) in walk:
+        edges = _self_edges(_gate(logits(embeddings(first, stop, *enc), a1, a2, z), temperature)[2], n,
                             self_weight)
         if message:
             np.matmul(edges, x_frames[first:stop], out=out[first:stop])
         else:
             out[first:stop] = edges
     out = out.reshape(pair_lead + out.shape[1:])
-    first_grad = feats.requires_grad or enc_w1.requires_grad or enc_b1.requires_grad
-    hidden_grad = first_grad or enc_w2.requires_grad or enc_b2.requires_grad
-    pair_grad = hidden_grad or w1.requires_grad or b1.requires_grad
-    edge_grad = pair_grad or any(t.requires_grad for t in weights[4:])
 
     def bwd(g):
-        g_frames = g.reshape((pairs,) + g.shape[len(pair_lead):])
         g_msg = np.empty(x_frames.shape) if message and feats.requires_grad else None
         g_enc = np.empty(x_frames.shape) if feats.requires_grad else None
+        # the activations' and logits' buffers take their gradients and sum the biases'
+        enc_terms = (((n, e), True), ((n, d), True), (enc_w1.shape, True), (enc_w2.shape, True))
 
         def encoder_grads(first, stop, g_x, e1, e2, fc1_chunk, fc2_chunk):
             """The encoder's backward on frames [first, stop) from the embeddings'
             gradient ``g_x``; ``e1`` and ``e2`` take their layers' gradients."""
             g2 = np.multiply(g_x, e2 > 0, out=e2)
-            if fc2_chunk is not None:
-                np.matmul(np.swapaxes(e1, -1, -2), g2, out=fc2_chunk)
-            if not first_grad:
-                return
+            np.matmul(np.swapaxes(e1, -1, -2), g2, out=fc2_chunk)
             mask = e1 > 0
             g1 = np.matmul(g2, np.swapaxes(enc_w2_data, -1, -2), out=e1)
             g1 *= mask
-            if fc1_chunk is not None:
-                np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1_chunk)
+            np.matmul(np.swapaxes(x_frames[first:stop], -1, -2), g1, out=fc1_chunk)
             if g_enc is not None:
                 np.matmul(g1, np.swapaxes(enc_w1_data, -1, -2), out=g_enc[first:stop])
 
-        # the activations' and logits' buffers take their gradients and sum the biases'
-        enc_terms = (((n, e), enc_b1.requires_grad), ((n, d), enc_b2.requires_grad),
-                     (enc_w1.shape, enc_w1.requires_grad or None), (enc_w2.shape, enc_w2.requires_grad or None))
-        walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst, _, *enc_sums) = _chunked(
-            pair_lead, chunk, ((n * n, width), b1.requires_grad), ((n * n, width2), b2.requires_grad),
-            ((n * n, 2), b_head.requires_grad), (w_head.shape, w_head.requires_grad or None),
-            (w2.shape, w2.requires_grad or None), *[(w_src.shape, w1.requires_grad or None)] * 2,
-            ((n, d), False if hidden_grad else None), *(() if fixed else enc_terms))
-        off_diagonal = 1.0 - np.eye(n)
-        for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk, g_x, *enc) in walk:
-            g_chunk = g_frames[first:stop]
-            x = embeddings(first, stop, *enc[:2])
-            ahead, gate_e, w = _gate(logits(x, a1, a2, g_z), temperature)
-            if edge_grad:  # the edges' gradient, through the mask and the gate
+        def pair_grads():
+            """The pair pass's backward: the gradients of w1 … b_head, the
+            encoder's sums when each frame has its own embeddings, and the
+            embeddings' gradient of the last chunk (with ``fixed``, of the one
+            frame); the pass's buffers go with the call."""
+            g_frames = g.reshape((pairs,) + g.shape[len(pair_lead):])
+            walk, (layer1, layer2, head_bias, head, fc2, from_src, from_dst, _, *enc_sums) = _chunked(
+                pair_lead, chunk, ((n * n, width), True), ((n * n, width2), True), ((n * n, 2), True),
+                (w_head.shape, True), (w2.shape, True), *[(w_src.shape, True)] * 2, ((n, d), False),
+                *(() if fixed else enc_terms))
+            off_diagonal = 1.0 - np.eye(n)
+            for first, stop, (a1, a2, g_z, head_chunk, fc2_chunk, src_chunk, dst_chunk, g_x, *enc) in walk:
+                g_chunk = g_frames[first:stop]
+                x = embeddings(first, stop, *enc[:2])
+                ahead, gate_e, w = _gate(logits(x, a1, a2, g_z), temperature)
+                # the edges' gradient, through the mask and the gate
                 g_edges = np.matmul(g_chunk, np.swapaxes(x_frames[first:stop], -1, -2)) if message else g_chunk
                 _gate_grad((g_edges * off_diagonal).reshape(w.shape), ahead, gate_e, w, temperature, g_z)
-            if g_msg is not None:
-                np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk, out=g_msg[first:stop])
-            if not edge_grad:
-                continue
-            if head_chunk is not None:
+                if g_msg is not None:
+                    np.matmul(np.swapaxes(_self_edges(w, n, self_weight), -1, -2), g_chunk,
+                              out=g_msg[first:stop])
                 np.matmul(np.swapaxes(a2, -1, -2), g_z, out=head_chunk)
-            if not (pair_grad or w2.requires_grad or b2.requires_grad):
-                continue
-            mask = a2 > 0
-            g2 = np.matmul(g_z, np.swapaxes(w_head_data, -1, -2), out=a2)
-            g2 *= mask
-            if fc2_chunk is not None:
+                mask = a2 > 0
+                g2 = np.matmul(g_z, np.swapaxes(w_head_data, -1, -2), out=a2)
+                g2 *= mask
                 np.matmul(np.swapaxes(a1, -1, -2), g2, out=fc2_chunk)
-            if not pair_grad:
-                continue
-            mask = np.greater(a1, 0.0, out=mask if mask.shape == a1.shape else None)
-            g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
-            g1 *= mask
-            g1 = g1.reshape(-1, n, n, width)
-            g_src = _unbroadcast(g1, (stop - first, n, 1, width)).reshape(-1, n, width)
-            g_dst = _unbroadcast(g1, (stop - first, 1, n, width)).reshape(-1, n, width)
-            if g_x is not None:
+                mask = np.greater(a1, 0.0, out=mask if mask.shape == a1.shape else None)
+                g1 = np.matmul(g2, np.swapaxes(w2_data, -1, -2), out=a1)
+                g1 *= mask
+                g1 = g1.reshape(-1, n, n, width)
+                g_src = _unbroadcast(g1, (stop - first, n, 1, width)).reshape(-1, n, width)
+                g_dst = _unbroadcast(g1, (stop - first, 1, n, width)).reshape(-1, n, width)
                 np.add(np.matmul(g_src, np.swapaxes(w_src, -1, -2)),
                        np.matmul(g_dst, np.swapaxes(w_dst, -1, -2)), out=g_x)
-            if src_chunk is not None:  # before the encoder's backward overwrites the embeddings
-                x_t = np.swapaxes(x, -1, -2)
+                x_t = np.swapaxes(x, -1, -2)  # before the encoder's backward overwrites the embeddings
                 np.matmul(x_t, g_src, out=src_chunk)
                 np.matmul(x_t, g_dst, out=dst_chunk)
-            if enc and hidden_grad:
-                encoder_grads(first, stop, g_x, *enc)
-        if fixed and hidden_grad:  # the mean's gradient, each frame's share, through every frame
-            g_x = g_x.reshape(n, d) / frames  # the one chunk's buffer: the pairs are one frame
+                if enc:
+                    encoder_grads(first, stop, g_x, *enc)
+            return ([np.concatenate((from_src.total(w_src.shape), from_dst.total(w_dst.shape))),
+                     layer1.total(b1.shape, (n, n, width)), fc2.total(w2.shape), layer2.total(b2.shape),
+                     head.total(w_head.shape), head_bias.total(b_head.shape)], enc_sums, g_x)
+
+        pair, enc_sums, g_x = pair_grads()
+        if fixed:  # the mean's gradient, each frame's share, through every frame
+            g_x = g_x.reshape(n, d) / frames
             walk, enc_sums = _chunked(lead, enc_chunk, *enc_terms)
             for first, stop, enc in walk:
                 encode(first, stop, *enc[:2])
                 encoder_grads(first, stop, g_x, *enc)
-        enc_layer1, enc_layer2, enc_fc1, enc_fc2 = enc_sums or (None,) * 4
-        g_w1 = None
-        if from_src:
-            g_w1 = np.empty(w1.shape)
-            g_w1[:d], g_w1[d:] = from_src.total(w_src.shape), from_dst.total(w_dst.shape)
+        enc_layer1, enc_layer2, enc_fc1, enc_fc2 = enc_sums
         grads = (None if g_msg is None else g_msg.reshape(feats.shape),
-                 None if g_enc is None else g_enc.reshape(feats.shape), enc_fc1 and enc_fc1.total(enc_w1.shape),
-                 enc_layer1 and enc_layer1.total(enc_b1.shape), enc_fc2 and enc_fc2.total(enc_w2.shape),
-                 enc_layer2 and enc_layer2.total(enc_b2.shape), g_w1, layer1 and layer1.total(b1.shape, (n, n, width)),
-                 fc2 and fc2.total(w2.shape), layer2 and layer2.total(b2.shape), head and head.total(w_head.shape),
-                 head_bias and head_bias.total(b_head.shape))
+                 None if g_enc is None else g_enc.reshape(feats.shape), enc_fc1.total(enc_w1.shape),
+                 enc_layer1.total(enc_b1.shape), enc_fc2.total(enc_w2.shape), enc_layer2.total(enc_b2.shape),
+                 *pair)
         return grads if message else grads[1:]
 
     return _make(out, (feats,) * (1 + message) + tuple(weights), bwd)
@@ -974,28 +961,22 @@ def _normalize(x: np.ndarray, gamma, beta, axes: tuple, stats, out: np.ndarray, 
     return mean, var, inv
 
 
-def _normalize_grads(g: np.ndarray, gamma, centered, var, inv, training: bool, need, total, scratch, g_x):
+def _normalize_grads(g: np.ndarray, gamma, centered, var, inv, training: bool, total, scratch, g_x):
     """``batch_norm``'s backward arithmetic: the gradients of (x, gamma, beta),
-    None where ``need`` is false, with x's written into ``g_x`` and the terms no
-    caller keeps into ``scratch``; ``total`` sums a term over the batch axes."""
+    with x's written into ``g_x`` and the terms no caller keeps into
+    ``scratch``; ``total`` sums a term over the batch axes."""
     count = g.size // max(gamma.size, 1)
-    g_gamma = g_beta = None
-    if need[0]:
-        np.multiply(g, gamma, out=scratch)  # the normalized input's gradient
-        np.multiply(scratch, inv, out=g_x)
-        if training:  # through the batch statistics, summed in the composed ops' order
-            g_inv = total(np.multiply(scratch, centered, out=scratch))
-            g_var = (g_inv * -0.5) * (var + BATCHNORM_EPS) ** -1.5
-            t = np.multiply(g_var / count, centered, out=scratch)
-            g_x += t
-            g_x += t
-            g_x += total(np.negative(g_x, out=scratch)) / count
-    if need[2]:
-        g_beta = total(g)
-    if need[1]:
-        normed = np.multiply(centered, inv, out=scratch)
-        g_gamma = total(np.multiply(g, normed, out=normed))
-    return (g_x if need[0] else None), g_gamma, g_beta
+    np.multiply(g, gamma, out=scratch)  # the normalized input's gradient
+    np.multiply(scratch, inv, out=g_x)
+    if training:  # through the batch statistics, summed in the composed ops' order
+        g_inv = total(np.multiply(scratch, centered, out=scratch))
+        g_var = (g_inv * -0.5) * (var + BATCHNORM_EPS) ** -1.5
+        t = np.multiply(g_var / count, centered, out=scratch)
+        g_x += t
+        g_x += t
+        g_x += total(np.negative(g_x, out=scratch)) / count
+    normed = np.multiply(centered, inv, out=scratch)
+    return g_x, total(np.multiply(g, normed, out=normed)), total(g)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
@@ -1020,7 +1001,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
 
     def bwd(g):
         return _normalize_grads(g, gamma.data, centered, var, inv, stats is None,
-                                [t.requires_grad for t in (x, gamma, beta)],
                                 lambda term: _unbroadcast(term, features), np.empty_like(g), np.empty_like(g))
 
     return _make(out, (x, gamma, beta), bwd), mean, var
@@ -1096,12 +1076,10 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
     mean, var, inv = moments if affine else (None,) * 3
 
     def bwd(g):
-        first = x.requires_grad or w1.requires_grad or b1.requires_grad
-        need = [first or w2.requires_grad or b2.requires_grad] + [t.requires_grad for t in weights[4:]]
         g_rows = g.reshape(rows, n, h2)
         row_major = abs(g_rows.strides[1]) < abs(g_rows.strides[0])
         g_x = np.empty((rows, n, d)) if x.requires_grad else None
-        grads = [np.empty(t.shape) if t.requires_grad else None for t in weights]
+        grads = [np.empty(t.shape) for t in weights]
         g_w1, g_b1, g_w2, g_b2 = grads[:4]
         a1, a2, *g_sized = buffers(4 if affine else 2)
 
@@ -1125,30 +1103,20 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
                             else _unbroadcast(term, (k, h2)))
                 g_s = g[..., s, :]
                 centered = np.subtract(features(act), mean[s], out=features(act))
-                g_norm, *g_affine = _normalize_grads(g_s, affine[0][s], centered, var[s], inv[s], stats is None,
-                                                     need, total, *(like_g(b, k) for b in g_sized))
-                for grad, g_i in zip(grads[4:], g_affine):
-                    if grad is not None:
-                        grad[s] = g_i
-                if not need[0]:
-                    continue
+                g_norm, grads[4][s], grads[5][s] = _normalize_grads(
+                    g_s, affine[0][s], centered, var[s], inv[s], stats is None, total,
+                    *(like_g(b, k) for b in g_sized))
                 g_s = g_norm.reshape(rows, k, h2).swapaxes(0, 1)  # a view when g is row-major
             else:
                 g_s = g_rows.swapaxes(0, 1)[s]
             g_out = np.multiply(g_s, mask, out=taken(a2, s, h2))
-            if g_w2 is not None:
-                np.matmul(np.swapaxes(taken(a1, s, h), -1, -2), g_out, out=g_w2[s])
-            if g_b2 is not None:
-                g_b2[s] = _unbroadcast(g_out, (k, 1, h2))
-            if not first:
-                continue
+            np.matmul(np.swapaxes(taken(a1, s, h), -1, -2), g_out, out=g_w2[s])
+            g_b2[s] = _unbroadcast(g_out, (k, 1, h2))
             mask = taken(a1, s, h) > 0
             g1 = np.matmul(g_out, np.swapaxes(w2_data[s], -1, -2), out=taken(a1, s, h))
             g1 *= mask
-            if g_w1 is not None:
-                np.matmul(np.swapaxes(x_n[s], -1, -2), g1, out=g_w1[s])
-            if g_b1 is not None:
-                g_b1[s] = _unbroadcast(g1, (k, 1, h))
+            np.matmul(np.swapaxes(x_n[s], -1, -2), g1, out=g_w1[s])
+            g_b1[s] = _unbroadcast(g1, (k, 1, h))
             if g_x is not None:
                 np.matmul(g1, np.swapaxes(w1_data[s], -1, -2), out=g_x.swapaxes(0, 1)[s])
         return (None if g_x is None else g_x.reshape(x.shape),) + tuple(grads)

@@ -367,7 +367,7 @@ class NeuralModel:
             return ONE_HOT_TEMPERATURE
         return self.config.softmax_temperature
 
-    def edge_weights(self, feats: Tensor, training: bool) -> Tensor:
+    def edge_weights(self, feats: Tensor) -> Tensor:
         """Infer adjacency from features (…, N, 2): a (B, W, N, 2) stack or a
         (B, N, 2) frame.
 
@@ -399,19 +399,19 @@ class NeuralModel:
         weights = self.encoder.parameters() + self.edge_mlp.parameters() + self.edge_head.parameters()
         return [p.tensor for p in weights] + [self.edge_temperature(), float(self.config.include_self_edges)]
 
-    def adjacency(self, feats: Tensor, training: bool) -> Tensor:
+    def adjacency(self, feats: Tensor) -> Tensor:
         """The adjacency a GNN passes messages over, for features (…, N, 2);
         it broadcasts against them: the loaded connectome (N, N), with its
         diagonal zeroed when self edges are off, or ``edge_weights(feats)``."""
         cfg = self.config
         if cfg.edge_mode is not EdgeMode.CONNECTOME:
-            return self.edge_weights(feats, training)
+            return self.edge_weights(feats)
         if self.connectome is None:
             raise ValueError("adjacency: edge_mode=connectome but no connectome matrix was set")
         a = self.connectome
         return Tensor(a if cfg.include_self_edges else a * _offdiag_mask(cfg.n_neurons))
 
-    def fixed_adjacency(self, frames: Tensor, training: bool) -> Tensor | None:
+    def fixed_adjacency(self, frames: Tensor) -> Tensor | None:
         """The one owner of the fixed-edge decision: the adjacency every frame
         of a worm shares, the connectome or static or one-hot edges inferred
         from ``frames`` (…, N, 2); None when edges are inferred per frame
@@ -419,7 +419,7 @@ class NeuralModel:
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN or cfg.edge_mode is EdgeMode.DYNAMIC:
             return None
-        return self.adjacency(frames, training)
+        return self.adjacency(frames)
 
     # -- batched forward passes -------------------------------------------------
 
@@ -435,7 +435,7 @@ class NeuralModel:
             # edges inferred per frame and the message pass over them as one chunked node
             x = ad.edge_message(x, *self._edge_args())
         elif cfg.module_kind is ModuleKind.GNN:
-            x = message_pass(self.adjacency(x, training) if adjacency is None else adjacency, x)
+            x = message_pass(self.adjacency(x) if adjacency is None else adjacency, x)
         if not self._per_node:  # (…, N, 2) -> (…, 2N) in neuron order, or (…, 2) when summing
             x = (ad.reshape(x, x.shape[:-2] + (2 * cfg.n_neurons,))
                  if cfg.aggregation is Aggregation.CONCATENATE else x.sum(axis=-2))
@@ -467,7 +467,7 @@ class NeuralModel:
             raise ValueError(
                 f"classify_logits: expected (B, W, {cfg.n_neurons}, 2), got {feats.shape}"
             )
-        fixed = None if edge_feats is None else self.fixed_adjacency(edge_feats, training)
+        fixed = None if edge_feats is None else self.fixed_adjacency(edge_feats)
         h, _ = self._stages(feats, training, fixed, None)
         if self._per_node:  # the per-node hidden vectors, concatenated in neuron order
             h = ad.reshape(h, h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
@@ -507,10 +507,10 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
     if frames.ndim == 2:
         frames = frames[None]
     with ad.no_grad():
-        fixed = model.fixed_adjacency(Tensor(frames[None]), training=False)
+        fixed = model.fixed_adjacency(Tensor(frames[None]))
         if fixed is not None:
             return fixed.data.reshape(fixed.shape[-2:])
-        return model.edge_weights(Tensor(frames[None]), training=False).data[0]
+        return model.edge_weights(Tensor(frames[None])).data[0]
 
 
 def load_connectome_edges(path, neuron_names, include_self_edges: bool = True) -> np.ndarray:
@@ -570,13 +570,13 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
     needed = burn_in + steps if (sampling_prob > 0 or burn_in > 0) else burn_in + 1
     if length < needed:
         raise ValueError(
-            f"rollout: teacher has {length} frames but {burn_in + steps} are needed "
+            f"rollout: teacher has {length} frames but {needed} are needed "
             f"(burn_in={burn_in}, steps={steps})"
         )
     if sampling_prob > 0 and rng is None:
         raise ValueError("rollout: sampling_prob > 0 requires an rng")
 
-    adjacency = model.fixed_adjacency(Tensor(teacher if edge_feats is None else edge_feats), training)
+    adjacency = model.fixed_adjacency(Tensor(teacher if edge_feats is None else edge_feats))
 
     state = None
     for k in range(burn_in):

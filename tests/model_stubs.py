@@ -24,7 +24,7 @@ class ConstantResidualModel:
     def parameters(self):
         return []
 
-    def fixed_adjacency(self, frames, training):
+    def fixed_adjacency(self, frames):
         return None
 
     def predict_residual(self, x, training, adjacency=None, rec_state=None):

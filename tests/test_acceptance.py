@@ -174,7 +174,7 @@ def test_criterion_3_edge_weight_normalization():
         assert logits.shape == (100, 1, 16, 2)
         probs = ad.softmax(logits, axis=-1, temperature=model.edge_temperature()).data
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-9)
-        w = model.edge_weights(feats, training=False).data
+        w = model.edge_weights(feats).data
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         checked += feats.shape[0]
     assert checked == 1000

@@ -858,79 +858,73 @@ BINARY_BACKWARD = {
     "matmul": (ad.matmul, ((3, 4), (4, 2)), lambda g, a, b: (g @ b.T, a.T @ g)),
     "linear": (lambda a, b: ad.linear(a, b, ad.tensor(np.ones(2))), ((3, 4), (4, 2)),
                lambda g, a, b: (g @ b.T, a.T @ g)),
-    # x and gamma of a training batch_norm, beta constant
-    "batch_norm": (lambda a, b: ad.batch_norm(a, b, bn_affine((3,))[1])[0], ((5, 3), (3,)),
-                   lambda g, a, b: composed_batch_norm_grads(g, a, b)),
-    # feats and w1 of edge_matrix, its other operands constant
-    "edge_matrix": (lambda a, b: edge_node_with_constants(ad.edge_matrix, ("feats", "w1"), a, b),
-                    ((2, 3, 2), (4, 3)), lambda g, a, b: composed_edge_grads(composed_edge_matrix, ("feats", "w1"),
-                                                                             g, a, b)),
+}
+
+# the node and the shapes of an input a and a weight b, as above; every
+# operand in argument order (the others fixed), and the composed ops
+FUSED_BACKWARD = {
+    # x and gamma of a training batch_norm
+    "batch_norm": (lambda *t: ad.batch_norm(*t)[0], ((5, 3), (3,)), lambda a, b: [a, b, bn_affine((3,))[1]],
+                   lambda *t: composed_batch_norm(*t)[0]),
+    # feats and w1 of edge_matrix
+    "edge_matrix": (lambda *t: ad.edge_matrix(*t, 0.7, 1.0), ((2, 3, 2), (4, 3)),
+                    lambda a, b: edge_operands(("feats", "w1"), a, b), lambda *t: composed_edge_matrix(*t, 0.7, 1.0)),
     # feats (the messages and the encoder's input) and enc_w1 of edge_message
-    "edge_message": (lambda a, b: edge_node_with_constants(ad.edge_message, ("feats", "enc_w1"), a, b),
-                     ((2, 3, 2), (2, 3)), lambda g, a, b: composed_edge_grads(composed_edge_message,
-                                                                              ("feats", "enc_w1"), g, a, b)),
+    "edge_message": (lambda *t: ad.edge_message(*t, 0.7, 1.0), ((2, 3, 2), (2, 3)),
+                     lambda a, b: edge_operands(("feats", "enc_w1"), a, b),
+                     lambda *t: composed_edge_message(*t, 0.7, 1.0)),
     # feats and enc_w1 of a fixed edge_matrix
-    "fixed_edge_matrix": (lambda a, b: edge_node_with_constants(fixed_edge_matrix, ("feats", "enc_w1"), a, b),
-                          ((2, 3, 2), (2, 3)), lambda g, a, b: composed_edge_grads(
-                              composed_fixed_edge_matrix, ("feats", "enc_w1"), g, a, b)),
-    # x and w1 of neuron_mlp with its batch norm in training, its other operands constant
-    "neuron_mlp": (lambda a, b: neuron_mlp_with_constants(ad.neuron_mlp, a, b),
-                   ((4, 3, 2), (3, 2, 2)), lambda g, a, b: composed_neuron_mlp_grads(g, a, b)),
+    "fixed_edge_matrix": (lambda *t: fixed_edge_matrix(*t, 0.7, 1.0), ((2, 3, 2), (2, 3)),
+                          lambda a, b: edge_operands(("feats", "enc_w1"), a, b),
+                          lambda *t: composed_fixed_edge_matrix(*t, 0.7, 1.0)),
+    # x and w1 of neuron_mlp with its batch norm in training
+    "neuron_mlp": (lambda *t: ad.neuron_mlp(*t)[0], ((4, 3, 2), (3, 2, 2)),
+                   lambda a, b: [a, b] + [ad.tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
+                                          for i, shape in enumerate(neuron_mlp_shapes()[2:])],
+                   lambda *t: composed_neuron_mlp(*t)[0]),
 }
 
 
-def composed_batch_norm_grads(g, x, gamma):
-    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(gamma, requires_grad=True)]
-    out = composed_batch_norm(*leaves, bn_affine((3,))[1])[0]
-    ad.mul(out, ad.Tensor(g)).sum().backward()
-    return [leaf.grad for leaf in leaves]
-
-
-def edge_node_with_constants(op, names, *leaves):
-    """``op`` with ``leaves`` as the operands ``names`` and fixed values of
-    both signs for the others."""
+def edge_operands(names, *leaves):
+    """The edge operands with ``leaves`` as ``names`` and fixed values of both
+    signs for the others."""
     given = dict(zip(names, leaves))
-    return op(*[given[name] if name in given else edge_constant(i, shape)
-                for i, (name, shape) in enumerate(zip(EDGE_OPERANDS, edge_shapes()))], 0.7, 1.0)
+    return [given[name] if name in given else edge_constant(i, shape)
+            for i, (name, shape) in enumerate(zip(EDGE_OPERANDS, edge_shapes()))]
 
 
-def composed_edge_grads(composed, names, g, *values):
-    leaves = [ad.tensor(v, requires_grad=True) for v in values]
-    out = edge_node_with_constants(composed, names, *leaves)
-    ad.mul(out, ad.Tensor(g)).sum().backward()
-    return [leaf.grad for leaf in leaves]
-
-
-def neuron_mlp_with_constants(op, x, w1):
-    constants = [np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1
-                 for i, shape in enumerate(neuron_mlp_shapes()[2:])]
-    return op(x, w1, *map(ad.tensor, constants))[0]
-
-
-def composed_neuron_mlp_grads(g, x, w1):
-    leaves = [ad.tensor(x, requires_grad=True), ad.tensor(w1, requires_grad=True)]
-    out = neuron_mlp_with_constants(composed_neuron_mlp, *leaves)
-    ad.mul(out, ad.Tensor(g)).sum().backward()
-    return [leaf.grad for leaf in leaves]
-
-
-@pytest.mark.parametrize("name", sorted(BINARY_BACKWARD))
+@pytest.mark.parametrize("name", sorted({**BINARY_BACKWARD, **FUSED_BACKWARD}))
 @pytest.mark.parametrize("constant", [0, 1])
 def test_backward_skips_constant_operands(name, constant):
-    op, shapes, expected = BINARY_BACKWARD[name]
+    # a two-operand op or linear computes no gradient for its constant
+    # operand; a fused node computes every weight's, constant or not, the
+    # composed ops' byte for byte, and none only for a constant input
+    # (batch norm's input, always an activation in a model, gets one too)
+    fused = name in FUSED_BACKWARD
+    op, shapes, *reference = (FUSED_BACKWARD if fused else BINARY_BACKWARD)[name]
     rng = np.random.default_rng(5)
     values = [rng.normal(size=shape) for shape in shapes]
     operands = [ad.tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+    if fused:
+        every_operand, composed = reference
+        operands = every_operand(*operands)
     out = op(*operands)
     g = rng.normal(size=out.shape)
     grads = {}  # by parent, summed in the order backward sums them (edge_message lists feats twice)
     for parent, grad in zip(out._parents, out._backward_fn(g)):
         if grad is not None:
             grads[id(parent)] = grads[id(parent)] + grad if id(parent) in grads else grad
+    if fused:
+        leaves = [ad.tensor(t.data, requires_grad=True) for t in operands]
+        ad.mul(composed(*leaves), ad.Tensor(g)).sum().backward()
+        skipped = constant == 0 and name != "batch_norm"
+        assert [id(t) in grads for t in operands] == [not skipped] + [True] * (len(operands) - 1)
+        assert all(grads[id(t)].tobytes() == leaf.grad.tobytes() for t, leaf in zip(operands, leaves) if id(t) in grads)
+        return
     assert id(operands[constant]) not in grads
     live = 1 - constant
-    assert grads.pop(id(operands[live])).tobytes() == expected(g, *values)[live].tobytes()
-    assert not grads  # biases and further operands are constants
+    assert grads.pop(id(operands[live])).tobytes() == reference[0](g, *values)[live].tobytes()
+    assert not grads  # linear's bias is a constant
 
 
 @pytest.mark.parametrize("constant", range(6), ids=LSTM_OPERANDS)

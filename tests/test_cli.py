@@ -741,7 +741,7 @@ def test_edges_dumps_the_adjacency_messages_pass_over(tmp_path):
     dumped = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     model = m.load_checkpoint(run / "model.ckpt")
     assert model.connectome[0, 0] == 1.0  # stored, but unused
-    assert np.array_equal(dumped, model.adjacency(Tensor(np.zeros((5, 2))), training=False).data)
+    assert np.array_equal(dumped, model.adjacency(Tensor(np.zeros((5, 2)))).data)
     assert not np.diag(dumped).any() and dumped[0, 1] == model.connectome[0, 1] == 2.0 / 3.0
 
 
