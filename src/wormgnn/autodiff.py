@@ -424,19 +424,22 @@ def _chunked(lead: tuple[int, ...], chunk: int, *terms):
     """A walk over the frames of ``lead`` (flattened) in chunks of about
     ``chunk`` frames of whole first-axis slices, yielding (first, stop,
     buffers), and the list of its sums.  Each term is (tail, summed) and gets
-    a buffer; with ``summed`` its ``_LeadSum`` folds it in after the loop body
-    ran (the sum, else None, is in the list)."""
+    a C-ordered (frames, *tail) buffer: with ``summed`` a ``_LeadSum``'s, which
+    folds it in after the loop body ran (the sum, else None, is in the list);
+    else one ``np.empty`` chunk reused by every chunk, which the body writes
+    before it reads."""
     per, frames = max(math.prod(lead[1:]), 1), math.prod(lead)
     slices = max(1, min(chunk // per, lead[0] if lead else 1))
-    parts = [_LeadSum(lead, tail, slices) for tail, _ in terms]
-    sums = [part if summed else None for part, (_, summed) in zip(parts, terms)]
+    sums = [_LeadSum(lead, tail, slices) if summed else None for tail, summed in terms]
+    plain = [None if summed else np.empty((slices * per,) + tail) for tail, summed in terms]
 
     def walk():
         for first in range(0, frames, slices * per):
             stop = min(first + slices * per, frames)
-            yield first, stop, [part.chunk((stop - first) // per) for part in parts]
+            yield first, stop, [buffer[:stop - first] if part is None else part.chunk((stop - first) // per)
+                                for part, buffer in zip(sums, plain)]
             for part in sums:
-                if part:
+                if part is not None:
                     part.fold()
 
     return walk(), sums
@@ -447,6 +450,23 @@ def _dense_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     np.matmul(a, w, out=out)
     out += b
     return np.maximum(out, 0.0, out=out)
+
+
+def _add_row(out: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``out += b`` for a C-ordered ``out`` whose trailing axes hold ``b`` a
+    whole number of times, given ``row``, that many copies of ``b`` end to
+    end: numpy's inner loop then runs over ``row``, not over ``b``'s few
+    entries, and each entry gets the same one add."""
+    rows = out.reshape(-1, row.size)  # a view, as ``out`` is C-ordered
+    rows += row
+    return out
+
+
+def _rows_relu(a: np.ndarray, w: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_dense_relu`` into a C-ordered ``out``, its bias tiled to ``row``
+    (``_add_row``)."""
+    np.matmul(a, w, out=out)
+    return np.maximum(_add_row(out, row), 0.0, out=out)
 
 
 def edge_matrix(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, enc_b2: Tensor, w1: Tensor,
@@ -470,10 +490,11 @@ def edge_matrix(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, e
     off-diagonal mask and, for ``self_weight`` 1, the identity, up to the
     sign of a NaN.  The forward runs the frames (the lead axes, flattened) in
     chunks of about EDGE_CHUNK_ENTRIES activation entries through reused
-    buffers, writing each chunk's edges into the node's one (…, N, N) array;
-    with ``fixed`` a first such pass sums the embeddings, and the pairs are
-    scored once.  Backward runs in chunks of whole slices of the first lead
-    axis: it recomputes the chunk's embeddings, ``a1``, ``a2`` and edges,
+    C-ordered buffers, in rows of N nodes' entries (``_edge_node``), writing
+    each chunk's edges into the node's one (…, N, N) array; with ``fixed``
+    a first such pass sums the embeddings, and the pairs are scored once.
+    Backward runs in chunks of whole slices of the first lead axis: it
+    recomputes the chunk's embeddings, ``a1``, ``a2`` and edges,
     overwrites each activation with its gradient, writes the features'
     per-frame gradients into their output and adds each weight's and bias's
     per-frame terms to a ``_LeadSum``.  Every backward through the node, not
@@ -500,7 +521,19 @@ def edge_message(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, 
 
 def _edge_node(op: str, feats: Tensor, message: bool, weights, temperature: float, self_weight: float,
                fixed: bool) -> Tensor:
-    """``edge_message`` for ``message``, else ``edge_matrix``."""
+    """``edge_message`` for ``message``, else ``edge_matrix``.
+
+    Both passes lay a chunk of F frames out in rows of N nodes' entries, so
+    numpy's inner loops run N times longer than a layer's width: the pair
+    layer copies each source's ``x_i w1[:d]`` across its row of pairs, then
+    adds the destinations' ``x_j w1[d:]`` as one (N h) row over the (F, N,
+    N h) pairs, and each bias is tiled once per call into one row of N
+    copies, added over (F N, N h), (F N, N h2) and (F N, N 2) rows of the
+    pairs and (F, N e) and (F, N d) rows of the encoder.  Each entry gets
+    the composed ops' one add, with the same operands in the same order.
+    The matmuls stay batched per frame (one 2-D gemm over the chunk let
+    OpenBLAS thread it, and ran slower at these sizes), and a bias row
+    holds N copies, not N², which would add to the node's peak memory."""
     enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head, b_head = weights
     layers = weights[::2]
     if not (feats.ndim >= 2 and all(w.ndim == 2 for w in layers)
@@ -522,11 +555,15 @@ def _edge_node(op: str, feats: Tensor, message: bool, weights, temperature: floa
     width, width2 = w1.shape[1], w2.shape[1]
     x_frames = feats.data.reshape(frames, n, c)
     enc_chunk = max(1, EDGE_CHUNK_ENTRIES // (n * max(e, d)))
+    # each bias tiled once per node to one row of its layer's (…, N, ·) or
+    # (…, N, N, ·) activations: (N e), (N d), (N h), (N h2) and (N 2) entries
+    enc_b1_row, enc_b2_row, b1_row, b2_row, head_row = (np.tile(b, n) for b in (
+        enc_b1_data, enc_b2_data, b1_data, b2_data, b_head_data))
 
     def encode(first, stop, e1, e2):
         """Frames [first, stop) embedded into ``e2`` (F, N, d), via ``e1`` (F, N, e)."""
-        return _dense_relu(_dense_relu(x_frames[first:stop], enc_w1_data, enc_b1_data, e1), enc_w2_data,
-                           enc_b2_data, e2)
+        return _rows_relu(_rows_relu(x_frames[first:stop], enc_w1_data, enc_b1_row, e1), enc_w2_data,
+                          enc_b2_row, e2)
 
     hidden = None  # with ``fixed``, the one frame of mean embeddings (1, N, d)
     if fixed:
@@ -542,14 +579,15 @@ def _edge_node(op: str, feats: Tensor, message: bool, weights, temperature: floa
     def logits(x, a1, a2, out):
         """The logits of embeddings ``x`` (F, N, d) into ``out`` (F, N * N, 2),
         the pair layer ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)`` into ``a1``
-        (F, N * N, h) and ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2)."""
-        np.add(np.matmul(x, w_src).reshape(-1, n, 1, width),
-               np.matmul(x, w_dst).reshape(-1, 1, n, width), out=a1.reshape(-1, n, n, width))
-        a1 += b1_data
-        np.maximum(a1, 0.0, out=a1)
-        np.matmul(_dense_relu(a1, w2_data, b2_data, a2), w_head_data, out=out)
-        out += b_head_data
-        return out
+        (F, N * N, h) and ``a2 = relu(a1 w2 + b2)`` into ``a2`` (F, N * N, h2),
+        each C-ordered.  Source i's term is copied across its row of pairs,
+        and the destinations' terms, as one (N h) row, are added to each."""
+        np.copyto(a1.reshape(-1, n, n, width), np.matmul(x, w_src).reshape(-1, n, 1, width))
+        rows = a1.reshape(-1, n, n * width)
+        rows += np.matmul(x, w_dst).reshape(-1, 1, n * width)
+        np.maximum(_add_row(a1, b1_row), 0.0, out=a1)
+        np.matmul(_rows_relu(a1, w2_data, b2_row, a2), w_head_data, out=out)
+        return _add_row(out, head_row)
 
     chunk = max(1, EDGE_CHUNK_ENTRIES // (n * n * max(width, width2)))
     per_frame = () if fixed else (((n, e), False), ((n, d), False))  # the embeddings' buffers

@@ -62,13 +62,17 @@ def confusion_matrix(predictions, targets, k: int):
     """Row-normalized percent matrix (true state x predicted state) plus row support.
 
     Masked targets are excluded; rows with zero support stay all-zero.
+    Raises ValueError for a target or prediction outside [0, k).
     """
     predictions = np.asarray(predictions).reshape(-1)
     targets = np.asarray(targets).reshape(-1)
-    counts = np.zeros((k, k))
-    for true, pred in zip(targets, predictions):
-        if true >= 0:
-            counts[true, pred] += 1
+    valid = targets >= 0
+    true, pred = targets[valid], predictions[valid]
+    if true.size and (max(true.max(), pred.max()) >= k or pred.min() < 0):
+        raise ValueError(f"confusion_matrix: classes must lie in [0, {k}), got targets {true.min()}..{true.max()}"
+                         f" and predictions {pred.min()}..{pred.max()}")
+    # an empty list reads as float, which bincount refuses
+    counts = np.bincount(true * k + pred if true.size else [], minlength=k * k).reshape(k, k).astype(float)
     support = counts.sum(axis=1)
     percent = np.zeros((k, k))
     rows = support > 0

@@ -296,13 +296,20 @@ def prepare_worms(recordings: dict[str, WormRecording], task: str, cfg: TrainCon
 
 def _fold_windows(prepared: dict[str, PreparedWorm], worm_ids, folds) -> list[tuple]:
     """(worm id, worm, features, targets) of each listed worm's windows in
-    ``folds``, cut out once; a worm with no such window is left out."""
+    ``folds``, cut out once; a worm with no such window is left out.
+
+    The features are cut C-ordered, so a pooled model's (B, W, N, 2) -> (B,
+    W, 2N) reshape is a view, not a copy through a 2-entry inner loop, on
+    every forward.  ``prepare_worm``'s stacks keep their neuron-major
+    layout, which fixes the order of sums over a whole stack, such as the
+    benchmark's setup digest; every value computed from the cut is the same
+    in either layout."""
     cut = []
     for wid in sorted(worm_ids):
         worm = prepared[wid]
         mask = np.isin(worm.folds, folds)
         if mask.any():
-            cut.append((wid, worm, worm.features[mask], worm.targets[mask]))
+            cut.append((wid, worm, np.ascontiguousarray(worm.features[mask]), worm.targets[mask]))
     return cut
 
 

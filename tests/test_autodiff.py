@@ -509,11 +509,30 @@ EDGE_DIMS = (st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]
              st.sampled_from([1, 2, 5, 16]), st.sampled_from([1, 2, 5, 16]))  # n, c, e, d, h, h2
 
 
+# where the pair layer's (F N, N h) and (F N, N 2) rows degenerate: one node,
+# one-wide layers, one-frame chunks, a short last chunk and a lone frame, as
+# (lead, n, c, e, d, h, h2, frames)
+DEGENERATE_EDGE_CASES = [((12,), 1, 1, 1, 1, 1, 1, 7), ((5,), 1, 2, 3, 2, 1, 1, 1), ((11,), 4, 2, 1, 1, 1, 1, 7),
+                         ((6,), 3, 1, 2, 2, 1, 2, 1), ((5, 3), 2, 2, 2, 2, 1, 5, 7), ((), 1, 1, 1, 1, 1, 1, 1)]
+
+
+def degenerate_edge_examples(**args):
+    """Each DEGENERATE_EDGE_CASES shape as a hypothesis example, with ``args``."""
+    def add(test):
+        for lead, n, c, e, d, h, h2, frames in DEGENERATE_EDGE_CASES:
+            test = example(lead=lead, n=n, c=c, e=e, d=d, h=h, h2=h2, frames=frames, self_weight=1.0,
+                           temperature=0.7, needs_grad=[True] * 11, with_nan=False, roots=2, seed=3, **args)(test)
+        return test
+    return add
+
+
 @settings(max_examples=180, deadline=None)
 @given(CHUNK_LEADS, *EDGE_DIMS, st.booleans(), st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
        st.sampled_from([1.0, 0.7, 0.05]), st.sampled_from([1.0, 50.0]),
        st.lists(st.booleans(), min_size=11, max_size=11), st.booleans(), st.integers(1, 2),
        st.integers(0, 2**32 - 1))
+@degenerate_edge_examples(fixed=True, head_scale=1.0)
+@degenerate_edge_examples(fixed=False, head_scale=1.0)
 def test_edge_matrix_is_bit_equal_to_composed_ops(lead, n, c, e, d, h, h2, fixed, frames, self_weight, temperature,
                                                   head_scale, needs_grad, with_nan, roots, seed):
     # the edges and every operand's gradient, byte for byte, in chunks of 1,
@@ -562,6 +581,7 @@ def test_edge_matrix_saturates_without_overflow():
 @given(CHUNK_LEADS, *EDGE_DIMS, st.sampled_from([1, 7, 18]), st.sampled_from([1.0, 0.0]),
        st.sampled_from([1.0, 0.7, 0.05]), st.lists(st.booleans(), min_size=11, max_size=11), st.booleans(),
        st.integers(1, 2), st.integers(0, 2**32 - 1))
+@degenerate_edge_examples()
 def test_edge_message_is_bit_equal_to_edge_matrix_and_matmul(lead, n, c, e, d, h, h2, frames, self_weight,
                                                             temperature, needs_grad, with_nan, roots, seed):
     # the messages and every operand's gradient, byte for byte, in chunks of

@@ -63,6 +63,42 @@ def test_confusion_zero_support_row():
     assert np.array_equal(percent[1], np.zeros(3))
 
 
+def looped_counts(predictions, targets, k):
+    """The confusion counts one timestep at a time, skipping masked targets."""
+    counts = np.zeros((k, k))
+    for true, pred in zip(targets, predictions):
+        if true >= 0:
+            counts[true, pred] += 1
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.tuples(st.integers(0, k - 1), st.integers(-1, k - 1)), max_size=80))), st.booleans())
+def test_confusion_counts_equal_a_loop_over_timesteps(k_pairs, windows):
+    # masked targets (-1) and classes no target or prediction takes, flat or
+    # as (B, W) windows; the percent rows are support-normalized counts
+    k, pairs = k_pairs
+    preds = np.array([p for p, _ in pairs], dtype=np.intp)
+    targets = np.array([t for _, t in pairs], dtype=np.intp)
+    if windows and len(pairs) % 2 == 0:
+        preds, targets = preds.reshape(2, -1), targets.reshape(2, -1)
+    counts = looped_counts(preds.reshape(-1), targets.reshape(-1), k)
+    percent, support = ev.confusion_matrix(preds, targets, k)
+    assert np.array_equal(support, counts.sum(axis=1))
+    rows = support > 0
+    assert np.array_equal(percent[rows], 100.0 * counts[rows] / support[rows, None])
+    assert not percent[~rows].any()
+
+
+@pytest.mark.parametrize("preds, targets", [([0, 3], [0, 1]), ([0, -1], [0, 1]), ([0, 0], [3, 1])])
+def test_confusion_rejects_classes_out_of_range(preds, targets):
+    # a masked target's prediction is not checked; every other class must lie in [0, k)
+    assert ev.confusion_matrix([5, 0], [-1, 0], 3)[1].tolist() == [1, 0, 0]
+    with pytest.raises(ValueError, match=r"classes must lie in \[0, 3\)"):
+        ev.confusion_matrix(preds, targets, 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60))
 def test_confusion_rows_sum_to_100(pairs):

@@ -495,6 +495,25 @@ def test_prepare_worm_pins_starts_folds_and_targets():
         assert np.array_equal(window, full[start : start + 6])
 
 
+def test_fold_windows_are_cut_c_ordered_so_the_pooled_reshape_is_a_view(monkeypatch):
+    # the stored stacks stay neuron-major (above), but the cut windows are
+    # C-ordered: a pooled forward's (B, W, N, 2) -> (B, W, 2N) reshape reads
+    # them in place instead of copying them on every step
+    recs = small_worms()
+    cfg = tr.TrainConfig(fold_count=5, window_len=8, seed=0)
+    prepared = tr.prepare_worms(recs, "classify2", cfg, cfg.seed)
+    cut = tr._fold_windows(prepared, sorted(recs), [0, 1, 2])
+    assert len(cut) == 2 and all(feats.flags.c_contiguous for _, _, feats, _ in cut)
+    model = m.NeuralModel(m.ModelConfig(module_kind=m.ModuleKind.MLP, task=m.Task.CLASSIFY, n_neurons=4,
+                                        n_states=2, hidden_dim=8), master_seed=0)
+    reshaped, reshape = [], ad.reshape
+    monkeypatch.setattr(ad, "reshape", lambda a, shape: reshaped.append(reshape(a, shape)) or reshaped[-1])
+    for _, worm, feats, targets in cut:
+        reshaped.clear()
+        tr._worm_loss(model, worm, feats, targets, cfg, predict=False, training=True).backward()
+        assert reshaped[0].shape == feats.shape[:2] + (8,) and np.shares_memory(reshaped[0].data, feats)
+
+
 def separable_worm(n_windows=40, window_len=4, fold_count=5) -> tr.PreparedWorm:
     """Two neurons whose features sit near +2 at class-1 timesteps and near -2 otherwise."""
     rng = np.random.default_rng(0)
