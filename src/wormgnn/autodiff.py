@@ -1,64 +1,19 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is what the models in this package need: matmul, ``linear``
-(x @ w + b as one graph node, bit-equal to matmul then add, with an
-optional fused ReLU), ``edge_matrix`` (node features to edges: the
-encoder, the edge MLP, its head and the gate as one node, below),
-``edge_message`` (the edge matrix and the message pass over it as one
-node), ``batch_norm``, ``neuron_mlp`` and ``lstm_cell`` (one node each,
-below), ``softmax_nll``, elementwise add/sub/mul, scalar scale,
-ReLU, concatenation and sum/mean reductions.  A fused ReLU rectifies its
-node's own output buffer in place, so an activated layer keeps one array in
-the graph, not two; its values and gradients are bit-equal to the composed
-ops.  A few shape-plumbing primitives (reshape, swapaxes, split) exist
-because batched model forwards cannot be expressed without them;
-``swapaxes`` returns a view, and ``split`` cuts a tensor into contiguous
-views along one axis, whose backward writes every slice's gradient into one
-buffer.
+The op set is what the models in this package need: matmul and ``linear``;
+the fused nodes ``edge_matrix``, ``edge_message``, ``batch_norm``,
+``neuron_mlp``, ``lstm_cell`` and ``softmax_nll``, whose docstrings give
+their arithmetic, what they keep and the composed ops they are bit-equal
+to; elementwise add/sub/mul, scalar scale, ReLU, concatenation and sum/mean
+reductions; and the shape plumbing batched forwards need (reshape,
+``swapaxes``, ``split``).
 
-No model calls ``softmax`` (with an optional temperature divisor),
-``log``, ``sigmoid``, ``tanh``, ``power`` or ``index_select``.  Two things
-keep each of them: a test reference, the composed ops that a fused node is
-checked against (the edge gate's softmax, the gated cell's sigmoid and
-tanh, batch norm's power, the unfactored pair MLP's index_select, the NLL's
-log), and the benchmark's tracer (``wormbench/tracing.py``), whose ``OPS``
-counts each by name.
-
-``batch_norm`` normalizes over the leading axes in one node in both modes
-and returns the batch statistics that ``BatchNorm.apply`` keeps running
-averages of; besides its output it keeps only the centered input.
-``neuron_mlp`` is node_mlp's per-neuron body: each neuron's own two layers
-and batch norm, run a group of neurons at a time through reused buffers on
-batch norm's own arithmetic (``_normalize``, ``_normalize_grads``); it
-writes a C-ordered (…, N, h) output and keeps no (…, N, h) activation, and
-its backward recomputes each group's.  ``lstm_cell`` is the gated
-recurrent cell as one node with a hand-written backward over the four
-gates; its two outputs, the next hidden and cell states, are views of the
-node's output.  The three replay the rounding of the composed ops they
-replace, so values and gradients are bit-equal to them (``neuron_mlp``'s
-up to which of two meeting NaNs it keeps).  ``softmax_nll`` is the masked
-mean negative log-likelihood of logits, ``logsumexp(z) - z[target]``: it
-takes logits, not probabilities, and stays finite when logits saturate.
-
-``edge_matrix`` goes from node features to edges.  Its encoder embeds each
-node with two ReLU layers, averaged over every frame for a fixed matrix
-(static and one-hot edges), and it scores every ordered pair of embeddings
-with its first layer factored per node (NRI, Kipf et al. 2018): [x_i, x_j]
-W = x_i W_top + x_j W_bot.  Each pair's edge weight is the second component
-of the temperature softmax of its two logits, computed from their
-difference, overflow-free (``_gate``), and the self edges get a fixed
-weight; values and gradients are bit-equal to the composed ops up to the
-sign of a NaN.  Both passes run over frame chunks of about
-EDGE_CHUNK_ENTRIES entries through reused buffers, so the node keeps no
-(…, N, d) embedding or (…, N * N, h) activation, only its operands and the
-(…, N, N) edges, and its backward allocates none: it recomputes each
-chunk's embeddings, activations and edges (gradient checkpointing, Chen et
-al. 2016), writes each gradient into the buffer of the activation it
-replaces, and sums the weights' per-frame gradients over the frames through
-``_LeadSum``, in numpy's order.  ``edge_message`` adds the message pass
-``A X`` on each chunk's edges and keeps only its operands and output, so a
-dynamic-edge training step or rollout holds no (…, N, N) array.  Both walk
-their chunks and fold their sums through one function, ``_chunked``.
+No model calls ``softmax``, ``log``, ``sigmoid``, ``tanh``, ``power`` or
+``index_select``.  Each stays for two reasons: the composed references the
+fused nodes are tested against use it (the gate's softmax, the gated cell's
+sigmoid and tanh, batch norm's power, the unfactored pair layer's
+index_select, the NLL's log), and the benchmark's tracer
+(``wormbench/tracing.py``) counts each by name in its ``OPS``.
 
 The backward of add, sub, mul, matmul, linear and lstm_cell computes no
 gradient for an operand that does not require one (inputs, masks, targets).
@@ -68,14 +23,10 @@ which a model always trains.  ReLU, fused or not, is ``max(a, 0)``: +0.0
 for either signed zero, and a NaN input stays NaN, so a NaN pre-activation
 reaches the loss.
 
-Inside ``with no_grad():`` ops compute the same values but build no graph:
-outputs record no parents and no backward closure, so forward-only passes
-(validation, evaluation, edge dumps) keep nothing alive.  ``backward``
-stores ``.grad`` on leaves only.
-
-A computation graph and its tensors belong to one thread; distinct graphs
-(e.g. per cross-validation cell) may run concurrently without shared state.
-The ``no_grad`` flag is per thread too.
+``backward`` stores ``.grad`` on leaves only.  Under ``no_grad()`` ops build
+no graph, so forward-only passes (validation, evaluation, edge dumps) keep
+nothing alive.  A graph, its tensors and the ``no_grad`` flag belong to one
+thread, so distinct graphs (one per sweep cell) run concurrently.
 """
 
 from __future__ import annotations
@@ -361,7 +312,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b`` as one node; values and gradients are bit-equal to
     ``add(matmul(x, w), b)``, and with ``relu`` to ``relu`` of that.  ``b``
-    must broadcast to the product's shape."""
+    must broadcast to the product's shape.  With ``relu`` the node rectifies
+    its own output buffer in place, so an activated layer keeps one array in
+    the graph, not two."""
     out = _matmul_data("linear", x, w)
     try:
         out += b.data
@@ -478,9 +431,9 @@ def edge_matrix(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, e
     The encoder embeds each node, ``x = relu(relu(feats enc_w1 + enc_b1)
     enc_w2 + enc_b2)`` (…, N, d), averaged over the lead axes with ``fixed``.
     The pair MLP scores every ordered pair (i, j) with its first layer acting
-    on [x_i, x_j] through the (2d, h) weight ``w1``: ``a1 = relu(x_i w1[:d] +
-    x_j w1[d:] + b1)``, then ``a2 = relu(a1 w2 + b2)`` and two logits ``z =
-    a2 w_head + b_head``.  Edge (i, j) is the second component of their
+    on [x_i, x_j] through the (2d, h) weight ``w1``, factored per node (NRI,
+    Kipf et al. 2018): ``a1 = relu(x_i w1[:d] + x_j w1[d:] + b1)``, then
+    ``a2 = relu(a1 w2 + b2)`` and two logits ``z = a2 w_head + b_head``.  Edge (i, j) is the second component of their
     temperature softmax, the sigmoid of ``z1 / T - z0 / T`` in an
     overflow-free form (``_gate``); each self edge is ``w * 0.0 +
     self_weight``, so a NaN weight stays NaN.  Values and gradients are
@@ -493,12 +446,14 @@ def edge_matrix(feats: Tensor, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, e
     C-ordered buffers, in rows of N nodes' entries (``_edge_node``), writing
     each chunk's edges into the node's one (…, N, N) array; with ``fixed``
     a first such pass sums the embeddings, and the pairs are scored once.
-    Backward runs in chunks of whole slices of the first lead axis: it
-    recomputes the chunk's embeddings, ``a1``, ``a2`` and edges,
-    overwrites each activation with its gradient, writes the features'
-    per-frame gradients into their output and adds each weight's and bias's
-    per-frame terms to a ``_LeadSum``.  Every backward through the node, not
-    only the first, gets the composed ops' gradients.
+    The node keeps only its operands and the edges, no (…, N, d) embedding
+    or (…, N * N, h) activation.  Backward runs in chunks of whole slices of
+    the first lead axis: it recomputes the chunk's embeddings, ``a1``, ``a2``
+    and edges (gradient checkpointing, Chen et al. 2016), overwrites each
+    activation with its gradient, writes the features' per-frame gradients
+    into their output and adds each weight's and bias's per-frame terms to a
+    ``_LeadSum``.  Every backward through the node, not only the first, gets
+    the composed ops' gradients.
     """
     return _edge_node("edge_matrix", feats, False, (enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w_head,
                                                     b_head), float(temperature), float(self_weight), fixed)
@@ -750,7 +705,10 @@ def softmax_nll(logits: Tensor, targets: np.ndarray) -> Tensor:
     z, k = logits.data, logits.shape[-1]
     valid = targets >= 0
     count = max(int(valid.sum()), 1)
-    at = np.where(valid, targets, 0)[..., None]  # each row's target column; 0 when masked
+    # each row's target column (0 when masked), gathered from the rows as one
+    # flat (rows, k) view: numpy builds along-axis index grids in Python
+    at = np.where(valid, targets, 0).reshape(-1)
+    flat_rows = np.arange(at.size)
     # one column at a time: numpy reduces a short last axis slowly, row by row
     top = z[..., 0]
     for j in range(1, k):
@@ -760,15 +718,15 @@ def softmax_nll(logits: Tensor, targets: np.ndarray) -> Tensor:
     total = e[..., 0].copy()
     for j in range(1, k):
         total += e[..., j]
-    rows = np.log(total) - np.take_along_axis(shifted, at, axis=-1)[..., 0]
+    rows = np.log(total) - shifted.reshape(-1, k)[flat_rows, at].reshape(total.shape)
     out = np.where(valid, rows, 0.0).sum() * (1.0 / count)
 
     def bwd(g):
-        grad = e / total[..., None]
-        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=-1) - 1.0, axis=-1)
+        grad = (e / total[..., None]).reshape(-1, k)
+        grad[flat_rows, at] -= 1.0
         grad *= g * (1.0 / count)
-        grad[~valid] = 0.0
-        return (grad,)
+        grad[~valid.reshape(-1)] = 0.0
+        return (grad.reshape(logits.shape),)
 
     return _make(out, (logits,), bwd)
 

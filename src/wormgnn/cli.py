@@ -457,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command of ``COMMANDS``.  Its config is checked against the
+    command's keys (``_checked``, with ``schema.check_value``) before the
+    command runs; an error prints one line, ``error: <message>``, and
+    returns 1."""
     args = build_parser().parse_args(argv)
     command, flags, keys = COMMANDS[args.command]
     try:

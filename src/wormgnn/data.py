@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import derive_rng
+from .schema import check_value
 
 
 class RecordingFormatError(ValueError):
@@ -292,7 +293,10 @@ def load_recording(path) -> WormRecording:
     """Read a recording file (see docs/recording_format.md); un-normalized.
 
     A missing derivative matrix is computed from the raw traces.  Errors
-    carry field-level diagnostics.
+    carry field-level diagnostics.  The header is checked with the rule
+    configs use (``schema.check_value``): ``worm_id`` and ``dataset_tag``
+    must be strings, ``sample_period_s`` a finite number > 0 (not a bool or
+    a string) and ``neuron_names`` a list of strings.
     """
     path = Path(path)
     try:
@@ -308,13 +312,22 @@ def load_recording(path) -> WormRecording:
         if fieldname in ("neuron_names", "labels") and not isinstance(raw[fieldname], list):
             raise RecordingFormatError(f"{path}: {fieldname} must be a list, got {type(raw[fieldname]).__name__}")
 
-    def numbers(fieldname, convert=lambda values: np.asarray(values, dtype=np.float64)):
+    header = {"worm_id": str, "dataset_tag": str, "sample_period_s": float, "neuron_names": list[str]}
+    try:
+        worm_id, dataset_tag, period, names = [check_value(str(path), name, kind, raw[name])
+                                               for name, kind in header.items()]
+    except ValueError as exc:
+        raise RecordingFormatError(str(exc)) from None
+    if not period > 0:
+        raise RecordingFormatError(f"{path}: sample_period_s must be > 0, got {period}")
+
+    def numbers(fieldname):
         try:  # ragged rows, or an entry that is not a number
-            return convert(raw[fieldname])
+            return np.asarray(raw[fieldname], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise RecordingFormatError(f"{path}: {fieldname}: {exc}") from None
 
-    traces, period = numbers("traces"), numbers("sample_period_s", float)
+    traces = numbers("traces")
     if traces.ndim != 2 or traces.shape[1] < 2:
         raise RecordingFormatError(
             f"{path}: traces must be an N x T matrix with T >= 2, got shape {traces.shape}"
@@ -339,10 +352,10 @@ def load_recording(path) -> WormRecording:
 
     try:
         return WormRecording(
-            worm_id=str(raw["worm_id"]),
-            dataset_tag=str(raw["dataset_tag"]),
-            sample_period_s=period,
-            neuron_names=[str(n) for n in raw["neuron_names"]],
+            worm_id=worm_id,
+            dataset_tag=dataset_tag,
+            sample_period_s=float(period),
+            neuron_names=names,
             traces=traces,
             derivatives=derivatives,
             labels=labels,

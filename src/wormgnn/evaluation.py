@@ -129,10 +129,13 @@ def per_step_mse(model, recordings, steps: int = 16, window_len: int = 8,
     """MSE per prediction step, averaged across window-start rollouts of all recordings.
 
     The one rollout evaluation: the ``rollout`` command and ``train``'s final
-    evaluation both run it.  Recordings are expected normalized.  Windows
-    without ``burn_in + steps`` ground-truth frames of lookahead are skipped
-    and counted; no usable window at all raises.  Static edges come from the
-    frames that windowing covers, as in training.
+    evaluation both run it.  Rollouts start at every ``window_len``-th frame
+    of each recording, in recording order.  Recordings are expected
+    normalized.  Windows without ``burn_in + steps`` ground-truth frames of
+    lookahead are skipped and counted; no usable window at all raises, and
+    so does a ``steps`` or ``window_len`` below 1 or a negative ``burn_in``
+    (``rollout_batch``).  Static edges come from the frames that windowing
+    covers (the trailing remainder dropped), as in training.
     """
     for name, value in (("steps", steps), ("window_len", window_len)):
         if value < 1:
@@ -176,7 +179,7 @@ def pca_project(derivatives: np.ndarray, components: int = 3) -> PcaResult:
     """Mean-centered projection via eigendecomposition of the N x N covariance.
 
     Rank-deficient inputs are not an error; trailing zero-variance
-    components are flagged instead.
+    components are flagged instead.  ``components`` below 1 raises.
     """
     x = np.asarray(derivatives, dtype=np.float64)
     if x.ndim != 2:

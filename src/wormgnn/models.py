@@ -1,43 +1,22 @@
 """Model zoo: structure-agnostic MLPs, the edge-inferring graph network, and
-the linear baseline (one affine map, which ``training.train`` fits with a
-one-vs-rest hinge loss), with the two task heads (state classification and
-Markovian trajectory prediction).
+the linear baseline (one affine map from the concatenated neurons to class
+scores, which ``training.train`` fits with a one-vs-rest hinge loss), with
+the two task heads (state classification and Markovian trajectory
+prediction).
 
 A NeuralModel runs three stages in a fixed order, on one path for both
-tasks: an edge source (none, inferred, or a loaded connectome), an optional
-gated recurrent stage, and a decoder: ``body`` then ``head``.  The body is
-the trunk MLP over the aggregated neurons (pooled layouts) or one decoder
-over the neuron axis (per-node layouts), with weights of its own per neuron
-for node_mlp and shared by every node for the predicting GNN; the linear
-baseline has no body, and its head is the linear map.  The graph network encodes
-node features, scores every ordered neuron pair with two logits whose
-temperature softmax's second component is the edge weight, and performs
-exactly one message-passing step H = A X (message_pass) over
-NeuralModel.adjacency, the one edge source: the loaded connectome or the
-inferred edges, either of which broadcasts against a (B, W, N, 2) stack and
-a (B, N, 2) frame.  The encoder, the pair MLP, the edge head, the gate and
-the self edges run as one autodiff node from features to edges,
-``ad.edge_matrix``: its pair layer acts on [h_i, h_j] factored per node
-(NRI, Kipf et al. 2018), and it runs forward and backward in frame chunks,
-keeping no embedding or pair-sized activation and one (…, N, N) output.
-For dynamic edges ``_stages`` runs the edge matrix and the message pass as
-one chunked node, ``ad.edge_message``, so no training step or rollout holds
-a (…, N, N) array.
-Edges are inferred per timestep (dynamic), once for all frames supplied
-(static; node embeddings averaged over the whole stack before pairing, so a
-worm's recording yields one fixed matrix), or saturated toward {0,1} with a
-small softmax temperature (one-hot).  NeuralModel.fixed_adjacency alone decides whether a worm's edges
-are fixed (connectome, static, one-hot) or re-inferred per frame.
-ModelConfig rejects the linear baseline for prediction and recurrent linear
-or node_mlp classifiers.
+tasks (``NeuralModel._stages``): an edge source (none, inferred, or a loaded
+connectome), an optional gated recurrent stage, and a decoder, ``body`` then
+``head``.  The graph network takes exactly one message-passing step H = A X
+(``message_pass``) over ``NeuralModel.adjacency``, the one edge source;
+inferred edges are one ``ad.edge_matrix`` node, or, for dynamic edges in
+training and rollouts, one ``ad.edge_message`` node with the message pass.
+``NeuralModel.fixed_adjacency`` alone decides whether a worm's edges are
+fixed or re-inferred per frame.
 
-The forward API is batched and has three entry points: classify_logits maps
-a (B, W, N, 2) stack to per-timestep logits (training.predict_classes takes
-their argmax), predict_residual maps one (B, N, 2) frame to its residual, and
-rollout_batch iterates predict_residual under scheduled sampling.
-encode_edges returns the inferred edges of a recording's (T, N, 2) frames
-(WormRecording.features) or of one (N, 2) frame as arrays.  NeuralModel.state
-and load_state copy parameters and buffers, for checkpoints and the best epoch.
+The forward API is batched: ``NeuralModel.classify_logits``,
+``NeuralModel.predict_residual`` and ``rollout_batch``; ``encode_edges``
+returns the adjacency as arrays.
 """
 
 from __future__ import annotations
@@ -74,6 +53,13 @@ class Task(Enum):
 
 
 class EdgeMode(Enum):
+    """How a GNN gets its edges: inferred per timestep (dynamic), inferred
+    once from every frame supplied (static: node embeddings averaged over the
+    whole stack before pairing, so a worm's recording yields one fixed
+    matrix), inferred once and saturated toward {0, 1} by the small softmax
+    temperature ONE_HOT_TEMPERATURE (one-hot), or a loaded structural matrix
+    (connectome)."""
+
     DYNAMIC = "dynamic"
     STATIC = "static"
     CONNECTOME = "connectome"
@@ -87,6 +73,10 @@ class Aggregation(Enum):
 
 @dataclass
 class ModelConfig:
+    """A model's architecture.  Each field is checked against its annotation
+    (``schema.check_value``); the linear baseline is rejected for prediction,
+    and so are recurrent linear and node_mlp classifiers."""
+
     module_kind: ModuleKind
     task: Task
     n_neurons: int
@@ -127,10 +117,11 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 
 class Linear:
-    """``x @ w + b`` over the last axis.  With ``n_neurons`` N, every neuron
-    has its own weights: the weight is (N, in, out), the bias (N, 1, out),
-    and the input (…, N, in) runs as one product batched over neurons, read
-    back through views (node_mlp's predicting head).
+    """``x @ w + b`` over the last axis, as one ``ad.linear`` node.  With
+    ``n_neurons`` N, every neuron has its own weights: the weight is (N, in,
+    out), the bias (N, 1, out), and the input (…, N, in) runs as one product
+    batched over neurons, read back through views (node_mlp's predicting
+    head).
     ``weight`` gives initial weights instead of drawing them from ``rng``."""
 
     def __init__(self, name: str, in_dim: int, out_dim: int, rng, n_neurons: int | None = None,
@@ -164,14 +155,9 @@ class TwoLayerMlp:
     activation; otherwise each ReLU is fused into the node of its layer
     (``linear(relu=True)``), so each layer keeps one activation array.
 
-    The edge-inference path runs without batch norm so that inferred edges
-    are a deterministic function of parameters and features in both modes;
-    the module trunks keep it.  The edge MLP's fc1 holds the (2d, h) weight
-    of the pair concatenation [x_i, x_j].  The encoder's and the edge MLP's
-    layers run with the edge head and the gate as one ``ad.edge_matrix``
-    (``NeuralModel.edge_weights``) or, for dynamic edges in training and
-    rollouts, with the message pass too as one ``ad.edge_message``; neither
-    block's ``forward`` runs there.
+    The encoder and the edge MLP are built without batch norm, so inferred
+    edges are a deterministic function of parameters and features in both
+    modes; they only hold weights, which ``ad.edge_matrix`` runs.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int, rng, batchnorm: bool = True,
@@ -253,10 +239,18 @@ def _checked_arrays(kind: str, given: dict, shapes: dict, optional: dict | None 
 class NeuralModel:
     """Parameters and the staged forward passes for one ModelConfig.
 
-    Pooled layouts aggregate the neurons before the recurrent stage; per-node
-    layouts (node_mlp, predicting GNN) keep the neuron axis.  Parameter shapes
-    are a pure function of the config; initialization is a pure function of
-    (config, master_seed), so blocks are built in a fixed order.
+    Pooled layouts aggregate the neurons before the recurrent stage, and
+    their body is the trunk MLP (``trunk.*``).  Per-node layouts keep the
+    neuron axis, and their body is one two-layer MLP over it: node_mlp gives
+    each neuron weights of its own (``node.*``, stacked on a leading neuron
+    axis, with batch-norm statistics per neuron; predicting head
+    ``node.head.*``), and the predicting GNN shares one set across nodes
+    (``dec.*``, head ``dec_head.*``).  The linear baseline has no body; its
+    head is the linear map (``linear.*``).  The GNN's edge source is the
+    encoder (``enc.*``), the edge MLP (``edge.*``) and its head
+    (``edge_head.*``).  Parameter shapes are a pure function of the config;
+    initialization is a pure function of (config, master_seed), so blocks
+    are built in a fixed order.
     """
 
     def __init__(self, config: ModelConfig, master_seed: int = 0):
@@ -322,7 +316,9 @@ class NeuralModel:
         return [block.bn for block in self._blocks if getattr(block, "bn", None) is not None]
 
     def state(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Copies of every parameter and buffer by name, for ``load_state``."""
+        """Copies of every parameter and buffer by name, for ``load_state``:
+        the one copy that checkpoints and ``train()``'s best-epoch restore
+        use."""
         params = {name: p.data.copy() for name, p in self.named_parameters().items()}
         buffers = {name: v.copy() for bn in self.batchnorms() for name, v in bn.buffers().items()}
         if self.connectome is not None:
@@ -376,11 +372,10 @@ class NeuralModel:
         fixed for that whole temporal graph) and return (1, N, N); dynamic
         returns one matrix per frame, (…, N, N).
 
-        The encoder (and, for fixed edges, the average), the pair MLP, the
-        edge head, the gate and the self edges are one ``ad.edge_matrix`` node
-        from features to edges: each ordered pair's weight is the second
-        component of the temperature softmax of the edge head's two logits,
-        computed from the logit difference and bit-equal to that softmax.
+        One ``ad.edge_matrix`` node computes the edges from the features;
+        its docstring gives the gate.  Dynamic edges in training and rollouts
+        do not come here (``_stages``): this serves ``encode_edges`` and the
+        ``edges`` command.
         """
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN:
@@ -414,8 +409,9 @@ class NeuralModel:
     def fixed_adjacency(self, frames: Tensor) -> Tensor | None:
         """The one owner of the fixed-edge decision: the adjacency every frame
         of a worm shares, the connectome or static or one-hot edges inferred
-        from ``frames`` (…, N, 2); None when edges are inferred per frame
-        (dynamic) or the model passes no messages."""
+        from ``frames`` (…, N, 2), a worm's whole recording in training and
+        evaluation; None when edges are inferred per frame (dynamic) or the
+        model passes no messages."""
         cfg = self.config
         if cfg.module_kind is not ModuleKind.GNN or cfg.edge_mode is EdgeMode.DYNAMIC:
             return None
@@ -427,12 +423,14 @@ class NeuralModel:
         """The stages both tasks share, for a (B, W, N, 2) stack or a (B, N, 2)
         frame: message passing over ``adjacency`` (by default ``adjacency(x)``)
         for the GNN, aggregation over neurons for pooled layouts, the recurrent
-        stage and the body.  A classifier's recurrent stage steps through the
-        stack's frames; a predictor's takes one step over the frame's rows.
-        Returns (the body's output, rec_state)."""
+        stage and the body.  Without a given ``adjacency``, dynamic edges and
+        the message pass over them run as one ``ad.edge_message`` node, so no
+        training step or rollout forms the (…, N, N) edges.  A classifier's
+        recurrent stage steps through the stack's frames; a predictor's takes
+        one step over the frame's rows.  Returns (the body's output,
+        rec_state)."""
         cfg = self.config
         if cfg.module_kind is ModuleKind.GNN and adjacency is None and cfg.edge_mode is EdgeMode.DYNAMIC:
-            # edges inferred per frame and the message pass over them as one chunked node
             x = ad.edge_message(x, *self._edge_args())
         elif cfg.module_kind is ModuleKind.GNN:
             x = message_pass(self.adjacency(x) if adjacency is None else adjacency, x)
@@ -458,7 +456,9 @@ class NeuralModel:
 
         ``edge_feats`` optionally supplies the frames fixed edges are
         inferred from (one individual's whole recording); by default the
-        classified stack itself is used.
+        classified stack itself is used.  Per-node layouts concatenate the
+        neurons' hidden vectors in neuron order into the head's input, a view
+        of the body's C-ordered output.
         """
         cfg = self.config
         if cfg.task is not Task.CLASSIFY:
@@ -497,7 +497,8 @@ def encode_edges(features, model: NeuralModel) -> np.ndarray:
     Static, one-hot and connectome modes return one (N, N) matrix; dynamic
     returns one per frame, (T, N, N), from one ``edge_weights`` call, whose
     node runs the encoder and the pairs in frame chunks: besides the edges,
-    memory holds one chunk's buffers.
+    memory holds one chunk's buffers.  ``NeuralModel.fixed_adjacency``
+    decides which; a recording with no frames is an error.
     """
     frames = np.asarray(features, dtype=np.float64)
     if frames.ndim not in (2, 3):

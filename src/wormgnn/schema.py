@@ -1,5 +1,6 @@
 """One rule for config values: ``check_value``, which the config dataclasses
-apply to each field's annotation and the CLI to each top-level key's type."""
+apply to each field's annotation, the CLI to each top-level key's type and
+``data.load_recording`` to a recording's header fields."""
 
 from __future__ import annotations
 

@@ -47,6 +47,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class TrainConfig:
+    """Optimization and protocol settings of one run.  Each field is checked
+    against its annotation (``schema.check_value``); ``learning_rate`` must
+    be > 0, ``lr_decay_factor`` in (0, 1), the epoch, fold and window counts
+    positive, and ``burn_in`` >= 0."""
+
     learning_rate: float = 1e-3
     max_epochs: int = 800
     plateau_patience: int = 50
@@ -74,6 +79,11 @@ class TrainConfig:
 
 @dataclass
 class ExperimentPlan:
+    """Which worms a run trains on and which it evaluates generalization on.
+    A worm named twice, in one list or across the train, held-out and
+    extended lists, is an error naming the worm and the lists; so are an
+    unknown task and an empty training list."""
+
     task: str  # a TASKS key: classify2 | classify7 | classify4 | predict
     train_worm_ids: list[str]
     held_out_worm_ids: list[str] = field(default_factory=list)
@@ -268,6 +278,10 @@ class PreparedWorm:
 
 
 def prepare_worm(rec: WormRecording, task: str, cfg: TrainConfig, master_seed: int) -> PreparedWorm:
+    """A worm's normalized recording, kept for rollouts, and its windows: the
+    (B, W, N, 2) stack ``features[starts[:, None] + arange(W)]`` of
+    ``windowize``'s shuffled starts, each window's fold (``assign_folds``)
+    and, to classify, its per-timestep class targets."""
     rec = normalize_recording(rec)
     full = rec.features
     starts = windowize(rec, cfg.window_len, seed=master_seed)
@@ -339,8 +353,18 @@ def train(model: NeuralModel, plan: ExperimentPlan, cfg: TrainConfig,
 
     Classification holds out ``test_fold`` and stops on ``val_fold`` loss;
     prediction uses ``val_fold`` for stopping and measures generalization
-    as per-step rollout MSE on the held-out and extended worms.  The
-    best-validation checkpoint is restored before metrics are computed.
+    as per-step rollout MSE on the held-out and extended worms.
+
+    Before the first epoch it rejects a ``test_fold`` and ``val_fold`` that
+    are equal or outside [0, fold_count), a training worm with fewer windows
+    than ``fold_count`` (naming the worm and both counts), and a predict run
+    whose held-out and extended worms have no window long enough for the
+    ``eval_rollout`` evaluation.  A non-finite training loss stops it, naming
+    the epoch and the worm, before the Adam step would spread it; so does a
+    non-finite validation loss, naming the epoch.  ``lr_on_plateau`` decides
+    which epoch is best; that epoch's model state is restored before
+    metrics are computed (``_evaluate_run``), and a predict run reports its
+    validation loss as ``val_mse``.
     """
     started = time.perf_counter()
     missing = [wid for wid in plan.train_worm_ids + plan.held_out_worm_ids + plan.extended_eval_ids
@@ -418,6 +442,11 @@ def _holdout_recordings(plan, prepared) -> list[WormRecording]:
 
 
 def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold, best_val_loss) -> ev.RunMetrics:
+    """The run's metrics.  A predict run's ``per_step_mse`` is
+    ``evaluation.per_step_mse`` of its held-out and extended worms' normalized
+    recordings, the call the ``rollout`` command makes.  A classifier
+    predicts each worm's windows once and slices the train, validation and
+    test splits out of that one pass."""
     n_states = model.config.n_states
     metrics = ev.RunMetrics(task=plan.task, test_fold=test_fold, val_fold=val_fold)
     if plan.task == "predict":
@@ -428,8 +457,7 @@ def _evaluate_run(model, plan, cfg, prepared, test_fold, val_fold, best_val_loss
         metrics.val_mse = best_val_loss  # the restored state's, measured in its epoch
         return metrics
 
-    # one forward pass per worm: its (n_windows, W) classes, sliced per split below
-    window_preds = {}
+    window_preds = {}  # each worm's (n_windows, W) classes
 
     def pooled_predictions(ids, folds):
         preds, targets = [], []

@@ -1,5 +1,6 @@
-"""Stand-in models for tests of the rollout and evaluation code, and the
-composed references of the fused edge nodes and the per-neuron body."""
+"""Stand-in models for tests of the rollout and evaluation code, the
+composed references of the fused edge nodes and the per-neuron body, and the
+along-axis reference of ``ad.softmax_nll``'s gathers."""
 
 import math
 
@@ -87,3 +88,29 @@ def composed_neuron_mlp(x, w1, b1, w2, b2, gamma=None, beta=None, stats=None):
         layer.weight.tensor, layer.bias.tensor = w, b
         x = layer.forward(x, relu=True)
     return (x, None, None) if gamma is None else ad.batch_norm(x, gamma, beta, stats)
+
+
+def along_axis_softmax_nll(z, targets):
+    """``ad.softmax_nll``'s loss and its logits' gradient for an upstream 1,
+    as numpy arrays, with each row's target logit gathered by
+    ``np.take_along_axis`` and its one-hot subtracted by ``np.put_along_axis``:
+    the reference its flat gathers are byte-equal to."""
+    k = z.shape[-1]
+    valid = targets >= 0
+    count = max(int(valid.sum()), 1)
+    at = np.where(valid, targets, 0)[..., None]
+    top = z[..., 0]
+    for j in range(1, k):
+        top = np.maximum(top, z[..., j])
+    shifted = z - top[..., None]
+    e = np.exp(shifted)
+    total = e[..., 0].copy()
+    for j in range(1, k):
+        total += e[..., j]
+    rows = np.log(total) - np.take_along_axis(shifted, at, axis=-1)[..., 0]
+    loss = np.where(valid, rows, 0.0).sum() * (1.0 / count)
+    grad = e / total[..., None]
+    np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=-1) - 1.0, axis=-1)
+    grad *= np.ones(()) * (1.0 / count)
+    grad[~valid] = 0.0
+    return loss, grad

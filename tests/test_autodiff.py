@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
-from model_stubs import composed_edge_matrix, composed_edge_message, composed_neuron_mlp
+from model_stubs import (along_axis_softmax_nll, composed_edge_matrix, composed_edge_message,
+                         composed_neuron_mlp)
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -408,6 +410,35 @@ def test_softmax_nll_matches_softmax_then_log(rows, cols, k, spread, seed):
     assert abs(loss - ref_loss) <= NLL_REL * abs(ref_loss) + NLL_ABS
     assert np.abs(grad - ref_grad).max() <= NLL_REL * np.abs(ref_grad).max() + NLL_ABS
     assert np.array_equal(grad[~valid], np.zeros_like(grad[~valid]))  # masked rows: exact zeros
+
+
+@st.composite
+def nll_batches(draw):
+    """(logits, targets) of k = 1..7 classes over lead shapes () to (3, 3);
+    each target is -1 (masked) to k - 1, and about one batch in four has
+    every row masked."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    k = draw(st.integers(1, 7))
+    values = draw(hnp.arrays(np.float64, lead + (k,),
+                             elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+    targets = draw(hnp.arrays(np.intp, lead, elements=st.integers(-1, k - 1)))
+    if draw(st.booleans()) and draw(st.booleans()):  # an all-masked batch
+        targets = np.full(lead, -1, dtype=np.intp)
+    return values, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(nll_batches())
+@example((np.array([3.0, -1.0]), np.array(1)))
+@example((np.zeros((2, 3, 4)), np.full((2, 3), -1)))
+def test_softmax_nll_is_byte_equal_to_the_along_axis_gathers(batch):
+    values, targets = batch
+    logits = ad.tensor(values, requires_grad=True)
+    loss = ad.softmax_nll(logits, targets)
+    loss.backward()
+    ref_loss, ref_grad = along_axis_softmax_nll(values, targets)
+    assert loss.data.tobytes() == np.asarray(ref_loss).tobytes()
+    assert logits.grad.shape == values.shape and logits.grad.tobytes() == ref_grad.tobytes()
 
 
 def test_softmax_nll_shape_error_names_the_op():

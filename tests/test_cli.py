@@ -655,8 +655,8 @@ def test_pca_command_rejects_zero_components(tmp_path, capsys):
     ("traces", [[0.1] * 8, [0.2] * 7], "traces: setting an array element with a sequence"),
     ("traces", [[0.1] * 8, ["x"] * 8], "traces: could not convert string to float: 'x'"),
     ("derivatives", [[0.1] * 8, [{}] * 8], "derivatives: float() argument must be"),
-    ("sample_period_s", "fast", "sample_period_s: could not convert string to float: 'fast'"),
-    ("sample_period_s", [0.3, 0.3], "sample_period_s: float() argument must be"),
+    ("sample_period_s", "fast", "sample_period_s must be a finite number, got 'fast'"),
+    ("sample_period_s", [0.3, 0.3], "sample_period_s must be a finite number, got [0.3, 0.3]"),
 ], ids=["labels_int", "label_list", "names_str", "traces_ragged", "traces_text",
         "derivatives_object", "period_text", "period_list"])
 def test_malformed_recording_fails_with_one_named_error(tmp_path, capsys, field, value, message):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +393,40 @@ def test_load_recording_not_json(tmp_path):
     path.write_text("not json at all {")
     with pytest.raises(dp.RecordingFormatError, match="JSON"):
         dp.load_recording(path)
+
+
+EXAMPLE_RECORDING = Path(__file__).resolve().parents[1] / "docs" / "example_recording.json"
+
+
+@pytest.mark.parametrize("fieldname,value,message", [
+    ("sample_period_s", "NaN", "sample_period_s must be a finite number, got 'NaN'"),
+    ("sample_period_s", "0.3", "sample_period_s must be a finite number, got '0.3'"),
+    ("sample_period_s", True, "sample_period_s must be a finite number, got True"),
+    ("sample_period_s", 0, "sample_period_s must be > 0, got 0"),
+    ("sample_period_s", -1, "sample_period_s must be > 0, got -1"),
+    ("worm_id", ["a"], "worm_id must be a string, got ['a']"),
+    ("worm_id", 7, "worm_id must be a string, got 7"),
+    ("dataset_tag", None, "dataset_tag must be a string, got None"),
+    ("neuron_names", [1, 2, 3], "neuron_names must be a list of strings, got [1, 2, 3]"),
+], ids=["period_nan_text", "period_text", "period_bool", "period_zero", "period_negative", "id_list",
+        "id_int", "tag_null", "names_ints"])
+def test_load_recording_checks_header_types(tmp_path, fieldname, value, message):
+    payload = json.loads(EXAMPLE_RECORDING.read_text())
+    payload[fieldname] = value
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(dp.RecordingFormatError, match=re.escape(f"{path}: {message}")):
+        dp.load_recording(path)
+
+
+def test_load_recording_reads_an_integer_period_as_a_float(tmp_path):
+    payload = json.loads(EXAMPLE_RECORDING.read_text())
+    payload["sample_period_s"] = 1
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(payload))
+    rec = dp.load_recording(path)
+    assert type(rec.sample_period_s) is float and rec.sample_period_s == 1.0
+    assert rec.worm_id == payload["worm_id"] and rec.neuron_names == payload["neuron_names"]
 
 
 def test_shared_neuron_lists():

@@ -128,3 +128,21 @@ def test_readme_autodiff_bullet_names_only_what_the_module_has():
     names = set(re.findall(r"`([A-Za-z_][\w.]*(?:\(\))?)`", bullet)) - NOT_AUTODIFF
     assert {"edge_matrix", "edge_message", "no_grad()"} <= names
     assert sorted(name for name in names if not hasattr(ad, name.removesuffix("()"))) == []
+
+
+def whats_inside() -> str:
+    """The README's "What's inside" section, up to the next heading."""
+    readme = (ROOT / "README.md").read_text()
+    return readme[readme.index("## What's inside\n"):].split("\n## ", 1)[0]
+
+
+def test_readme_index_has_one_bullet_per_module():
+    modules = sorted(path.stem for path in (ROOT / "src" / "wormgnn").glob("*.py") if path.stem != "__init__")
+    bullets = re.findall(r"^- `wormgnn\.(\w+)` - ", whats_inside(), re.M)
+    assert sorted(bullets) == modules  # each module once, and no bullet for a module that is gone
+
+
+def test_readme_index_stays_an_index():
+    # mechanisms live in docstrings and measurements in CHANGES.md, so the
+    # section stays a short index instead of a second copy of them
+    assert len(whats_inside().splitlines()) <= 60
