@@ -23,10 +23,13 @@ which a model always trains.  ReLU, fused or not, is ``max(a, 0)``: +0.0
 for either signed zero, and a NaN input stays NaN, so a NaN pre-activation
 reaches the loss.
 
-``backward`` stores ``.grad`` on leaves only.  Under ``no_grad()`` ops build
-no graph, so forward-only passes (validation, evaluation, edge dumps) keep
-nothing alive.  A graph, its tensors and the ``no_grad`` flag belong to one
-thread, so distinct graphs (one per sweep cell) run concurrently.
+``backward`` walks the graph once in reverse topological order, keeping
+each node's pending gradient on the node itself (``Tensor._pending``) until
+its backward runs, and stores ``.grad`` on leaves only.  Under
+``no_grad()`` ops build no graph, so forward-only passes (validation,
+evaluation, edge dumps) keep nothing alive.  A graph, its tensors and the
+``no_grad`` flag belong to one thread, so distinct graphs (one per sweep
+cell) run concurrently.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class Tensor:
     tensors keep ``grad`` None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed", "_pending")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
@@ -97,6 +100,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
         self._consumed = False
+        self._pending: np.ndarray | None = None  # the gradient ``backward`` has summed so far
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -156,16 +160,14 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     # ops mostly hand over float64 ndarrays; full reductions give numpy scalars
     out.data = data if type(data) is np.ndarray and data.dtype == np.float64 else _as_array(data)
-    out.grad = None
+    out.grad = out._pending = None
     out._consumed = False
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    if _grad_mode.enabled:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad, out._parents, out._backward_fn = True, parents, backward_fn
+                return out
+    out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
 
 
@@ -181,13 +183,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ValueError:
+    return ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +196,42 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 # runs for it; ``backward`` skips None.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
 
     def bwd(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _make(a.data + b.data, (a, b), bwd)
+    return _make(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _broadcast_error("sub", a, b) from None
 
     def bwd(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _make(a.data - b.data, (a, b), bwd)
+    return _make(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
 
     def bwd(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _make(a.data * b.data, (a, b), bwd)
+    return _make(out, (a, b), bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -290,8 +296,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
 def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"{op}: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
     try:
         return np.matmul(a.data, b.data)
     except ValueError:
@@ -299,8 +303,8 @@ def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
 
 
 def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor):
-    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
-    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+    ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape) if b.requires_grad else None
     return ga, gb
 
 
@@ -363,8 +367,16 @@ class _LeadSum:
         return self.rows[start:self.stop].reshape((-1,) + self.tail)
 
     def fold(self) -> None:
-        """Add the latest chunk, once it is written, to the running sum."""
-        if not self.whole:
+        """Add the latest chunk, once it is written, to the running sum.  One
+        or two slices are added in place: the running sum is never -0.0, so
+        the sum's leading +0.0 changes nothing, and no temporary is made.  The
+        one vectorized sum is faster over more slices."""
+        if self.whole:
+            return
+        if self.stop <= 3:
+            for row in self.rows[1:self.stop]:
+                self.rows[0] += row
+        else:
             self.rows[0] = self.rows[:self.stop].sum(axis=0)
 
     def total(self, shape: tuple[int, ...], tail: tuple[int, ...] | None = None) -> np.ndarray:
@@ -743,11 +755,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
         if trimmed_a != trimmed_b:
             raise ValueError(f"concat: shapes {shapes} differ off axis {axis}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    pieces = [lead + (slice(lo, hi),) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(g[piece] for piece in pieces)
 
     return _make(out, tuple(tensors), bwd)
 
@@ -1216,8 +1229,10 @@ def backward(root: Tensor) -> None:
     """Populate gradients of ``root`` w.r.t. every requires_grad leaf.
 
     The root must be scalar.  Each graph node is visited exactly once, in
-    reverse topological order, and an intermediate node's gradient is
-    dropped once its backward closure has consumed it; only leaves keep
+    reverse topological order.  The gradients reaching a node are summed, in
+    the order its consumers run, in its ``_pending`` slot, which is cleared
+    once its backward closure has consumed it; however the walk ends, also
+    by an exception, every node's slot is cleared.  Only leaves keep
     ``.grad``.  A second backward on the same root is an error (rebuild the
     graph instead of silently accumulating).
     """
@@ -1230,23 +1245,24 @@ def backward(root: Tensor) -> None:
         return
 
     order = _topo_order(root)
-    grads: dict[int, np.ndarray] = {id(root): np.ones(())}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward_fn is None:  # a leaf
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+    root._pending = np.ones(())
+    try:
+        for node in reversed(order):
+            g = node._pending
+            if g is None:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            node._pending = None
+            if node._backward_fn is None:  # a leaf
+                node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._backward_fn(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                prev = parent._pending
+                parent._pending = pg if prev is None else prev + pg
+    finally:  # a backward that raised leaves no gradient pending
+        for node in order:
+            node._pending = None
 
 
 def grad_check(function, x: Tensor, step: float = 1e-6) -> float:

@@ -287,6 +287,7 @@ def worm_permutations(worm_ids, r: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 _LABEL_FROM_STRING = {lab.value: lab for lab in StateLabel}
+_NUMBER_TYPES = {int, float}  # a JSON number, not a bool (which ``type`` tells from int)
 
 
 def load_recording(path) -> WormRecording:
@@ -296,7 +297,9 @@ def load_recording(path) -> WormRecording:
     carry field-level diagnostics.  The header is checked with the rule
     configs use (``schema.check_value``): ``worm_id`` and ``dataset_tag``
     must be strings, ``sample_period_s`` a finite number > 0 (not a bool or
-    a string) and ``neuron_names`` a list of strings.
+    a string) and ``neuron_names`` a list of strings.  Each trace and
+    derivative entry must be a JSON number, finite: not a string, a bool or
+    null.
     """
     path = Path(path)
     try:
@@ -322,10 +325,20 @@ def load_recording(path) -> WormRecording:
         raise RecordingFormatError(f"{path}: sample_period_s must be > 0, got {period}")
 
     def numbers(fieldname):
+        rows = raw[fieldname]
         try:  # ragged rows, or an entry that is not a number
-            return np.asarray(raw[fieldname], dtype=np.float64)
+            matrix = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise RecordingFormatError(f"{path}: {fieldname}: {exc}") from None
+        # numpy also reads "1.0", true, false and null; one pass over each
+        # row's entry types finds them, and only then is the entry looked up
+        if matrix.ndim == 2:
+            for i, row in enumerate(rows):
+                if not set(map(type, row)) <= _NUMBER_TYPES:
+                    j = next(j for j, value in enumerate(row) if type(value) not in _NUMBER_TYPES)
+                    raise RecordingFormatError(
+                        f"{path}: {fieldname}[{i}][{j}] is {json.dumps(row[j])}, not a number")
+        return matrix
 
     traces = numbers("traces")
     if traces.ndim != 2 or traces.shape[1] < 2:

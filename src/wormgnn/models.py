@@ -589,10 +589,7 @@ def rollout_batch(model, teacher: np.ndarray, steps: int, sampling_prob: float =
         x_in = x
         if sampling_prob > 0 and k > 0:
             coins = (rng.uniform(size=batch) < sampling_prob).astype(np.float64).reshape(batch, 1, 1)
-            x_in = ad.add(
-                ad.mul(Tensor(coins), Tensor(teacher[:, burn_in + k])),
-                ad.mul(Tensor(1.0 - coins), x),
-            )
+            x_in = ad.add(Tensor(coins * teacher[:, burn_in + k]), ad.mul(Tensor(1.0 - coins), x))
         residual, state = model.predict_residual(x_in, training, adjacency, state)
         x = ad.add(x_in, residual)
         outs.append(ad.reshape(x, (batch, 1) + x.shape[1:]))

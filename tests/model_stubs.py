@@ -1,6 +1,7 @@
 """Stand-in models for tests of the rollout and evaluation code, the
-composed references of the fused edge nodes and the per-neuron body, and the
-along-axis reference of ``ad.softmax_nll``'s gathers."""
+composed references of the fused edge nodes and the per-neuron body, the
+along-axis reference of ``ad.softmax_nll``'s gathers and the dict-keyed
+reference of ``ad.backward``."""
 
 import math
 
@@ -114,3 +115,35 @@ def along_axis_softmax_nll(z, targets):
     grad *= np.ones(()) * (1.0 / count)
     grad[~valid] = 0.0
     return loss, grad
+
+
+def dict_backward(root):
+    """``ad.backward`` with its pending gradients in a dict keyed by each
+    node's ``id()``: the reference the walk that keeps them on the tensors is
+    byte-equal to."""
+    if root.data.shape != ():
+        raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
+    if root._consumed:
+        raise RuntimeError("backward: this graph was already differentiated; rebuild it first")
+    root._consumed = True
+    if not root.requires_grad:
+        return
+
+    order = ad._topo_order(root)
+    grads = {id(root): np.ones(())}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward_fn is None:  # a leaf
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        parent_grads = node._backward_fn(g)
+        for parent, pg in zip(node._parents, parent_grads):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg

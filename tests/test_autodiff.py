@@ -14,7 +14,7 @@ from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
 from model_stubs import (along_axis_softmax_nll, composed_edge_matrix, composed_edge_message,
-                         composed_neuron_mlp)
+                         composed_neuron_mlp, dict_backward)
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -1295,3 +1295,105 @@ def test_backward_keeps_grads_on_leaves_only():
     # d/dx sum(relu(x w)^2) = 2 relu(x w) w, and symmetrically for w
     assert np.array_equal(x.grad, 2.0 * r.data * w.data)
     assert np.array_equal(w.grad, 2.0 * r.data * x.data)
+
+
+# -- backward's walk: pending gradients kept on the tensors ----------------------------
+
+# (op, first pick, second pick): each pick chooses an operand, or for split
+# and lstm_cell also which outputs stay in use
+GRAPH_STEPS = st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "scale", "relu", "matmul", "split",
+                                                  "concat", "lstm_cell"]),
+                                 st.integers(0, 2**16), st.integers(0, 2**16)), max_size=14)
+
+
+def random_graph(steps, seed):
+    """A scalar graph over (3, 4) and (3, 2) tensors, and its leaves: a fixed
+    chain, a diamond and a leaf with four consumers, then ``steps`` on picked
+    operands (constants among them), all summed against fixed weights."""
+    rng = np.random.default_rng(seed)
+    leaves = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in [(3, 4)] * 3 + [(3, 2), (4, 4), (4, 8), (2, 8), (8,)]]
+    x0, x1, x2, y0, w, w_x, w_h, b = leaves
+    wide = [x0, x1, x2, ad.Tensor(rng.normal(size=(3, 4)))]
+    narrow = [y0, ad.Tensor(rng.normal(size=(3, 2)))]
+    top = ad.scale(ad.relu(ad.scale(x1, 2.0)), 0.5)  # a chain, then a diamond's top
+    wide += [ad.add(x0, x0), ad.mul(x0, x2), ad.add(ad.relu(top), ad.mul(top, wide[3]))]
+    for op, i, j in steps:
+        pool = (wide if i % 2 else narrow) if op in ("add", "sub", "mul") else narrow if op == "concat" else wide
+        a, other = pool[i // 2 % len(pool)], pool[j % len(pool)]
+        if op in ("add", "sub", "mul"):
+            pool.append(getattr(ad, op)(a, other))
+        elif op == "scale":
+            pool.append(ad.scale(a, 0.75))
+        elif op == "relu":
+            pool.append(ad.relu(a))
+        elif op == "matmul":
+            pool.append(ad.matmul(a, w))
+        elif op == "concat":
+            wide.append(ad.concat([other, a], axis=-1 if j % 2 else 1))
+        else:  # split pieces or the gated cell's outputs: the first, the second or both stay in use
+            pair = (ad.split(a, [2, 2], axis=-1) if op == "split"
+                    else ad.lstm_cell(a, narrow[j % len(narrow)], narrow[i % len(narrow)], w_x, w_h, b))
+            narrow.extend(pair[:1] if j % 3 == 0 else pair[1:] if j % 3 == 1 else pair)
+    terms = [ad.mul(t, ad.Tensor(np.cos(np.arange(t.data.size) + k).reshape(t.shape))).sum()
+             for k, t in enumerate(wide + narrow)]
+    root = terms[0]
+    for term in terms[1:]:
+        root = ad.add(root, term)
+    return root, leaves
+
+
+@settings(max_examples=120, deadline=None)
+@given(GRAPH_STEPS, st.integers(0, 2**16))
+@example([("lstm_cell", 0, 0), ("lstm_cell", 2, 1), ("split", 4, 2), ("split", 6, 3), ("concat", 1, 5)], 0)
+@example([("lstm_cell", 2, 2), ("mul", 1, 5), ("concat", 1, 4), ("matmul", 8, 0), ("matmul", 8, 0)], 1)
+def test_backward_is_byte_equal_to_the_dict_keyed_walk(steps, seed):
+    root, leaves = random_graph(steps, seed)
+    ad.backward(root)
+    assert all(node._pending is None for node in ad._topo_order(root))
+    expected_root, expected_leaves = random_graph(steps, seed)
+    dict_backward(expected_root)
+    assert ([None if t.grad is None else t.grad.tobytes() for t in leaves]
+            == [None if t.grad is None else t.grad.tobytes() for t in expected_leaves])
+    assert leaves[0].grad is not None and leaves[1].grad is not None
+
+
+def test_backward_that_raises_leaves_no_gradient_pending():
+    x = ad.tensor([1.0, -2.0], requires_grad=True)
+    pending_at_raise = []
+
+    def fail(g):
+        pending_at_raise.extend(node for node in ad._topo_order(root) if node._pending is not None)
+        raise RuntimeError("backward failed")
+
+    broken = ad._make(ad.mul(x, x).data.copy(), (ad.mul(x, x),), fail)
+    root = ad.add(broken, ad.scale(x, 3.0)).sum()
+    with pytest.raises(RuntimeError, match="backward failed"):
+        ad.backward(root)
+    assert pending_at_raise  # the other branch's gradient was on its way to x
+    assert all(node._pending is None for node in ad._topo_order(root))
+    assert x.grad is None
+    ad.backward(ad.mul(x, x).sum())  # a later graph through the same leaf starts clean
+    assert np.array_equal(x.grad, [2.0, -4.0])
+
+
+@pytest.mark.parametrize("op, shapes, message", [
+    (ad.add, ((2, 3), (4,)), "add: shapes (2, 3) and (4,) do not broadcast"),
+    (ad.sub, ((2, 3), (3, 2)), "sub: shapes (2, 3) and (3, 2) do not broadcast"),
+    (ad.mul, ((5,), (2, 4)), "mul: shapes (5,) and (2, 4) do not broadcast"),
+    (ad.matmul, ((2, 3), (4, 5)), "matmul: incompatible shapes (2, 3) and (4, 5)"),
+    (ad.matmul, ((2, 2, 3), (3, 3, 4)), "matmul: incompatible shapes (2, 2, 3) and (3, 3, 4)"),
+    (ad.matmul, ((3,), (3, 2)), "matmul: operands must be at least 2-D, got (3,) and (3, 2)"),
+    (lambda x, w: ad.linear(x, w, ad.tensor(np.zeros(5))), ((2, 3), (4, 5)),
+     "linear: incompatible shapes (2, 3) and (4, 5)"),
+    (lambda x, w: ad.linear(x, w, ad.tensor(np.zeros(3))), ((2,), (2, 3)),
+     "linear: operands must be at least 2-D, got (2,) and (2, 3)"),
+    (lambda x, w: ad.linear(x, w, ad.tensor(np.zeros(3))), ((2, 4), (4, 5)),
+     "linear: bias (3,) does not broadcast to (2, 5)"),
+], ids=["add", "sub", "mul", "matmul", "matmul_batch", "matmul_1d", "linear", "linear_1d", "linear_bias"])
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "constants"])
+def test_shape_errors_name_the_op_and_both_shapes(op, shapes, message, recording):
+    operands = [ad.tensor(np.ones(shape), requires_grad=recording) for shape in shapes]
+    with pytest.raises(ValueError) as caught:
+        op(*operands)
+    assert str(caught.value) == message

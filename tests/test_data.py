@@ -429,6 +429,38 @@ def test_load_recording_reads_an_integer_period_as_a_float(tmp_path):
     assert rec.worm_id == payload["worm_id"] and rec.neuron_names == payload["neuron_names"]
 
 
+@pytest.mark.parametrize("fieldname,row,col,value,spelling", [
+    ("traces", 0, 2, "1.0", '"1.0"'),
+    ("traces", 1, 0, True, "true"),
+    ("derivatives", 2, 5, False, "false"),
+    ("derivatives", 0, 0, "0", '"0"'),
+], ids=["trace_text", "trace_true", "derivative_false", "derivative_text"])
+def test_load_recording_rejects_entries_that_are_not_numbers(tmp_path, fieldname, row, col, value, spelling):
+    # numpy reads each of these as a number; a later bad entry is not named
+    payload = json.loads(EXAMPLE_RECORDING.read_text())
+    payload[fieldname][row][col] = value
+    payload[fieldname][-1][-1] = "2.0"
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(dp.RecordingFormatError) as caught:
+        dp.load_recording(path)
+    assert str(caught.value) == f"{path}: {fieldname}[{row}][{col}] is {spelling}, not a number"
+
+
+def test_load_recording_reads_integer_entries_as_floats(tmp_path):
+    payload = json.loads(EXAMPLE_RECORDING.read_text())
+    expected = dp.load_recording(EXAMPLE_RECORDING)
+    payload["traces"][0][0], payload["derivatives"][1][3] = 1, -2
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(payload))
+    rec = dp.load_recording(path)
+    assert rec.traces.dtype == rec.derivatives.dtype == np.float64
+    assert rec.traces[0, 0] == 1.0 and rec.derivatives[1, 3] == -2.0
+    expected.traces[0, 0], expected.derivatives[1, 3] = 1.0, -2.0
+    assert rec.traces.tobytes() == expected.traces.tobytes()
+    assert rec.derivatives.tobytes() == expected.derivatives.tobytes()
+
+
 def test_shared_neuron_lists():
     assert len(dp.SHARED_NEURONS_15) == 15
     assert dp.SHARED_NEURONS_15 == sorted(dp.SHARED_NEURONS_15)
