@@ -2,11 +2,11 @@
 
 The op set is what the models in this package need: matmul and ``linear``;
 the fused nodes ``edge_matrix``, ``edge_message``, ``batch_norm``,
-``neuron_mlp``, ``lstm_cell`` and ``softmax_nll``, whose docstrings give
-their arithmetic, what they keep and the composed ops they are bit-equal
-to; elementwise add/sub/mul, scalar scale, ReLU, concatenation and sum/mean
-reductions; and the shape plumbing batched forwards need (reshape,
-``swapaxes``, ``split``).
+``neuron_mlp``, ``node_decoder``, ``lstm_cell`` and ``softmax_nll``, whose
+docstrings give their arithmetic, what they keep and the composed ops they
+are bit-equal to; elementwise add/sub/mul, scalar scale, ReLU,
+concatenation and sum/mean reductions; and the shape plumbing batched
+forwards need (reshape, ``swapaxes``, ``split``).
 
 No model calls ``softmax``, ``log``, ``sigmoid``, ``tanh``, ``power`` or
 ``index_select``.  Each stays for two reasons: the composed references the
@@ -15,8 +15,9 @@ sigmoid and tanh, batch norm's power, the unfactored pair layer's
 index_select, the NLL's log), and the benchmark's tracer
 (``wormbench/tracing.py``) counts each by name in its ``OPS``.
 
-The backward of add, sub, mul, matmul, linear and lstm_cell computes no
-gradient for an operand that does not require one (inputs, masks, targets).
+The backward of add, sub, mul, matmul, linear, node_decoder and lstm_cell
+computes no gradient for an operand that does not require one (inputs,
+masks, targets).
 The backward of edge_matrix, edge_message and neuron_mlp skips only a
 constant input; they and batch_norm always differentiate their weights,
 which a model always trains.  ReLU, fused or not, is ``max(a, 0)``: +0.0
@@ -51,6 +52,7 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
+    "node_decoder",
     "edge_matrix",
     "edge_message",
     "relu",
@@ -326,13 +328,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ValueError(f"linear: bias {b.shape} does not broadcast to {out.shape}") from None
     if relu:
         np.maximum(out, 0.0, out=out)
+    return _make(out, (x, w, b), lambda g: _linear_grads(g, x, w, b, out if relu else None))
+
+
+def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor, out: np.ndarray | None):
+    """``linear``'s backward for its output gradient ``g``: through the ReLU
+    mask ``out > 0`` of the rectified output ``out`` (None without ReLU), then
+    the product's and the bias's gradients."""
+    if out is not None:
+        g = g * (out > 0)
+    return _matmul_grads(g, x, w) + ((_unbroadcast(g, b.shape) if b.requires_grad else None),)
+
+
+def node_decoder(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor) -> Tensor:
+    """``relu(relu(x w1 + b1) w2 + b2) w3 + b3`` for features ``x`` (…, M, d)
+    and 2-D weights shared over the lead axes, as one node: the predicting
+    GNN's per-node decoder.
+
+    Values and gradients are bit-equal to ``linear(relu=True)`` twice, then
+    ``linear``, and ``x`` gets a gradient only when it requires one.  The
+    node keeps only its operands and its (…, M, k) output, not the two
+    (…, M, h) hidden activations: its backward recomputes them, as a
+    checkpoint (Chen et al. 2016), then runs ``linear``'s backward
+    (``_linear_grads``) layer by layer.
+    """
+    weights = (w1, b1, w2, b2, w3, b3)
+    h, h2, k = (w.shape[-1:] for w in (w1, w2, w3))
+    if x.ndim < 2 or [t.shape for t in weights] != [x.shape[-1:] + h, h, h + h2, h2, h2 + k, k]:
+        raise ValueError(f"node_decoder: shapes {', '.join(str(t.shape) for t in (x,) + weights)} do not chain "
+                         "as (…, M, d), (d, h), (h,), (h, h2), (h2,), (h2, k) and (k,)")
+
+    def hidden():
+        """The two hidden activations, as ``linear(relu=True)`` computes them."""
+        a1 = _dense_relu(x.data, w1.data, b1.data, np.empty(x.shape[:-1] + h))
+        return a1, _dense_relu(a1, w2.data, b2.data, np.empty(x.shape[:-1] + h2))
+
+    out = np.matmul(hidden()[1], w3.data)
+    out += b3.data
 
     def bwd(g):
-        if relu:
-            g = g * (out > 0)
-        return _matmul_grads(g, x, w) + ((_unbroadcast(g, b.shape) if b.requires_grad else None),)
+        a1, a2 = (Tensor(a, requires_grad=True) for a in hidden())
+        g2, g_w3, g_b3 = _linear_grads(g, a2, w3, b3, None)
+        g1, g_w2, g_b2 = _linear_grads(g2, a1, w2, b2, a2.data)
+        return _linear_grads(g1, x, w1, b1, a1.data) + (g_w2, g_b2, g_w3, g_b3)
 
-    return _make(out, (x, w, b), bwd)
+    return _make(out, (x,) + weights, bwd)
 
 
 EDGE_CHUNK_ENTRIES = 2**16  # activation entries per chunk of the edge nodes below
@@ -747,6 +787,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: need at least one tensor")
+    ndim = tensors[0].ndim
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"concat: axis {axis} is out of range for {ndim}-D tensors")
+    axis %= ndim
     shapes = [t.shape for t in tensors]
     ref = list(shapes[0])
     for s in shapes[1:]:
@@ -755,7 +799,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         if trimmed_a != trimmed_b:
             raise ValueError(f"concat: shapes {shapes} differ off axis {axis}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
+    lead = (slice(None),) * axis
     bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
     pieces = [lead + (slice(lo, hi),) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -796,7 +840,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (np.broadcast_to(g, a.shape) / count,)  # the division makes a new array
 
     return _make(out, (a,), bwd)
 

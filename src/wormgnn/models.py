@@ -186,6 +186,23 @@ class TwoLayerMlp:
         return h if self.bn is None else self.bn.forward(h, training)
 
 
+class NodeDecoder:
+    """The predicting GNN's decoder, one set of weights shared by every node:
+    ``dec.fc1`` and ``dec.fc2`` with ReLU, then ``dec_head`` to the node's
+    2-D residual, drawn in that order.  It runs as one ``ad.node_decoder``
+    node, which keeps no (…, N, h) activation."""
+
+    def __init__(self, in_dim: int, hidden_dim: int, rng):
+        self.layers = [Linear("dec.fc1", in_dim, hidden_dim, rng), Linear("dec.fc2", hidden_dim, hidden_dim, rng),
+                       Linear("dec_head", hidden_dim, 2, rng)]
+
+    def parameters(self):
+        return [p for layer in self.layers for p in layer.parameters()]
+
+    def forward(self, x: Tensor) -> Tensor:
+        return ad.node_decoder(x, *(p.tensor for p in self.parameters()))
+
+
 class LstmUnit:
     """Gated recurrent unit: the optional stage between edge source and decoder."""
 
@@ -241,11 +258,14 @@ class NeuralModel:
 
     Pooled layouts aggregate the neurons before the recurrent stage, and
     their body is the trunk MLP (``trunk.*``).  Per-node layouts keep the
-    neuron axis, and their body is one two-layer MLP over it: node_mlp gives
+    neuron axis.  node_mlp's body is one two-layer MLP over it that gives
     each neuron weights of its own (``node.*``, stacked on a leading neuron
     axis, with batch-norm statistics per neuron; predicting head
-    ``node.head.*``), and the predicting GNN shares one set across nodes
-    (``dec.*``, head ``dec_head.*``).  The linear baseline has no body; its
+    ``node.head.*``).  The predicting GNN decodes its (B, N, ·) node
+    features with one set shared across nodes (``dec.*``, then
+    ``dec_head.*``), a ``NodeDecoder`` that is its head and has no separate
+    body: one ``ad.node_decoder`` node, which leaves no (B, N, h) activation
+    in a rollout step's graph.  The linear baseline has no body either; its
     head is the linear map (``linear.*``).  The GNN's edge source is the
     encoder (``enc.*``), the edge MLP (``edge.*``) and its head
     (``edge_head.*``).  Parameter shapes are a pure function of the config;
@@ -287,14 +307,12 @@ class NeuralModel:
         self.body = None  # the linear baseline is its head alone
         if kind is ModuleKind.LINEAR:
             self.head = block(Linear("linear", width, config.n_states, rng))
-        elif self._per_node:
-            # one decoder per node: own weights per neuron in node_mlp, one set
-            # shared by every node in the predicting GNN
-            own = n if kind is ModuleKind.NODE_MLP else None
-            self.body = block(TwoLayerMlp("node" if own else "dec", width, hidden, rng,
-                                          batchnorm=classify, n_neurons=own))
+        elif kind is ModuleKind.GNN and not classify:  # one decoder shared by every node
+            self.head = block(NodeDecoder(width, hidden, rng))
+        elif self._per_node:  # node_mlp: each neuron's own decoder
+            self.body = block(TwoLayerMlp("node", width, hidden, rng, batchnorm=classify, n_neurons=n))
             self.head = block(Linear("head", n * hidden, config.n_states, rng) if classify
-                              else Linear("node.head" if own else "dec_head", hidden, 2, rng, own))
+                              else Linear("node.head", hidden, 2, rng, n))
         else:
             self.body = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
             self.head = block(Linear("head", hidden, config.n_states if classify else 2 * n, rng))

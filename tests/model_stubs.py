@@ -1,7 +1,8 @@
 """Stand-in models for tests of the rollout and evaluation code, the
-composed references of the fused edge nodes and the per-neuron body, the
-along-axis reference of ``ad.softmax_nll``'s gathers and the dict-keyed
-reference of ``ad.backward``."""
+composed references of the fused edge nodes, the per-neuron body and the
+shared node decoder, the along-axis reference of ``ad.softmax_nll``'s
+gathers, the copying reference of ``ad.tensor_mean``'s backward and the
+dict-keyed reference of ``ad.backward``."""
 
 import math
 
@@ -147,3 +148,23 @@ def dict_backward(root):
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+
+
+def composed_node_decoder(x, w1, b1, w2, b2, w3, b3):
+    """``ad.node_decoder`` as ``linear(relu=True)`` twice, then ``linear``:
+    the three nodes it is bit-equal to."""
+    return ad.linear(ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True), w3, b3)
+
+
+def copied_tensor_mean(a, axis=None, keepdims=False):
+    """``ad.tensor_mean`` with its backward copying the broadcast gradient
+    before dividing it: the form its backward is byte-equal to."""
+    axes = ad._normalize_axes(axis, a.ndim)
+    count = a.data.size if axes is None else int(np.prod([a.shape[ax] for ax in axes]))
+
+    def bwd(g):
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g, a.shape).copy() / count,)
+
+    return ad._make(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)

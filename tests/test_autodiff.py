@@ -14,7 +14,7 @@ from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
 from model_stubs import (along_axis_softmax_nll, composed_edge_matrix, composed_edge_message,
-                         composed_neuron_mlp, dict_backward)
+                         composed_neuron_mlp, composed_node_decoder, copied_tensor_mean, dict_backward)
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -183,6 +183,14 @@ OPS = {
     "neuron_mlp_b2": lambda x: neuron_mlp_with("b2", x, "plain"),
     "neuron_mlp_gamma": lambda x: neuron_mlp_with("gamma", x),
     "neuron_mlp_beta": lambda x: neuron_mlp_with("beta", x),
+    # x as each operand of node_decoder in turn, sized so that it has 12 entries
+    "node_decoder_x": lambda x: node_decoder_with("x", x),
+    "node_decoder_w1": lambda x: node_decoder_with("w1", x, d=3, h=4),
+    "node_decoder_b1": lambda x: node_decoder_with("b1", x, h=12),
+    "node_decoder_w2": lambda x: node_decoder_with("w2", x, h=3, h2=4),
+    "node_decoder_b2": lambda x: node_decoder_with("b2", x, h2=12),
+    "node_decoder_w3": lambda x: node_decoder_with("w3", x, h2=3, k=4),
+    "node_decoder_b3": lambda x: node_decoder_with("b3", x, k=12),
     # x as each operand of lstm_cell in turn; both outputs reach the root
     "lstm_cell_x": lambda x: lstm_cell_with("x", x),
     "lstm_cell_h": lambda x: lstm_cell_with("h", x),
@@ -276,6 +284,22 @@ def neuron_mlp_with(operand, x, mode="train", **dims):
         stats = (np.linspace(-1, 1, np.prod(shapes[-1])).reshape(shapes[-1]),
                  np.linspace(0.5, 2, np.prod(shapes[-1])).reshape(shapes[-1]))
     return ad.neuron_mlp(*args, stats=stats)[0]
+
+
+NODE_DECODER_OPERANDS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def node_decoder_shapes(lead=(2, 3), d=2, h=3, h2=4, k=2):
+    return [lead + (d,), (d, h), (h,), (h, h2), (h2,), (h2, k), (k,)]
+
+
+def node_decoder_with(operand, x, lead=(2, 3), **dims):
+    """``node_decoder`` with ``x`` reshaped as ``operand`` and fixed values of
+    both signs, shifted off the ReLU's kinks, for the others."""
+    operands = [ad.reshape(x, shape) if name == operand
+                else ad.Tensor(np.sin(np.arange(math.prod(shape)) + i).reshape(shape) + 0.1)
+                for i, (name, shape) in enumerate(zip(NODE_DECODER_OPERANDS, node_decoder_shapes(lead, **dims)))]
+    return ad.node_decoder(*operands)
 
 
 LSTM_OPERANDS = ("x", "h", "c", "w_x", "w_h", "b")
@@ -814,6 +838,53 @@ def test_neuron_mlp_passes_take_about_neuron_pass_rows_rows(monkeypatch, rows, n
                 for shape in neuron_mlp_shapes((rows,), n=n, d=2, h=4, h2=4)]
     ad.neuron_mlp(*operands)
     assert ad.NEURON_PASS_ROWS == 512 and len(calls) == 2 * passes
+
+
+# lead axes of x before its row axis: none, one, and two up to (3, 4)
+DECODER_LEADS = st.one_of(st.just(()), st.tuples(st.integers(1, 3)), st.tuples(st.integers(1, 3), st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(DECODER_LEADS, st.integers(1, 4), *(st.integers(1, 7) for _ in range(4)),
+       st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+@example((), 1, 1, 1, 1, 1, [False] + [True] * 6, False, 1, 0)
+@example((3, 4), 4, 7, 7, 7, 7, [True] * 7, True, 2, 1)
+def test_node_decoder_is_bit_equal_to_three_linears(lead, rows, d, h, h2, k, needs_grad, with_nan, roots, seed):
+    # the output and every operand's gradient, byte for byte, against
+    # linear(relu=True) twice and linear: signed zeros in every operand,
+    # optionally a NaN in one, and a second root through the same node, whose
+    # backward recomputes the hidden layers again; an operand that requires
+    # no gradient, x included, gets none
+    rng = np.random.default_rng(seed)
+    values = [signed_zero_heavy(rng, shape) for shape in node_decoder_shapes(lead + (rows,), d, h, h2, k)]
+    if with_nan:
+        nan_in_one(rng, values)
+    upstreams = [signed_zero_heavy(rng, lead + (rows, k)) for _ in range(roots)]
+    fused = leaf_grads(ad.node_decoder, values, needs_grad, upstreams)
+    assert fused == leaf_grads(composed_node_decoder, values, needs_grad, upstreams)
+    grads = fused[1:8] if any(needs_grad) else [None] * 7
+    assert [grad is not None for grad in grads] == needs_grad
+
+
+def test_node_decoder_is_one_node_keeping_only_its_operands():
+    # a decoder over 40 windows x 10 nodes at hidden 64: the graph holds the
+    # operands and the (…, N, 2) output, not the two (…, N, 64) activations
+    rng = np.random.default_rng(4)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in node_decoder_shapes((40, 10), d=2, h=64, h2=64, k=2)]
+    tracemalloc.start()
+    try:
+        out = ad.node_decoder(*operands)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (40, 10, 2)
+    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
+    assert held < 1.5 * out.data.nbytes  # one activation would be 32 times the output
+    for i, shape in [(0, (40, 10, 3)), (0, (2,)), (2, (1, 64)), (3, (63, 64)), (5, (64, 2, 1)), (6, (3,))]:
+        wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
+        with pytest.raises(ValueError, match=r"node_decoder: shapes .* do not chain"):
+            ad.node_decoder(*wrong)
 
 
 def test_training_batch_norm_graph_owns_two_input_sized_arrays():
@@ -1397,3 +1468,51 @@ def test_shape_errors_name_the_op_and_both_shapes(op, shapes, message, recording
     with pytest.raises(ValueError) as caught:
         op(*operands)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("axis", [2, 5, -3, -7])
+def test_concat_names_an_axis_out_of_range(count, axis):
+    # one tensor or several: a ValueError naming the op, the axis and the
+    # ndim, not numpy's AxisError or a bare IndexError from the shape check
+    tensors = [ad.tensor(np.ones((2, 3)), requires_grad=True) for _ in range(count)]
+    with pytest.raises(ValueError) as caught:
+        ad.concat(tensors, axis=axis)
+    assert str(caught.value) == f"concat: axis {axis} is out of range for 2-D tensors"
+
+
+@pytest.mark.parametrize("axis", [-1, -2, -3])
+def test_concat_takes_negative_axes_in_range(axis):
+    # a negative axis counts from the end, in the values and in each piece's
+    # gradient, as the same non-negative axis does
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=shape) for shape in [(2, 3, 4), (2, 3, 4)]]
+    upstream = rng.normal(size=np.concatenate(values, axis=axis).shape)
+
+    def run(at):
+        leaves = [ad.tensor(v, requires_grad=True) for v in values]
+        out = ad.concat(leaves, axis=at)
+        ad.mul(out, ad.Tensor(upstream)).sum().backward()
+        return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+    assert run(axis) == run(axis % 3)
+    assert run(axis)[0] == np.concatenate(values, axis=axis).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       st.sampled_from([None, 0, -1, (0, -1), (-1,)]), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_tensor_mean_backward_is_byte_equal_to_the_copying_form(shape, axis, keepdims, with_nan, seed):
+    # dividing the broadcast gradient makes a new array, so the copy before
+    # it changed no byte; the leaf's gradient is a writeable array of its own
+    rng = np.random.default_rng(seed)
+    values = [signed_zero_heavy(rng, tuple(shape))]
+    if with_nan:
+        nan_in_one(rng, values)
+    out_shape = np.mean(values[0], axis=axis, keepdims=keepdims).shape
+    upstreams = [signed_zero_heavy(rng, out_shape)]
+    mean = leaf_grads(lambda a: ad.tensor_mean(a, axis=axis, keepdims=keepdims), values, [True], upstreams)
+    assert mean == leaf_grads(lambda a: copied_tensor_mean(a, axis=axis, keepdims=keepdims), values, [True], upstreams)
+    x = ad.tensor(values[0], requires_grad=True)
+    ad.tensor_mean(x, axis=axis, keepdims=keepdims).sum().backward()
+    assert x.grad.flags.writeable and x.grad.flags.owndata

@@ -16,7 +16,7 @@ from wormgnn.autodiff import Tensor
 from wormgnn.rng import derive_rng
 
 from model_stubs import (ConstantResidualModel, composed_edge_block, composed_edge_message, composed_gate,
-                         composed_neuron_mlp)
+                         composed_neuron_mlp, composed_node_decoder)
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -392,6 +392,51 @@ def test_dynamic_rollout_step_graph_owns_no_edge_array():
                for node in nodes)
 
 
+def gnn_predictor(mode, recurrent=False, n=5, hidden=8):
+    model = m.NeuralModel(gnn_config(m.Task.PREDICT, n=n, hidden=hidden, edge_mode=mode, recurrent=recurrent),
+                          master_seed=3)
+    if mode is m.EdgeMode.CONNECTOME:
+        model.set_connectome(np.abs(np.sin(np.arange(n * n + 0.0))).reshape(n, n))
+    return model
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+@pytest.mark.parametrize("mode", list(m.EdgeMode), ids=lambda mode: mode.value)
+def test_gnn_predict_step_is_byte_equal_with_the_composed_decoder(monkeypatch, mode, recurrent):
+    # a scheduled-sampling training step (burn-in for the recurrent stage)
+    # gives the same loss and parameter gradients, byte for byte, with the
+    # decoder's node swapped for linear(relu=True) twice and linear
+    def step():
+        model = gnn_predictor(mode, recurrent)
+        rng = np.random.default_rng(0)
+        windows = rng.normal(size=(6, 8, 5, 2))
+        cfg = tr.TrainConfig(window_len=8, burn_in=2 if recurrent else 0)
+        loss = tr._worm_loss(model, SimpleNamespace(features=windows), windows, None, cfg, True,
+                             training=True, sampling=0.5, rng=rng)
+        nodes = ad._topo_order(loss)
+        loss.backward()
+        decoders = sum(node._backward_fn is not None and node._backward_fn.__qualname__.startswith("node_decoder")
+                       for node in nodes)
+        return decoders, [loss.data.tobytes()] + [p.tensor.grad.tobytes() for p in model.parameters()]
+
+    decoders, fused = step()
+    monkeypatch.setattr(ad, "node_decoder", composed_node_decoder)
+    assert decoders == (5 if recurrent else 7) and step() == (0, fused)  # one node per step after burn-in
+
+
+@pytest.mark.parametrize("mode", list(m.EdgeMode), ids=lambda mode: mode.value)
+def test_gnn_predict_step_graph_owns_no_hidden_array(mode):
+    # the shared decoder is one ad.node_decoder node, which keeps only its
+    # operands and its (B, N, 2) output: no node of a rollout's graph but a
+    # weight has an axis of the hidden size; as two linear(relu=True) nodes
+    # the decoder owned two (B, N, h) activations per step
+    model = gnn_predictor(mode, hidden=11)
+    teacher = np.random.default_rng(1).normal(size=(6, 4, 5, 2))
+    preds = m.rollout_batch(model, teacher, 3, sampling_prob=0.5, rng=np.random.default_rng(2), training=True)
+    weights = {id(p.tensor) for p in model.parameters()}
+    assert [node.shape for node in ad._topo_order(preds) if 11 in node.shape and id(node) not in weights] == []
+
+
 def predict_step_peak(steps: int) -> int:
     """Traced peak bytes of one dynamic-GNN predict training step (a
     scheduled-sampling rollout of ``steps`` steps over 80 windows of 15
@@ -420,6 +465,15 @@ def test_predict_rollout_peak_memory_grows_by_less_than_a_pair_array_per_step():
     pair_array = 80 * 15 * 15 * 16 * 8  # bytes
     growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
     assert growth < 0.3 * pair_array, f"{growth / pair_array:.2f} pair arrays per step"
+
+
+def test_predict_rollout_peak_memory_grows_by_under_an_eighth_pair_array_per_step():
+    # with the decoder one ad.node_decoder node, a step leaves only (windows,
+    # N, 2) arrays in the graph: 0.091 pair arrays per step, where the
+    # decoder's two (windows, N, h) activations as linear nodes made it 0.225
+    pair_array = 80 * 15 * 15 * 16 * 8  # bytes
+    growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
+    assert growth < 0.12 * pair_array, f"{growth / pair_array:.3f} pair arrays per step"
 
 
 def test_no_grad_edge_weights_peak_under_one_pair_array():
