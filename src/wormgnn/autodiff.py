@@ -2,11 +2,12 @@
 
 The op set is what the models in this package need: matmul and ``linear``;
 the fused nodes ``edge_matrix``, ``edge_message``, ``batch_norm``,
-``neuron_mlp``, ``node_decoder``, ``lstm_cell`` and ``softmax_nll``, whose
+``neuron_mlp`` (node_mlp's classifier body), ``node_decoder`` (both
+per-node predictors' decoder), ``lstm_cell`` and ``softmax_nll``, whose
 docstrings give their arithmetic, what they keep and the composed ops they
 are bit-equal to; elementwise add/sub/mul, scalar scale, ReLU,
 concatenation and sum/mean reductions; and the shape plumbing batched
-forwards need (reshape, ``swapaxes``, ``split``).
+forwards need (reshape, ``split``).
 
 No model calls ``softmax``, ``log``, ``sigmoid``, ``tanh``, ``power`` or
 ``index_select``.  Each stays for two reasons: the composed references the
@@ -66,7 +67,6 @@ __all__ = [
     "tensor_sum",
     "tensor_mean",
     "reshape",
-    "swapaxes",
     "index_select",
     "split",
     "batch_norm",
@@ -341,36 +341,54 @@ def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor, out: np.ndarra
 
 
 def node_decoder(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor) -> Tensor:
-    """``relu(relu(x w1 + b1) w2 + b2) w3 + b3`` for features ``x`` (…, M, d)
-    and 2-D weights shared over the lead axes, as one node: the predicting
-    GNN's per-node decoder.
+    """``relu(relu(x w1 + b1) w2 + b2) w3 + b3`` as one node, the decoder of
+    both per-node predictors: features ``x`` (…, M, d) with 2-D weights shared
+    by the lead axes (the GNN's), or ``x`` (…, N, d) with each neuron's own,
+    w1 (N, d, h) and b1 (N, 1, h) to b3 (N, 1, k) (node_mlp's).
 
     Values and gradients are bit-equal to ``linear(relu=True)`` twice, then
-    ``linear``, and ``x`` gets a gradient only when it requires one.  The
-    node keeps only its operands and its (…, M, k) output, not the two
-    (…, M, h) hidden activations: its backward recomputes them, as a
-    checkpoint (Chen et al. 2016), then runs ``linear``'s backward
-    (``_linear_grads``) layer by layer.
+    ``linear`` (per neuron through the neuron-major view (N, M, ·) of each
+    input (…, N, ·), and back), and ``x`` gets a gradient only when it
+    requires one.  The node keeps only its operands and output: backward
+    recomputes the hidden activations, as a checkpoint (Chen et al. 2016),
+    and runs ``linear``'s backward (``_linear_grads``) layer by layer,
+    dropping each array once used (freed all at once, they go back to the
+    system, and the next step faults them in again).
     """
     weights = (w1, b1, w2, b2, w3, b3)
+    n, one = (w1.shape[:1], (1,)) if w1.ndim == 3 else ((), ())
     h, h2, k = (w.shape[-1:] for w in (w1, w2, w3))
-    if x.ndim < 2 or [t.shape for t in weights] != [x.shape[-1:] + h, h, h + h2, h2, h2 + k, k]:
+    if x.ndim < 2 or x.shape[-2:-1] != (n or x.shape[-2:-1]) or [t.shape for t in weights] != [
+            n + x.shape[-1:] + h, n + one + h, n + h + h2, n + one + h2, n + h2 + k, n + one + k]:
         raise ValueError(f"node_decoder: shapes {', '.join(str(t.shape) for t in (x,) + weights)} do not chain "
-                         "as (…, M, d), (d, h), (h,), (h, h2), (h2,), (h2, k) and (k,)")
+                         "as (…, M, d), (d, h), (h,), (h, h2), (h2,), (h2, k) and (k,), or per neuron N")
+
+    def neuron_major(a):
+        """An (…, N, ·) array as the (N, M, ·) view the per-neuron layers read."""
+        return a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:]).swapaxes(0, 1) if n else a
+
+    x_in = neuron_major(x.data)  # backward differentiates at the values x has now
 
     def hidden():
         """The two hidden activations, as ``linear(relu=True)`` computes them."""
-        a1 = _dense_relu(x.data, w1.data, b1.data, np.empty(x.shape[:-1] + h))
-        return a1, _dense_relu(a1, w2.data, b2.data, np.empty(x.shape[:-1] + h2))
+        a1 = _dense_relu(x_in, w1.data, b1.data, np.empty(x_in.shape[:-1] + h))
+        return a1, _dense_relu(a1, w2.data, b2.data, np.empty(x_in.shape[:-1] + h2))
 
     out = np.matmul(hidden()[1], w3.data)
     out += b3.data
+    if n:
+        out = out.swapaxes(0, 1).reshape(x.shape[:-1] + k)  # a view with one lead axis, else a copy
 
     def bwd(g):
-        a1, a2 = (Tensor(a, requires_grad=True) for a in hidden())
-        g2, g_w3, g_b3 = _linear_grads(g, a2, w3, b3, None)
-        g1, g_w2, g_b2 = _linear_grads(g2, a1, w2, b2, a2.data)
-        return _linear_grads(g1, x, w1, b1, a1.data) + (g_w2, g_b2, g_w3, g_b3)
+        g, grads = neuron_major(g), ()
+        inputs = [Tensor(x_in, x.requires_grad)] + [Tensor(a, requires_grad=True) for a in hidden()]
+        for w, b in ((w3, b3), (w2, b2), (w1, b1)):
+            a = inputs.pop()
+            g, g_w, g_b = _linear_grads(g, a, w, b, None)
+            if inputs:  # the layer below's ReLU mask, as its _linear_grads would apply it
+                g *= a.data > 0
+            grads = (g_w, g_b) + grads
+        return (g if g is None or not n else g.swapaxes(0, 1).reshape(x.shape),) + grads
 
     return _make(out, (x,) + weights, bwd)
 
@@ -858,12 +876,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    """``a`` with two axes exchanged, as a view."""
-    return _make(np.swapaxes(a.data, axis1, axis2), (a,),
-                 lambda g: (np.swapaxes(g, axis1, axis2),))
-
-
 def index_select(a: Tensor, axis: int, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.intp)
     axis = axis % a.ndim
@@ -1062,18 +1074,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats=None):
 NEURON_PASS_ROWS = 512  # rows per pass of neuron_mlp, summed over its neurons
 
 
-def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor | None = None,
-               beta: Tensor | None = None, stats=None):
+def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor, beta: Tensor,
+               stats=None):
     """Each neuron's own ``relu(relu(x_i w1[i] + b1[i]) w2[i] + b2[i])`` for
-    node features ``x`` (…, N, d), and with ``gamma`` and ``beta`` (N, h2) a
-    batch norm per neuron and feature, as one node.  Returns (output, mean,
-    var): the C-ordered (…, N, h2) output and ``batch_norm``'s statistics
-    (None without batch norm).
+    node features ``x`` (…, N, d), then a batch norm per neuron and feature
+    with ``gamma`` and ``beta`` (N, h2), as one node: node_mlp's classifier
+    body.  Returns (output, mean, var): the C-ordered (…, N, h2) output and
+    ``batch_norm``'s statistics.
 
-    Values and gradients are bit-equal to ``models.Linear``'s per-neuron
-    ``linear(relu=True)`` twice, then ``batch_norm`` with features (N, h2);
-    only where two NaNs meet may the one kept differ (numpy's vector loops
-    and their scalar tails keep different ones).
+    Values and gradients are bit-equal to ``linear(relu=True)`` twice per
+    neuron, as ``node_decoder`` composes it, then ``batch_norm`` with
+    features (N, h2); only where two NaNs meet may the one kept differ
+    (numpy's vector loops and their scalar tails keep different ones).
     Both passes walk the neurons in groups of k through reused (k, M, h)
     buffers, M the rows of the lead axes, and run the composed ops'
     arithmetic, ``batch_norm``'s included, on arrays laid out as theirs.  A
@@ -1084,11 +1096,11 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
     statistics, and its backward recomputes each group's activations, as
     ``edge_matrix``.
     """
-    weights = (w1, b1, w2, b2) + (() if gamma is None else (gamma, beta))
+    weights = (w1, b1, w2, b2, gamma, beta)
     n, d, h = w1.shape if w1.ndim == 3 else (0, 0, 0)
     h2 = w2.shape[-1]
     if not (x.ndim >= 2 and x.shape[-2:] == (n, d) and [t.shape for t in weights]
-            == [(n, d, h), (n, 1, h), (n, h, h2), (n, 1, h2), (n, h2), (n, h2)][:len(weights)]):
+            == [(n, d, h), (n, 1, h), (n, h, h2), (n, 1, h2), (n, h2), (n, h2)]):
         raise ValueError(f"neuron_mlp: shapes {', '.join(str(t.shape) for t in (x,) + weights)} do not chain "
                          "as (…, N, d), (N, d, h), (N, 1, h), (N, h, h2), (N, 1, h2) and (N, h2) twice")
     lead, rows, axes = x.shape[:-2], math.prod(x.shape[:-2]), tuple(range(x.ndim - 2))
@@ -1096,9 +1108,9 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
     per = n if rows <= NEURON_PASS_ROWS and not recording else max(1, min(n, NEURON_PASS_ROWS // max(rows, 1)))
     groups = [slice(i, min(i + per, n)) for i in range(0, n, per)]
     # the arrays as they are now (backward differentiates at these values),
-    # neuron-major (N, M, ·) views as Linear.forward's
+    # neuron-major (N, M, ·) views as the composed layers'
     x_n = x.data.reshape(rows, n, d).swapaxes(0, 1)
-    w1_data, b1_data, w2_data, b2_data, *affine = (t.data for t in weights)
+    w1_data, b1_data, w2_data, b2_data, gamma_data, beta_data = (t.data for t in weights)
     out = np.empty(lead + (n, h2))
 
     def buffers(count):
@@ -1117,16 +1129,13 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
         return _dense_relu(_dense_relu(x_n[s], w1_data[s], b1_data[s], a1), w2_data[s], b2_data[s], a2)
 
     moments = np.empty((3, n, h2))  # each neuron's mean, var and inv
-    a1, a2, normed = buffers(3) if affine else buffers(1) + [None, None]
+    a1, a2, normed = buffers(3)
     for s in groups:
-        if not affine:
-            layers(s, taken(a1, s, h), out.reshape(rows, n, h2).swapaxes(0, 1)[s])
-            continue
         act = features(layers(s, taken(a1, s, h), taken(a2, s, h2)))
-        moments[:, s] = _normalize(act, affine[0][s], affine[1][s], axes, stats and (stats[0][s], stats[1][s]),
+        moments[:, s] = _normalize(act, gamma_data[s], beta_data[s], axes, stats and (stats[0][s], stats[1][s]),
                                    features(taken(normed, s, h2)), act)
         out[..., s, :] = features(taken(normed, s, h2))
-    mean, var, inv = moments if affine else (None,) * 3
+    mean, var, inv = moments
 
     def bwd(g):
         g_rows = g.reshape(rows, n, h2)
@@ -1134,7 +1143,7 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
         g_x = np.empty((rows, n, d)) if x.requires_grad else None
         grads = [np.empty(t.shape) for t in weights]
         g_w1, g_b1, g_w2, g_b2 = grads[:4]
-        a1, a2, *g_sized = buffers(4 if affine else 2)
+        a1, a2, *g_sized = buffers(4)
 
         def like_g(buffer, k):
             """A (…, k, h2) buffer laid out as g, as batch_norm's empty_like(g)."""
@@ -1145,23 +1154,19 @@ def neuron_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma:
             k = s.stop - s.start
             act = layers(s, taken(a1, s, h), taken(a2, s, h2))
             mask = act > 0
-            if affine:
-                # numpy sums one neuron's one-wide slice of a gradient stored
-                # row after row pairwise, and the whole gradient row by row:
-                # so such a slice is summed beside a copy of itself
-                wide = h2 == k == 1 and n > 1 and rows > 1 and row_major
+            # numpy sums one neuron's one-wide slice of a gradient stored row
+            # after row pairwise, and the whole gradient row by row: so such
+            # a slice is summed beside a copy of itself
+            wide = h2 == k == 1 and n > 1 and rows > 1 and row_major
 
-                def total(term):
-                    return (_unbroadcast(np.concatenate((term, term), -1), (k, 2))[:, :1] if wide
-                            else _unbroadcast(term, (k, h2)))
-                g_s = g[..., s, :]
-                centered = np.subtract(features(act), mean[s], out=features(act))
-                g_norm, grads[4][s], grads[5][s] = _normalize_grads(
-                    g_s, affine[0][s], centered, var[s], inv[s], stats is None, total,
-                    *(like_g(b, k) for b in g_sized))
-                g_s = g_norm.reshape(rows, k, h2).swapaxes(0, 1)  # a view when g is row-major
-            else:
-                g_s = g_rows.swapaxes(0, 1)[s]
+            def total(term):
+                return (_unbroadcast(np.concatenate((term, term), -1), (k, 2))[:, :1] if wide
+                        else _unbroadcast(term, (k, h2)))
+            centered = np.subtract(features(act), mean[s], out=features(act))
+            g_norm, grads[4][s], grads[5][s] = _normalize_grads(
+                g[..., s, :], gamma_data[s], centered, var[s], inv[s], stats is None, total,
+                *(like_g(b, k) for b in g_sized))
+            g_s = g_norm.reshape(rows, k, h2).swapaxes(0, 1)  # a view when g is row-major
             g_out = np.multiply(g_s, mask, out=taken(a2, s, h2))
             np.matmul(np.swapaxes(taken(a1, s, h), -1, -2), g_out, out=g_w2[s])
             g_b2[s] = _unbroadcast(g_out, (k, 1, h2))

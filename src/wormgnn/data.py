@@ -290,6 +290,27 @@ _LABEL_FROM_STRING = {lab.value: lab for lab in StateLabel}
 _NUMBER_TYPES = {int, float}  # a JSON number, not a bool (which ``type`` tells from int)
 
 
+def json_numbers(values, name: str) -> np.ndarray:
+    """``values``, nested lists of JSON numbers, as a float64 array.  A
+    RecordingFormatError names ``name`` and the index of the first entry that
+    is not a finite JSON number (numpy reads "1.0", true, false and null, and
+    ``json`` NaN and Infinity), or gives numpy's message for ragged rows."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise RecordingFormatError(f"{name}: {exc}") from None
+    entries = [values]  # flattened one axis at a time, so that one pass reads their types
+    for _ in range(array.ndim):
+        entries = [entry for row in entries for entry in row]
+    finite = np.isfinite(array).ravel()
+    if set(map(type, entries)) <= _NUMBER_TYPES and finite.all():
+        return array
+    at = next(i for i, entry in enumerate(entries) if type(entry) not in _NUMBER_TYPES or not finite[i])
+    entry = entries[at]
+    problem = f"{entry}, not a finite number" if type(entry) in _NUMBER_TYPES else f"{json.dumps(entry)}, not a number"
+    raise RecordingFormatError(f"{name}{''.join(f'[{i}]' for i in np.unravel_index(at, array.shape))} is {problem}")
+
+
 def load_recording(path) -> WormRecording:
     """Read a recording file (see docs/recording_format.md); un-normalized.
 
@@ -298,8 +319,8 @@ def load_recording(path) -> WormRecording:
     configs use (``schema.check_value``): ``worm_id`` and ``dataset_tag``
     must be strings, ``sample_period_s`` a finite number > 0 (not a bool or
     a string) and ``neuron_names`` a list of strings.  Each trace and
-    derivative entry must be a JSON number, finite: not a string, a bool or
-    null.
+    derivative entry must be a finite JSON number (``json_numbers``), not a
+    string, a bool or null: min-max scaling would silently zero its row.
     """
     path = Path(path)
     try:
@@ -324,23 +345,7 @@ def load_recording(path) -> WormRecording:
     if not period > 0:
         raise RecordingFormatError(f"{path}: sample_period_s must be > 0, got {period}")
 
-    def numbers(fieldname):
-        rows = raw[fieldname]
-        try:  # ragged rows, or an entry that is not a number
-            matrix = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise RecordingFormatError(f"{path}: {fieldname}: {exc}") from None
-        # numpy also reads "1.0", true, false and null; one pass over each
-        # row's entry types finds them, and only then is the entry looked up
-        if matrix.ndim == 2:
-            for i, row in enumerate(rows):
-                if not set(map(type, row)) <= _NUMBER_TYPES:
-                    j = next(j for j, value in enumerate(row) if type(value) not in _NUMBER_TYPES)
-                    raise RecordingFormatError(
-                        f"{path}: {fieldname}[{i}][{j}] is {json.dumps(row[j])}, not a number")
-        return matrix
-
-    traces = numbers("traces")
+    traces = json_numbers(raw["traces"], f"{path}: traces")
     if traces.ndim != 2 or traces.shape[1] < 2:
         raise RecordingFormatError(
             f"{path}: traces must be an N x T matrix with T >= 2, got shape {traces.shape}"
@@ -352,16 +357,9 @@ def load_recording(path) -> WormRecording:
             raise RecordingFormatError(f"{path}: labels[{i}]: unknown fine label {s!r}")
         labels.append(lab)
     if "derivatives" in raw and raw["derivatives"] is not None:
-        derivatives = numbers("derivatives")
+        derivatives = json_numbers(raw["derivatives"], f"{path}: derivatives")
     else:
         derivatives = np.apply_along_axis(compute_derivative, 1, traces)
-    # min-max scaling would silently zero a row holding NaN, infinity or null
-    for fieldname, matrix in (("traces", traces), ("derivatives", derivatives)):
-        bad = np.argwhere(~np.isfinite(matrix))
-        if bad.size:
-            index = "".join(f"[{i}]" for i in bad[0])
-            raise RecordingFormatError(
-                f"{path}: {fieldname}{index} is {matrix[tuple(bad[0])]}, not a finite number")
 
     try:
         return WormRecording(

@@ -4,15 +4,16 @@ scores, which ``training.train`` fits with a one-vs-rest hinge loss), with
 the two task heads (state classification and Markovian trajectory
 prediction).
 
-A NeuralModel runs three stages in a fixed order, on one path for both
-tasks (``NeuralModel._stages``): an edge source (none, inferred, or a loaded
+A NeuralModel runs three stages in a fixed order, on one path for both tasks
+(``NeuralModel._stages``): an edge source (none, inferred, or a loaded
 connectome), an optional gated recurrent stage, and a decoder, ``body`` then
-``head``.  The graph network takes exactly one message-passing step H = A X
-(``message_pass``) over ``NeuralModel.adjacency``, the one edge source;
-inferred edges are one ``ad.edge_matrix`` node, or, for dynamic edges in
-training and rollouts, one ``ad.edge_message`` node with the message pass.
-``NeuralModel.fixed_adjacency`` alone decides whether a worm's edges are
-fixed or re-inferred per frame.
+``head`` (a per-node predictor's decoder is its head alone, a
+``NodeDecoder``).  The graph network takes exactly one message-passing step
+H = A X (``message_pass``) over ``NeuralModel.adjacency``, the one edge
+source; inferred edges are one ``ad.edge_matrix`` node, or, for dynamic
+edges in training and rollouts, one ``ad.edge_message`` node with the
+message pass.  ``NeuralModel.fixed_adjacency`` alone decides whether a
+worm's edges are fixed or re-inferred per frame.
 
 The forward API is batched: ``NeuralModel.classify_logits``,
 ``NeuralModel.predict_residual`` and ``rollout_batch``; ``encode_edges``
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNorm, Parameter, Tensor
-from .data import load_connectome_triples
+from .data import json_numbers, load_connectome_triples
 from .rng import derive_rng
 from .schema import check_field_types
 
@@ -118,10 +119,9 @@ class ModelConfig:
 
 class Linear:
     """``x @ w + b`` over the last axis, as one ``ad.linear`` node.  With
-    ``n_neurons`` N, every neuron has its own weights: the weight is (N, in,
-    out), the bias (N, 1, out), and the input (…, N, in) runs as one product
-    batched over neurons, read back through views (node_mlp's predicting
-    head).
+    ``n_neurons`` N, every neuron has its own weights, a (N, in, out) weight
+    and a (N, 1, out) bias, which a fused node runs (``TwoLayerMlp``,
+    ``NodeDecoder``).
     ``weight`` gives initial weights instead of drawing them from ``rng``."""
 
     def __init__(self, name: str, in_dim: int, out_dim: int, rng, n_neurons: int | None = None,
@@ -131,18 +131,12 @@ class Linear:
             weight = ad.uniform_init(rng, in_dim, lead[:1] + (in_dim, out_dim))
         self.weight = Parameter(f"{name}.weight", weight)
         self.bias = Parameter(f"{name}.bias", np.zeros(lead + (out_dim,)))
-        self.per_neuron = n_neurons is not None
 
     def parameters(self):
         return [self.weight, self.bias]
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
-        if not self.per_neuron:
-            return ad.linear(x, self.weight.tensor, self.bias.tensor, relu=relu)
-        # (…, N, in) -> (N, M, in) -> (N, M, out) -> (…, N, out), every step a view
-        rows = ad.swapaxes(ad.reshape(x, (math.prod(x.shape[:-2]),) + x.shape[-2:]), 0, 1)
-        out = ad.linear(rows, self.weight.tensor, self.bias.tensor, relu=relu)
-        return ad.reshape(ad.swapaxes(out, 0, 1), x.shape[:-1] + out.shape[-1:])
+        return ad.linear(x, self.weight.tensor, self.bias.tensor, relu=relu)
 
 
 class TwoLayerMlp:
@@ -151,9 +145,11 @@ class TwoLayerMlp:
     With ``n_neurons`` both layers (and the batch norm's statistics) are per
     neuron, as in ``Linear``; neuron i's fc1 weight is drawn, then its fc2
     weight, then neuron i + 1's, as if each neuron had a block of its own.
-    Such a block runs as one ``ad.neuron_mlp`` node, which keeps no (…, N, h)
-    activation; otherwise each ReLU is fused into the node of its layer
-    (``linear(relu=True)``), so each layer keeps one activation array.
+    Such a block with its batch norm (node_mlp's classifier body) runs as one
+    ``ad.neuron_mlp`` node, which keeps no (…, N, h) activation; without it,
+    its layers are a ``NodeDecoder``'s.  Otherwise each ReLU is fused into
+    the node of its layer (``linear(relu=True)``), so each layer keeps one
+    activation array.
 
     The encoder and the edge MLP are built without batch norm, so inferred
     edges are a deterministic function of parameters and features in both
@@ -178,23 +174,22 @@ class TwoLayerMlp:
         return params
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if self.fc1.per_neuron:  # every neuron's layers and batch norm as one node
+        if self.fc1.weight.data.ndim == 3:  # every neuron's layers and batch norm as one node
             layers = [p.tensor for p in self.fc1.parameters() + self.fc2.parameters()]
-            return (ad.neuron_mlp(x, *layers)[0] if self.bn is None
-                    else self.bn.apply(ad.neuron_mlp, training, x, *layers))
+            return self.bn.apply(ad.neuron_mlp, training, x, *layers)
         h = self.fc2.forward(self.fc1.forward(x, relu=True), relu=True)
         return h if self.bn is None else self.bn.forward(h, training)
 
 
 class NodeDecoder:
-    """The predicting GNN's decoder, one set of weights shared by every node:
-    ``dec.fc1`` and ``dec.fc2`` with ReLU, then ``dec_head`` to the node's
-    2-D residual, drawn in that order.  It runs as one ``ad.node_decoder``
-    node, which keeps no (…, N, h) activation."""
+    """The decoder of both per-node predictors: ``<name>.fc1`` and ``.fc2``
+    with ReLU, drawn as ``TwoLayerMlp``'s, then ``head`` to each node's 2-D
+    residual, shared by every node (the GNN's ``dec``) or each neuron's own
+    (node_mlp's ``node``), run as one ``ad.node_decoder`` node."""
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng):
-        self.layers = [Linear("dec.fc1", in_dim, hidden_dim, rng), Linear("dec.fc2", hidden_dim, hidden_dim, rng),
-                       Linear("dec_head", hidden_dim, 2, rng)]
+    def __init__(self, name: str, head: str, in_dim: int, hidden_dim: int, rng, n_neurons: int | None = None):
+        body = TwoLayerMlp(name, in_dim, hidden_dim, rng, batchnorm=False, n_neurons=n_neurons)
+        self.layers = [body.fc1, body.fc2, Linear(head, hidden_dim, 2, rng, n_neurons)]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -256,21 +251,21 @@ def _checked_arrays(kind: str, given: dict, shapes: dict, optional: dict | None 
 class NeuralModel:
     """Parameters and the staged forward passes for one ModelConfig.
 
-    Pooled layouts aggregate the neurons before the recurrent stage, and
-    their body is the trunk MLP (``trunk.*``).  Per-node layouts keep the
-    neuron axis.  node_mlp's body is one two-layer MLP over it that gives
-    each neuron weights of its own (``node.*``, stacked on a leading neuron
-    axis, with batch-norm statistics per neuron; predicting head
-    ``node.head.*``).  The predicting GNN decodes its (B, N, ·) node
-    features with one set shared across nodes (``dec.*``, then
-    ``dec_head.*``), a ``NodeDecoder`` that is its head and has no separate
-    body: one ``ad.node_decoder`` node, which leaves no (B, N, h) activation
-    in a rollout step's graph.  The linear baseline has no body either; its
-    head is the linear map (``linear.*``).  The GNN's edge source is the
-    encoder (``enc.*``), the edge MLP (``edge.*``) and its head
+    Pooled layouts aggregate the neurons before the recurrent stage, and their
+    body is the trunk MLP (``trunk.*``).  Per-node layouts keep the neuron
+    axis; node_mlp gives each neuron weights of its own (``node.*``, stacked on
+    a leading neuron axis), and its classifier body is one two-layer MLP with
+    batch-norm statistics per neuron.  Both per-node predictors decode their
+    (B, N, ·) node features with a ``NodeDecoder`` that is their head and has
+    no separate body: one ``ad.node_decoder`` node, which leaves no (B, N, h)
+    activation in a rollout step's graph, over weights shared by every node
+    (``dec.*``, then ``dec_head.*``) or each neuron's own (``node.fc1.*``,
+    ``node.fc2.*``, then ``node.head.*``).  The linear baseline has no body
+    either; its head is the linear map (``linear.*``).  The GNN's edge source
+    is the encoder (``enc.*``), the edge MLP (``edge.*``) and its head
     (``edge_head.*``).  Parameter shapes are a pure function of the config;
-    initialization is a pure function of (config, master_seed), so blocks
-    are built in a fixed order.
+    initialization is a pure function of (config, master_seed), so blocks are
+    built in a fixed order.
     """
 
     def __init__(self, config: ModelConfig, master_seed: int = 0):
@@ -304,15 +299,15 @@ class NeuralModel:
         # body and head; no batch norm in the autoregressive path: rollout
         # steps have no stable batch distribution, and the train/eval
         # statistics gap would dominate the residual scale
-        self.body = None  # the linear baseline is its head alone
+        self.body = None  # the linear baseline and the per-node predictors are their head alone
         if kind is ModuleKind.LINEAR:
             self.head = block(Linear("linear", width, config.n_states, rng))
-        elif kind is ModuleKind.GNN and not classify:  # one decoder shared by every node
-            self.head = block(NodeDecoder(width, hidden, rng))
-        elif self._per_node:  # node_mlp: each neuron's own decoder
-            self.body = block(TwoLayerMlp("node", width, hidden, rng, batchnorm=classify, n_neurons=n))
-            self.head = block(Linear("head", n * hidden, config.n_states, rng) if classify
-                              else Linear("node.head", hidden, 2, rng, n))
+        elif self._per_node and not classify:  # one decoder shared by every node, or each neuron's own
+            self.head = block(NodeDecoder("dec", "dec_head", width, hidden, rng) if kind is ModuleKind.GNN
+                              else NodeDecoder("node", "node.head", width, hidden, rng, n))
+        elif self._per_node:  # node_mlp's classifier: each neuron's own body
+            self.body = block(TwoLayerMlp("node", width, hidden, rng, n_neurons=n))
+            self.head = block(Linear("head", n * hidden, config.n_states, rng))
         else:
             self.body = block(TwoLayerMlp("trunk", width, hidden, rng, batchnorm=classify))
             self.head = block(Linear("head", hidden, config.n_states if classify else 2 * n, rng))
@@ -648,7 +643,8 @@ def _stack_v1_nodes(arrays: dict, current: dict) -> dict:
 
 def load_checkpoint(path) -> NeuralModel:
     """The model a checkpoint holds; version-1 files load too (node_mlp ones
-    through ``_stack_v1_nodes``)."""
+    through ``_stack_v1_nodes``).  Every parameter and buffer value must be a
+    finite JSON number (``data.json_numbers``)."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -671,9 +667,9 @@ def load_checkpoint(path) -> NeuralModel:
                          f"{config.n_neurons} names")
     arrays = []
     for key in ("parameters", "buffers"):
-        try:  # not a list of objects, an entry without a field, or values that are not numbers
-            arrays.append({entry["name"]: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-                           for entry in raw.get(key, [])})
+        try:  # not a list of objects, an entry without a field, or values that are not finite numbers
+            arrays.append({entry["name"]: json_numbers(entry["values"], f"{entry['name']} values")
+                           .reshape(entry["shape"]) for entry in raw.get(key, [])})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"load_checkpoint: {path}: {key} is not a list of name, shape and values "
                              f"entries ({exc!r})") from None

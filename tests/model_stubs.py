@@ -1,8 +1,9 @@
 """Stand-in models for tests of the rollout and evaluation code, the
 composed references of the fused edge nodes, the per-neuron body and the
-shared node decoder, the along-axis reference of ``ad.softmax_nll``'s
-gathers, the copying reference of ``ad.tensor_mean``'s backward and the
-dict-keyed reference of ``ad.backward``."""
+node decoder (over a composed per-neuron linear layer), the along-axis
+reference of ``ad.softmax_nll``'s gathers, the copying reference of
+``ad.tensor_mean``'s backward and the dict-keyed reference of
+``ad.backward``."""
 
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from wormgnn import autodiff as ad
 from wormgnn.autodiff import Tensor
-from wormgnn.models import Linear, ModelConfig, ModuleKind, Task
+from wormgnn.models import ModelConfig, ModuleKind, Task
 
 
 class ConstantResidualModel:
@@ -81,15 +82,28 @@ def composed_edge_message(feats, *weights_temperature_self_weight):
     return ad.matmul(composed_edge_matrix(feats, *weights_temperature_self_weight), feats)
 
 
-def composed_neuron_mlp(x, w1, b1, w2, b2, gamma=None, beta=None, stats=None):
-    """``ad.neuron_mlp`` as ``models.Linear``'s per-neuron layers twice, then
+def swapaxes(a, axis1, axis2):
+    """``a`` with two axes exchanged, as a view, in a node of its own."""
+    return ad._make(np.swapaxes(a.data, axis1, axis2), (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
+
+
+def per_neuron_linear(x, w, b, relu=False):
+    """Each neuron's own ``x_i w[i] + b[i]`` for ``x`` (…, N, in), weight
+    (N, in, out) and bias (N, 1, out), as one ``ad.linear`` product batched
+    over neurons: (…, N, in) -> (N, M, in) -> (N, M, out) -> (…, N, out),
+    read through views; the last reshape copies unless ``x`` has one lead
+    axis."""
+    rows = swapaxes(ad.reshape(x, (math.prod(x.shape[:-2]),) + x.shape[-2:]), 0, 1)
+    out = ad.linear(rows, w, b, relu=relu)
+    return ad.reshape(swapaxes(out, 0, 1), x.shape[:-1] + out.shape[-1:])
+
+
+def composed_neuron_mlp(x, w1, b1, w2, b2, gamma, beta, stats=None):
+    """``ad.neuron_mlp`` as two per-neuron linear layers, then
     ``ad.batch_norm`` over the (N, h2) features: the reference it is
     bit-equal to."""
-    for w, b in ((w1, b1), (w2, b2)):
-        layer = Linear("node", *w.shape[1:], None, n_neurons=w.shape[0], weight=w.data)
-        layer.weight.tensor, layer.bias.tensor = w, b
-        x = layer.forward(x, relu=True)
-    return (x, None, None) if gamma is None else ad.batch_norm(x, gamma, beta, stats)
+    return ad.batch_norm(per_neuron_linear(per_neuron_linear(x, w1, b1, relu=True), w2, b2, relu=True),
+                         gamma, beta, stats)
 
 
 def along_axis_softmax_nll(z, targets):
@@ -151,9 +165,11 @@ def dict_backward(root):
 
 
 def composed_node_decoder(x, w1, b1, w2, b2, w3, b3):
-    """``ad.node_decoder`` as ``linear(relu=True)`` twice, then ``linear``:
-    the three nodes it is bit-equal to."""
-    return ad.linear(ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True), w3, b3)
+    """``ad.node_decoder`` as ``linear(relu=True)`` twice, then ``linear``,
+    each layer per neuron for weights with a neuron axis: the composed ops it
+    is bit-equal to."""
+    layer = per_neuron_linear if w1.ndim == 3 else ad.linear
+    return layer(layer(layer(x, w1, b1, relu=True), w2, b2, relu=True), w3, b3)
 
 
 def copied_tensor_mean(a, axis=None, keepdims=False):

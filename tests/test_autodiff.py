@@ -14,7 +14,7 @@ from wormgnn import autodiff as ad
 from wormgnn.models import TwoLayerMlp
 
 from model_stubs import (along_axis_softmax_nll, composed_edge_matrix, composed_edge_message,
-                         composed_neuron_mlp, composed_node_decoder, copied_tensor_mean, dict_backward)
+                         composed_neuron_mlp, composed_node_decoder, copied_tensor_mean, dict_backward, swapaxes)
 
 GRAD_TOL = 1e-4
 STEP = 1e-6
@@ -170,17 +170,16 @@ OPS = {
     "batch_norm_gamma": lambda x: ad.batch_norm(BN_BATCH, ad.reshape(x, (12,)), bn_affine((12,))[1])[0],
     "batch_norm_beta": lambda x: ad.batch_norm(BN_BATCH, bn_affine((12,))[0], ad.reshape(x, (12,)))[0],
     # x as each operand of neuron_mlp in turn, sized so that it has 12
-    # entries; the input with its batch norm in training (over six rows), in
-    # inference and left out.  Training batch norm cancels a bias's shift up
-    # to the ReLU's kinks, leaving near-zero gradients no central difference
-    # resolves, so the biases run in inference and without it
+    # entries; the input with its batch norm in training (over six rows) and
+    # in inference.  Training batch norm cancels a bias's shift up to the
+    # ReLU's kinks, leaving near-zero gradients no central difference
+    # resolves, so the biases run in inference
     "neuron_mlp_x": lambda x: neuron_mlp_with("x", x, lead=(6,), n=2, d=1),
     "neuron_mlp_x_eval": lambda x: neuron_mlp_with("x", x, "eval", lead=(2,), n=3),
-    "neuron_mlp_x_plain": lambda x: neuron_mlp_with("x", x, "plain", lead=(2,), n=3),
     "neuron_mlp_w1": lambda x: neuron_mlp_with("w1", x),
     "neuron_mlp_b1": lambda x: neuron_mlp_with("b1", x, "eval", h=4),
     "neuron_mlp_w2": lambda x: neuron_mlp_with("w2", x, h2=2),
-    "neuron_mlp_b2": lambda x: neuron_mlp_with("b2", x, "plain"),
+    "neuron_mlp_b2": lambda x: neuron_mlp_with("b2", x, "eval"),
     "neuron_mlp_gamma": lambda x: neuron_mlp_with("gamma", x),
     "neuron_mlp_beta": lambda x: neuron_mlp_with("beta", x),
     # x as each operand of node_decoder in turn, sized so that it has 12 entries
@@ -191,6 +190,15 @@ OPS = {
     "node_decoder_b2": lambda x: node_decoder_with("b2", x, h2=12),
     "node_decoder_w3": lambda x: node_decoder_with("w3", x, h2=3, k=4),
     "node_decoder_b3": lambda x: node_decoder_with("b3", x, k=12),
+    # and per neuron: x over two rows of three neurons, and each weight of
+    # two neurons
+    "node_decoder_per_neuron_x": lambda x: node_decoder_with("x", x, lead=(2,), n=3),
+    "node_decoder_per_neuron_w1": lambda x: node_decoder_with("w1", x, n=2, d=2, h=3),
+    "node_decoder_per_neuron_b1": lambda x: node_decoder_with("b1", x, n=2, h=6),
+    "node_decoder_per_neuron_w2": lambda x: node_decoder_with("w2", x, n=2, h=2, h2=3),
+    "node_decoder_per_neuron_b2": lambda x: node_decoder_with("b2", x, n=2, h2=6),
+    "node_decoder_per_neuron_w3": lambda x: node_decoder_with("w3", x, n=2, h2=3, k=2),
+    "node_decoder_per_neuron_b3": lambda x: node_decoder_with("b3", x, n=2, k=6),
     # x as each operand of lstm_cell in turn; both outputs reach the root
     "lstm_cell_x": lambda x: lstm_cell_with("x", x),
     "lstm_cell_h": lambda x: lstm_cell_with("h", x),
@@ -208,7 +216,6 @@ OPS = {
     "sum_axis": lambda x: ad.tensor_sum(x, axis=0, keepdims=True),
     "mean_axis": lambda x: ad.tensor_mean(x, axis=1),
     "reshape": lambda x: ad.reshape(x, (4, 3)),
-    "swapaxes": lambda x: ad.swapaxes(ad.reshape(x, (3, 2, 2)), 0, 2),
     "index_select": lambda x: ad.index_select(x, 1, [0, 2, 2, 1]),
     "split": lambda x: ad.split(x, [1, 3], axis=1)[1],
     "split_two_outputs": lambda x: split_two_outputs(x),
@@ -273,9 +280,9 @@ def neuron_mlp_shapes(lead=(5,), n=3, d=2, h=2, h2=4):
 
 def neuron_mlp_with(operand, x, mode="train", **dims):
     """neuron_mlp's output with ``x``, reshaped, as ``operand`` and fixed
-    values of both signs for the others; its batch norm in training, in
-    inference (``eval``, fixed running statistics) or left out (``plain``)."""
-    shapes = neuron_mlp_shapes(**dims)[:5 if mode == "plain" else 7]
+    values of both signs for the others; its batch norm in training or in
+    inference (``eval``, fixed running statistics)."""
+    shapes = neuron_mlp_shapes(**dims)
     args = [ad.reshape(x, shape) if name == operand
             else ad.Tensor(np.sin(np.arange(np.prod(shape)) + i).reshape(shape) + 0.1)
             for i, (name, shape) in enumerate(zip(NEURON_MLP_OPERANDS, shapes))]
@@ -289,8 +296,13 @@ def neuron_mlp_with(operand, x, mode="train", **dims):
 NODE_DECODER_OPERANDS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def node_decoder_shapes(lead=(2, 3), d=2, h=3, h2=4, k=2):
-    return [lead + (d,), (d, h), (h,), (h, h2), (h2,), (h2, k), (k,)]
+def node_decoder_shapes(lead=(2, 3), d=2, h=3, h2=4, k=2, n=None):
+    """Operand shapes of node_decoder, in argument order: features ``lead`` +
+    (d,) and shared weights, or with ``n`` features ``lead`` + (n, d) and
+    each of n neurons' own weights."""
+    if n is None:
+        return [lead + (d,), (d, h), (h,), (h, h2), (h2,), (h2, k), (k,)]
+    return [lead + (n, d), (n, d, h), (n, 1, h), (n, h, h2), (n, 1, h2), (n, h2, k), (n, 1, k)]
 
 
 def node_decoder_with(operand, x, lead=(2, 3), **dims):
@@ -754,7 +766,7 @@ def nan_blind(results):
 
 @settings(max_examples=150, deadline=None)
 @given(CHUNK_LEADS, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 5, 16]),
-       st.sampled_from([1, 2, 5, 16]), st.sampled_from(["train", "eval", "plain"]),
+       st.sampled_from([1, 2, 5, 16]), st.sampled_from(["train", "eval"]),
        st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2),
        st.booleans(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 # one-wide batch norm over twelve rows: numpy sums a lone neuron's slice
@@ -764,18 +776,17 @@ def nan_blind(results):
 @example((12,), 3, 2, 2, 1, "train", [True] * 7, False, 1, False, 2, 3)
 @example((12,), 3, 2, 2, 1, "train", [True] * 7, False, 1, True, 2, 6)
 @example((12,), 3, 2, 2, 1, "eval", [True] * 7, False, 1, True, 1, 6)
-@example((12,), 3, 2, 2, 1, "plain", [True] * 7, False, 1, False, 2, 3)
 def test_neuron_mlp_is_bit_equal_to_per_neuron_linears_then_batch_norm(lead, n, d, h, h2, mode, needs_grad,
                                                                        with_nan, roots, swapped, per, seed):
     # the output, the batch statistics and every operand's gradient, byte for
-    # byte, against models.Linear's per-neuron stacks twice and batch_norm, in
-    # passes of 1 to 4 neurons: batch norm in training, in inference and left
-    # out, one-wide layers, signed zeros in every operand, optionally a NaN in
-    # one (NaNs compared by position, see nan_blind), a second root through
-    # the same node, and roots through swapaxes, which hand the node a
-    # neuron-major gradient; an operand that requires no gradient gets none
+    # byte, against per-neuron linear layers twice and batch_norm, in passes
+    # of 1 to 4 neurons: batch norm in training and in inference, one-wide
+    # layers, signed zeros in every operand, optionally a NaN in one (NaNs
+    # compared by position, see nan_blind), a second root through the same
+    # node, and roots through swapaxes, which hand the node a neuron-major
+    # gradient; an operand that requires no gradient gets none
     rng = np.random.default_rng(seed)
-    shapes = neuron_mlp_shapes(lead, n, d, h, h2)[:5 if mode == "plain" else 7]
+    shapes = neuron_mlp_shapes(lead, n, d, h, h2)
     values = [signed_zero_heavy(rng, shape) for shape in shapes]
     if with_nan:
         nan_in_one(rng, values)
@@ -783,7 +794,6 @@ def test_neuron_mlp_is_bit_equal_to_per_neuron_linears_then_batch_norm(lead, n, 
     swapped = swapped and bool(lead)
     upstreams = [signed_zero_heavy(rng, (n,) + lead[1:] + lead[:1] + (h2,) if swapped else lead + (n, h2))
                  for _ in range(roots)]
-    needs_grad = needs_grad[:len(values)]
 
     def run(op):
         statistics = []
@@ -791,7 +801,7 @@ def test_neuron_mlp_is_bit_equal_to_per_neuron_linears_then_batch_norm(lead, n, 
         def node(*operands):
             out, mean, var = op(*operands, stats=stats)
             statistics.extend([mean, var])
-            return ad.swapaxes(out, 0, -2) if swapped else out
+            return swapaxes(out, 0, -2) if swapped else out
 
         results = nan_blind(leaf_grads(node, values, needs_grad, upstreams))
         return results + [None if a is None else a.tobytes() for a in statistics]
@@ -801,7 +811,6 @@ def test_neuron_mlp_is_bit_equal_to_per_neuron_linears_then_batch_norm(lead, n, 
         fused = run(ad.neuron_mlp)
     assert fused == run(composed_neuron_mlp)
     assert [grad is not None for grad in fused[1:len(values) + 1]] == needs_grad
-    assert (fused[-1] is None) == (mode == "plain")
 
 
 def test_neuron_mlp_is_one_node_keeping_only_its_operands():
@@ -866,6 +875,47 @@ def test_node_decoder_is_bit_equal_to_three_linears(lead, rows, d, h, h2, k, nee
     assert [grad is not None for grad in grads] == needs_grad
 
 
+# lead axes of per-neuron features: none up to (2, 3), and twelve rows, over
+# which numpy sums a one-wide gradient pairwise
+NEURON_DECODER_LEADS = st.one_of(st.just(()), st.tuples(st.integers(1, 2)),
+                                 st.tuples(st.integers(1, 2), st.integers(1, 3)), st.just((12,)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(NEURON_DECODER_LEADS, st.integers(1, 5), *(st.integers(1, 7) for _ in range(4)),
+       st.lists(st.booleans(), min_size=7, max_size=7), st.booleans(), st.integers(1, 2), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example((12,), 3, 1, 1, 1, 1, [True] * 7, False, 1, False, 0)
+@example((12,), 1, 1, 1, 1, 1, [True] * 7, False, 2, True, 1)
+@example((), 1, 1, 1, 1, 1, [False] + [True] * 6, False, 1, False, 0)
+@example((2, 3), 5, 7, 7, 7, 7, [True] * 7, True, 2, True, 1)
+def test_per_neuron_node_decoder_is_bit_equal_to_three_per_neuron_linears(lead, n, d, h, h2, k, needs_grad, with_nan,
+                                                                         roots, swapped, seed):
+    # the output and every operand's gradient, byte for byte, against three
+    # per-neuron linear layers (reshape, swapaxes, linear, swapaxes,
+    # reshape): one-wide layers (summed pairwise over twelve rows), signed
+    # zeros in every operand, optionally a NaN in one, a second root through
+    # the same node, and roots through swapaxes, which hand the node a
+    # neuron-major gradient; an operand that requires no gradient, x
+    # included, gets none
+    rng = np.random.default_rng(seed)
+    values = [signed_zero_heavy(rng, shape) for shape in node_decoder_shapes(lead, d, h, h2, k, n)]
+    if with_nan:
+        nan_in_one(rng, values)
+    swapped = swapped and bool(lead)
+    upstreams = [signed_zero_heavy(rng, (n,) + lead[1:] + lead[:1] + (k,) if swapped else lead + (n, k))
+                 for _ in range(roots)]
+
+    def run(op):
+        return leaf_grads(lambda *operands: swapaxes(op(*operands), 0, -2) if swapped else op(*operands),
+                          values, needs_grad, upstreams)
+
+    fused = run(ad.node_decoder)
+    assert fused == run(composed_node_decoder)
+    grads = fused[1:8] if any(needs_grad) else [None] * 7
+    assert [grad is not None for grad in grads] == needs_grad
+
+
 def test_node_decoder_is_one_node_keeping_only_its_operands():
     # a decoder over 40 windows x 10 nodes at hidden 64: the graph holds the
     # operands and the (…, N, 2) output, not the two (…, N, 64) activations
@@ -882,6 +932,30 @@ def test_node_decoder_is_one_node_keeping_only_its_operands():
     assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
     assert held < 1.5 * out.data.nbytes  # one activation would be 32 times the output
     for i, shape in [(0, (40, 10, 3)), (0, (2,)), (2, (1, 64)), (3, (63, 64)), (5, (64, 2, 1)), (6, (3,))]:
+        wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
+        with pytest.raises(ValueError, match=r"node_decoder: shapes .* do not chain"):
+            ad.node_decoder(*wrong)
+
+
+def test_per_neuron_node_decoder_is_one_node_keeping_only_its_operands():
+    # node_mlp's decoder over 40 windows of 10 neurons at hidden 64: the
+    # graph holds the operands and the (…, N, 2) output, not the two
+    # (N, M, 64) activations
+    rng = np.random.default_rng(5)
+    operands = [ad.tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in node_decoder_shapes((40,), d=2, h=64, h2=64, k=2, n=10)]
+    tracemalloc.start()
+    try:
+        out = ad.node_decoder(*operands)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (40, 10, 2)
+    assert {id(node) for node in ad._topo_order(out)} == {id(t) for t in operands + [out]}
+    assert held < 1.5 * out.data.nbytes  # one activation would be 32 times the output
+    # a neuron count that x does not share, per-neuron biases without their
+    # row axis, and shared weights beside per-neuron ones
+    for i, shape in [(0, (40, 9, 2)), (2, (10, 64)), (4, (64,)), (5, (64, 2)), (6, (10, 2))]:
         wrong = operands[:i] + [ad.tensor(np.zeros(shape))] + operands[i + 1:]
         with pytest.raises(ValueError, match=r"node_decoder: shapes .* do not chain"):
             ad.node_decoder(*wrong)
@@ -1126,13 +1200,6 @@ def test_batchnorm_feature_shape_keeps_one_statistic_per_entry():
                       ad.Tensor(np.cos(np.arange(36.0)).reshape(6, 2, 3))).sum()
 
     assert ad.grad_check(run, ad.tensor(rng.normal(size=(6, 6))), step=STEP) < GRAD_TOL
-
-
-def test_swapaxes_is_a_view():
-    x = ad.tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-    out = ad.swapaxes(x, 0, 1)
-    assert out.shape == (3, 2, 4) and np.shares_memory(out.data, x.data)
-    assert np.array_equal(out.data, np.swapaxes(x.data, 0, 1))
 
 
 def test_grad_check_constant_function():

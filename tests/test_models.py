@@ -16,7 +16,7 @@ from wormgnn.autodiff import Tensor
 from wormgnn.rng import derive_rng
 
 from model_stubs import (ConstantResidualModel, composed_edge_block, composed_edge_message, composed_gate,
-                         composed_neuron_mlp, composed_node_decoder)
+                         composed_neuron_mlp, composed_node_decoder, per_neuron_linear)
 
 
 def gnn_config(task=m.Task.CLASSIFY, n=4, hidden=8, **kw):
@@ -314,8 +314,8 @@ TRAINING_STEPS = [
     ("classify", "gnn", {"edge_mode": "connectome"}, {"batch_norm"}),
     ("predict", "mlp", {}, set()),
     ("predict", "mlp", {"recurrent": True}, set()),
-    ("predict", "node_mlp", {}, {"neuron_mlp"}),
-    ("predict", "node_mlp", {"recurrent": True}, {"neuron_mlp"}),
+    ("predict", "node_mlp", {}, set()),
+    ("predict", "node_mlp", {"recurrent": True}, set()),
     ("predict", "gnn", {"edge_mode": "dynamic"}, {"edge_message"}),
     ("predict", "gnn", {"edge_mode": "dynamic", "recurrent": True}, {"edge_message"}),
     ("predict", "gnn", {"edge_mode": "static"}, {"edge_matrix"}),
@@ -437,12 +437,57 @@ def test_gnn_predict_step_graph_owns_no_hidden_array(mode):
     assert [node.shape for node in ad._topo_order(preds) if 11 in node.shape and id(node) not in weights] == []
 
 
-def predict_step_peak(steps: int) -> int:
-    """Traced peak bytes of one dynamic-GNN predict training step (a
-    scheduled-sampling rollout of ``steps`` steps over 80 windows of 15
-    neurons at hidden 16, its loss and backward)."""
-    model = m.NeuralModel(gnn_config(m.Task.PREDICT, n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC),
-                          master_seed=0)
+def node_mlp_predictor(recurrent=False, hidden=8):
+    return m.NeuralModel(m.ModelConfig(module_kind="node_mlp", task="predict", n_neurons=5, hidden_dim=hidden,
+                                       recurrent=recurrent), master_seed=3)
+
+
+@pytest.mark.parametrize("burn_in", [0, 2])
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_node_mlp_predict_step_is_byte_equal_with_the_composed_decoder(monkeypatch, recurrent, burn_in):
+    # a scheduled-sampling training step gives the same loss and parameter
+    # gradients, and a no_grad rollout the same predictions, byte for byte,
+    # with the per-neuron decoder's node swapped for three per-neuron linear
+    # layers (reshape, swapaxes, linear, swapaxes, reshape)
+    def step():
+        model = node_mlp_predictor(recurrent)
+        rng = np.random.default_rng(0)
+        windows = rng.normal(size=(6, 8, 5, 2))
+        cfg = tr.TrainConfig(window_len=8, burn_in=burn_in)
+        loss = tr._worm_loss(model, SimpleNamespace(features=windows), windows, None, cfg, True,
+                             training=True, sampling=0.5, rng=rng)
+        nodes = ad._topo_order(loss)
+        loss.backward()
+        decoders = sum(node._backward_fn is not None and node._backward_fn.__qualname__.startswith("node_decoder")
+                       for node in nodes)
+        with ad.no_grad():
+            rollout = m.rollout_batch(model, rng.normal(size=(3, burn_in + 4, 5, 2)), 4, burn_in=burn_in)
+        return decoders, [loss.data.tobytes(), rollout.data.tobytes()] + [p.tensor.grad.tobytes()
+                                                                         for p in model.parameters()]
+
+    decoders, fused = step()
+    monkeypatch.setattr(ad, "node_decoder", composed_node_decoder)
+    assert decoders == 7 - burn_in and step() == (0, fused)  # one node per step after burn-in
+
+
+def test_node_mlp_predict_step_graph_owns_no_hidden_array():
+    # node_mlp's decoder is one ad.node_decoder node, which keeps only its
+    # operands and its (B, N, 2) output: no node of a rollout's graph but a
+    # weight has an axis of the hidden size; neuron_mlp and the per-neuron
+    # head left neuron_mlp's (B, N, h) output in it per step
+    model = node_mlp_predictor(hidden=11)
+    teacher = np.random.default_rng(1).normal(size=(6, 4, 5, 2))
+    preds = m.rollout_batch(model, teacher, 3, sampling_prob=0.5, rng=np.random.default_rng(2), training=True)
+    weights = {id(p.tensor) for p in model.parameters()}
+    assert [node.shape for node in ad._topo_order(preds) if 11 in node.shape and id(node) not in weights] == []
+
+
+def predict_step_peak(steps: int, kind: str = "gnn") -> int:
+    """Traced peak bytes of one dynamic-GNN (or node_mlp) predict training
+    step (a scheduled-sampling rollout of ``steps`` steps over 80 windows of
+    15 neurons at hidden 16, its loss and backward)."""
+    model = m.NeuralModel(gnn_config(m.Task.PREDICT, n=15, hidden=16, edge_mode=m.EdgeMode.DYNAMIC) if kind == "gnn"
+                          else node_mlp_config("predict", n=15, hidden=16), master_seed=0)
     rng = np.random.default_rng(0)
     teacher = rng.normal(size=(80, steps + 1, 15, 2))
     tracemalloc.start()
@@ -474,6 +519,16 @@ def test_predict_rollout_peak_memory_grows_by_under_an_eighth_pair_array_per_ste
     pair_array = 80 * 15 * 15 * 16 * 8  # bytes
     growth = (predict_step_peak(7) - predict_step_peak(3)) / 4
     assert growth < 0.12 * pair_array, f"{growth / pair_array:.3f} pair arrays per step"
+
+
+def test_node_mlp_predict_peak_memory_grows_by_under_one_and_a_half_node_arrays_per_step():
+    # with the per-neuron decoder one ad.node_decoder node, a step leaves only
+    # (windows, N, 2) arrays in the graph: 1.17 (windows, N, h) arrays per
+    # step, where neuron_mlp's output and the per-neuron head's nodes made it
+    # 2.19
+    node_array = 80 * 15 * 16 * 8  # bytes
+    growth = (predict_step_peak(7, "node_mlp") - predict_step_peak(3, "node_mlp")) / 4
+    assert growth < 1.5 * node_array, f"{growth / node_array:.2f} (windows, N, h) arrays per step"
 
 
 def test_no_grad_edge_weights_peak_under_one_pair_array():
@@ -989,7 +1044,9 @@ def test_version_1_checkpoint_of_another_kind_loads_unchanged(tmp_path):
 @given(st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=3),
        st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
 def test_per_neuron_linear_matches_a_loop_over_neurons(n, lead, in_dim, out_dim, relu, seed):
-    # values byte-equal to neuron i's rows, flattened to 2-D, through its own
+    # the composed per-neuron layer that the fused per-neuron nodes are
+    # checked against, over a per-neuron Linear's parameters: values
+    # byte-equal to neuron i's rows, flattened to 2-D, through its own
     # ad.linear; each gradient entry within 1e-12 of the sum of the absolute
     # terms it adds up, as one product sums them in another order
     rng = np.random.default_rng(seed)
@@ -998,7 +1055,7 @@ def test_per_neuron_linear_matches_a_loop_over_neurons(n, lead, in_dim, out_dim,
     x0 = rng.normal(size=tuple(lead) + (n, in_dim))
     upstream = rng.normal(size=tuple(lead) + (n, out_dim))
     x = ad.tensor(x0, requires_grad=True)
-    out = layer.forward(x, relu=relu)
+    out = per_neuron_linear(x, layer.weight.tensor, layer.bias.tensor, relu=relu)
     assert out.shape == tuple(lead) + (n, out_dim)
     ad.mul(out, Tensor(upstream)).sum().backward()
 
@@ -1041,8 +1098,9 @@ def test_node_mlp_init_equals_per_neuron_draws(task):
 @pytest.mark.parametrize("per", [1, 2, 5])
 @pytest.mark.parametrize("task", ["classify", "predict"])
 def test_node_mlp_step_is_bit_equal_to_per_neuron_linears_and_batch_norm(monkeypatch, task, per):
-    # TwoLayerMlp runs the per-neuron body as one ad.neuron_mlp node where two
-    # per-neuron Linear stacks and a BatchNorm were three: two training steps'
+    # node_mlp runs its classifier body as one ad.neuron_mlp node and its
+    # predictor as one ad.node_decoder node, where per-neuron linear layers
+    # and a batch norm were three and three nodes: two training steps'
     # losses, every parameter gradient, the input's, the running statistics
     # and an inference forward are byte-equal to the composed path's, with
     # training passes of 1, 2 and all 5 neurons
@@ -1072,6 +1130,7 @@ def test_node_mlp_step_is_bit_equal_to_per_neuron_linears_and_batch_norm(monkeyp
     fused = steps()
     calls = []
     monkeypatch.setattr(ad, "neuron_mlp", lambda *args, **kw: calls.append(1) or composed_neuron_mlp(*args, **kw))
+    monkeypatch.setattr(ad, "node_decoder", lambda *args: calls.append(1) or composed_node_decoder(*args))
     assert steps() == fused
     assert calls
 
@@ -1149,8 +1208,20 @@ def _entry(raw, name, key="parameters"):
     (lambda raw: raw["buffers"].append({"name": "connectome", "shape": [2, 2], "values": [0.0] * 4}),
      r"buffer connectome shape \(2, 2\) != expected \(4, 4\)"),
     (lambda raw: raw["config"].update(hidden=16), "unexpected keyword argument 'hidden'"),
+    # numpy reads each of these values, and json the last two
+    (lambda raw: _entry(raw, "trunk.fc1.weight")["values"].__setitem__(1, "0.5"),
+     r'trunk\.fc1\.weight values\[1\] is "0\.5", not a number'),
+    (lambda raw: _entry(raw, "trunk.fc1.weight")["values"].__setitem__(2, True),
+     r"trunk\.fc1\.weight values\[2\] is true, not a number"),
+    (lambda raw: _entry(raw, "head.bias")["values"].__setitem__(0, None),
+     r"head\.bias values\[0\] is null, not a number"),
+    (lambda raw: _entry(raw, "trunk.fc1.weight")["values"].__setitem__(3, float("nan")),
+     r"trunk\.fc1\.weight values\[3\] is nan, not a finite number"),
+    (lambda raw: _entry(raw, "trunk.bn.running_var", "buffers")["values"].__setitem__(4, -float("inf")),
+     r"trunk\.bn\.running_var values\[4\] is -inf, not a finite number"),
 ], ids=["unknown", "missing", "shape", "version", "buffer_unknown", "buffer_missing",
-        "buffer_shape", "connectome_shape", "config_key"])
+        "buffer_shape", "connectome_shape", "config_key", "value_text", "value_bool", "value_null", "value_nan",
+        "buffer_value_infinity"])
 def test_checkpoint_rejects_bad_entries(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
     m.save_checkpoint(m.NeuralModel(gnn_config(), master_seed=1), path)
